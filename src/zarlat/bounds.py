@@ -46,11 +46,26 @@ GUARD_ENV_VAR = "BBF_FACTORIAL_GUARD"
 
 
 def factorial_guard(override: Optional[int] = None) -> int:
-    """Largest factorial argument that gets materialized."""
+    """Largest factorial argument that gets materialized.
+
+    A guard that is not a nonnegative integer, from the keyword or from the
+    environment, raises :class:`DomainError`.
+    """
     if override is not None:
-        return int(override)
-    raw = os.environ.get(GUARD_ENV_VAR)
-    return int(raw) if raw else DEFAULT_FACTORIAL_GUARD
+        guard = int(override)
+        source = f"factorial guard {guard}"
+    else:
+        raw = os.environ.get(GUARD_ENV_VAR)
+        if not raw:
+            return DEFAULT_FACTORIAL_GUARD
+        source = f"{GUARD_ENV_VAR}={raw!r}"
+        try:
+            guard = int(raw)
+        except ValueError:
+            guard = -1
+    if guard < 0:
+        raise DomainError(f"{source} is not a nonnegative integer")
+    return guard
 
 
 @dataclass(frozen=True)

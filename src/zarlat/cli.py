@@ -146,7 +146,10 @@ def _result_payload(form, divisor, dec, checks) -> dict:
 def cmd_decompose(args) -> int:
     form, divisor, options = load_problem(args.problem)
     verify = args.verify_oracle or bool(options.get("verify_oracle", False))
-    oracle_limit = args.oracle_limit or int(options.get("oracle_limit", 12))
+    if args.oracle_limit is not None:
+        oracle_limit = args.oracle_limit
+    else:
+        oracle_limit = int(options.get("oracle_limit", 12))
     try:
         dec = zariski.decompose(form, divisor)
     except AxiomViolationError as exc:

@@ -36,7 +36,7 @@ class AxiomViolationError(ZarlatError):
 
 
 class InconsistencyError(ZarlatError):
-    """The decomposition reached a state that valid inputs cannot produce."""
+    """A computation reached a state that valid inputs cannot produce."""
 
 
 class OracleMismatchError(ZarlatError):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, ShapeError, SingularMatrixError
+from .errors import DomainError, InconsistencyError, ShapeError, SingularMatrixError
 from .linalg import RationalMatrix, det, smith_normal_form
 
 
@@ -173,7 +173,12 @@ def discriminant_group(lattice: IntegralLattice) -> DiscriminantGroup:
         raise SingularMatrixError(f"lattice {lattice.name!r} is degenerate")
     divisors = tuple(d for d in snf.diagonal if d > 1)
     cardinality = prod(divisors) if divisors else 1
-    assert cardinality == abs(lattice.determinant())
+    determinant = abs(lattice.determinant())
+    if cardinality != determinant:
+        raise InconsistencyError(
+            f"discriminant group of {lattice.name!r} has order {cardinality}, "
+            f"but |det| is {determinant}"
+        )
     return DiscriminantGroup(
         elementary_divisors=divisors,
         cardinality=cardinality,

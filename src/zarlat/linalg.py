@@ -1,12 +1,19 @@
 """Exact linear algebra kernel over arbitrary-precision rationals.
 
 Everything in this module is exact.  Matrices hold ``fractions.Fraction``
-entries; determinants use fraction-free (Bareiss) elimination when every
-entry is an integer and ordinary Gaussian elimination otherwise; inertia is
-computed by symmetric congruence reduction with a 2x2 pivot fallback so
-that hyperbolic blocks (zero diagonal) are handled without leaving exact
-arithmetic.  Floating point is rejected on input and never appears
-internally: denominators are data here, not noise.
+entries.  Every determinant, leading minor and definiteness verdict goes
+through one fraction-free (Bareiss) elimination loop over integers: a
+rational matrix is first scaled by the lcm ``c`` of its denominators, and
+``det A == det(cA) / c**n``.  Run without pivoting on a symmetric matrix,
+the loop's successive pivots are the leading principal minors of ``cA``,
+so a single pass (:func:`sylvester_pass`) decides Sylvester's criterion,
+yields ``det`` and, by integer back-substitution of ``det * x`` (integral
+by Cramer's rule), solves a linear system with exact divisions only.
+``solve`` (Gaussian elimination over ``Fraction``) and ``signature``
+(symmetric congruence reduction with a 2x2 pivot fallback, so hyperbolic
+blocks with zero diagonal stay exact) are separate eliminations, kept as
+independent cross-checks of that pass.  Floating point is rejected on
+input and never appears internally: denominators are data here, not noise.
 
 All values are immutable after construction and every operation is a pure
 function, so matrices can be shared freely between threads.
@@ -16,9 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from operator import mul
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DomainError, ShapeError, SingularMatrixError
+from .errors import DomainError, InconsistencyError, ShapeError, SingularMatrixError
 
 
 def as_rational(value) -> Fraction:
@@ -27,6 +36,8 @@ def as_rational(value) -> Fraction:
     Accepts integers, ``Fraction`` and strings like ``"3"`` or ``"-5/7"``.
     Floats are rejected: a caller holding a float has already lost exactness.
     """
+    if type(value) is Fraction:
+        return value  # immutable and already reduced
     if isinstance(value, bool):
         raise DomainError(f"boolean {value!r} is not a rational number")
     if isinstance(value, (int, Fraction)):
@@ -55,6 +66,14 @@ class RationalMatrix:
         if converted and any(len(r) != len(converted[0]) for r in converted):
             raise ShapeError("rows have inconsistent lengths")
         self._rows = converted
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "RationalMatrix":
+        """Wrap rows of already validated ``Fraction`` entries without
+        converting or checking them again."""
+        m = object.__new__(cls)
+        m._rows = rows
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -118,27 +137,35 @@ class RationalMatrix:
     def submatrix(self, indices: Sequence[int]) -> "RationalMatrix":
         """Principal submatrix on the given (row = column) indices."""
         idx = list(indices)
-        return RationalMatrix([[self._rows[i][j] for j in idx] for i in idx])
+        rows = self._rows
+        return RationalMatrix._trusted(tuple(tuple(rows[i][j] for j in idx) for i in idx))
 
     def replace_column(self, j: int, column: Sequence) -> "RationalMatrix":
         col = as_vector(column)
         if len(col) != self.nrows:
             raise ShapeError("replacement column has wrong length")
-        return RationalMatrix(
-            [
-                [col[i] if c == j else self._rows[i][c] for c in range(self.ncols)]
+        return RationalMatrix._trusted(
+            tuple(
+                tuple(col[i] if c == j else self._rows[i][c] for c in range(self.ncols))
                 for i in range(self.nrows)
-            ]
+            )
         )
 
     def matvec(self, vec: Sequence) -> tuple[Fraction, ...]:
+        """``self @ vec`` by integer dot products: the vector is scaled by the
+        lcm of its denominators, the matrix by the lcm of its own, and each
+        entry of the result is one ``Fraction``."""
         v = as_vector(vec)
         if len(v) != self.ncols:
             raise ShapeError(f"vector length {len(v)} != column count {self.ncols}")
-        return tuple(sum((row[j] * v[j] for j in range(self.ncols)), Fraction(0)) for row in self._rows)
+        rows, c = scaled_int_rows(self._rows)
+        s = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (s // x.denominator) for x in v]
+        scale = c * s
+        return tuple(Fraction(sum(map(mul, row, w)), scale) for row in rows)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self._rows))) if self._rows else RationalMatrix([])
+        return RationalMatrix._trusted(tuple(zip(*self._rows)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self._rows == other._rows
@@ -155,66 +182,104 @@ def as_matrix(value) -> RationalMatrix:
     return value if isinstance(value, RationalMatrix) else RationalMatrix(value)
 
 
-def det(matrix) -> Fraction:
-    """Exact determinant.
+def scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """``(int_rows, c)``: the rows of ``c * rows`` as fresh lists of ints,
+    where ``c`` is the lcm of the entry denominators (1 when integral)."""
+    c = lcm(*(x.denominator for row in rows for x in row))
+    if c == 1:
+        return [[x.numerator for x in row] for row in rows], 1
+    return [[x.numerator * (c // x.denominator) for x in row] for row in rows], c
 
-    Integer matrices go through fraction-free Bareiss elimination, which
-    keeps every intermediate value integral; rational matrices fall back to
-    ordinary Gaussian elimination over ``Fraction``.
+
+def _bareiss_pivots(a: list[list[int]], n: int, symmetric: bool = False) -> Iterator[int]:
+    """Fraction-free Gaussian elimination of the integer rows ``a``, in place.
+
+    ``a`` has ``n`` rows and at least ``n`` columns; columns past the
+    ``n``-th (right-hand sides) are carried along.  For ``k = 0, 1, ...``
+    this yields pivot ``k`` before eliminating with it; the caller may stop
+    at any pivot.  Every division is exact: by Sylvester's identity each
+    entry is a minor of the input, divisible by the previous pivot
+    (Bareiss 1968).
+
+    By default a zero pivot is replaced by a lower row that is nonzero in
+    that column, each yielded pivot carries the sign of the row permutation
+    so far, and the last value yielded is the determinant (0 when no row
+    can be swapped in).  With ``symmetric`` the leading block must be
+    symmetric and rows are never swapped: pivot ``k`` is the ``(k + 1)``-th
+    leading principal minor, a zero pivot ends the elimination (after being
+    yielded), and only the upper triangle is updated, since the trailing
+    block stays symmetric and that half suffices for the pivots and for
+    back-substitution.
     """
+    sign = 1
+    prev = 1
+    for k in range(n):
+        row_k = a[k]
+        if row_k[k] == 0:
+            swap = None if symmetric else next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                yield 0
+                return
+            a[k], a[swap] = a[swap], row_k
+            row_k = a[k]
+            sign = -sign
+        pivot = row_k[k]
+        yield sign * pivot
+        for i in range(k + 1, n):
+            row_i = a[i]
+            if symmetric:
+                start, factor = i, row_k[i]
+            else:
+                start, factor = k + 1, row_i[k]
+            row_i[start:] = [
+                (x * pivot - factor * y) // prev for x, y in zip(row_i[start:], row_k[start:])
+            ]
+        prev = pivot
+
+
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of square integer rows (the rows are overwritten)."""
+    value = 1
+    for value in _bareiss_pivots(rows, len(rows)):
+        pass
+    return value
+
+
+def det(matrix) -> Fraction:
+    """Exact determinant: ``det A == det(cA) / c**n`` with ``c`` the lcm of
+    the denominators, and ``det(cA)`` by pivoting Bareiss elimination."""
     m = as_matrix(matrix)
     if not m.is_square():
         raise ShapeError(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
-    if m.nrows == 0:
-        return Fraction(1)
-    if m.is_integral():
-        return Fraction(_det_bareiss(m.int_rows()))
-    return _det_gauss([list(row) for row in m.entries])
+    rows, c = scaled_int_rows(m.entries)
+    return Fraction(_int_det(rows), c ** m.nrows)
 
 
-def _det_bareiss(rows: list[list[int]]) -> int:
-    a = [row[:] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
-                # Exact division: Bareiss guarantees divisibility by the previous pivot.
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+def sylvester_pass(rows: list[list[int]]) -> Optional[tuple[int, list[int]]]:
+    """One fraction-free symmetric elimination without pivoting.
 
-
-def _det_gauss(a: list[list[Fraction]]) -> Fraction:
-    n = len(a)
-    result = Fraction(1)
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            result = -result
-        pivot = a[k][k]
-        result *= pivot
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            f = a[i][k] / pivot
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return result
+    ``rows`` holds ``[M | r]``: ``n`` integer rows of a symmetric ``n x n``
+    matrix ``M``, each optionally followed by one right-hand-side entry.
+    The rows are overwritten.  Returns ``None`` unless ``M`` is negative
+    definite, which is decided by Sylvester's criterion on the pivots (the
+    leading minors must be ``-, +, -, ...``; the pass stops at the first
+    one breaking the pattern).  Otherwise returns ``(det M, y)`` with
+    ``M (y / det M) == r``; ``y`` is integral by Cramer's rule and is
+    recovered by back-substitution with exact integer divisions (``y`` is
+    empty when no right-hand side was given).  ``det M`` is 1 for ``n = 0``.
+    """
+    n = len(rows)
+    d = 1
+    for k, d in enumerate(_bareiss_pivots(rows, n, symmetric=True)):
+        if d == 0 or (d < 0) != (k % 2 == 0):
+            return None
+    if n == 0 or len(rows[0]) == n:
+        return d, []
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        y[k] = (d * row[n] - sum(map(mul, row[k + 1 : n], y[k + 1 :]))) // row[k]
+    return d, y
 
 
 def solve(matrix, rhs) -> tuple[Fraction, ...]:
@@ -328,14 +393,11 @@ def leading_principal_minors(matrix) -> tuple[Fraction, ...]:
 
 def is_negative_definite(matrix) -> bool:
     """Sylvester criterion: leading principal minors strictly alternate,
-    starting negative."""
+    starting negative; decided by one :func:`sylvester_pass`."""
     m = as_matrix(matrix)
     if not m.is_symmetric():
         raise ShapeError("definiteness test needs a symmetric matrix")
-    for k, minor in enumerate(leading_principal_minors(m), start=1):
-        if (minor > 0) != (k % 2 == 0) or minor == 0:
-            return False
-    return True
+    return sylvester_pass(scaled_int_rows(m.entries)[0]) is not None
 
 
 def _exgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -372,8 +434,8 @@ class SmithNormalForm:
         umv = _int_matmul(_int_matmul(self.left, self.matrix), self.right)
         if any(umv[i][j] != (self.diagonal[i] if i == j else 0) for i in range(n) for j in range(n)):
             return False
-        return abs(_det_bareiss([list(r) for r in self.left])) == 1 and abs(
-            _det_bareiss([list(r) for r in self.right])
+        return abs(_int_det([list(r) for r in self.left])) == 1 and abs(
+            _int_det([list(r) for r in self.right])
         ) == 1
 
 
@@ -382,6 +444,16 @@ def _int_matmul(a, b):
     return tuple(
         tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)) for i in range(n)
     )
+
+
+def _fold_budget(diagonal: Sequence[int]) -> int:
+    """Pass budget of the divisibility fold in :func:`smith_normal_form`.
+
+    Every fold at least halves one diagonal entry, and every zero-swap
+    moves a zero strictly towards the end, so the pass count is bounded.
+    """
+    n = len(diagonal)
+    return 16 + n * n + n * sum(abs(x).bit_length() for x in diagonal)
 
 
 def smith_normal_form(matrix) -> SmithNormalForm:
@@ -464,14 +536,15 @@ def smith_normal_form(matrix) -> SmithNormalForm:
                 mat[t] = [-x for x in mat[t]]
 
     # Enforce the divisibility chain by folding adjacent diagonal pairs.
-    # Every fold at least halves one diagonal entry, and every zero-swap
-    # moves a zero strictly towards the end, so the pass count is bounded.
-    guard = 16 + n * n + n * sum(abs(d[t][t]).bit_length() for t in range(n))
+    guard = _fold_budget([d[t][t] for t in range(n)])
     changed = True
     while changed:
         changed = False
         guard -= 1
-        assert guard >= 0, "divisibility normalization failed to converge"
+        if guard < 0:
+            raise InconsistencyError(
+                "Smith normal form: divisibility normalization failed to converge"
+            )
         for t in range(n - 1):
             a_t, b_t = d[t][t], d[t + 1][t + 1]
             if a_t == 0 and b_t != 0:

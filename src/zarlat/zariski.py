@@ -21,11 +21,15 @@ components pair nonnegatively by the axiom.
 ``decompose`` computes the splitting by support enlargement: start from the
 components that pair negatively with ``D``, solve for the negative part on
 that support, and grow the support by every component the remainder still
-pairs negatively with, until stable.  ``decompose_bruteforce`` is the
-independent oracle: it enumerates every candidate support, keeps the
-candidates satisfying all the defining conditions, and demands exactly one
-resulting decomposition.  The two must agree coefficient for coefficient;
-any divergence is a bug by uniqueness.
+pairs negatively with, until stable.  Each round is one fraction-free pass
+(:func:`zarlat.linalg.sylvester_pass`) over integers, which gives the
+definiteness verdict, the negative part and ``det Gram_S`` together.
+``decompose_bruteforce`` is the independent oracle: it enumerates every
+candidate support, keeps the candidates satisfying all the defining
+conditions, and demands exactly one resulting decomposition.  It decides
+definiteness by ``signature`` and solves by Gaussian elimination over
+``Fraction``, so it shares no elimination with the engine.  The two must
+agree coefficient for coefficient; any divergence is a bug by uniqueness.
 
 All arithmetic is exact; all operations are pure and deterministic.
 ``random_instance`` derives everything from an explicit 64-bit seed through
@@ -38,6 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -50,13 +56,15 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import (
+    Inertia,
     RationalMatrix,
     as_rational,
     as_vector,
     det,
-    is_negative_definite,
+    scaled_int_rows,
     signature,
     solve,
+    sylvester_pass,
 )
 
 
@@ -124,14 +132,17 @@ def is_exceptional(form: IntersectionForm, indices: Sequence[int]) -> bool:
     """Is the Gram submatrix on ``indices`` negative definite?
 
     Decided exactly by Sylvester's criterion (leading principal minors with
-    strictly alternating signs, the first one negative).
+    strictly alternating signs, the first one negative), in one
+    :func:`zarlat.linalg.sylvester_pass` over the integer-scaled rows.
     """
     idx = sorted(set(indices))
     if not idx:
         raise DomainError("empty support; a trivial divisor is handled by the caller")
     if idx[0] < 0 or idx[-1] >= form.size:
         raise ShapeError(f"support {idx} out of range for {form.size} components")
-    return is_negative_definite(form.gram.submatrix(idx))
+    entries = form.gram.entries
+    rows, _ = scaled_int_rows([[entries[i][j] for j in idx] for i in idx])
+    return sylvester_pass(rows) is not None
 
 
 @dataclass(frozen=True)
@@ -209,9 +220,16 @@ class Decomposition:
         )
 
 
-def _finish(form: IntersectionForm, positive, negative, rounds) -> Decomposition:
+def _finish(form: IntersectionForm, positive, negative, rounds,
+            solved: tuple[tuple[int, ...], Fraction] = ((), Fraction(1))) -> Decomposition:
+    """``solved`` is a support with its Gram determinant, reused when it is
+    exactly the support of ``negative``; otherwise the determinant is
+    recomputed."""
     support = support_of(negative)
-    det_s = det(form.gram.submatrix(support)) if support else Fraction(1)
+    if support == solved[0]:
+        det_s = solved[1]
+    else:
+        det_s = det(form.gram.submatrix(support))
     return Decomposition(
         positive=tuple(positive),
         negative=tuple(negative),
@@ -238,38 +256,55 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     """
     a = as_divisor(divisor, form.size)
     require_intersection_product(form)
-    gram = form.gram
-    ga = gram.matvec(a)
+    # Integers throughout: rows of c * gram and A = s * a, with c and s the
+    # lcms of the denominators, so r = (c * gram) @ A = c * s * (gram @ a).
+    rows, c = scaled_int_rows(form.gram.entries)
+    s = lcm(*(x.denominator for x in a))
+    big_a = [x.numerator * (s // x.denominator) for x in a]
+    r = [sum(map(mul, row, big_a)) for row in rows]
     support = support_of(a)
-    working = sorted(j for j in support if ga[j] < 0)
-    negative = [Fraction(0)] * form.size
+    working = [j for j in support if r[j] < 0]
+    d, y = 1, []
     rounds = 0
     while working:
-        sub = gram.submatrix(working)
-        if not is_negative_definite(sub):
+        # (c * gram_S) (s * n_S) = r_S; the pass returns d = det(c * gram_S)
+        # and y = d * s * n_S.
+        system = []
+        for i in working:
+            row = rows[i]
+            system.append([row[j] for j in working] + [r[i]])
+        outcome = sylvester_pass(system)
+        if outcome is None:
             raise InconsistencyError(
                 f"Gram submatrix on {self_labels(form, working)} is not negative definite; "
                 "the input does not admit a decomposition"
             )
-        solution = solve(sub, [ga[j] for j in working])
-        for j, value in zip(working, solution):
-            if value < 0 or value > a[j]:
+        d, y = outcome
+        scale = abs(d)
+        if d < 0:
+            y = [-v for v in y]
+        for j, v in zip(working, y):
+            if v < 0 or v > scale * big_a[j]:
                 raise InconsistencyError(
-                    f"solved coefficient {value} for component {form.labels[j]!r} "
-                    f"falls outside [0, {a[j]}]"
+                    f"solved coefficient {Fraction(v, scale * s)} for component "
+                    f"{form.labels[j]!r} falls outside [0, {a[j]}]"
                 )
-        negative = [Fraction(0)] * form.size
-        for j, value in zip(working, solution):
-            negative[j] = value
         rounds += 1
-        positive = [ai - ni for ai, ni in zip(a, negative)]
-        gp = gram.matvec(positive)
-        grown = sorted(j for j in support if j not in working and gp[j] < 0)
+        # c * s * |d| * (gram @ (a - n))_j = |d| * r_j - (c * gram)_j @ y.
+        members = set(working)
+        grown = [
+            j for j in support
+            if j not in members and scale * r[j] < sum(rows[j][i] * v for i, v in zip(working, y))
+        ]
         if not grown:
             break
         working = sorted(working + grown)
+    negative = [Fraction(0)] * form.size
+    for j, v in zip(working, y):
+        negative[j] = Fraction(v, abs(d) * s)
     positive = [ai - ni for ai, ni in zip(a, negative)]
-    return _finish(form, positive, negative, rounds)
+    return _finish(form, positive, negative, rounds,
+                   (tuple(working), Fraction(d, c ** len(working))))
 
 
 def self_labels(form: IntersectionForm, indices: Sequence[int]) -> str:
@@ -301,7 +336,7 @@ def decompose_bruteforce(
         for subset in combinations(support, size):
             if subset:
                 sub = gram.submatrix(subset)
-                if not is_negative_definite(sub):
+                if signature(sub) != Inertia(0, size, 0):
                     continue
                 solution = solve(sub, [ga[j] for j in subset])
                 if any(x < 0 or x > a[j] for j, x in zip(subset, solution)):

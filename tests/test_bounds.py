@@ -144,6 +144,17 @@ class TestDenominatorBound:
         monkeypatch.delenv("BBF_FACTORIAL_GUARD")
         assert factorial_guard() == 100_000
 
+    @pytest.mark.parametrize("value", ["abc", "-3", " "])
+    def test_env_rejects_non_guards(self, monkeypatch, value):
+        monkeypatch.setenv("BBF_FACTORIAL_GUARD", value)
+        with pytest.raises(DomainError):
+            factorial_guard()
+
+    def test_negative_override_rejected(self):
+        with pytest.raises(DomainError):
+            denominator_bound(8, 2, guard=-1)
+        assert factorial_guard(0) == 0
+
     def test_rho_zero_rejected(self):
         with pytest.raises(DomainError):
             denominator_bound(8, 0)

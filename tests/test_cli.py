@@ -70,6 +70,16 @@ class TestDecompose:
         assert result["gram_s_det"] == "-2"
         assert result["checks"]["oracle_match"] is True
 
+    def test_oracle_limit_zero_skips_oracle(self, tmp_path, capsys):
+        path = write_problem(tmp_path, {"labels": ["E"], "gram": [[-2]], "divisor": ["1"]})
+        code, out, _ = run_cli(capsys, "decompose", path, "--verify-oracle", "--oracle-limit", "0")
+        assert code == 0
+        result = json.loads(out)
+        assert result["negative_support"] == ["E"]
+        assert "oracle_match" not in result["checks"]
+        code, out, _ = run_cli(capsys, "decompose", path, "--verify-oracle", "--oracle-limit", "1")
+        assert json.loads(out)["checks"]["oracle_match"] is True
+
     def test_float_literal_rejected_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"labels": ["E"], "gram": [[-2.0]], "divisor": ["1"]}')
@@ -244,6 +254,13 @@ class TestBounds:
         code, out, _ = run_cli(capsys, "bounds", "K3n:2", "--rho", "1", "--volume", "1/2")
         report = json.loads(out)
         assert report["rho_specific"]["chow_degree"] == str(Fraction(21**4, 2))
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+    def test_bad_guard_env_exit_1(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BBF_FACTORIAL_GUARD", value)
+        code, out, err = run_cli(capsys, "bounds", "K3n:2", "--rho", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: BBF_FACTORIAL_GUARD=") and err.count("\n") == 1
 
 
 class TestFuzz:

@@ -1,19 +1,23 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zarlat.errors import DomainError, ShapeError, SingularMatrixError
+from zarlat.errors import DomainError, InconsistencyError, ShapeError, SingularMatrixError
 from zarlat.lattice import direct_sum, e8_minus, hyperbolic_plane, rank_one
 from zarlat.linalg import (
     Inertia,
     RationalMatrix,
+    SmithNormalForm,
     det,
     is_negative_definite,
     leading_principal_minors,
+    scaled_int_rows,
     signature,
     smith_normal_form,
     solve,
+    sylvester_pass,
 )
 
 
@@ -237,3 +241,145 @@ class TestSmithNormalForm:
         perm = data.draw(st.permutations(range(n)))
         permuted = [[rows[perm[i]][j] for j in range(n)] for i in range(n)]
         assert smith_normal_form(rows).diagonal == smith_normal_form(permuted).diagonal
+
+
+def rational_symmetric(max_size=5, lo=-9, hi=9, denominator_max=4):
+    """Symmetric matrices of exact rationals, sizes 0..max_size."""
+    entry = st.builds(Fraction, st.integers(lo, hi), st.integers(1, denominator_max))
+    return st.integers(0, max_size).flatmap(
+        lambda n: st.lists(
+            st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
+        ).map(symmetric_from)
+    )
+
+
+def is_nd(rows):
+    return signature(rows) == Inertia(0, len(rows), 0)
+
+
+def pass_on_rationals(rows, rhs):
+    """Run :func:`sylvester_pass` on a rational system the way the engine
+    does: scale ``A`` by the lcm ``c`` of its denominators and ``c * b`` by
+    the lcm ``s`` of its own; return ``(det A, x)`` or ``None``."""
+    n = len(rows)
+    ints, c = scaled_int_rows([[Fraction(x) for x in row] for row in rows])
+    cb = [c * Fraction(b) for b in rhs]
+    s = lcm(*(x.denominator for x in cb))
+    outcome = sylvester_pass([row + [int(x * s)] for row, x in zip(ints, cb)])
+    if outcome is None:
+        return None
+    d, y = outcome
+    return Fraction(d, c**n), tuple(Fraction(v, s * d) for v in y)
+
+
+class TestSylvesterPass:
+    """The single fraction-free pass against ``signature``, ``solve``,
+    ``det`` and, where installed, sympy."""
+
+    def test_empty(self):
+        assert sylvester_pass([]) == (1, [])
+        assert is_negative_definite([]) and det([]) == 1
+
+    def test_scalar(self):
+        assert sylvester_pass([[-3, 6]]) == (-3, [6])
+        assert sylvester_pass([[3, 6]]) is None
+        assert pass_on_rationals([["-1/2"]], ["1/3"]) == (Fraction(-1, 2), (Fraction(-2, 3),))
+
+    def test_a2(self):
+        assert sylvester_pass([[-2, 1, -1], [1, -2, -1]]) == (3, [3, 3])
+
+    def test_without_rhs(self):
+        assert sylvester_pass([[-2, 1], [1, -2]]) == (3, [])
+
+    def test_stops_at_zero_pivot(self):
+        assert sylvester_pass([[0, 1], [1, 0]]) is None  # leading minors 0, -1
+        assert sylvester_pass([[-1, 1], [1, -1]]) is None  # singular: last minor 0
+
+    def test_indefinite(self):
+        assert sylvester_pass([[-1, 2, 0], [2, -1, 0]]) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_symmetric(), st.data())
+    def test_against_signature_solve_det(self, rows, data):
+        n = len(rows)
+        rhs = data.draw(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+                                 min_size=n, max_size=n))
+        outcome = pass_on_rationals(rows, rhs)
+        assert (outcome is not None) == is_nd(rows) == is_negative_definite(rows)
+        if outcome is not None:
+            d, x = outcome
+            assert d == det(rows)
+            assert x == solve(rows, rhs)
+            assert RationalMatrix(rows).matvec(x) == tuple(rhs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_int_matrices(max_size=5, lo=-4, hi=4))
+    def test_negative_definite_integral(self, rows):
+        # -(S S^T) - I is negative definite, with varied pivots
+        n = len(rows)
+        m = [[-sum(rows[i][k] * rows[j][k] for k in range(n)) - (i == j) for j in range(n)]
+             for i in range(n)]
+        rhs = [i - 2 for i in range(n)]
+        d, y = sylvester_pass([row + [b] for row, b in zip(m, rhs)])
+        assert d == det(m) and d != 0
+        assert tuple(Fraction(v, d) for v in y) == solve(m, rhs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_symmetric(max_size=4), st.data())
+    def test_against_sympy(self, rows, data):
+        sympy = pytest.importorskip("sympy")
+        n = len(rows)
+        rhs = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+        ref = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator)
+                                  for row in rows for x in row])
+        outcome = pass_on_rationals(rows, rhs)
+        assert (outcome is not None) == bool(n == 0 or ref.is_negative_definite)
+        assert det(rows) == Fraction(str(ref.det()))
+        if outcome is not None and n:
+            d, x = outcome
+            assert d == Fraction(str(ref.det()))
+            assert x == tuple(Fraction(str(v)) for v in ref.LUsolve(sympy.Matrix(rhs)))
+
+
+class TestLeadingMinors:
+    def test_zero_minors_kept(self):
+        # a zero minor does not cut the sequence short
+        assert leading_principal_minors([[0, 1], [1, 0]]) == (0, -1)
+        assert leading_principal_minors([[1, 0, 0], [0, 0, 1], [0, 1, 0]]) == (1, 0, -1)
+
+    def test_rational(self):
+        minors = leading_principal_minors([["1/2", 1], [1, "1/3"]])
+        assert minors == (Fraction(1, 2), Fraction(-5, 6))
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_int_matrices(max_size=5, lo=-2, hi=2))
+    def test_match_submatrix_determinants(self, rows):
+        n = len(rows)
+        expected = tuple(cofactor_det([r[: k + 1] for r in rows[: k + 1]]) for k in range(n))
+        assert leading_principal_minors(rows) == expected
+
+
+class TestExplicitGuards:
+    """Invariant checks are raises, not asserts, so ``python -O`` keeps them."""
+
+    def test_smith_fold_budget(self, monkeypatch):
+        from zarlat import linalg
+
+        monkeypatch.setattr(linalg, "_fold_budget", lambda diagonal: 1)
+        with pytest.raises(InconsistencyError):
+            smith_normal_form([[6, 0], [0, 4]])  # needs one fold pass and a clean pass
+        assert smith_normal_form([[2, 0], [0, 4]]).diagonal == (2, 4)
+
+    def test_discriminant_cardinality(self, monkeypatch):
+        from zarlat import lattice
+
+        real = lattice.smith_normal_form
+
+        def wrong(matrix):
+            snf = real(matrix)
+            return SmithNormalForm(snf.diagonal[:-1] + (snf.diagonal[-1] * 2,),
+                                   snf.left, snf.right, snf.matrix)
+
+        monkeypatch.setattr(lattice, "smith_normal_form", wrong)
+        with pytest.raises(InconsistencyError):
+            lattice.discriminant_group(rank_one(-2))

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zarlat.errors import (
     AxiomViolationError,
@@ -10,6 +11,7 @@ from zarlat.errors import (
 )
 from zarlat.linalg import Inertia, signature
 from zarlat.zariski import (
+    _finish,
     InstanceSpec,
     IntersectionForm,
     SplitMix64,
@@ -325,3 +327,87 @@ class TestEngineProperties:
                 continue
             dec = decompose(form, divisor)
             assert len(dec.negative_support) <= form.size - 1
+
+
+def laplace_det(rows):
+    """Independent determinant by cofactor expansion over ``Fraction``."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * rows[0][j] * laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows))
+        if rows[0][j] != 0
+    )
+
+
+def rational_gram_instance(seed, m):
+    """A random instance whose Gram entries carry denominators up to 6:
+    the engine then scales by their lcm before eliminating."""
+    form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=m))
+    rng = SplitMix64(seed ^ 0x5CA1E)
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = form.gram[i, j] / rng.randint(1, 6)
+    return form_of(rows), divisor
+
+
+class TestRationalGram:
+    """Engine against oracle on non-integral Gram matrices."""
+
+    def assert_agree(self, form, divisor):
+        dec = decompose(form, divisor)
+        oracle = decompose_bruteforce(form, divisor)
+        assert (dec.positive, dec.negative) == (oracle.positive, oracle.negative)
+        assert dec.negative_support == oracle.negative_support
+        sub = [[form.gram[i, j] for j in dec.negative_support] for i in dec.negative_support]
+        assert dec.negative_gram_det == oracle.negative_gram_det == laplace_det(sub)
+        assert all(decomposition_checks(form, divisor, dec).values())
+
+    def test_seeded_corpus(self):
+        for seed in range(300):
+            form, divisor = rational_gram_instance(seed, 1 + seed % 5)
+            self.assert_agree(form, divisor)
+
+    def test_half_integral_pair(self):
+        form = form_of([["-1/2", "1/3"], ["1/3", "-1/2"]])
+        dec = decompose(form, [1, 1])
+        assert dec.negative == (Fraction(1), Fraction(1))
+        assert dec.negative_gram_det == Fraction(5, 36)
+        self.assert_agree(form, [1, 1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
+                         min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2),
+                st.lists(st.builds(Fraction, st.integers(0, 9), st.integers(1, 4)),
+                         min_size=m, max_size=m),
+            )
+        )
+    )
+    def test_hypothesis(self, drawn):
+        upper, divisor = drawn
+        m = len(divisor)
+        values = iter(upper)
+        rows = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                value = next(values)
+                rows[i][j] = rows[j][i] = value if i == j else abs(value)
+        self.assert_agree(form_of(rows), divisor)
+
+
+class TestFinishDeterminant:
+    def test_recomputed_when_support_shrinks(self):
+        form = form_of([[-2, 1], [1, -3]])
+        negative = [Fraction(1, 2), Fraction(0)]
+        dec = _finish(form, [Fraction(0)] * 2, negative, 1, ((0, 1), Fraction(5)))
+        assert dec.negative_support == (0,) and dec.negative_gram_det == -2
+
+    def test_reused_when_support_matches(self):
+        form = form_of([[-2, 1], [1, -3]])
+        sentinel = Fraction(123)
+        dec = _finish(form, [Fraction(0)] * 2, [Fraction(1), Fraction(1)], 1, ((0, 1), sentinel))
+        assert dec.negative_gram_det is sentinel
