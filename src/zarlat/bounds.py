@@ -39,7 +39,7 @@ from typing import Optional, Sequence, Union
 from .errors import DomainError, InconsistencyError
 from .lattice import DeformationPreset, discriminant_group
 from .linalg import as_rational, det
-from .zariski import Decomposition, IntersectionForm, as_divisor, decompose
+from .zariski import IntersectionForm, as_divisor, decompose
 
 DEFAULT_FACTORIAL_GUARD = 100_000
 GUARD_ENV_VAR = "BBF_FACTORIAL_GUARD"

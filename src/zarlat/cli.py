@@ -14,17 +14,18 @@ Exit codes, stable and documented:
 * 3 — engine and brute-force oracle disagreed
 * 4 — a verified property failed (fuzz run, table cross-check)
 
-Rationals travel as JSON integers or exact ``"p/q"`` strings; floating
-point literals are rejected at parse time.  Identical input and flags
-produce byte-identical output: dictionaries are built in a fixed key order
-and all randomness flows from explicit seeds.
+Values are checked once, by the library: rationals (problem entries,
+``--volume``) follow the one grammar of :func:`zarlat.linalg.as_rational`,
+and preset aliases and block names are those of :mod:`zarlat.lattice`.
+Floating-point JSON literals are rejected at parse time.  Identical input
+and flags produce byte-identical output: dictionaries are built in a fixed
+key order and all randomness flows from explicit seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -41,7 +42,6 @@ from .errors import (
     DomainError,
     InconsistencyError,
     OracleMismatchError,
-    ShapeError,
     ZarlatError,
 )
 from .linalg import signature
@@ -52,24 +52,23 @@ EXIT_AXIOM = 2
 EXIT_ORACLE = 3
 EXIT_PROPERTY = 4
 
+# Every ZarlatError reaching ``main`` is printed as one ``error:`` line and
+# exits with the code of the first class it is an instance of.
+_EXIT_CODES = (
+    (AxiomViolationError, EXIT_AXIOM),
+    (OracleMismatchError, EXIT_ORACLE),
+    (ZarlatError, EXIT_INPUT),
+)
+
 
 class InputError(ZarlatError):
     """Bad problem file, expression or flag value (exit code 1)."""
 
 
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
-
-
-def _parse_rational(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(f"{where}: booleans are not rationals")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
-            raise InputError(f"{where}: {value!r} is not a decimal integer or 'p/q' string")
-        return Fraction(value)
-    raise InputError(f"{where}: expected integer or 'p/q' string, got {type(value).__name__}")
+def _nonnegative(value: int, flag: str) -> int:
+    if value < 0:
+        raise InputError(f"{flag} must be a nonnegative integer, got {value}")
+    return value
 
 
 def _reject_float(text: str):
@@ -84,7 +83,11 @@ def _schema(name: str) -> dict:
 
 
 def load_problem(path: str):
-    """Parse and validate a problem file; returns (form, divisor, options)."""
+    """Parse and validate a problem file; returns (form, divisor, options).
+
+    The schema checks types and grammar, the library constructors shape,
+    symmetry and nonnegativity; every failure is an InputError naming ``path``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle, parse_float=_reject_float, parse_constant=_reject_float)
@@ -96,30 +99,12 @@ def load_problem(path: str):
         jsonschema.validate(raw, _schema("problem.schema.json"))
     except jsonschema.ValidationError as exc:
         raise InputError(f"{path}: schema violation at {exc.json_path}: {exc.message}") from exc
-    labels = [str(x) for x in raw["labels"]]
-    m = len(labels)
-    gram_rows = raw["gram"]
-    if len(gram_rows) != m or any(len(r) != m for r in gram_rows):
-        raise InputError(f"{path}: gram must be {m}x{m} to match the {m} labels")
-    gram = [
-        [_parse_rational(x, f"gram[{i}][{j}]") for j, x in enumerate(row)]
-        for i, row in enumerate(gram_rows)
-    ]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if gram[i][j] != gram[j][i]:
-                raise InputError(f"{path}: gram[{i}][{j}] != gram[{j}][{i}] (must be symmetric)")
-    divisor = [_parse_rational(x, f"divisor[{i}]") for i, x in enumerate(raw["divisor"])]
-    if len(divisor) != m:
-        raise InputError(f"{path}: divisor has {len(divisor)} entries, expected {m}")
-    if any(x < 0 for x in divisor):
-        raise InputError(f"{path}: divisor coefficients must be nonnegative")
-    options = raw.get("options", {})
     try:
-        form = zariski.IntersectionForm.from_rows(labels, gram)
-    except ShapeError as exc:
+        form = zariski.IntersectionForm.from_rows(raw["labels"], raw["gram"])
+        divisor = zariski.as_divisor(raw["divisor"], form.size)
+    except ZarlatError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return form, tuple(divisor), options
+    return form, divisor, raw.get("options", {})
 
 
 def _emit(payload: dict, output: Optional[str]) -> None:
@@ -130,7 +115,7 @@ def _emit(payload: dict, output: Optional[str]) -> None:
     sys.stdout.write(text)
 
 
-def _result_payload(form, divisor, dec, checks) -> dict:
+def _result_payload(form, dec, checks) -> dict:
     status = "ok" if all(checks.values()) else "fail"
     return {
         "positive": [str(x) for x in dec.positive],
@@ -145,73 +130,54 @@ def _result_payload(form, divisor, dec, checks) -> dict:
 
 def cmd_decompose(args) -> int:
     form, divisor, options = load_problem(args.problem)
-    verify = args.verify_oracle or bool(options.get("verify_oracle", False))
+    verify = args.verify_oracle or options.get("verify_oracle", False)
+    oracle_limit = options.get("oracle_limit", 12)
     if args.oracle_limit is not None:
-        oracle_limit = args.oracle_limit
-    else:
-        oracle_limit = int(options.get("oracle_limit", 12))
+        oracle_limit = _nonnegative(args.oracle_limit, "--oracle-limit")
     try:
         dec = zariski.decompose(form, divisor)
-    except AxiomViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AXIOM
     except InconsistencyError as exc:
         print(f"error: inconsistent input: {exc}", file=sys.stderr)
         return EXIT_AXIOM
     checks = zariski.decomposition_checks(form, divisor, dec)
     if verify and len(zariski.support_of(divisor)) <= oracle_limit:
-        try:
-            oracle = zariski.decompose_bruteforce(form, divisor, limit=oracle_limit)
-        except OracleMismatchError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ORACLE
+        oracle = zariski.decompose_bruteforce(form, divisor, limit=oracle_limit)
         match = (oracle.positive, oracle.negative) == (dec.positive, dec.negative)
-        checks = dict(checks)
-        checks["oracle_match"] = match
-        if not match:
-            _emit(_result_payload(form, divisor, dec, checks), args.output)
-            print("error: engine and oracle disagree", file=sys.stderr)
-            return EXIT_ORACLE
-    payload = _result_payload(form, divisor, dec, checks)
+        checks = dict(checks, oracle_match=match)
+    payload = _result_payload(form, dec, checks)
     _emit(payload, args.output)
+    if not checks.get("oracle_match", True):
+        print("error: engine and oracle disagree", file=sys.stderr)
+        return EXIT_ORACLE
     return EXIT_OK if payload["status"] == "ok" else EXIT_PROPERTY
 
 
-def parse_lattice_expr(text: str):
-    """``K3n:3`` / ``OG10`` style presets or ``U+U+rank1:-6`` block sums."""
-    text = text.strip()
-    head = text.split(":", 1)[0].strip().lower().replace("_", "").replace("-", "")
-    if head in ("k3n", "k3", "kummer", "kummern", "og6", "og10"):
-        name, _, param = text.partition(":")
-        n = None
-        if param:
-            try:
-                n = int(param)
-            except ValueError:
-                raise InputError(f"preset parameter {param!r} is not an integer")
-        try:
-            return lattice_mod.preset(name, n)
-        except DomainError as exc:
-            raise InputError(str(exc)) from exc
-    parts = []
-    for token in text.split("+"):
-        token = token.strip()
-        name, _, param = token.partition(":")
-        name = name.strip()
-        if name not in ("U", "E8_minus", "A2_minus", "rank1"):
-            raise InputError(
-                f"unknown block {name!r}; expected U, E8_minus, A2_minus, rank1:k or a preset"
-            )
-        try:
-            parts.append(lattice_mod.block(name, int(param) if param else None))
-        except ValueError:
-            raise InputError(f"block parameter {param!r} is not an integer")
-        except DomainError as exc:
-            raise InputError(str(exc)) from exc
+def _int_param(param: str, kind: str) -> Optional[int]:
+    if not param:
+        return None
     try:
+        return int(param)
+    except ValueError:
+        raise InputError(f"{kind} parameter {param!r} is not an integer") from None
+
+
+def parse_lattice_expr(text: str):
+    """``K3n:3`` / ``OG10`` style presets or ``U+U+rank1:-6`` block sums.
+
+    A head that :func:`zarlat.lattice.normalize_tag` accepts names a preset;
+    anything else is a ``+``-separated sum of :func:`zarlat.lattice.block`
+    names, each with an optional ``:k`` parameter.
+    """
+    name, _, param = text.strip().partition(":")
+    try:
+        lattice_mod.normalize_tag(name)
+    except DomainError:
+        parts = []
+        for token in text.split("+"):
+            name, _, param = token.strip().partition(":")
+            parts.append(lattice_mod.block(name.strip(), _int_param(param, "block")))
         return lattice_mod.direct_sum(parts)
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
+    return lattice_mod.preset(name, _int_param(param, "preset"))
 
 
 def _lattice_payload(lat: "lattice_mod.IntegralLattice", preset=None) -> dict:
@@ -321,11 +287,7 @@ def cmd_bounds(args) -> int:
     parsed = parse_lattice_expr(args.preset)
     if not isinstance(parsed, lattice_mod.DeformationPreset):
         raise InputError(f"bounds needs a deformation preset, got block expression {args.preset!r}")
-    volume = _parse_rational(args.volume, "--volume")
-    try:
-        report = bounds_mod.full_report(parsed, rho=args.rho, volume=volume)
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
+    report = bounds_mod.full_report(parsed, rho=args.rho, volume=args.volume)
     payload = {
         "preset": report.name,
         "half_dimension": report.half_dim,
@@ -356,8 +318,9 @@ def _fuzz_instance(form, divisor, oracle_limit: int, rng) -> list[str]:
         # Cramer divisibility on the cleared-denominator divisor.
         scale = lcm(*(x.denominator for x in divisor))
         scaled = [x * scale for x in divisor]
-        analysis = bounds_mod.cramer_analysis(form, scaled, zariski.support_of(
-            zariski.decompose(form, scaled).negative))
+        # Scaling D by a positive integer scales P and N, so by uniqueness
+        # the negative support of the scaled divisor is ``support``.
+        analysis = bounds_mod.cramer_analysis(form, scaled, support)
         if any(c.denominator and analysis.common_denominator % c.denominator != 0
                for c in analysis.coefficients):
             failures.append("cramer_divisibility")
@@ -382,21 +345,22 @@ def _fuzz_instance(form, divisor, oracle_limit: int, rng) -> list[str]:
 
 
 def cmd_fuzz(args) -> int:
+    count = _nonnegative(args.count, "--count")
+    oracle_limit = _nonnegative(args.oracle_limit, "--oracle-limit")
     passed = 0
     first_failure = None
-    for i in range(args.count):
+    for i in range(count):
         seed = (args.seed + i) & zariski.MASK64
         spec = zariski.InstanceSpec.standard(seed=seed, m=args.m)
         form, divisor = zariski.random_instance(spec)
         rng = zariski.SplitMix64(seed ^ 0xD1F7)
-        failures = _fuzz_instance(form, divisor, args.oracle_limit, rng)
+        failures = _fuzz_instance(form, divisor, oracle_limit, rng)
         if failures:
             if first_failure is None:
                 first_failure = (seed, failures)
         else:
             passed += 1
-    failed = args.count - passed
-    print(f"fuzz: {passed} passed, {failed} failed out of {args.count}")
+    print(f"fuzz: {passed} passed, {count - passed} failed out of {count}")
     if first_failure is not None:
         print(f"first failing seed: {first_failure[0]} ({', '.join(first_failure[1])})")
         return EXIT_PROPERTY
@@ -459,18 +423,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except AxiomViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AXIOM
-    except OracleMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
     except ZarlatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def entrypoint() -> None:

@@ -55,13 +55,6 @@ class IntegralLattice:
     def square(self, v: Sequence[int]) -> int:
         return self.pairing(v, v)
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "gram": [[int(x) for x in row] for row in self.gram.entries]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "IntegralLattice":
-        return cls(name=str(data["name"]), gram=RationalMatrix.symmetric(data["gram"]))
-
 
 _E8_EDGES = ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
 
@@ -90,17 +83,17 @@ def a2_minus() -> IntegralLattice:
     return IntegralLattice("A2(-1)", RationalMatrix.symmetric([[-2, 1], [1, -2]]))
 
 
-def rank_one(k: int, allow_odd: bool = False) -> IntegralLattice:
+def rank_one(k: int) -> IntegralLattice:
     """Rank-one lattice generated by a vector of square ``k``.
 
     ``k`` must be nonzero and, matching the even lattices this catalog
-    serves, even; pass ``allow_odd=True`` to experiment with odd squares.
+    serves, even.
     """
     k = int(k)
     if k == 0:
         raise DomainError("rank-one lattice needs a nonzero square")
-    if k % 2 != 0 and not allow_odd:
-        raise DomainError(f"rank-one square {k} is odd; pass allow_odd=True to permit it")
+    if k % 2 != 0:
+        raise DomainError(f"rank-one square {k} is odd; the catalog holds even lattices only")
     return IntegralLattice(f"<{k}>", RationalMatrix.symmetric([[k]]))
 
 
@@ -119,7 +112,7 @@ def block(name: str, parameter: Optional[int] = None) -> IntegralLattice:
         if parameter is None:
             raise DomainError("rank1 block needs its square as a parameter")
         return rank_one(parameter)
-    raise DomainError(f"unknown block {name!r}; expected one of {_BLOCK_NAMES}")
+    raise DomainError(f"unknown block {name!r}; expected one of {', '.join(_BLOCK_NAMES)}")
 
 
 def direct_sum(parts: Iterable[IntegralLattice]) -> IntegralLattice:

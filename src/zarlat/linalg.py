@@ -21,6 +21,7 @@ function, so matrices can be shared freely between threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -30,11 +31,19 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import DomainError, InconsistencyError, ShapeError, SingularMatrixError
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
 def as_rational(value) -> Fraction:
     """Convert ``value`` to an exact rational.
 
-    Accepts integers, ``Fraction`` and strings like ``"3"`` or ``"-5/7"``.
-    Floats are rejected: a caller holding a float has already lost exactness.
+    Accepts ``int`` (not ``bool``), ``Fraction`` and strings in the exact
+    grammar ``^-?[0-9]+(/[1-9][0-9]*)?$`` such as ``"3"`` or ``"-5/7"``; the
+    CLI reads problem files and ``--volume`` through this same function.
+    Everything else raises :class:`DomainError`: floats and strings like
+    ``"1.5"`` or ``"1e3"``, because a caller holding one has already lost
+    exactness, and ``" 3"``, ``"+3"``, ``"3/0"`` or ``"3/-4"``, because
+    they are not in the grammar.
     """
     if type(value) is Fraction:
         return value  # immutable and already reduced
@@ -43,10 +52,11 @@ def as_rational(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"cannot parse {value!r} as an exact rational") from exc
+        if _RATIONAL.fullmatch(value) is None:
+            raise DomainError(
+                f"{value!r} is not an exact rational; expected an integer or a 'p/q' string"
+            )
+        return Fraction(value)
     if isinstance(value, float):
         raise DomainError(f"float {value!r} rejected; use int, Fraction or 'p/q' string")
     raise DomainError(f"cannot interpret {type(value).__name__} as an exact rational")
@@ -163,9 +173,6 @@ class RationalMatrix:
         w = [x.numerator * (s // x.denominator) for x in v]
         scale = c * s
         return tuple(Fraction(sum(map(mul, row, w)), scale) for row in rows)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._trusted(tuple(zip(*self._rows)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self._rows == other._rows
@@ -318,13 +325,6 @@ class Inertia:
     n_plus: int
     n_minus: int
     n_zero: int
-
-    @property
-    def dimension(self) -> int:
-        return self.n_plus + self.n_minus + self.n_zero
-
-    def as_pair(self) -> tuple[int, int]:
-        return (self.n_plus, self.n_minus)
 
 
 def signature(matrix) -> Inertia:

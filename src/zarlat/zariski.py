@@ -39,7 +39,7 @@ platforms and releases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -53,7 +53,6 @@ from .errors import (
     InconsistencyError,
     OracleMismatchError,
     ShapeError,
-    SingularMatrixError,
 )
 from .linalg import (
     Inertia,
@@ -208,16 +207,6 @@ class Decomposition:
     negative_support: tuple[int, ...]
     rounds: int
     negative_gram_det: Fraction
-
-    def scaled(self, factor) -> "Decomposition":
-        t = as_rational(factor)
-        return Decomposition(
-            positive=tuple(t * x for x in self.positive),
-            negative=tuple(t * x for x in self.negative),
-            negative_support=self.negative_support,
-            rounds=self.rounds,
-            negative_gram_det=self.negative_gram_det,
-        )
 
 
 def _finish(form: IntersectionForm, positive, negative, rounds,

@@ -99,6 +99,27 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", path)
         assert code == 1 and "symmetric" in err
 
+    @pytest.mark.parametrize(
+        "gram, divisor",
+        [
+            ([[1, 2], [2]], ["1", "1"]),  # ragged gram
+            ([[1, 2], [2, 1]], ["1"]),  # short divisor
+            ([[1, 2], [2, 1]], ["1", "-1/2"]),  # negative coefficient
+        ],
+        ids=["ragged", "short_divisor", "negative"],
+    )
+    def test_bad_shape_or_sign_exit_1_names_file(self, tmp_path, capsys, gram, divisor):
+        path = write_problem(tmp_path, {"labels": ["a", "b"], "gram": gram, "divisor": divisor})
+        code, out, err = run_cli(capsys, "decompose", path)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    def test_negative_oracle_limit_exit_1(self, tmp_path, capsys):
+        path = write_problem(tmp_path, {"labels": ["E"], "gram": [[-2]], "divisor": ["1"]})
+        code, out, err = run_cli(capsys, "decompose", path, "--verify-oracle", "--oracle-limit", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: --oracle-limit must be a nonnegative integer, got -1\n"
+
     def test_missing_field_exit_1(self, tmp_path, capsys):
         path = write_problem(tmp_path, {"labels": ["E"], "gram": [[-2]]})
         code, _, err = run_cli(capsys, "decompose", path)
@@ -193,8 +214,25 @@ class TestLattice:
         assert code == 1 and "unknown block" in err
 
     def test_odd_rank1_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "lattice", "rank1:3")
-        assert code == 1
+        code, _, err = run_cli(capsys, "lattice", "rank1:3")
+        assert code == 1 and "allow_odd" not in err
+
+    @pytest.mark.parametrize(
+        "alias, canonical",
+        [
+            ("k3-n:2", "K3n:2"),
+            ("K3_N:2", "K3n:2"),
+            ("k3:2", "K3n:2"),
+            ("kummern:2", "Kummer:2"),
+            ("og6", "OG6"),
+            ("OG-10", "OG10"),
+            ("U + U", "U+U"),
+        ],
+    )
+    def test_alias_spellings_match_canonical(self, capsys, alias, canonical):
+        code, out, _ = run_cli(capsys, "lattice", alias)
+        assert code == 0
+        assert out == run_cli(capsys, "lattice", canonical)[1]
 
 
 class TestTable:
@@ -255,6 +293,12 @@ class TestBounds:
         report = json.loads(out)
         assert report["rho_specific"]["chow_degree"] == str(Fraction(21**4, 2))
 
+    @pytest.mark.parametrize("volume", ["1.5", "1e3", " 3", "0"])
+    def test_volume_rejected_exit_1(self, capsys, volume):
+        code, out, err = run_cli(capsys, "bounds", "K3n:2", "--rho", "1", "--volume", volume)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
     def test_bad_guard_env_exit_1(self, capsys, monkeypatch, value):
         monkeypatch.setenv("BBF_FACTORIAL_GUARD", value)
@@ -273,6 +317,12 @@ class TestFuzz:
         code, out, _ = run_cli(capsys, "fuzz", "--seed", "1", "--count", "0")
         assert code == 0
         assert "0 passed, 0 failed" in out
+
+    @pytest.mark.parametrize("flag", ["--count", "--oracle-limit"])
+    def test_negative_flag_exit_1(self, capsys, flag):
+        code, out, err = run_cli(capsys, "fuzz", "--seed", "1", flag, "-1")
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} must be a nonnegative integer, got -1\n"
 
     def test_injected_bug_exit_4(self, capsys, monkeypatch):
         real = zariski.decomposition_checks

@@ -10,6 +10,7 @@ from zarlat.linalg import (
     Inertia,
     RationalMatrix,
     SmithNormalForm,
+    as_rational,
     det,
     is_negative_definite,
     leading_principal_minors,
@@ -67,6 +68,36 @@ class TestMatrix:
     def test_ragged_rejected(self):
         with pytest.raises(ShapeError):
             RationalMatrix([[1, 2], [3]])
+
+
+class TestAsRational:
+    """The one rational grammar, ``^-?[0-9]+(/[1-9][0-9]*)?$``, shared by the
+    library and the CLI."""
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (0, Fraction(0)),
+            (12, Fraction(12)),
+            ("0", Fraction(0)),
+            ("12", Fraction(12)),
+            ("-5/7", Fraction(-5, 7)),
+            ("2/4", Fraction(1, 2)),
+            (Fraction(-5, 7), Fraction(-5, 7)),
+        ],
+    )
+    def test_accepts(self, value, expected):
+        result = as_rational(value)
+        assert result == expected and type(result) is Fraction
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1.5", "1e3", " 3", "3 ", "3\n", "+3", "3/0", "3/-4", "3/04", "", "-", "1/2/3",
+         "\u0663", 1.5, 2.0, True, False, None, [1]],
+    )
+    def test_rejects(self, value):
+        with pytest.raises(DomainError):
+            as_rational(value)
 
 
 class TestDet:
