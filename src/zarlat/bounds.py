@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import DomainError, InconsistencyError
 from .lattice import DeformationPreset, discriminant_group
-from .linalg import as_rational, det
+from .linalg import as_rational, det, is_negative_definite
 from .zariski import IntersectionForm, as_divisor, decompose
 
 DEFAULT_FACTORIAL_GUARD = 100_000
@@ -328,8 +328,6 @@ def det_trace_bound_holds(form: IntersectionForm, support: Sequence[int], b: int
     if b < 1:
         raise DomainError(f"diagonal bound must be positive, got {b}")
     sub = form.gram.submatrix(idx)
-    from .linalg import is_negative_definite
-
     if not is_negative_definite(sub):
         raise DomainError("support Gram matrix is not negative definite")
     if any(sub[i, i] < -b for i in range(len(idx))):

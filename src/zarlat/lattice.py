@@ -160,8 +160,14 @@ def format_group(divisors: Sequence[int]) -> str:
 
 
 def discriminant_group(lattice: IntegralLattice) -> DiscriminantGroup:
-    """Invariant factors of the discriminant group via Smith normal form."""
+    """Invariant factors of the discriminant group via Smith normal form.
+
+    The reduction's certificate is checked before its diagonal is used, and
+    the group order is checked against ``|det|``.
+    """
     snf = smith_normal_form(lattice.gram)
+    if not snf.verify():
+        raise InconsistencyError(f"Smith normal form of {lattice.name!r} fails its certificate")
     if any(d == 0 for d in snf.diagonal):
         raise SingularMatrixError(f"lattice {lattice.name!r} is degenerate")
     divisors = tuple(d for d in snf.diagonal if d > 1)

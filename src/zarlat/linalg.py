@@ -15,6 +15,10 @@ blocks with zero diagonal stay exact) are separate eliminations, kept as
 independent cross-checks of that pass.  Floating point is rejected on
 input and never appears internally: denominators are data here, not noise.
 
+``smith_normal_form`` is one integer loop that enforces the divisibility
+chain while it eliminates and records both unimodular transforms, a
+certificate that discriminant groups check (:meth:`SmithNormalForm.verify`).
+
 All values are immutable after construction and every operation is a pure
 function, so matrices can be shared freely between threads.
 """
@@ -28,7 +32,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DomainError, InconsistencyError, ShapeError, SingularMatrixError
+from .errors import DomainError, ShapeError, SingularMatrixError
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
@@ -400,28 +404,13 @@ def is_negative_definite(matrix) -> bool:
     return sylvester_pass(scaled_int_rows(m.entries)[0]) is not None
 
 
-def _exgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y == g == gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 @dataclass(frozen=True)
 class SmithNormalForm:
     """Diagonalization ``left @ matrix @ right == diag(diagonal)``.
 
     ``left`` and ``right`` are unimodular integer matrices, kept so the
-    reduction can be certified after the fact instead of trusted.
-    The diagonal is nonnegative and each entry divides the next nonzero one.
+    reduction can be certified after the fact instead of trusted.  The
+    diagonal is nonnegative, each entry divides the next, and zeros come last.
     """
 
     diagonal: tuple[int, ...]
@@ -430,144 +419,81 @@ class SmithNormalForm:
     matrix: tuple[tuple[int, ...], ...]
 
     def verify(self) -> bool:
-        n = len(self.diagonal)
-        umv = _int_matmul(_int_matmul(self.left, self.matrix), self.right)
-        if any(umv[i][j] != (self.diagonal[i] if i == j else 0) for i in range(n) for j in range(n)):
+        """Check the whole contract: ``n x n`` parts, ``U M V == diag``,
+        ``|det U| == |det V| == 1``, and a nonnegative diagonal in which each
+        entry divides the next (zero divides only zero, so zeros come last)."""
+        diag = self.diagonal
+        n = len(diag)
+        if {len(r) for t in (self.left, self.right, self.matrix) for r in (t, *t)} != {n}:
             return False
-        return abs(_int_det([list(r) for r in self.left])) == 1 and abs(
-            _int_det([list(r) for r in self.right])
-        ) == 1
+        if any(x < 0 for x in diag) or any((b % a if a else b) for a, b in zip(diag, diag[1:])):
+            return False
+        umv = _int_matmul(_int_matmul(self.left, self.matrix), self.right)
+        if umv != tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)):
+            return False
+        return all(abs(_int_det([list(r) for r in t])) == 1 for t in (self.left, self.right))
 
 
 def _int_matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)) for i in range(n)
-    )
-
-
-def _fold_budget(diagonal: Sequence[int]) -> int:
-    """Pass budget of the divisibility fold in :func:`smith_normal_form`.
-
-    Every fold at least halves one diagonal entry, and every zero-swap
-    moves a zero strictly towards the end, so the pass count is bounded.
-    """
-    n = len(diagonal)
-    return 16 + n * n + n * sum(abs(x).bit_length() for x in diagonal)
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def smith_normal_form(matrix) -> SmithNormalForm:
-    """Smith normal form of a square integer matrix with transform records."""
+    """Smith normal form of a square integer matrix with transform records.
+
+    For each ``t`` an entry of least magnitude in the trailing block moves
+    to ``(t, t)``, and column ``t`` and row ``t`` are cleared by division
+    with remainder; when the pivot divides row ``t`` but not the whole
+    block, a row of the block is first added into row ``t``.  Row operations
+    are recorded in ``left`` and column operations in ``right``.
+    """
     m = as_matrix(matrix)
     if not m.is_square():
         raise ShapeError(f"Smith normal form needs a square matrix, got {m.nrows}x{m.ncols}")
     d = m.int_rows()
     n = len(d)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_op(i1, i2, x, y, z, w):
-        # rows (i1, i2) <- (x*r1 + y*r2, z*r1 + w*r2); the 2x2 block must be unimodular
-        for mat in (d, u):
-            r1, r2 = mat[i1], mat[i2]
-            mat[i1], mat[i2] = (
-                [x * p + y * q for p, q in zip(r1, r2)],
-                [z * p + w * q for p, q in zip(r1, r2)],
-            )
-
-    def col_op(j1, j2, x, y, z, w):
-        for mat in (d, v):
-            for row in mat:
-                p, q = row[j1], row[j2]
-                row[j1], row[j2] = x * p + y * q, z * p + w * q
-
-    def eliminate_row(t, i):
-        # Plain elimination keeps the pivot row fixed; the gcd transform is
-        # used only when the pivot does not divide, which strictly shrinks
-        # the pivot and so guarantees termination of the clearing loop.
-        if d[t][t] != 0 and d[i][t] % d[t][t] == 0:
-            row_op(t, i, 1, 0, -(d[i][t] // d[t][t]), 1)
-        else:
-            g, x, y = _exgcd(d[t][t], d[i][t])
-            row_op(t, i, x, y, -(d[i][t] // g), d[t][t] // g)
-
-    def eliminate_col(t, j):
-        if d[t][t] != 0 and d[t][j] % d[t][t] == 0:
-            col_op(t, j, 1, 0, -(d[t][j] // d[t][t]), 1)
-        else:
-            g, x, y = _exgcd(d[t][t], d[t][j])
-            col_op(t, j, x, y, -(d[t][j] // g), d[t][t] // g)
-
-    def clear_down(t):
-        changed = False
-        for i in range(t + 1, n):
-            if d[i][t] == 0:
-                continue
-            eliminate_row(t, i)
-            changed = True
-        return changed
-
-    def clear_right(t):
-        changed = False
-        for j in range(t + 1, n):
-            if d[t][j] == 0:
-                continue
-            eliminate_col(t, j)
-            changed = True
-        return changed
-
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [row[:] for row in u]
     for t in range(n):
-        pivot = next(
-            ((i, j) for i in range(t, n) for j in range(t, n) if d[i][j] != 0), None
-        )
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            row_op(t, pi, 0, 1, 1, 0)
-        if pj != t:
-            col_op(t, pj, 0, 1, 1, 0)
-        while clear_down(t) | clear_right(t):
-            pass
-
-    for t in range(n):
+        # Each repeat leaves a nonzero remainder smaller than |d[t][t]| in row
+        # or column t, so |d[t][t]| strictly decreases and no budget is needed.
+        while True:
+            block = ((abs(x), i, j) for i in range(t, n) for j, x in enumerate(d[i][t:], t) if x)
+            least = min(block, default=None)
+            if least is None:
+                break  # the trailing block is zero, and so is the rest of the diagonal
+            _, i, j = least
+            for mat in (d, u):
+                mat[t], mat[i] = mat[i], mat[t]
+            for row in d + v:
+                row[t], row[j] = row[j], row[t]
+            p = d[t][t]
+            for i in range(t + 1, n):
+                q = d[i][t] // p
+                if q:
+                    for mat in (d, u):
+                        mat[i] = [x - q * y for x, y in zip(mat[i], mat[t])]
+            column_left = any(d[i][t] for i in range(t + 1, n))
+            if not column_left and not any(x % p for x in d[t][t + 1 :]):
+                # Adding a row with an entry p does not divide makes clearing
+                # row t below leave a remainder.
+                bad = next((i for i in range(t + 1, n) if any(x % p for x in d[i][t + 1 :])), None)
+                if bad is not None:
+                    for mat in (d, u):
+                        mat[t] = [x + y for x, y in zip(mat[t], mat[bad])]
+            for j in range(t + 1, n):
+                q = d[t][j] // p
+                if q:
+                    for row in d + v:
+                        row[j] -= q * row[t]
+            if not column_left and not any(d[t][t + 1 :]):
+                break
         if d[t][t] < 0:
             for mat in (d, u):
                 mat[t] = [-x for x in mat[t]]
-
-    # Enforce the divisibility chain by folding adjacent diagonal pairs.
-    guard = _fold_budget([d[t][t] for t in range(n)])
-    changed = True
-    while changed:
-        changed = False
-        guard -= 1
-        if guard < 0:
-            raise InconsistencyError(
-                "Smith normal form: divisibility normalization failed to converge"
-            )
-        for t in range(n - 1):
-            a_t, b_t = d[t][t], d[t + 1][t + 1]
-            if a_t == 0 and b_t != 0:
-                row_op(t, t + 1, 0, 1, 1, 0)
-                col_op(t, t + 1, 0, 1, 1, 0)
-                changed = True
-                continue
-            if a_t != 0 and b_t != 0 and b_t % a_t != 0:
-                col_op(t, t + 1, 1, 1, 0, 1)  # column t += column t+1
-                g, x, y = _exgcd(d[t][t], d[t + 1][t])
-                row_op(t, t + 1, x, y, -(d[t + 1][t] // g), d[t][t] // g)
-                if d[t][t + 1] != 0:
-                    q = d[t][t + 1] // d[t][t]
-                    col_op(t, t + 1, 1, 0, -q, 1)  # column t+1 -= q * column t
-                for s in (t, t + 1):
-                    if d[s][s] < 0:
-                        for mat in (d, u):
-                            mat[s] = [-x2 for x2 in mat[s]]
-                changed = True
-
-    diag = tuple(d[t][t] for t in range(n))
     return SmithNormalForm(
-        diagonal=diag,
+        diagonal=tuple(d[t][t] for t in range(n)),
         left=tuple(tuple(r) for r in u),
         right=tuple(tuple(r) for r in v),
         matrix=tuple(tuple(r) for r in m.int_rows()),

@@ -81,6 +81,9 @@ class IntersectionForm:
             raise ShapeError(
                 f"{len(self.labels)} labels for a {self.gram.nrows}x{self.gram.ncols} Gram matrix"
             )
+        if len(set(self.labels)) != len(self.labels):
+            repeated = next(x for x in self.labels if self.labels.count(x) > 1)
+            raise DomainError(f"component label {repeated!r} is repeated")
 
     @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Iterable[Iterable]) -> "IntersectionForm":

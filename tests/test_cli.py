@@ -114,6 +114,14 @@ class TestDecompose:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
+    def test_duplicate_labels_exit_1_names_file_and_label(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path, {"labels": ["E", "E"], "gram": [[-2, 0], [0, -2]], "divisor": ["1", "1"]}
+        )
+        code, out, err = run_cli(capsys, "decompose", path)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: ") and "'E'" in err
+
     def test_negative_oracle_limit_exit_1(self, tmp_path, capsys):
         path = write_problem(tmp_path, {"labels": ["E"], "gram": [[-2]], "divisor": ["1"]})
         code, out, err = run_cli(capsys, "decompose", path, "--verify-oracle", "--oracle-limit", "-1")

@@ -20,7 +20,7 @@ from zarlat.lattice import (
     preset,
     rank_one,
 )
-from zarlat.linalg import Inertia, RationalMatrix, det, signature
+from zarlat.linalg import Inertia, RationalMatrix, det, signature, smith_normal_form
 
 
 class TestBlocks:
@@ -102,6 +102,16 @@ class TestDiscriminantGroup:
         g = discriminant_group(preset("K3n", 3).lattice)
         assert g.elementary_divisors == (4,)
         assert g.describe() == "Z/4"
+
+    @pytest.mark.parametrize(
+        "tag,n",
+        [(t, n) for t in ("K3n", "Kummer") for n in (2, 3, 10, 1000, 10**6)]
+        + [("OG6", None), ("OG10", None)],
+    )
+    def test_presets_match_published_group_with_certificate(self, tag, n):
+        p = preset(tag, n)
+        assert smith_normal_form(p.lattice.gram).verify()
+        assert discriminant_group(p.lattice).elementary_divisors == p.published_group
 
     def test_singular_rejected(self):
         degenerate = IntegralLattice("bad", RationalMatrix.symmetric([[1, 1], [1, 1]]))

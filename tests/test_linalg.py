@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zarlat.errors import DomainError, InconsistencyError, ShapeError, SingularMatrixError
-from zarlat.lattice import direct_sum, e8_minus, hyperbolic_plane, rank_one
+from zarlat.lattice import a2_minus, direct_sum, e8_minus, hyperbolic_plane, rank_one
 from zarlat.linalg import (
     Inertia,
     RationalMatrix,
@@ -44,6 +44,28 @@ def square_int_matrices(max_size=5, lo=-9, hi=9):
             st.lists(st.integers(lo, hi), min_size=n, max_size=n), min_size=n, max_size=n
         )
     )
+
+
+def snf_matrices(max_size=6):
+    """Square integer matrices of sizes 0..max_size: dense ones with small or
+    wide entries, 0/1 ones, and products A B through an inner dimension
+    k <= n, which are singular when k < n and zero when k == 0."""
+
+    def grid(rows, cols, lo, hi):
+        return st.lists(st.lists(st.integers(lo, hi), min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows)
+
+    def product(n, ab):
+        a, b = ab
+        return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(n)] for i in range(n)]
+
+    def of_size(n):
+        low_rank = st.integers(0, n).flatmap(
+            lambda k: st.tuples(grid(n, k, -3, 3), grid(k, n, -3, 3))
+        ).map(lambda ab: product(n, ab))
+        return st.one_of(grid(n, n, -9, 9), grid(n, n, -30, 30), grid(n, n, 0, 1), low_rank)
+
+    return st.integers(0, max_size).flatmap(of_size)
 
 
 def symmetric_from(rows):
@@ -273,6 +295,36 @@ class TestSmithNormalForm:
         permuted = [[rows[perm[i]][j] for j in range(n)] for i in range(n)]
         assert smith_normal_form(rows).diagonal == smith_normal_form(permuted).diagonal
 
+    @pytest.mark.parametrize(
+        "diagonal",
+        [(-2,), (4, 2), (0, 2)],
+        ids=["negative", "not_dividing", "zero_first"],
+    )
+    def test_verify_rejects_broken_contract(self, diagonal):
+        # U M V == diag with identity transforms, so only the diagonal's own
+        # conditions can fail.
+        n = len(diagonal)
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        rows = tuple(tuple(diagonal[i] if i == j else 0 for j in range(n)) for i in range(n))
+        assert not SmithNormalForm(diagonal, eye, eye, rows).verify()
+
+    def test_verify_rejects_non_square_parts(self):
+        assert not SmithNormalForm((2,), ((1, 5),), ((1,),), ((2,),)).verify()
+        assert not SmithNormalForm((2,), ((1,),), ((1,),), ((2, 7),)).verify()
+
+    @settings(max_examples=200, deadline=None)
+    @given(snf_matrices())
+    def test_against_sympy_invariant_factors(self, rows):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        n = len(rows)
+        ref = sympy.Matrix(n, n, [x for row in rows for x in row])
+        expected = [abs(int(x)) for x in invariant_factors(ref, domain=sympy.ZZ)]
+        s = smith_normal_form(rows)
+        assert list(s.diagonal) == expected + [0] * (n - len(expected))
+        assert s.verify()
+
 
 def rational_symmetric(max_size=5, lo=-9, hi=9, denominator_max=4):
     """Symmetric matrices of exact rationals, sizes 0..max_size."""
@@ -393,14 +445,6 @@ class TestLeadingMinors:
 class TestExplicitGuards:
     """Invariant checks are raises, not asserts, so ``python -O`` keeps them."""
 
-    def test_smith_fold_budget(self, monkeypatch):
-        from zarlat import linalg
-
-        monkeypatch.setattr(linalg, "_fold_budget", lambda diagonal: 1)
-        with pytest.raises(InconsistencyError):
-            smith_normal_form([[6, 0], [0, 4]])  # needs one fold pass and a clean pass
-        assert smith_normal_form([[2, 0], [0, 4]]).diagonal == (2, 4)
-
     def test_discriminant_cardinality(self, monkeypatch):
         from zarlat import lattice
 
@@ -414,3 +458,17 @@ class TestExplicitGuards:
         monkeypatch.setattr(lattice, "smith_normal_form", wrong)
         with pytest.raises(InconsistencyError):
             lattice.discriminant_group(rank_one(-2))
+
+    def test_discriminant_forged_transform(self, monkeypatch):
+        from zarlat import lattice
+
+        real = lattice.smith_normal_form
+
+        def forged(matrix):
+            snf = real(matrix)
+            left = (tuple(2 * x for x in snf.left[0]),) + snf.left[1:]  # det 2: not unimodular
+            return SmithNormalForm(snf.diagonal, left, snf.right, snf.matrix)
+
+        monkeypatch.setattr(lattice, "smith_normal_form", forged)
+        with pytest.raises(InconsistencyError, match="certificate"):
+            lattice.discriminant_group(a2_minus())

@@ -56,6 +56,10 @@ class TestAxiom:
         with pytest.raises(ShapeError):
             form_of([[1, 2], [3, 4]])
 
+    def test_duplicate_labels_rejected_at_construction(self):
+        with pytest.raises(DomainError, match="'E'"):
+            form_of([[-2, 1, 0], [1, -2, 0], [0, 0, -2]], labels=["E", "F", "E"])
+
 
 class TestExceptional:
     def test_single_negative(self):
