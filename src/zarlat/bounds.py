@@ -25,7 +25,7 @@ equality tests stay exact either way.
 ``cramer_analysis`` ties decompositions to determinants: on an integral
 instance it reconstructs the negative-part coefficients as ratios of
 column-replaced determinants to the support Gram determinant, which is why
-every denominator divides ``|det|``.
+every denominator divides ``|det|``.  ``instance_failures`` is the ``zarlat fuzz`` suite.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import DomainError, InconsistencyError
+from . import zariski
+from .errors import DomainError, InconsistencyError, ZarlatError
 from .lattice import DeformationPreset, discriminant_group
-from .linalg import as_rational, det, is_negative_definite
-from .zariski import IntersectionForm, as_divisor, decompose
+from .linalg import as_rational, det, sylvester_pass
+from .zariski import IntersectionForm, as_divisor, decompose, support_rows
 
 DEFAULT_FACTORIAL_GUARD = 100_000
 GUARD_ENV_VAR = "BBF_FACTORIAL_GUARD"
@@ -285,9 +286,7 @@ def cramer_analysis(form: IntersectionForm, divisor: Sequence,
     a = as_divisor(divisor, form.size)
     if any(x.denominator != 1 for x in a):
         raise DomainError("Cramer analysis needs an integral divisor")
-    idx = sorted(set(support))
-    if not idx:
-        raise DomainError("empty support")
+    idx = support_rows(form, support)[0]
     sub = form.gram.submatrix(idx)
     gram_det = det(sub)
     if gram_det == 0:
@@ -319,17 +318,80 @@ def det_trace_bound_holds(form: IntersectionForm, support: Sequence[int], b: int
     diagonal entry at least ``-b`` (then the arithmetic-geometric mean
     inequality on the eigenvalue magnitudes forces the bound), so a False
     return from admissible input would expose a bug, not a property of the
-    input.  Inadmissible input raises :class:`DomainError`.
+    input.  Inadmissible input raises :class:`DomainError`.  One
+    :func:`zarlat.linalg.sylvester_pass` gives the verdict and the determinant.
     """
-    idx = sorted(set(support))
-    if not idx:
-        raise DomainError("empty support")
+    _, rows, c = support_rows(form, support)
     b = int(b)
     if b < 1:
         raise DomainError(f"diagonal bound must be positive, got {b}")
-    sub = form.gram.submatrix(idx)
-    if not is_negative_definite(sub):
+    low_diagonal = any(row[i] < -b * c for i, row in enumerate(rows))
+    outcome = sylvester_pass(rows)
+    if outcome is None:
         raise DomainError("support Gram matrix is not negative definite")
-    if any(sub[i, i] < -b for i in range(len(idx))):
+    if low_diagonal:
         raise DomainError(f"a diagonal entry lies below -{b}")
-    return abs(det(sub)) <= Fraction(b) ** len(idx)
+    return abs(outcome[0]) <= (b * c) ** len(rows)
+
+
+def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: int,
+                      seed: int) -> list[str]:
+    """Names of the ``zarlat fuzz`` properties that fail on one instance.
+
+    In order: false :func:`zarlat.zariski.decomposition_checks` keys, ``oracle_match``
+    (if ``|supp(D)| <= oracle_limit``), then on a nonempty negative support
+    ``cramer_divisibility``, ``det_trace_bound``, ``negative_pairing_exists``,
+    ``negative_square`` (one combination drawn from ``SplitMix64(seed ^ 0xD1F7)``)
+    and ``certificate_positive``.  A :class:`ZarlatError` raised by a check fails it
+    (``decomposition_checks`` for the invariants, ``decompose`` alone for the engine).
+    """
+    divisor = as_divisor(divisor, form.size)
+    try:
+        dec = zariski.decompose(form, divisor)
+    except ZarlatError:
+        return ["decompose"]
+    try:
+        checks = zariski.decomposition_checks(form, divisor, dec)
+    except ZarlatError:
+        checks = {"decomposition_checks": False}
+    failures = [name for name, ok in checks.items() if not ok]
+    support = dec.negative_support
+
+    def check(name: str, holds) -> None:
+        try:
+            if holds():
+                return
+        except ZarlatError:
+            pass
+        failures.append(name)
+
+    def oracle_match() -> bool:
+        oracle = zariski.decompose_bruteforce(form, divisor, limit=oracle_limit)
+        return (oracle.positive, oracle.negative) == (dec.positive, dec.negative)
+
+    def cramer_divisibility() -> bool:
+        # Scaling D by a positive integer scales P and N, so by uniqueness
+        # the negative support of the cleared-denominator divisor is ``support``.
+        scale = math.lcm(*(x.denominator for x in divisor))
+        analysis = cramer_analysis(form, [x * scale for x in divisor], support)
+        return all(analysis.common_denominator % q.denominator == 0 for q in analysis.coefficients)
+
+    if len(zariski.support_of(divisor)) <= oracle_limit:
+        check("oracle_match", oracle_match)
+    if not support:
+        return failures
+    check("cramer_divisibility", cramer_divisibility)
+    b = max(-int(form.gram[i, i]) for i in support)
+    check("det_trace_bound", lambda: det_trace_bound_holds(form, support, b))
+    # One random nonzero nonnegative combination on the support must pair
+    # negatively with some component and have negative square.
+    rng = zariski.SplitMix64(seed ^ 0xD1F7)
+    c = [Fraction(0)] * form.size
+    while all(x == 0 for x in c):
+        for i in support:
+            c[i] = Fraction(rng.randint(0, 5))
+    gc = form.gram.matvec(c)
+    check("negative_pairing_exists", lambda: any(gc[j] < 0 for j in support))
+    check("negative_square", lambda: sum((x * y for x, y in zip(c, gc)), Fraction(0)) < 0)
+    check("certificate_positive", lambda: zariski.exceptional_certificate(form, support).accepted)
+    return failures

@@ -3,16 +3,17 @@
 Subcommands: ``decompose`` (JSON problem in, JSON result out), ``lattice``
 (catalog/preset queries), ``table`` (the four-family discriminant table,
 recomputed and checked against the stored published columns), ``bounds``
-(the full bound report for a preset) and ``fuzz`` (seeded property runs).
+(the full bound report for a preset) and ``fuzz`` (seeded runs of
+:func:`zarlat.bounds.instance_failures`).  Output goes to ``-o``, then stdout.
 
 Exit codes, stable and documented:
 
 * 0 — success
-* 1 — unreadable input: JSON/schema/grammar/flag errors
+* 1 — unreadable input or unwritable ``-o``: file/JSON/schema/grammar/flag errors
 * 2 — the Gram matrix is not an intersection product (or the decomposition
   detected inconsistent input)
 * 3 — engine and brute-force oracle disagreed
-* 4 — a verified property failed (fuzz run, table cross-check)
+* 4 — a verified property failed or raised (fuzz run, table cross-check)
 
 Values are checked once, by the library: rationals (problem entries,
 ``--volume``) follow the one grammar of :func:`zarlat.linalg.as_rational`,
@@ -27,9 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
-from math import lcm
 from typing import Optional, Sequence
 
 import jsonschema
@@ -61,62 +60,57 @@ _EXIT_CODES = (
 )
 
 
-class InputError(ZarlatError):
-    """Bad problem file, expression or flag value (exit code 1)."""
-
-
 def _nonnegative(value: int, flag: str) -> int:
     if value < 0:
-        raise InputError(f"{flag} must be a nonnegative integer, got {value}")
+        raise DomainError(f"{flag} must be a nonnegative integer, got {value}")
     return value
 
 
 def _reject_float(text: str):
-    raise InputError(
+    raise DomainError(
         f"floating-point literal {text!r} rejected; exact rationals only (integers or 'p/q' strings)"
     )
-
-
-def _schema(name: str) -> dict:
-    data = resources.files("zarlat").joinpath(f"schemas/{name}").read_text(encoding="utf-8")
-    return json.loads(data)
 
 
 def load_problem(path: str):
     """Parse and validate a problem file; returns (form, divisor, options).
 
     The schema checks types and grammar, the library constructors shape,
-    symmetry and nonnegativity; every failure is an InputError naming ``path``.
+    symmetry and nonnegativity; every failure is a DomainError naming ``path``.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle, parse_float=_reject_float, parse_constant=_reject_float)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise DomainError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     try:
-        jsonschema.validate(raw, _schema("problem.schema.json"))
+        schema = resources.files("zarlat").joinpath("schemas/problem.schema.json")
+        jsonschema.validate(raw, json.loads(schema.read_text(encoding="utf-8")))
     except jsonschema.ValidationError as exc:
-        raise InputError(f"{path}: schema violation at {exc.json_path}: {exc.message}") from exc
+        raise DomainError(f"{path}: schema violation at {exc.json_path}: {exc.message}") from exc
     try:
         form = zariski.IntersectionForm.from_rows(raw["labels"], raw["gram"])
         divisor = zariski.as_divisor(raw["divisor"], form.size)
     except ZarlatError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise DomainError(f"{path}: {exc}") from exc
     return form, divisor, raw.get("options", {})
 
 
-def _emit(payload: dict, output: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit(content, output: Optional[str]) -> None:
+    """Write a JSON payload or ready text to ``output`` first, then stdout."""
+    text = content if isinstance(content, str) else json.dumps(content, indent=2) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {output}: {exc}") from exc
     sys.stdout.write(text)
 
 
 def _result_payload(form, dec, checks) -> dict:
-    status = "ok" if all(checks.values()) else "fail"
     return {
         "positive": [str(x) for x in dec.positive],
         "negative": [str(x) for x in dec.negative],
@@ -124,7 +118,7 @@ def _result_payload(form, dec, checks) -> dict:
         "checks": checks,
         "gram_s_det": str(dec.negative_gram_det),
         "rounds": dec.rounds,
-        "status": status,
+        "status": "ok" if all(checks.values()) else "fail",
     }
 
 
@@ -147,8 +141,7 @@ def cmd_decompose(args) -> int:
     payload = _result_payload(form, dec, checks)
     _emit(payload, args.output)
     if not checks.get("oracle_match", True):
-        print("error: engine and oracle disagree", file=sys.stderr)
-        return EXIT_ORACLE
+        raise OracleMismatchError("engine and oracle disagree")
     return EXIT_OK if payload["status"] == "ok" else EXIT_PROPERTY
 
 
@@ -158,7 +151,7 @@ def _int_param(param: str, kind: str) -> Optional[int]:
     try:
         return int(param)
     except ValueError:
-        raise InputError(f"{kind} parameter {param!r} is not an integer") from None
+        raise DomainError(f"{kind} parameter {param!r} is not an integer") from None
 
 
 def parse_lattice_expr(text: str):
@@ -209,21 +202,14 @@ def _lattice_payload(lat: "lattice_mod.IntegralLattice", preset=None) -> dict:
 
 def cmd_lattice(args) -> int:
     parsed = parse_lattice_expr(args.expression)
-    if isinstance(parsed, lattice_mod.DeformationPreset):
-        payload = _lattice_payload(parsed.lattice, preset=parsed)
-    else:
-        payload = _lattice_payload(parsed)
-    _emit(payload, args.output)
+    preset = parsed if isinstance(parsed, lattice_mod.DeformationPreset) else None
+    _emit(_lattice_payload(parsed if preset is None else parsed.lattice, preset), args.output)
     return EXIT_OK
 
 
 def _table_rows(n: int) -> list[dict]:
-    presets = [
-        lattice_mod.preset("K3n", n),
-        lattice_mod.preset("Kummer", n),
-        lattice_mod.preset("OG6"),
-        lattice_mod.preset("OG10"),
-    ]
+    presets = [lattice_mod.preset("K3n", n), lattice_mod.preset("Kummer", n),
+               lattice_mod.preset("OG6"), lattice_mod.preset("OG10")]
     rows = []
     for p in presets:
         group = lattice_mod.discriminant_group(p.lattice)
@@ -253,24 +239,19 @@ def cmd_table(args) -> int:
             f"{'Deformation type':<18} {'A_X':<12} {'Order d':>7} {'4*Card':>7} "
             f"{'4*exp':>6} {'Published square':>17} {'Check':>6}"
         )
-        print(header)
-        print("-" * len(header))
-        for r in rows:
-            print(
-                f"{r['type']:<18} {r['group']:<12} {r['order_d']:>7} {r['bound_general']:>7} "
-                f"{r['bound_refined']:>6} {r['published_square']:>17} "
-                f"{'ok' if r['group_match'] else 'MISMATCH':>6}"
-            )
+        lines = [header, "-" * len(header)] + [
+            f"{r['type']:<18} {r['group']:<12} {r['order_d']:>7} {r['bound_general']:>7} "
+            f"{r['bound_refined']:>6} {r['published_square']:>17} "
+            f"{'ok' if r['group_match'] else 'MISMATCH':>6}"
+            for r in rows
+        ]
+        _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
 def _bound_value_json(value):
-    if isinstance(value, (bounds_mod.DeferredFactorial, bounds_mod.DeferredReverse,
-                          bounds_mod.DeferredPower)):
-        return value.to_json_dict()
-    if isinstance(value, Fraction):
-        return str(value)
-    return str(int(value))
+    """A deferred bound as its descriptor, an exact number as its string."""
+    return value.to_json_dict() if hasattr(value, "to_json_dict") else str(value)
 
 
 def _bound_set_json(bound_set) -> dict:
@@ -286,7 +267,7 @@ def _bound_set_json(bound_set) -> dict:
 def cmd_bounds(args) -> int:
     parsed = parse_lattice_expr(args.preset)
     if not isinstance(parsed, lattice_mod.DeformationPreset):
-        raise InputError(f"bounds needs a deformation preset, got block expression {args.preset!r}")
+        raise DomainError(f"bounds needs a deformation preset, got block expression {args.preset!r}")
     report = bounds_mod.full_report(parsed, rho=args.rho, volume=args.volume)
     payload = {
         "preset": report.name,
@@ -303,68 +284,21 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _fuzz_instance(form, divisor, oracle_limit: int, rng) -> list[str]:
-    """All per-instance property checks; returns the names that failed."""
-    failures = []
-    dec = zariski.decompose(form, divisor)
-    checks = zariski.decomposition_checks(form, divisor, dec)
-    failures.extend(name for name, ok in checks.items() if not ok)
-    if len(zariski.support_of(divisor)) <= oracle_limit:
-        oracle = zariski.decompose_bruteforce(form, divisor, limit=oracle_limit)
-        if (oracle.positive, oracle.negative) != (dec.positive, dec.negative):
-            failures.append("oracle_match")
-    support = dec.negative_support
-    if support:
-        # Cramer divisibility on the cleared-denominator divisor.
-        scale = lcm(*(x.denominator for x in divisor))
-        scaled = [x * scale for x in divisor]
-        # Scaling D by a positive integer scales P and N, so by uniqueness
-        # the negative support of the scaled divisor is ``support``.
-        analysis = bounds_mod.cramer_analysis(form, scaled, support)
-        if any(c.denominator and analysis.common_denominator % c.denominator != 0
-               for c in analysis.coefficients):
-            failures.append("cramer_divisibility")
-        diag = [-int(form.gram[i, i]) for i in support]
-        if not bounds_mod.det_trace_bound_holds(form, support, max(diag)):
-            failures.append("det_trace_bound")
-        # One random nonzero nonnegative combination on the support must
-        # pair negatively with some component and have negative square.
-        c = [Fraction(0)] * form.size
-        while all(x == 0 for x in c):
-            for i in support:
-                c[i] = Fraction(rng.randint(0, 5))
-        gc = form.gram.matvec(c)
-        if not any(gc[j] < 0 for j in support):
-            failures.append("negative_pairing_exists")
-        if sum((x * y for x, y in zip(c, gc)), Fraction(0)) >= 0:
-            failures.append("negative_square")
-        cert = zariski.exceptional_certificate(form, support)
-        if not cert.accepted:
-            failures.append("certificate_positive")
-    return failures
-
-
 def cmd_fuzz(args) -> int:
     count = _nonnegative(args.count, "--count")
     oracle_limit = _nonnegative(args.oracle_limit, "--oracle-limit")
     passed = 0
-    first_failure = None
+    first_failure = ""
     for i in range(count):
         seed = (args.seed + i) & zariski.MASK64
-        spec = zariski.InstanceSpec.standard(seed=seed, m=args.m)
-        form, divisor = zariski.random_instance(spec)
-        rng = zariski.SplitMix64(seed ^ 0xD1F7)
-        failures = _fuzz_instance(form, divisor, oracle_limit, rng)
-        if failures:
-            if first_failure is None:
-                first_failure = (seed, failures)
-        else:
+        form, divisor = zariski.random_instance(zariski.InstanceSpec.standard(seed=seed, m=args.m))
+        failures = bounds_mod.instance_failures(form, divisor, oracle_limit, seed)
+        if not failures:
             passed += 1
-    print(f"fuzz: {passed} passed, {count - passed} failed out of {count}")
-    if first_failure is not None:
-        print(f"first failing seed: {first_failure[0]} ({', '.join(first_failure[1])})")
-        return EXIT_PROPERTY
-    return EXIT_OK
+        elif not first_failure:
+            first_failure = f"first failing seed: {seed} ({', '.join(failures)})\n"
+    _emit(f"fuzz: {passed} passed, {count - passed} failed out of {count}\n" + first_failure, None)
+    return EXIT_PROPERTY if first_failure else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -124,9 +124,6 @@ class RationalMatrix:
         i, j = key
         return self._rows[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
-
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
@@ -302,7 +299,7 @@ def solve(matrix, rhs) -> tuple[Fraction, ...]:
     if len(b) != m.nrows:
         raise ShapeError(f"right-hand side length {len(b)} != matrix size {m.nrows}")
     n = m.nrows
-    a = [list(m.row(i)) + [b[i]] for i in range(n)]
+    a = [list(row) + [x] for row, x in zip(m.entries, b)]
     for k in range(n):
         pivot_row = next((r for r in range(k, n) if a[r][k] != 0), None)
         if pivot_row is None:

@@ -130,21 +130,29 @@ def support_of(vec: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(i for i, x in enumerate(vec) if x != 0)
 
 
-def is_exceptional(form: IntersectionForm, indices: Sequence[int]) -> bool:
-    """Is the Gram submatrix on ``indices`` negative definite?
-
-    Decided exactly by Sylvester's criterion (leading principal minors with
-    strictly alternating signs, the first one negative), in one
-    :func:`zarlat.linalg.sylvester_pass` over the integer-scaled rows.
-    """
-    idx = sorted(set(indices))
+def support_rows(
+    form: IntersectionForm, indices: Sequence[int]
+) -> tuple[tuple[int, ...], list[list[int]], int]:
+    """``(indices, rows, c)`` for a support that is nonempty and strictly
+    increasing (else :class:`DomainError`) within ``[0, form.size)`` (else
+    :class:`ShapeError`): ``rows`` are fresh integer rows of ``c * Gram_S``."""
+    idx = tuple(indices)
     if not idx:
-        raise DomainError("empty support; a trivial divisor is handled by the caller")
+        raise DomainError("empty support")
+    if any(i >= j for i, j in zip(idx, idx[1:])):
+        raise DomainError(f"support {list(idx)} is not strictly increasing")
     if idx[0] < 0 or idx[-1] >= form.size:
-        raise ShapeError(f"support {idx} out of range for {form.size} components")
+        raise ShapeError(f"support {list(idx)} out of range for {form.size} components")
     entries = form.gram.entries
-    rows, _ = scaled_int_rows([[entries[i][j] for j in idx] for i in idx])
-    return sylvester_pass(rows) is not None
+    rows, c = scaled_int_rows([[entries[i][j] for j in idx] for i in idx])
+    return idx, rows, c
+
+
+def is_exceptional(form: IntersectionForm, indices: Sequence[int]) -> bool:
+    """Is the Gram submatrix on ``indices`` negative definite?  Decided exactly
+    by Sylvester's criterion (leading principal minors ``-, +, -, ...``) in one
+    :func:`zarlat.linalg.sylvester_pass` over the rows of :func:`support_rows`."""
+    return sylvester_pass(support_rows(form, indices)[1]) is not None
 
 
 @dataclass(frozen=True)
@@ -165,11 +173,9 @@ class CertificateOutcome:
 
 
 def exceptional_certificate(form: IntersectionForm, indices: Sequence[int]) -> CertificateOutcome:
-    idx = sorted(set(indices))
-    if not idx:
-        raise DomainError("empty support")
-    sub = form.gram.submatrix(idx)
-    solution = solve(sub, [-1] * len(idx))
+    _, rows, c = support_rows(form, indices)
+    # (c * Gram_S) x == (-c, ..., -c) exactly when Gram_S x == (-1, ..., -1).
+    solution = solve(rows, [-c] * len(rows))
     failing = next((i for i, x in enumerate(solution) if x <= 0), None)
     return CertificateOutcome(
         solution=solution, accepted=failing is None, failing_index=failing

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from zarlat import bounds, zariski
 from zarlat.bounds import (
     DeferredFactorial,
     DeferredPower,
@@ -14,14 +15,22 @@ from zarlat.bounds import (
     det_trace_bound_holds,
     factorial_guard,
     full_report,
+    instance_failures,
     reverse_negativity_bound,
 )
-from zarlat.errors import DomainError, InconsistencyError
+from zarlat.errors import (
+    DomainError,
+    InconsistencyError,
+    ShapeError,
+    SingularMatrixError,
+)
 from zarlat.lattice import preset
 from zarlat.zariski import (
     InstanceSpec,
     IntersectionForm,
     decompose,
+    exceptional_certificate,
+    is_exceptional,
     random_instance,
     support_of,
 )
@@ -114,6 +123,146 @@ class TestDetTraceBound:
             assert det_trace_bound_holds(form, dec.negative_support, b)
             checked += 1
         assert checked > 100
+
+
+    def test_rational_gram(self):
+        # c = 2 scales the rows: det(2 * Gram_S) = -1 against (b * c)**|S| = 2.
+        assert det_trace_bound_holds(form_of([["-1/2"]]), [0], 1)
+        with pytest.raises(DomainError):
+            det_trace_bound_holds(form_of([["-3/2"]]), [0], 1)  # diagonal below -b
+
+    def test_one_elimination(self, monkeypatch):
+        passes = []
+        real = bounds.sylvester_pass
+
+        def counted(rows):
+            passes.append(len(rows))
+            return real(rows)
+
+        def forbidden(*args):
+            raise AssertionError("det_trace_bound_holds recomputed an elimination")
+
+        monkeypatch.setattr(bounds, "sylvester_pass", counted)
+        monkeypatch.setattr(bounds, "det", forbidden)
+        assert det_trace_bound_holds(form_of([[-2, 1, 0], [1, -2, 1], [0, 1, -2]]), [0, 1, 2], 2)
+        assert passes == [3]
+
+
+SUPPORT_FUNCTIONS = {
+    "is_exceptional": is_exceptional,
+    "exceptional_certificate": exceptional_certificate,
+    "cramer_analysis": lambda form, support: cramer_analysis(form, [1, 1], support),
+    "det_trace_bound_holds": lambda form, support: det_trace_bound_holds(form, support, 2),
+}
+
+
+class TestSupportIndices:
+    @pytest.mark.parametrize("support", [[-1], [2]], ids=["negative", "size"])
+    @pytest.mark.parametrize("name", list(SUPPORT_FUNCTIONS))
+    def test_out_of_range_raises_shape_error(self, name, support):
+        with pytest.raises(ShapeError):
+            SUPPORT_FUNCTIONS[name](form_of([[2, 1], [1, -2]]), support)
+
+    @pytest.mark.parametrize("support", [[], [1, 1], [1, 0]], ids=["empty", "repeated", "unsorted"])
+    @pytest.mark.parametrize("name", list(SUPPORT_FUNCTIONS))
+    def test_empty_repeated_or_unsorted_raises_domain_error(self, name, support):
+        with pytest.raises(DomainError):
+            SUPPORT_FUNCTIONS[name](form_of([[-2, 1], [1, -2]]), support)
+
+
+def _negative_instances(count, m=4):
+    """Seeded fuzz instances with a nonempty negative support."""
+    found = []
+    seed = 0
+    while len(found) < count:
+        form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=m))
+        if decompose(form, divisor).negative_support:
+            found.append((seed, form, divisor))
+        seed += 1
+    return found
+
+
+class TestInstanceFailures:
+    def test_seeded_corpus_passes(self):
+        for seed in range(300):
+            form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=1 + seed % 6))
+            assert instance_failures(form, divisor, 8, seed) == [], seed
+
+    def test_oracle_limit_skips_oracle(self, monkeypatch):
+        def raising(*args, **kwargs):
+            raise AssertionError("oracle called above its limit")
+
+        monkeypatch.setattr(zariski, "decompose_bruteforce", raising)
+        seed, form, divisor = _negative_instances(1)[0]
+        assert instance_failures(form, divisor, 0, seed) == []
+
+    @pytest.mark.parametrize(
+        "module, attribute, error, name",
+        [
+            (bounds, "cramer_analysis", InconsistencyError, "cramer_divisibility"),
+            (bounds, "cramer_analysis", SingularMatrixError, "cramer_divisibility"),
+            (bounds, "det_trace_bound_holds", DomainError, "det_trace_bound"),
+            (zariski, "exceptional_certificate", SingularMatrixError, "certificate_positive"),
+            (zariski, "exceptional_certificate", InconsistencyError, "certificate_positive"),
+            (zariski, "decompose_bruteforce", InconsistencyError, "oracle_match"),
+            (zariski, "decomposition_checks", SingularMatrixError, "decomposition_checks"),
+        ],
+    )
+    def test_raising_check_is_that_check_failing(self, monkeypatch, module, attribute, error, name):
+        def raising(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(module, attribute, raising)
+        for seed, form, divisor in _negative_instances(5):
+            assert instance_failures(form, divisor, 8, seed) == [name]
+
+    def test_raising_engine_is_decompose(self, monkeypatch):
+        def raising(*args, **kwargs):
+            raise InconsistencyError("injected")
+
+        monkeypatch.setattr(zariski, "decompose", raising)
+        form, divisor = random_instance(InstanceSpec.standard(seed=3, m=4))
+        assert instance_failures(form, divisor, 8, 3) == ["decompose"]
+
+    def test_whole_support_reported(self, monkeypatch):
+        # An engine that calls the whole divisor negative fails the
+        # exceptional-support invariant, the oracle and the support checks.
+        def whole(form, divisor):
+            a = zariski.as_divisor(divisor, form.size)
+            return zariski.Decomposition(
+                positive=tuple(Fraction(0) for _ in a), negative=a,
+                negative_support=tuple(range(form.size)), rounds=1,
+                negative_gram_det=Fraction(1),
+            )
+
+        monkeypatch.setattr(zariski, "decompose", whole)
+        form = form_of([[2, 1], [1, -2]])
+        assert instance_failures(form, [1, 1], 8, 0) == [
+            "negative_exceptional", "oracle_match", "cramer_divisibility",
+            "det_trace_bound", "negative_square", "certificate_positive",
+        ]
+
+    def test_non_zarlat_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("a bug, not a property")
+
+        monkeypatch.setattr(zariski, "exceptional_certificate", broken)
+        seed, form, divisor = _negative_instances(1)[0]
+        with pytest.raises(ZeroDivisionError):
+            instance_failures(form, divisor, 8, seed)
+
+
+class TestDeferredStrings:
+    def test_factorial(self):
+        assert str(DeferredFactorial(8**20)) == "(1152921504606846976)!"
+        assert str(DeferredFactorial(8, 21)) == "21 * (8)!"
+
+    def test_reverse(self):
+        assert str(DeferredReverse(DeferredFactorial(200_001), 3)) == "d! * d * 3 with d = (200001)!"
+
+    def test_power(self):
+        value = DeferredPower(base=DeferredFactorial(8**20, 21), exponent=4, scale=Fraction(1, 2))
+        assert str(value) == "1/2 * (21 * (1152921504606846976)!)**4"
 
 
 class TestDenominatorBound:

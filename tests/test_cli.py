@@ -6,8 +6,9 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from zarlat import cli
+from zarlat import bounds, cli
 from zarlat import zariski
+from zarlat.errors import InconsistencyError, SingularMatrixError
 
 
 def write_problem(tmp_path, payload, name="problem.json"):
@@ -20,6 +21,11 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error(code, out, err, expected_code=1):
+    assert code == expected_code and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 SCHEMA_DIR = None
@@ -128,6 +134,19 @@ class TestDecompose:
         assert code == 1 and out == ""
         assert err == "error: --oracle-limit must be a nonnegative integer, got -1\n"
 
+    def test_missing_file_exit_1(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.json")
+        code, out, err = run_cli(capsys, "decompose", path)
+        assert_one_error(code, out, err)
+        assert err.startswith(f"error: cannot read {path}: ")
+
+    def test_invalid_json_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"labels": ["E"],\n "gram": [[-2]')
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert_one_error(code, out, err)
+        assert err.startswith(f"error: {path}: invalid JSON at line 2, column ")
+
     def test_missing_field_exit_1(self, tmp_path, capsys):
         path = write_problem(tmp_path, {"labels": ["E"], "gram": [[-2]]})
         code, _, err = run_cli(capsys, "decompose", path)
@@ -221,6 +240,13 @@ class TestLattice:
         code, _, err = run_cli(capsys, "lattice", "Q8+foo")
         assert code == 1 and "unknown block" in err
 
+    @pytest.mark.parametrize("expression, kind", [("rank1:x", "block"), ("U+rank1:1.5", "block"),
+                                                  ("K3n:x", "preset")])
+    def test_non_integer_parameter_exit_1(self, capsys, expression, kind):
+        code, out, err = run_cli(capsys, "lattice", expression)
+        assert_one_error(code, out, err)
+        assert f"{kind} parameter" in err and "is not an integer" in err
+
     def test_odd_rank1_rejected(self, capsys):
         code, _, err = run_cli(capsys, "lattice", "rank1:3")
         assert code == 1 and "allow_odd" not in err
@@ -262,6 +288,12 @@ class TestTable:
         _, out2, _ = run_cli(capsys, "table", "--json")
         assert out1 == out2
 
+    def test_text_output_file_is_stdout(self, tmp_path, capsys):
+        out_path = tmp_path / "table.txt"
+        code, out, _ = run_cli(capsys, "table", "--n", "2", "-o", str(out_path))
+        assert code == 0 and "K3^[2]" in out
+        assert out_path.read_text(encoding="utf-8") == out
+
     def test_og10_displays_published_beside_general(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--json")
         rows = json.loads(out)["rows"]
@@ -291,6 +323,11 @@ class TestBounds:
         assert report["negativity_bound_general"] == 16
         assert report["negativity_bound_refined"] == 8
         assert report["published_max_square"] == 8
+
+    def test_block_expression_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "U+U", "--rho", "1")
+        assert_one_error(code, out, err)
+        assert err == "error: bounds needs a deformation preset, got block expression 'U+U'\n"
 
     def test_rho_out_of_range_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "K3n:2", "--rho", "25")
@@ -344,6 +381,49 @@ class TestFuzz:
         code, out, _ = run_cli(capsys, "fuzz", "--seed", "7", "--count", "3", "--m", "3")
         assert code == 4
         assert "first failing seed: 7" in out
+
+    @pytest.mark.parametrize(
+        "module, attribute, error, name",
+        [
+            (bounds, "cramer_analysis", InconsistencyError, "cramer_divisibility"),
+            (zariski, "exceptional_certificate", SingularMatrixError, "certificate_positive"),
+        ],
+    )
+    def test_raising_check_exit_4(self, capsys, monkeypatch, module, attribute, error, name):
+        def raising(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(module, attribute, raising)
+        code, out, err = run_cli(capsys, "fuzz", "--seed", "1", "--count", "20", "--m", "4")
+        assert code == 4 and err == ""
+        assert "first failing seed: " in out and f"({name})" in out
+
+
+# Bad invocations that must end in exit 1, empty stdout and one ``error:``
+# line; ``{dir}`` is a scratch directory, ``{missing}`` a path below a
+# directory that does not exist.
+NO_TRACEBACK_CASES = {
+    "decompose -o missing dir": ["decompose", "{dir}/problem.json", "-o", "{missing}"],
+    "lattice -o missing dir": ["lattice", "OG10", "-o", "{missing}"],
+    "table text -o missing dir": ["table", "-o", "{missing}"],
+    "table json -o missing dir": ["table", "--json", "-o", "{missing}"],
+    "bounds -o missing dir": ["bounds", "K3n:2", "--rho", "1", "-o", "{missing}"],
+    "lattice -o directory": ["lattice", "U", "-o", "{dir}"],
+    "decompose non-UTF-8 file": ["decompose", "{dir}/latin1.json"],
+    "decompose directory": ["decompose", "{dir}"],
+}
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("case", list(NO_TRACEBACK_CASES))
+    def test_one_error_line_exit_1(self, tmp_path, capsys, case):
+        write_problem(tmp_path, {"labels": ["E"], "gram": [[-2]], "divisor": ["1"]})
+        text = '{"labels": ["\u00c9"], "gram": [[-2]], "divisor": ["1"]}'
+        (tmp_path / "latin1.json").write_bytes(text.encode("latin-1"))
+        paths = {"dir": str(tmp_path), "missing": str(tmp_path / "no-such-dir" / "out")}
+        argv = [arg.format(**paths) for arg in NO_TRACEBACK_CASES[case]]
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error(code, out, err)
 
 
 class TestSubprocessEntry:

@@ -49,6 +49,14 @@ class TestBlocks:
         assert e8.determinant() == 1
         assert signature(e8.gram) == Inertia(0, 8, 0)
 
+    @pytest.mark.parametrize("name, build, group", [
+        ("E8_minus", e8_minus, "1"), ("A2_minus", a2_minus, "Z/3"),
+    ])
+    def test_negative_definite_blocks_by_name(self, name, build, group):
+        lat = block(name)
+        assert lat == build()
+        assert discriminant_group(lat).describe() == group
+
     def test_block_dispatch(self):
         assert block("U").name == "U"
         assert block("rank1", -6).gram.entries == ((-6,),)
