@@ -29,7 +29,6 @@ from .bounds import (
 from .errors import (
     AxiomViolationError,
     DomainError,
-    GenerationError,
     InconsistencyError,
     OracleMismatchError,
     ShapeError,

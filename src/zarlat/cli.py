@@ -9,7 +9,7 @@ recomputed and checked against the stored published columns), ``bounds``
 Exit codes, stable and documented:
 
 * 0 — success
-* 1 — unreadable input or unwritable ``-o``: file/JSON/schema/grammar/flag errors
+* 1 — unreadable input or unwritable ``-o``/stdout: file/JSON/schema/grammar/flag errors
 * 2 — the Gram matrix is not an intersection product (or the decomposition
   detected inconsistent input)
 * 3 — engine and brute-force oracle disagreed
@@ -78,18 +78,20 @@ def load_problem(path: str):
     The schema checks types and grammar, the library constructors shape,
     symmetry and nonnegativity; every failure is a DomainError naming ``path``.
     """
+    schema = resources.files("zarlat").joinpath("schemas/problem.schema.json")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle, parse_float=_reject_float, parse_constant=_reject_float)
+        jsonschema.validate(raw, json.loads(schema.read_text(encoding="utf-8")))
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    try:
-        schema = resources.files("zarlat").joinpath("schemas/problem.schema.json")
-        jsonschema.validate(raw, json.loads(schema.read_text(encoding="utf-8")))
     except jsonschema.ValidationError as exc:
         raise DomainError(f"{path}: schema violation at {exc.json_path}: {exc.message}") from exc
+    except RecursionError:
+        # json and jsonschema both recurse once per nesting level.
+        raise DomainError(f"{path}: JSON nested too deeply") from None
     try:
         form = zariski.IntersectionForm.from_rows(raw["labels"], raw["gram"])
         divisor = zariski.as_divisor(raw["divisor"], form.size)
@@ -107,7 +109,11 @@ def _emit(content, output: Optional[str]) -> None:
                 handle.write(text)
         except OSError as exc:
             raise DomainError(f"cannot write {output}: {exc}") from exc
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise DomainError(f"cannot write stdout: {exc}") from exc
 
 
 def _result_payload(form, dec, checks) -> dict:

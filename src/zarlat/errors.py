@@ -20,19 +20,14 @@ class DomainError(ZarlatError):
 class AxiomViolationError(ZarlatError):
     """Two distinct components pair negatively under the quadratic form.
 
-    Carries the offending index pairs so callers can report them.
+    Carries the offending index pairs and the labels that name them.
     """
 
-    def __init__(self, pairs, labels=None):
+    def __init__(self, pairs, labels):
         self.pairs = tuple(pairs)
-        self.labels = tuple(labels) if labels is not None else None
-        shown = ", ".join(self._describe(i, j) for i, j in self.pairs)
+        self.labels = tuple(labels)
+        shown = ", ".join(f"({self.labels[i]}, {self.labels[j]})" for i, j in self.pairs)
         super().__init__(f"not an intersection product; negative pairings at {shown}")
-
-    def _describe(self, i, j):
-        if self.labels is not None:
-            return f"({self.labels[i]}, {self.labels[j]})"
-        return f"({i}, {j})"
 
 
 class InconsistencyError(ZarlatError):
@@ -41,7 +36,3 @@ class InconsistencyError(ZarlatError):
 
 class OracleMismatchError(ZarlatError):
     """Exhaustive enumeration found zero or several candidate decompositions."""
-
-
-class GenerationError(ZarlatError):
-    """Random instance generation exhausted its resampling budget."""

@@ -49,7 +49,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     AxiomViolationError,
     DomainError,
-    GenerationError,
     InconsistencyError,
     OracleMismatchError,
     ShapeError,
@@ -112,13 +111,13 @@ def intersection_axiom_violations(form: IntersectionForm) -> tuple[tuple[int, in
 def require_intersection_product(form: IntersectionForm) -> None:
     violations = intersection_axiom_violations(form)
     if violations:
-        raise AxiomViolationError(violations, labels=form.labels)
+        raise AxiomViolationError(violations, form.labels)
 
 
-def as_divisor(values: Iterable, size: Optional[int] = None) -> tuple[Fraction, ...]:
-    """Validate an effective divisor: exact nonnegative coefficients."""
+def as_divisor(values: Iterable, size: int) -> tuple[Fraction, ...]:
+    """Validate an effective divisor: ``size`` exact nonnegative coefficients."""
     vec = as_vector(values)
-    if size is not None and len(vec) != size:
+    if len(vec) != size:
         raise ShapeError(f"divisor has {len(vec)} coefficients, form has {size} components")
     bad = next((i for i, x in enumerate(vec) if x < 0), None)
     if bad is not None:
@@ -218,25 +217,6 @@ class Decomposition:
     negative_gram_det: Fraction
 
 
-def _finish(form: IntersectionForm, positive, negative, rounds,
-            solved: tuple[tuple[int, ...], Fraction] = ((), Fraction(1))) -> Decomposition:
-    """``solved`` is a support with its Gram determinant, reused when it is
-    exactly the support of ``negative``; otherwise the determinant is
-    recomputed."""
-    support = support_of(negative)
-    if support == solved[0]:
-        det_s = solved[1]
-    else:
-        det_s = det(form.gram.submatrix(support))
-    return Decomposition(
-        positive=tuple(positive),
-        negative=tuple(negative),
-        negative_support=support,
-        rounds=rounds,
-        negative_gram_det=det_s,
-    )
-
-
 def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     """Compute the unique Zariski decomposition by support enlargement.
 
@@ -248,9 +228,16 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
 
     Inputs violating the intersection-product axiom are rejected before any
     work.  If an intermediate Gram submatrix fails to be negative definite,
-    or a solved coefficient leaves ``[0, a_i]``, the input was inconsistent
+    or a solved coefficient leaves ``(0, a_i]``, the input was inconsistent
     with the axioms and an :class:`InconsistencyError` names the offending
     components rather than silently proceeding.
+
+    On valid input every solved coefficient is positive, so the last working
+    support is ``supp(N)`` and its pass gives ``det Gram_S``.  By the axiom and
+    the pass, ``-Gram_S`` is a positive definite Z-matrix, hence ``-Gram_S^-1 >= 0``
+    with a positive diagonal (Berman & Plemmons, ch. 6).  Round 1 solves
+    against ``(gram @ D)_S < 0``; each later round adds ``Gram_S^-1 w``, with
+    ``w`` zero on the old support and negative on the added components.
     """
     a = as_divisor(divisor, form.size)
     require_intersection_product(form)
@@ -262,8 +249,7 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     r = [sum(map(mul, row, big_a)) for row in rows]
     support = support_of(a)
     working = [j for j in support if r[j] < 0]
-    d, y = 1, []
-    rounds = 0
+    d, y, rounds = 1, [], 0
     while working:
         # (c * gram_S) (s * n_S) = r_S; the pass returns d = det(c * gram_S)
         # and y = d * s * n_S.
@@ -282,10 +268,10 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
         if d < 0:
             y = [-v for v in y]
         for j, v in zip(working, y):
-            if v < 0 or v > scale * big_a[j]:
+            if v <= 0 or v > scale * big_a[j]:
                 raise InconsistencyError(
                     f"solved coefficient {Fraction(v, scale * s)} for component "
-                    f"{form.labels[j]!r} falls outside [0, {a[j]}]"
+                    f"{form.labels[j]!r} falls outside (0, {a[j]}]"
                 )
         rounds += 1
         # c * s * |d| * (gram @ (a - n))_j = |d| * r_j - (c * gram)_j @ y.
@@ -300,9 +286,9 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     negative = [Fraction(0)] * form.size
     for j, v in zip(working, y):
         negative[j] = Fraction(v, abs(d) * s)
-    positive = [ai - ni for ai, ni in zip(a, negative)]
-    return _finish(form, positive, negative, rounds,
-                   (tuple(working), Fraction(d, c ** len(working))))
+    return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
+                         negative=tuple(negative), negative_support=tuple(working),
+                         rounds=rounds, negative_gram_det=Fraction(d, c ** len(working)))
 
 
 def self_labels(form: IntersectionForm, indices: Sequence[int]) -> str:
@@ -332,6 +318,7 @@ def decompose_bruteforce(
     accepted: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
     for size in range(len(support) + 1):
         for subset in combinations(support, size):
+            negative = [Fraction(0)] * form.size
             if subset:
                 sub = gram.submatrix(subset)
                 if signature(sub) != Inertia(0, size, 0):
@@ -339,11 +326,8 @@ def decompose_bruteforce(
                 solution = solve(sub, [ga[j] for j in subset])
                 if any(x < 0 or x > a[j] for j, x in zip(subset, solution)):
                     continue
-                negative = [Fraction(0)] * form.size
                 for j, x in zip(subset, solution):
                     negative[j] = x
-            else:
-                negative = [Fraction(0)] * form.size
             positive = [ai - ni for ai, ni in zip(a, negative)]
             gp = gram.matvec(positive)
             if any(x < 0 for x in gp):
@@ -356,8 +340,10 @@ def decompose_bruteforce(
             f"enumeration found {len(accepted)} distinct decompositions instead of one"
         )
     negative = next(iter(accepted))
-    positive = [ai - ni for ai, ni in zip(a, negative)]
-    return _finish(form, positive, list(negative), 0)
+    support = support_of(negative)
+    return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
+                         negative=negative, negative_support=support,
+                         rounds=0, negative_gram_det=det(gram.submatrix(support)))
 
 
 def decomposition_checks(
@@ -376,7 +362,7 @@ def decomposition_checks(
     p, n = dec.positive, dec.negative
     gp = gram.matvec(p)
     support_n = support_of(n)
-    checks = {
+    return {
         "parts_sum": tuple(x + y for x, y in zip(p, n)) == a,
         "positive_nef": all(x >= 0 for x in gp),
         "negative_exceptional": support_n == dec.negative_support
@@ -385,7 +371,6 @@ def decomposition_checks(
         "support_union": tuple(sorted(set(support_of(p)) | set(support_n)))
         == support_of(a),
     }
-    return checks
 
 
 MASK64 = (1 << 64) - 1
@@ -427,9 +412,7 @@ class InstanceSpec:
     All ranges are inclusive integer pairs.  Coefficients are drawn as
     ``numerator / denominator`` with the numerator from
     ``coefficient_range`` (nonnegative) and the denominator uniform in
-    ``[1, denominator_max]``.  With ``require_hyperbolic`` the Gram matrix
-    is redrawn until its inertia has at least one positive square.
-    """
+    ``[1, denominator_max]``."""
 
     seed: int
     m: int
@@ -437,7 +420,6 @@ class InstanceSpec:
     diagonal_range: tuple[int, int] = (-9, 9)
     offdiagonal_range: tuple[int, int] = (0, 9)
     denominator_max: int = 1
-    require_hyperbolic: bool = False
 
     def __post_init__(self):
         if self.m < 1:
@@ -459,37 +441,24 @@ class InstanceSpec:
         return cls(seed=seed, m=m, denominator_max=denominator_max)
 
 
-_RESAMPLE_BUDGET = 1000
-
-
 def random_instance(spec: InstanceSpec) -> tuple[IntersectionForm, tuple[Fraction, ...]]:
     """Deterministic instance from a seed.
 
     Draw order (one SplitMix64 stream seeded with ``spec.seed``): the Gram
     matrix row by row, each row i taking the diagonal entry then the
-    off-diagonal entries j > i; if ``require_hyperbolic`` rejects it, the
-    whole matrix is redrawn from the continuing stream.  Once a matrix is
-    accepted the coefficients follow, one (numerator, denominator) pair per
-    component.
-    """
+    off-diagonal entries j > i; then one coefficient per component, drawn as
+    its numerator and then its denominator."""
     rng = SplitMix64(spec.seed)
     m = spec.m
-    for _ in range(_RESAMPLE_BUDGET):
-        rows = [[0] * m for _ in range(m)]
-        for i in range(m):
-            rows[i][i] = rng.randint(*spec.diagonal_range)
-            for j in range(i + 1, m):
-                rows[i][j] = rows[j][i] = rng.randint(*spec.offdiagonal_range)
-        gram = RationalMatrix.symmetric(rows)
-        if spec.require_hyperbolic and signature(gram).n_plus < 1:
-            continue
-        coeffs = []
-        for _ in range(m):
-            numerator = rng.randint(*spec.coefficient_range)
-            denominator = rng.randint(1, spec.denominator_max)
-            coeffs.append(Fraction(numerator, denominator))
-        labels = tuple(f"D{i + 1}" for i in range(m))
-        return IntersectionForm(labels=labels, gram=gram), tuple(coeffs)
-    raise GenerationError(
-        f"no acceptable Gram matrix within {_RESAMPLE_BUDGET} draws for seed {spec.seed}"
-    )
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = rng.randint(*spec.diagonal_range)
+        for j in range(i + 1, m):
+            rows[i][j] = rows[j][i] = rng.randint(*spec.offdiagonal_range)
+    coeffs = []
+    for _ in range(m):
+        numerator = rng.randint(*spec.coefficient_range)
+        denominator = rng.randint(1, spec.denominator_max)
+        coeffs.append(Fraction(numerator, denominator))
+    labels = tuple(f"D{i + 1}" for i in range(m))
+    return IntersectionForm(labels=labels, gram=RationalMatrix.symmetric(rows)), tuple(coeffs)

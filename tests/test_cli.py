@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -411,6 +412,7 @@ NO_TRACEBACK_CASES = {
     "lattice -o directory": ["lattice", "U", "-o", "{dir}"],
     "decompose non-UTF-8 file": ["decompose", "{dir}/latin1.json"],
     "decompose directory": ["decompose", "{dir}"],
+    "decompose deeply nested file": ["decompose", "{dir}/deep.json"],
 }
 
 
@@ -420,10 +422,64 @@ class TestNoTraceback:
         write_problem(tmp_path, {"labels": ["E"], "gram": [[-2]], "divisor": ["1"]})
         text = '{"labels": ["\u00c9"], "gram": [[-2]], "divisor": ["1"]}'
         (tmp_path / "latin1.json").write_bytes(text.encode("latin-1"))
+        nested = "[" * 100_000 + "]" * 100_000
+        (tmp_path / "deep.json").write_text(f'{{"labels": {nested}, "gram": [[-2]], "divisor": ["1"]}}')
         paths = {"dir": str(tmp_path), "missing": str(tmp_path / "no-such-dir" / "out")}
         argv = [arg.format(**paths) for arg in NO_TRACEBACK_CASES[case]]
         code, out, err = run_cli(capsys, *argv)
         assert_one_error(code, out, err)
+
+    def test_nesting_near_recursion_limit(self, tmp_path, capsys):
+        # Depths the parser accepts but the schema validator, or the repr in
+        # its message, may not: where that happens depends on the stack depth.
+        path = tmp_path / "nested.json"
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 300, limit + 50, 3):
+            nested = "[" * depth + '"1"' + "]" * depth
+            path.write_text(f'{{"labels": ["E"], "gram": [[-2]], "divisor": [{nested}]}}')
+            code, out, err = run_cli(capsys, "decompose", str(path))
+            assert_one_error(code, out, err)
+            assert err.startswith(f"error: {path}: ")
+
+
+class FailingStdout:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+# Each writes stdout through ``cli._emit``; the last one writes more than
+# one buffer's worth.
+STDOUT_COMMANDS = [
+    ["table", "--n", "2"],
+    ["fuzz", "--seed", "1", "--count", "3"],
+    ["lattice", "OG6"],
+    ["bounds", "K3n:2", "--rho", "2"],
+]
+
+
+class TestUnwritableStdout:
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
+    def test_in_process(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
+    def test_fresh_process_dev_full(self, argv):
+        # Exactly one stderr line: no "Exception ignored" from the
+        # interpreter's own flush of stdout at exit.
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "zarlat", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestSubprocessEntry:
@@ -445,15 +501,6 @@ class TestSubprocessEntry:
 
 
 class TestSchemas:
-    def test_docs_copies_match_packaged(self):
-        import importlib.resources as resources
-        from pathlib import Path
-
-        repo_docs = Path(__file__).resolve().parent.parent / "docs"
-        for name in ("problem.schema.json", "result.schema.json"):
-            packaged = resources.files("zarlat").joinpath(f"schemas/{name}").read_text()
-            assert (repo_docs / name).read_text() == packaged
-
     def test_result_schema_accepts_all_outputs(self, tmp_path, capsys):
         schema = result_schema()
         for seed in range(5):

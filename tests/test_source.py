@@ -7,6 +7,7 @@ from functools import reduce
 from pathlib import Path
 
 import zarlat
+from zarlat import errors
 
 PACKAGE_DIR = Path(zarlat.__file__).resolve().parent
 
@@ -36,3 +37,24 @@ def test_benchmark_traced_names_resolve():
         except AttributeError:
             missing.append(f"{module_name}.{path}")
     assert traced and not missing, f"traced names missing from zarlat: {missing}"
+
+
+def test_every_error_class_is_raised():
+    # An error class whose last raiser is gone documents a failure that
+    # cannot happen; a base class counts as raised through its subclasses.
+    raised = {
+        node.exc.func.id if isinstance(node.exc, ast.Call) else node.exc.id
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise)
+        and isinstance(getattr(node.exc, "func", node.exc), ast.Name)
+    }
+    classes = [
+        value for value in vars(errors).values()
+        if isinstance(value, type) and value.__module__ == errors.__name__
+    ]
+    unraised = [
+        cls.__name__ for cls in classes
+        if not any(issubclass(other, cls) for other in classes if other.__name__ in raised)
+    ]
+    assert classes and not unraised, f"error classes never raised in the package: {unraised}"

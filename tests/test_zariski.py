@@ -3,15 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zarlat import zariski
 from zarlat.errors import (
     AxiomViolationError,
     DomainError,
-    GenerationError,
+    InconsistencyError,
     ShapeError,
 )
-from zarlat.linalg import Inertia, signature
+from zarlat.linalg import Inertia, det, signature
 from zarlat.zariski import (
-    _finish,
     InstanceSpec,
     IntersectionForm,
     SplitMix64,
@@ -212,20 +212,6 @@ class TestGenerator:
         assert intersection_axiom_violations(form) == ()
         assert all(x >= 0 for x in divisor)
 
-    def test_hyperbolic_flag(self):
-        spec = InstanceSpec(seed=5, m=3, require_hyperbolic=True)
-        form, _ = random_instance(spec)
-        assert signature(form.gram).n_plus >= 1
-
-    def test_budget_exhaustion(self):
-        # negative definite diagonals can never have a positive square
-        spec = InstanceSpec(
-            seed=1, m=2, diagonal_range=(-9, -1), offdiagonal_range=(0, 0),
-            require_hyperbolic=True,
-        )
-        with pytest.raises(GenerationError):
-            random_instance(spec)
-
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             InstanceSpec(seed=1, m=0)
@@ -323,9 +309,7 @@ class TestEngineProperties:
 
     def test_negative_support_size_in_hyperbolic_case(self):
         for seed in range(200):
-            spec = InstanceSpec(
-                seed=30_000 + seed, m=2 + seed % 4, denominator_max=3, require_hyperbolic=True
-            )
+            spec = InstanceSpec(seed=30_000 + seed, m=2 + seed % 4, denominator_max=3)
             form, divisor = random_instance(spec)
             if signature(form.gram) != Inertia(1, form.size - 1, 0):
                 continue
@@ -403,15 +387,44 @@ class TestRationalGram:
         self.assert_agree(form_of(rows), divisor)
 
 
-class TestFinishDeterminant:
-    def test_recomputed_when_support_shrinks(self):
-        form = form_of([[-2, 1], [1, -3]])
-        negative = [Fraction(1, 2), Fraction(0)]
-        dec = _finish(form, [Fraction(0)] * 2, negative, 1, ((0, 1), Fraction(5)))
-        assert dec.negative_support == (0,) and dec.negative_gram_det == -2
+def growth_instances():
+    """Instances shaped like the benchmark's ``support-growth`` deck: large
+    negative-heavy and mixed forms whose negative support grows over rounds."""
+    for m in (12, 24, 36, 48):
+        for seed in range(m * 100, m * 100 + 3):
+            for diagonal, offdiagonal in (((-3 * m, -2 * m), (0, 2)), ((-30, 4), (0, 1))):
+                yield random_instance(InstanceSpec(
+                    seed=seed, m=m, diagonal_range=diagonal, offdiagonal_range=offdiagonal,
+                    coefficient_range=(1, 9),
+                ))
 
-    def test_reused_when_support_matches(self):
-        form = form_of([[-2, 1], [1, -3]])
-        sentinel = Fraction(123)
-        dec = _finish(form, [Fraction(0)] * 2, [Fraction(1), Fraction(1)], 1, ((0, 1), sentinel))
-        assert dec.negative_gram_det is sentinel
+
+class TestSupportInvariant:
+    """Every coefficient the engine solves for is strictly positive, so the
+    last working support is the support of N and its determinant is det Gram_S."""
+
+    def assert_invariant(self, form, divisor):
+        dec = decompose(form, divisor)
+        assert dec.negative_support == support_of(dec.negative)
+        assert all(0 < dec.negative[j] <= divisor[j] for j in dec.negative_support)
+        assert dec.negative_gram_det == det(form.gram.submatrix(dec.negative_support))
+        return dec
+
+    def test_corpus(self, corpus_1000):
+        for form, divisor in corpus_1000:
+            self.assert_invariant(form, divisor)
+
+    def test_growth_shaped(self):
+        rounds = [self.assert_invariant(form, divisor).rounds for form, divisor in growth_instances()]
+        assert max(rounds) >= 2  # later rounds, which add to the support, are exercised
+
+    def test_zero_solved_coefficient_raises(self, monkeypatch):
+        real_pass = zariski.sylvester_pass
+
+        def zeroing_pass(rows):
+            d, y = real_pass(rows)
+            return d, [0] + y[1:]
+
+        monkeypatch.setattr(zariski, "sylvester_pass", zeroing_pass)
+        with pytest.raises(InconsistencyError, match=r"falls outside \(0, 1\]"):
+            decompose(form_of([[-2, 1], [1, -3]]), [1, 1])
