@@ -331,7 +331,8 @@ def det_trace_bound_holds(form: IntersectionForm, support: Sequence[int], b: int
         raise DomainError("support Gram matrix is not negative definite")
     if low_diagonal:
         raise DomainError(f"a diagonal entry lies below -{b}")
-    return abs(outcome[0]) <= (b * c) ** len(rows)
+    d, _ = outcome
+    return abs(d) <= (b * c) ** len(rows)
 
 
 def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: int,

@@ -66,6 +66,11 @@ def _nonnegative(value: int, flag: str) -> int:
     return value
 
 
+# jsonschema's messages embed the repr of the offending value, which can be
+# as large as the file; the error line keeps this many characters of it.
+_SCHEMA_MESSAGE_LIMIT = 200
+
+
 def _reject_float(text: str):
     raise DomainError(
         f"floating-point literal {text!r} rejected; exact rationals only (integers or 'p/q' strings)"
@@ -88,7 +93,10 @@ def load_problem(path: str):
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except jsonschema.ValidationError as exc:
-        raise DomainError(f"{path}: schema violation at {exc.json_path}: {exc.message}") from exc
+        message = exc.message
+        if len(message) > _SCHEMA_MESSAGE_LIMIT:
+            message = message[:_SCHEMA_MESSAGE_LIMIT] + "..."
+        raise DomainError(f"{path}: schema violation at {exc.json_path}: {message}") from exc
     except RecursionError:
         # json and jsonschema both recurse once per nesting level.
         raise DomainError(f"{path}: JSON nested too deeply") from None

@@ -8,7 +8,8 @@ rational matrix is first scaled by the lcm ``c`` of its denominators, and
 the loop's successive pivots are the leading principal minors of ``cA``,
 so a single pass (:func:`sylvester_pass`) decides Sylvester's criterion,
 yields ``det`` and, by integer back-substitution of ``det * x`` (integral
-by Cramer's rule), solves a linear system with exact divisions only.
+by Cramer's rule), solves the system for every right-hand-side column it
+carries, with exact divisions only.
 ``solve`` (Gaussian elimination over ``Fraction``) and ``signature``
 (symmetric congruence reduction with a 2x2 pivot fallback, so hyperbolic
 blocks with zero diagonal stay exact) are separate eliminations, kept as
@@ -263,31 +264,34 @@ def det(matrix) -> Fraction:
     return Fraction(_int_det(rows), c ** m.nrows)
 
 
-def sylvester_pass(rows: list[list[int]]) -> Optional[tuple[int, list[int]]]:
+def sylvester_pass(rows: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]:
     """One fraction-free symmetric elimination without pivoting.
 
-    ``rows`` holds ``[M | r]``: ``n`` integer rows of a symmetric ``n x n``
-    matrix ``M``, each optionally followed by one right-hand-side entry.
-    The rows are overwritten.  Returns ``None`` unless ``M`` is negative
-    definite, which is decided by Sylvester's criterion on the pivots (the
-    leading minors must be ``-, +, -, ...``; the pass stops at the first
-    one breaking the pattern).  Otherwise returns ``(det M, y)`` with
-    ``M (y / det M) == r``; ``y`` is integral by Cramer's rule and is
-    recovered by back-substitution with exact integer divisions (``y`` is
-    empty when no right-hand side was given).  ``det M`` is 1 for ``n = 0``.
+    ``rows`` holds ``[M | R]``: ``n`` integer rows of a symmetric ``n x n``
+    matrix ``M``, each followed by the same number (possibly none) of
+    right-hand-side entries, one per column of ``R``.  The rows are
+    overwritten.  Returns ``None`` unless ``M`` is negative definite, which
+    is decided by Sylvester's criterion on the pivots (the leading minors
+    must be ``-, +, -, ...``; the pass stops at the first one breaking the
+    pattern).  Otherwise returns ``(det M, solutions)``, one integer list
+    ``y`` per column ``r`` of ``R`` with ``M (y / det M) == r``; each ``y``
+    is integral by Cramer's rule and is recovered by back-substitution with
+    exact integer divisions.  For ``n = 0`` there are no rows to carry a
+    column: the result is ``(1, [])``.
     """
     n = len(rows)
     d = 1
     for k, d in enumerate(_bareiss_pivots(rows, n, symmetric=True)):
         if d == 0 or (d < 0) != (k % 2 == 0):
             return None
-    if n == 0 or len(rows[0]) == n:
-        return d, []
-    y = [0] * n
-    for k in range(n - 1, -1, -1):
-        row = rows[k]
-        y[k] = (d * row[n] - sum(map(mul, row[k + 1 : n], y[k + 1 :]))) // row[k]
-    return d, y
+    solutions = []
+    for col in range(n, len(rows[0]) if n else 0):
+        y = [0] * n
+        for k in range(n - 1, -1, -1):
+            row = rows[k]
+            y[k] = (d * row[col] - sum(map(mul, row[k + 1 : n], y[k + 1 :]))) // row[k]
+        solutions.append(y)
+    return d, solutions
 
 
 def solve(matrix, rhs) -> tuple[Fraction, ...]:

@@ -23,7 +23,9 @@ components that pair negatively with ``D``, solve for the negative part on
 that support, and grow the support by every component the remainder still
 pairs negatively with, until stable.  Each round is one fraction-free pass
 (:func:`zarlat.linalg.sylvester_pass`) over integers, which gives the
-definiteness verdict, the negative part and ``det Gram_S`` together.
+definiteness verdict, the negative part, ``det Gram_S`` and an integer
+definiteness witness together.  ``decomposition_checks`` verifies that
+witness with one integer matrix-vector product and runs no elimination.
 ``decompose_bruteforce`` is the independent oracle: it enumerates every
 candidate support, keeps the candidates satisfying all the defining
 conditions, and demands exactly one resulting decomposition.  It decides
@@ -42,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -99,12 +101,11 @@ class IntersectionForm:
 
 def intersection_axiom_violations(form: IntersectionForm) -> tuple[tuple[int, int], ...]:
     """Every off-diagonal pair (i, j), i < j, with a negative pairing."""
-    g = form.gram
     return tuple(
         (i, j)
-        for i in range(form.size)
-        for j in range(i + 1, form.size)
-        if g[i, j] < 0
+        for i, row in enumerate(form.gram.entries)
+        for j in range(i + 1, len(row))
+        if row[j].numerator < 0
     )
 
 
@@ -208,6 +209,14 @@ class Decomposition:
     of the negative coefficients for integral input; ``rounds`` counts
     support-enlargement iterations (0 when the divisor was already nef, and
     for oracle results, which do not iterate).
+
+    ``witness`` certifies that the Gram submatrix on ``negative_support``
+    is negative definite: the primitive integer vector ``y`` in the
+    direction of ``(-Gram_S)^-1 (1, ..., 1)``, one entry per support index.
+    Every ``y_i > 0`` and ``Gram_S y < 0`` entrywise, which together with
+    nonnegative off-diagonal entries on ``S`` proves the definiteness
+    (:func:`decomposition_checks`).  ``()`` means no certificate; it is
+    also the witness of an empty support.
     """
 
     positive: tuple[Fraction, ...]
@@ -215,6 +224,7 @@ class Decomposition:
     negative_support: tuple[int, ...]
     rounds: int
     negative_gram_det: Fraction
+    witness: tuple[int, ...] = ()
 
 
 def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
@@ -238,6 +248,10 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     with a positive diagonal (Berman & Plemmons, ch. 6).  Round 1 solves
     against ``(gram @ D)_S < 0``; each later round adds ``Gram_S^-1 w``, with
     ``w`` zero on the old support and negative on the added components.
+
+    Every pass also solves against ``(-1, ..., -1)``; the last one's solution,
+    ``(-Gram_S)^-1 (1, ..., 1) > 0`` up to a positive factor, becomes the
+    result's definiteness ``witness``.
     """
     a = as_divisor(divisor, form.size)
     require_intersection_product(form)
@@ -249,21 +263,21 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     r = [sum(map(mul, row, big_a)) for row in rows]
     support = support_of(a)
     working = [j for j in support if r[j] < 0]
-    d, y, rounds = 1, [], 0
+    d, y, w, rounds = 1, [], [], 0
     while working:
-        # (c * gram_S) (s * n_S) = r_S; the pass returns d = det(c * gram_S)
-        # and y = d * s * n_S.
+        # (c * gram_S) (s * n_S) = r_S; the pass returns d = det(c * gram_S),
+        # y = d * s * n_S and w = d * (c * gram_S)^-1 (-1, ..., -1).
         system = []
         for i in working:
             row = rows[i]
-            system.append([row[j] for j in working] + [r[i]])
+            system.append([row[j] for j in working] + [r[i], -1])
         outcome = sylvester_pass(system)
         if outcome is None:
             raise InconsistencyError(
                 f"Gram submatrix on {self_labels(form, working)} is not negative definite; "
                 "the input does not admit a decomposition"
             )
-        d, y = outcome
+        d, (y, w) = outcome
         scale = abs(d)
         if d < 0:
             y = [-v for v in y]
@@ -286,9 +300,11 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     negative = [Fraction(0)] * form.size
     for j, v in zip(working, y):
         negative[j] = Fraction(v, abs(d) * s)
+    g = gcd(*w) if d > 0 else -gcd(*w)
     return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
                          negative=tuple(negative), negative_support=tuple(working),
-                         rounds=rounds, negative_gram_det=Fraction(d, c ** len(working)))
+                         rounds=rounds, negative_gram_det=Fraction(d, c ** len(working)),
+                         witness=tuple(v // g for v in w))
 
 
 def self_labels(form: IntersectionForm, indices: Sequence[int]) -> str:
@@ -341,9 +357,13 @@ def decompose_bruteforce(
         )
     negative = next(iter(accepted))
     support = support_of(negative)
+    sub = gram.submatrix(support)
+    certificate = solve(sub, [-1] * len(support))
+    scale = lcm(*(x.denominator for x in certificate))
     return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
                          negative=negative, negative_support=support,
-                         rounds=0, negative_gram_det=det(gram.submatrix(support)))
+                         rounds=0, negative_gram_det=det(sub),
+                         witness=tuple(x.numerator * (scale // x.denominator) for x in certificate))
 
 
 def decomposition_checks(
@@ -356,18 +376,36 @@ def decomposition_checks(
     matches the recorded support and its Gram submatrix is negative
     definite, or N = 0), ``orthogonal`` (q(P, N) == 0), ``support_union``
     (supp(P) union supp(N) == supp(D)).
+
+    No elimination runs here: every key is integer arithmetic on the rows of
+    ``c * gram``.  Definiteness is read from ``dec.witness``: ``-Gram_S`` is
+    positive definite when its off-diagonal entries are ``<= 0`` (the sign
+    pattern, required because ``form`` is not re-validated here) and some
+    ``y > 0`` has ``(-Gram_S) y > 0`` entrywise (the M-matrix
+    characterization, Berman & Plemmons, ch. 6).  So the key holds exactly
+    when ``len(witness) == |S|``, every ``y_i > 0``, every off-diagonal entry
+    of ``Gram_S`` is ``>= 0`` and ``Gram_S y < 0``, whatever produced ``y``.
     """
     a = as_divisor(divisor, form.size)
-    gram = form.gram
-    p, n = dec.positive, dec.negative
-    gp = gram.matvec(p)
+    p, n = as_vector(dec.positive), dec.negative
+    if len(p) != form.size:
+        raise ShapeError(f"positive part has {len(p)} coefficients, form has {form.size}")
+    rows, _ = scaled_int_rows(form.gram.entries)
+    (big_p,), _ = scaled_int_rows([p])
+    # A positive multiple of gram @ P: the same signs, and zero pairing with N
+    # exactly when q(P, N) == 0.
+    gp = [sum(map(mul, row, big_p)) for row in rows]
     support_n = support_of(n)
+    y = dec.witness
     return {
-        "parts_sum": tuple(x + y for x, y in zip(p, n)) == a,
-        "positive_nef": all(x >= 0 for x in gp),
+        "parts_sum": tuple(x + z for x, z in zip(p, n)) == a,
+        "positive_nef": all(v >= 0 for v in gp),
         "negative_exceptional": support_n == dec.negative_support
-        and (not support_n or is_exceptional(form, support_n)),
-        "orthogonal": sum((x * y for x, y in zip(n, gp)), Fraction(0)) == 0,
+        and len(y) == len(support_n)
+        and all(type(v) is int and v > 0 for v in y)
+        and all(rows[i][j] >= 0 for i in support_n for j in support_n if i != j)
+        and all(sum(map(mul, [rows[i][j] for j in support_n], y)) < 0 for i in support_n),
+        "orthogonal": sum(x * v for x, v in zip(n, gp) if x) == 0,
         "support_union": tuple(sorted(set(support_of(p)) | set(support_n)))
         == support_of(a),
     }

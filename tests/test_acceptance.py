@@ -36,7 +36,7 @@ from zarlat.zariski import (
     support_of,
 )
 
-from conftest import build_corpus
+from conftest import build_corpus, witness_verdict
 
 
 def report(number, title, ok):
@@ -155,10 +155,10 @@ def test_criterion_4_certificate_duality():
             certificate = exceptional_certificate(form, range(k)).accepted
         except Exception:
             certificate = False
-        if not (sylvester == certificate == inertia):
+        if not (sylvester == certificate == inertia == witness_verdict(form)):
             ok = False
         checked += 1
-    print(f"\n  {checked} random symmetric matrices, three-way agreement")
+    print(f"\n  {checked} random symmetric matrices, four-way agreement")
     report(4, "negative-definiteness certificate duality", ok)
 
 

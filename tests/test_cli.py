@@ -153,6 +153,16 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", path)
         assert code == 1 and "schema" in err
 
+    def test_schema_message_capped(self, tmp_path, capsys):
+        # jsonschema's message carries the repr of the whole 200000-element label
+        path = write_problem(
+            tmp_path, {"labels": [list(range(200_000))], "gram": [[-2]], "divisor": ["1"]}
+        )
+        code, out, err = run_cli(capsys, "decompose", path)
+        assert_one_error(code, out, err)
+        assert err.startswith(f"error: {path}: schema violation at $.labels[0]: [0, 1, 2, ")
+        assert err.endswith("...\n") and len(err) < 400 + len(path)
+
     def test_oracle_mismatch_exit_3(self, tmp_path, capsys, monkeypatch):
         # negative test of the harness: corrupt the oracle and expect exit 3
         path = write_problem(

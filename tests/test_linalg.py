@@ -351,7 +351,8 @@ def pass_on_rationals(rows, rhs):
     outcome = sylvester_pass([row + [int(x * s)] for row, x in zip(ints, cb)])
     if outcome is None:
         return None
-    d, y = outcome
+    d, solutions = outcome
+    y = solutions[0] if n else []  # zero rows carry no right-hand-side column
     return Fraction(d, c**n), tuple(Fraction(v, s * d) for v in y)
 
 
@@ -364,12 +365,12 @@ class TestSylvesterPass:
         assert is_negative_definite([]) and det([]) == 1
 
     def test_scalar(self):
-        assert sylvester_pass([[-3, 6]]) == (-3, [6])
+        assert sylvester_pass([[-3, 6]]) == (-3, [[6]])
         assert sylvester_pass([[3, 6]]) is None
         assert pass_on_rationals([["-1/2"]], ["1/3"]) == (Fraction(-1, 2), (Fraction(-2, 3),))
 
     def test_a2(self):
-        assert sylvester_pass([[-2, 1, -1], [1, -2, -1]]) == (3, [3, 3])
+        assert sylvester_pass([[-2, 1, -1], [1, -2, -1]]) == (3, [[3, 3]])
 
     def test_without_rhs(self):
         assert sylvester_pass([[-2, 1], [1, -2]]) == (3, [])
@@ -403,7 +404,7 @@ class TestSylvesterPass:
         m = [[-sum(rows[i][k] * rows[j][k] for k in range(n)) - (i == j) for j in range(n)]
              for i in range(n)]
         rhs = [i - 2 for i in range(n)]
-        d, y = sylvester_pass([row + [b] for row, b in zip(m, rhs)])
+        d, (y,) = sylvester_pass([row + [b] for row, b in zip(m, rhs)])
         assert d == det(m) and d != 0
         assert tuple(Fraction(v, d) for v in y) == solve(m, rhs)
 

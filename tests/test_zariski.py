@@ -1,17 +1,20 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zarlat import zariski
+from zarlat import linalg, zariski
 from zarlat.errors import (
     AxiomViolationError,
     DomainError,
     InconsistencyError,
     ShapeError,
+    SingularMatrixError,
 )
 from zarlat.linalg import Inertia, det, signature
 from zarlat.zariski import (
+    Decomposition,
     InstanceSpec,
     IntersectionForm,
     SplitMix64,
@@ -25,6 +28,8 @@ from zarlat.zariski import (
     random_instance,
     support_of,
 )
+
+from conftest import witness_verdict
 
 
 def form_of(rows, labels=None):
@@ -96,6 +101,7 @@ class TestCertificate:
 
     def test_duality_with_sylvester_and_inertia(self):
         # certificate positivity <=> negative definiteness <=> inertia (0, k, 0)
+        # <=> the witness check accepts the pass's (-1, ..., -1) column
         rng = SplitMix64(7)
         agree = 0
         for _ in range(1000):
@@ -112,9 +118,38 @@ class TestCertificate:
                 positive = exceptional_certificate(form, range(k)).accepted
             except Exception:
                 positive = False
-            assert sylvester == inertia == positive, rows
+            assert sylvester == inertia == positive == witness_verdict(form), rows
             agree += 1
         assert agree == 1000
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.integers(0, 3), min_size=k * (k - 1) // 2, max_size=k * (k - 1) // 2),
+                st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+            )
+        )
+    )
+    def test_four_way_on_laplacian_shifts(self, drawn):
+        # Gram = -(L + diag(e)) for the Laplacian L of a weighted graph: singular
+        # for e = 0, definite or indefinite as the shifts e vary.
+        weights, shifts = drawn
+        k = len(shifts)
+        rows = [[0] * k for _ in range(k)]
+        edges = iter(weights)
+        for i in range(k):
+            for j in range(i + 1, k):
+                rows[i][j] = rows[j][i] = next(edges)
+        for i in range(k):
+            rows[i][i] = -sum(rows[i]) - shifts[i]
+        form = form_of(rows)
+        inertia = signature(form.gram) == Inertia(0, k, 0)
+        try:
+            positive = exceptional_certificate(form, range(k)).accepted
+        except SingularMatrixError:
+            positive = False
+        assert is_exceptional(form, range(k)) == inertia == positive == witness_verdict(form)
 
 
 class TestMembership:
@@ -237,6 +272,8 @@ class TestEngineProperties:
             assert (dec.positive, dec.negative) == (oracle.positive, oracle.negative)
             assert dec.negative_support == oracle.negative_support
             assert all(decomposition_checks(form, divisor, dec).values())
+            assert all(decomposition_checks(form, divisor, oracle).values())
+            assert oracle.witness == dec.witness  # both primitive along (-Gram_S)^-1 (1, ..., 1)
             assert dec.rounds <= len(support_of(divisor))
 
     def test_idempotence(self, corpus):
@@ -315,6 +352,49 @@ class TestEngineProperties:
                 continue
             dec = decompose(form, divisor)
             assert len(dec.negative_support) <= form.size - 1
+
+
+class TestWitnessCheck:
+    """``negative_exceptional`` is decided by the witness alone, soundly."""
+
+    def verdict(self, form, divisor, dec):
+        return decomposition_checks(form, divisor, dec)["negative_exceptional"]
+
+    def test_forged_witnesses_fail(self, corpus):
+        forged = 0
+        for form, divisor in corpus:
+            dec = decompose(form, divisor)
+            y = dec.witness
+            if not y:
+                assert dec.negative_support == ()
+                continue
+            assert self.verdict(form, divisor, dec)
+            for bad in ((-y[0],) + y[1:], y[:-1] + (0,), y + (1,), y[1:], ()):
+                assert not self.verdict(form, divisor, replace(dec, witness=bad))
+            forged += 1
+        assert forged > 50
+
+    @pytest.mark.parametrize("rows", [
+        [[-1, -2], [-2, -1]],  # indefinite, yet Gram y == (-3, -3) < 0: the sign pattern decides
+        [[-1, 1], [1, -1]],  # singular: y spans the kernel, and Gram y == 0 is not < 0
+    ])
+    def test_all_ones_witness_refused(self, rows):
+        ones = (Fraction(1),) * 2
+        dec = Decomposition(positive=(Fraction(0),) * 2, negative=ones, negative_support=(0, 1),
+                            rounds=1, negative_gram_det=det(rows), witness=(1, 1))
+        assert not self.verdict(form_of(rows), ones, dec)
+
+    def test_checks_run_no_elimination(self, corpus, monkeypatch):
+        decs = [(form, divisor, decompose(form, divisor)) for form, divisor in corpus]
+
+        def raising(*args, **kwargs):
+            raise AssertionError("decomposition_checks ran an elimination")
+
+        for module, name in ((linalg, "sylvester_pass"), (zariski, "sylvester_pass"),
+                             (zariski, "is_exceptional")):
+            monkeypatch.setattr(module, name, raising)
+        for form, divisor, dec in decs:
+            assert all(decomposition_checks(form, divisor, dec).values())
 
 
 def laplace_det(rows):
@@ -408,6 +488,7 @@ class TestSupportInvariant:
         assert dec.negative_support == support_of(dec.negative)
         assert all(0 < dec.negative[j] <= divisor[j] for j in dec.negative_support)
         assert dec.negative_gram_det == det(form.gram.submatrix(dec.negative_support))
+        assert all(decomposition_checks(form, divisor, dec).values())
         return dec
 
     def test_corpus(self, corpus_1000):
@@ -422,8 +503,8 @@ class TestSupportInvariant:
         real_pass = zariski.sylvester_pass
 
         def zeroing_pass(rows):
-            d, y = real_pass(rows)
-            return d, [0] + y[1:]
+            d, (y, w) = real_pass(rows)
+            return d, [[0] + y[1:], w]
 
         monkeypatch.setattr(zariski, "sylvester_pass", zeroing_pass)
         with pytest.raises(InconsistencyError, match=r"falls outside \(0, 1\]"):
