@@ -10,18 +10,22 @@ so a single pass (:func:`sylvester_pass`) decides Sylvester's criterion,
 yields ``det`` and, by integer back-substitution of ``det * x`` (integral
 by Cramer's rule), solves the system for every right-hand-side column it
 carries, with exact divisions only.
-``solve`` (Gaussian elimination over ``Fraction``) and ``signature``
-(symmetric congruence reduction with a 2x2 pivot fallback, so hyperbolic
-blocks with zero diagonal stay exact) are separate eliminations, kept as
-independent cross-checks of that pass.  Floating point is rejected on
-input and never appears internally: denominators are data here, not noise.
+``solve`` (Gaussian elimination over ``Fraction``, the only ``Fraction``
+elimination left) and ``signature`` (symmetric congruence reduction over
+integers, with a 2x2 hyperbolic pivot when the diagonal of the live block
+vanishes) are separate eliminations, kept as independent cross-checks of
+that pass.  Floating point is rejected on input and never appears
+internally: denominators are data here, not noise.
 
 ``smith_normal_form`` is one integer loop that enforces the divisibility
 chain while it eliminates and records both unimodular transforms, a
 certificate that discriminant groups check (:meth:`SmithNormalForm.verify`).
 
-All values are immutable after construction and every operation is a pure
-function, so matrices can be shared freely between threads.
+Every operation is a pure function.  A matrix's entries never change; its
+integer rows (:attr:`RationalMatrix.scaled_rows`) are computed on first use
+and kept in a second slot.  Two threads reading them first may both compute
+them, and each stores an equal tuple, so the race is benign and matrices can
+be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -74,13 +78,14 @@ def as_vector(values: Iterable) -> tuple[Fraction, ...]:
 class RationalMatrix:
     """Immutable two-dimensional array of exact rationals."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_scaled")
 
     def __init__(self, rows: Iterable[Iterable]):
         converted = tuple(tuple(as_rational(x) for x in row) for row in rows)
         if converted and any(len(r) != len(converted[0]) for r in converted):
             raise ShapeError("rows have inconsistent lengths")
         self._rows = converted
+        self._scaled = None
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "RationalMatrix":
@@ -88,6 +93,7 @@ class RationalMatrix:
         converting or checking them again."""
         m = object.__new__(cls)
         m._rows = rows
+        m._scaled = None
         return m
 
     @classmethod
@@ -137,6 +143,18 @@ class RationalMatrix:
             for j in range(i + 1, self.ncols)
         )
 
+    @property
+    def scaled_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """``(rows, c)``: :func:`scaled_int_rows` of the entries, computed on
+        first use and kept.  The rows are tuples, so no caller can change
+        them; one that eliminates in place takes fresh lists from
+        :func:`scaled_int_rows`."""
+        scaled = self._scaled
+        if scaled is None:
+            rows, c = scaled_int_rows(self._rows)
+            scaled = self._scaled = tuple(map(tuple, rows)), c
+        return scaled
+
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self._rows for x in row)
 
@@ -170,7 +188,7 @@ class RationalMatrix:
         v = as_vector(vec)
         if len(v) != self.ncols:
             raise ShapeError(f"vector length {len(v)} != column count {self.ncols}")
-        rows, c = scaled_int_rows(self._rows)
+        rows, c = self.scaled_rows
         s = lcm(*(x.denominator for x in v))
         w = [x.numerator * (s // x.denominator) for x in v]
         scale = c * s
@@ -333,60 +351,66 @@ class Inertia:
 
 
 def signature(matrix) -> Inertia:
-    """Inertia of a symmetric matrix by exact congruence reduction.
+    """Inertia of a symmetric matrix by exact congruence reduction over integers.
 
-    Nonzero diagonal entries are used as 1x1 pivots; when every remaining
-    diagonal entry vanishes, a nonzero off-diagonal entry provides a 2x2
-    hyperbolic pivot contributing one positive and one negative square.
-    By Sylvester's law of inertia the counts are congruence invariants.
+    The reduction starts from the integer rows of ``c * A`` (``c > 0``, see
+    :attr:`RationalMatrix.scaled_rows`) and keeps only the live block, the
+    rows and columns not yet pivoted on.  The first nonzero diagonal entry
+    ``p`` of the block is a 1x1 pivot: the new block is ``|p|`` times the
+    Schur complement, entries ``|p| a_rs - sign(p) a_rp a_ps``.  When the
+    whole diagonal vanishes, the first nonzero entry ``b`` above it spans a
+    hyperbolic 2x2 pivot ``[[0, b], [b, 0]]``, one positive and one negative
+    square, and the new block is ``b**2`` times its Schur complement,
+    entries ``b**2 a_rs - b (a_ri a_js + a_rj a_is)``.  After each step the
+    block is divided by the gcd of its entries.  Every scale is positive, so
+    each block is congruent to a positive multiple of the ``Fraction``
+    reduction's, with the same pivots chosen, and by Sylvester's law of
+    inertia the counts are those of ``A``.
     """
     m = as_matrix(matrix)
-    if not m.is_symmetric():
+    a, _ = m.scaled_rows
+    n = m.nrows
+    if n != m.ncols or any(a[i][j] != a[j][i] for i in range(n) for j in range(i + 1, n)):
         raise ShapeError("signature needs a symmetric matrix")
-    a = [list(row) for row in m.entries]
-    live = list(range(m.nrows))
-    n_plus = n_minus = n_zero = 0
-    while live:
-        pivot = next((i for i in live if a[i][i] != 0), None)
-        if pivot is not None:
-            p = a[pivot][pivot]
+    n_plus = n_minus = 0
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
+        if k is not None:
+            pivot_row = a[k]
+            p = pivot_row[k]
             if p > 0:
                 n_plus += 1
             else:
                 n_minus += 1
-            live.remove(pivot)
-            for r in live:
-                if a[r][pivot] == 0:
+            q = abs(p)
+            rest_k = pivot_row[:k] + pivot_row[k + 1 :]
+            block = []
+            for r, row in enumerate(a):
+                if r == k:
                     continue
-                f = a[r][pivot] / p
-                for s in live:
-                    a[r][s] -= f * a[pivot][s]
-            continue
-        block = None
-        for pos, i in enumerate(live):
-            for j in live[pos + 1 :]:
-                if a[i][j] != 0:
-                    block = (i, j)
-                    break
-            if block:
-                break
-        if block is None:
-            n_zero += len(live)
-            break
-        i, j = block
-        b = a[i][j]
-        n_plus += 1
-        n_minus += 1
-        live.remove(i)
-        live.remove(j)
-        # Schur complement of the hyperbolic 2x2 block [[0, b], [b, 0]].
-        for r in live:
-            ri, rj = a[r][i], a[r][j]
-            if ri == 0 and rj == 0:
-                continue
-            for s in live:
-                a[r][s] -= (ri * a[j][s] + rj * a[i][s]) / b
-    return Inertia(n_plus, n_minus, n_zero)
+                f = row[k] if p > 0 else -row[k]
+                rest = row[:k] + row[k + 1 :]
+                block.append([q * x - f * y for x, y in zip(rest, rest_k)] if f
+                             else [q * x for x in rest])
+        else:
+            ij = next(((i, j) for i, row in enumerate(a) for j in range(i + 1, len(a)) if row[j]),
+                      None)
+            if ij is None:
+                break  # the live block is zero
+            i, j = ij
+            row_i, row_j = a[i], a[j]
+            b = row_i[j]
+            bb = b * b
+            n_plus += 1
+            n_minus += 1
+            keep = [s for s in range(len(a)) if s != i and s != j]
+            block = []
+            for r in keep:
+                row, ri, rj = a[r], a[r][i], a[r][j]
+                block.append([bb * row[s] - b * (ri * row_j[s] + rj * row_i[s]) for s in keep])
+        g = gcd(*(x for row in block for x in row))
+        a = [[x // g for x in row] for row in block] if g > 1 else block
+    return Inertia(n_plus, n_minus, n - n_plus - n_minus)
 
 
 def leading_principal_minors(matrix) -> tuple[Fraction, ...]:

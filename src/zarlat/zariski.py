@@ -29,9 +29,11 @@ witness with one integer matrix-vector product and runs no elimination.
 ``decompose_bruteforce`` is the independent oracle: it enumerates every
 candidate support, keeps the candidates satisfying all the defining
 conditions, and demands exactly one resulting decomposition.  It decides
-definiteness by ``signature`` and solves by Gaussian elimination over
-``Fraction``, so it shares no elimination with the engine.  The two must
-agree coefficient for coefficient; any divergence is a bug by uniqueness.
+definiteness by ``signature`` (integer congruence reduction), testing a
+subset only when every subset one element smaller is negative definite,
+and solves by Gaussian elimination over ``Fraction``, so it shares no
+elimination with the engine.  The two must agree coefficient for
+coefficient; any divergence is a bug by uniqueness.
 
 All arithmetic is exact; all operations are pure and deterministic.
 ``random_instance`` derives everything from an explicit 64-bit seed through
@@ -257,7 +259,7 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     require_intersection_product(form)
     # Integers throughout: rows of c * gram and A = s * a, with c and s the
     # lcms of the denominators, so r = (c * gram) @ A = c * s * (gram @ a).
-    rows, c = scaled_int_rows(form.gram.entries)
+    rows, c = form.gram.scaled_rows
     s = lcm(*(x.denominator for x in a))
     big_a = [x.numerator * (s // x.denominator) for x in a]
     r = [sum(map(mul, row, big_a)) for row in rows]
@@ -323,6 +325,12 @@ def decompose_bruteforce(
     when a solved coefficient is zero, so acceptance is deduplicated by the
     negative-part vector; anything other than exactly one surviving
     decomposition raises :class:`OracleMismatchError`.
+
+    Every principal submatrix of a negative definite matrix is negative
+    definite (Horn & Johnson, *Matrix Analysis*, 4.3), so a subset is tested
+    by ``signature`` only when each subset one element smaller was found
+    negative definite, whatever its range test gave.  The pruning skips no
+    subset that could be kept, and the enumeration stays exhaustive.
     """
     a = as_divisor(divisor, form.size)
     require_intersection_product(form)
@@ -332,13 +340,21 @@ def decompose_bruteforce(
     gram = form.gram
     ga = gram.matvec(a)
     accepted: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
+    definite = {()}  # the negative definite subsets of the previous size
     for size in range(len(support) + 1):
+        if size:
+            smaller, definite = definite, set()
+            if not smaller:
+                break  # no larger subset can be negative definite
         for subset in combinations(support, size):
             negative = [Fraction(0)] * form.size
             if subset:
+                if any(subset[:i] + subset[i + 1 :] not in smaller for i in range(size)):
+                    continue
                 sub = gram.submatrix(subset)
                 if signature(sub) != Inertia(0, size, 0):
                     continue
+                definite.add(subset)
                 solution = solve(sub, [ga[j] for j in subset])
                 if any(x < 0 or x > a[j] for j, x in zip(subset, solution)):
                     continue
@@ -390,7 +406,7 @@ def decomposition_checks(
     p, n = as_vector(dec.positive), dec.negative
     if len(p) != form.size:
         raise ShapeError(f"positive part has {len(p)} coefficients, form has {form.size}")
-    rows, _ = scaled_int_rows(form.gram.entries)
+    rows, _ = form.gram.scaled_rows
     (big_p,), _ = scaled_int_rows([p])
     # A positive multiple of gram @ P: the same signs, and zero pairing with N
     # exactly when q(P, N) == 0.

@@ -191,6 +191,118 @@ def random_unimodular(ops, n):
     return rows
 
 
+def rational_symmetric(max_size=5, lo=-9, hi=9, denominator_max=4):
+    """Symmetric matrices of exact rationals, sizes 0..max_size."""
+    entry = st.builds(Fraction, st.integers(lo, hi), st.integers(1, denominator_max))
+    return st.integers(0, max_size).flatmap(
+        lambda n: st.lists(
+            st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
+        ).map(symmetric_from)
+    )
+
+
+def fraction_signature(rows):
+    """Reference: congruence reduction over ``Fraction`` with the pivot
+    order of ``signature`` (first nonzero diagonal entry, else the first
+    nonzero entry above it as a hyperbolic 2x2 block), dividing as it goes."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    live = list(range(len(a)))
+    n_plus = n_minus = n_zero = 0
+    while live:
+        pivot = next((i for i in live if a[i][i] != 0), None)
+        if pivot is not None:
+            p = a[pivot][pivot]
+            if p > 0:
+                n_plus += 1
+            else:
+                n_minus += 1
+            live.remove(pivot)
+            for r in live:
+                if a[r][pivot] == 0:
+                    continue
+                f = a[r][pivot] / p
+                for s in live:
+                    a[r][s] -= f * a[pivot][s]
+            continue
+        block = None
+        for pos, i in enumerate(live):
+            for j in live[pos + 1 :]:
+                if a[i][j] != 0:
+                    block = (i, j)
+                    break
+            if block:
+                break
+        if block is None:
+            n_zero += len(live)
+            break
+        i, j = block
+        b = a[i][j]
+        n_plus += 1
+        n_minus += 1
+        live.remove(i)
+        live.remove(j)
+        for r in live:
+            ri, rj = a[r][i], a[r][j]
+            if ri == 0 and rj == 0:
+                continue
+            for s in live:
+                a[r][s] -= (ri * a[j][s] + rj * a[i][s]) / b
+    return Inertia(n_plus, n_minus, n_zero)
+
+
+def charpoly_inertia(rows):
+    """Inertia from the characteristic polynomial, computed by sympy.  Every
+    root of a symmetric matrix is real, so Descartes' rule of signs is exact:
+    the positive roots are the sign changes of the coefficients, the
+    negative ones those of ``p(-x)``, and the zero root's multiplicity is
+    the number of trailing zero coefficients."""
+    import sympy
+
+    n = len(rows)
+    if n == 0:
+        return Inertia(0, 0, 0)
+    ref = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator)
+                              for row in rows for x in row])
+    coeffs = ref.charpoly().all_coeffs()  # degree n down to 0
+
+    def sign_changes(values):
+        signs = [v > 0 for v in values if v != 0]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    n_zero = next(k for k, v in enumerate(reversed(coeffs)) if v != 0)
+    mirrored = [v * (-1) ** (n - k) for k, v in enumerate(coeffs)]
+    return Inertia(sign_changes(coeffs), sign_changes(mirrored), n_zero)
+
+
+def inertia_cases(max_size=5):
+    """Symmetric rational matrices of sizes 0..max_size: dense ones (mostly
+    indefinite), ones with a zero diagonal (hyperbolic pivots only at the
+    start), and ``B diag(e) B^T / q`` through an inner dimension ``r <= n``
+    (singular when ``r < n`` or some ``e_i == 0``)."""
+
+    def zero_diagonal(rows):
+        return [[Fraction(0) if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+
+    def congruent_diagonal(n):
+        return st.integers(0, n).flatmap(lambda r: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+                     min_size=n, max_size=n),
+            st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+            st.integers(1, 4),
+        )).map(lambda drawn: [
+            [Fraction(sum(bi[t] * e * bj[t] for t, e in enumerate(drawn[1])), drawn[2])
+             for bj in drawn[0]]
+            for bi in drawn[0]
+        ])
+
+    return st.one_of(
+        rational_symmetric(max_size),
+        rational_symmetric(max_size).map(zero_diagonal),
+        st.integers(0, max_size).flatmap(congruent_diagonal),
+    )
+
+
 class TestSignature:
     def test_hyperbolic_plane(self):
         assert signature([[0, 1], [1, 0]]) == Inertia(1, 1, 0)
@@ -209,6 +321,33 @@ class TestSignature:
     def test_asymmetric_rejected(self):
         with pytest.raises(ShapeError):
             signature([[1, 2], [3, 4]])
+        with pytest.raises(ShapeError):
+            signature([["1/2", 1], ["1/3", 0]])
+        with pytest.raises(ShapeError):
+            signature([[1, 2]])
+
+    def test_empty(self):
+        assert signature([]) == Inertia(0, 0, 0)
+
+    def test_zero_diagonal_then_one_by_one(self):
+        # eigenvalues 2, -1, -1: a hyperbolic pivot leaves the 1x1 block [-2/1]
+        assert signature([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == Inertia(1, 2, 0)
+        assert signature([[0] * 3] * 3) == Inertia(0, 0, 3)
+
+    def test_rational_entries(self):
+        assert signature([["-1/2", "1/3"], ["1/3", "-1/2"]]) == Inertia(0, 2, 0)
+        assert signature([["1/6", "1/2"], ["1/2", "3/2"]]) == Inertia(1, 0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(inertia_cases())
+    def test_against_fraction_reduction(self, rows):
+        assert signature(rows) == fraction_signature(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inertia_cases(max_size=4))
+    def test_against_sympy_charpoly(self, rows):
+        pytest.importorskip("sympy")
+        assert signature(rows) == charpoly_inertia(rows)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -324,16 +463,6 @@ class TestSmithNormalForm:
         s = smith_normal_form(rows)
         assert list(s.diagonal) == expected + [0] * (n - len(expected))
         assert s.verify()
-
-
-def rational_symmetric(max_size=5, lo=-9, hi=9, denominator_max=4):
-    """Symmetric matrices of exact rationals, sizes 0..max_size."""
-    entry = st.builds(Fraction, st.integers(lo, hi), st.integers(1, denominator_max))
-    return st.integers(0, max_size).flatmap(
-        lambda n: st.lists(
-            st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
-        ).map(symmetric_from)
-    )
 
 
 def is_nd(rows):

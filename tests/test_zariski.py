@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -395,6 +396,63 @@ class TestWitnessCheck:
             monkeypatch.setattr(module, name, raising)
         for form, divisor, dec in decs:
             assert all(decomposition_checks(form, divisor, dec).values())
+
+
+class TestOracleIndependence:
+    """The oracle's pruning rule, its independence from the engine's pass,
+    and the integer rows it shares with the engine through the Gram cache."""
+
+    def test_pruning_rule(self, corpus_1000, monkeypatch):
+        # A subset is negative definite exactly when every subset one element
+        # smaller is and its own inertia is (0, |S|, 0); the reference verdict
+        # is the Sylvester pass, which the oracle does not run.  The oracle
+        # calls signature on exactly the subsets passing the first half.
+        checked = candidates = 0
+        for form, divisor in corpus_1000:
+            support = support_of(divisor)
+            definite = {(): True}
+            for size in range(1, len(support) + 1):
+                for subset in combinations(support, size):
+                    sub = form.gram.submatrix(subset)
+                    definite[subset] = linalg.is_negative_definite(sub)
+                    hereditary = all(definite[subset[:i] + subset[i + 1 :]] for i in range(size))
+                    rule = hereditary and signature(sub) == Inertia(0, size, 0)
+                    assert definite[subset] == rule, (form.gram, subset)
+                    checked += 1
+                    candidates += hereditary
+        assert checked > 10_000 and candidates < checked / 2
+        calls = []
+        monkeypatch.setattr(zariski, "signature", lambda m: calls.append(m) or signature(m))
+        for form, divisor in corpus_1000:
+            decompose_bruteforce(form, divisor)
+        assert len(calls) == candidates
+
+    def test_runs_without_engine_pass(self, corpus_1000, monkeypatch):
+        expected = [(dec.positive, dec.negative)
+                    for dec in (decompose(form, divisor) for form, divisor in corpus_1000)]
+
+        def raising(*args, **kwargs):
+            raise AssertionError("the oracle ran the engine's pass")
+
+        monkeypatch.setattr(linalg, "sylvester_pass", raising)
+        monkeypatch.setattr(zariski, "sylvester_pass", raising)
+        for (form, divisor), parts in zip(corpus_1000, expected):
+            oracle = decompose_bruteforce(form, divisor)
+            assert (oracle.positive, oracle.negative) == parts
+
+    def test_cached_rows_not_aliased(self, corpus):
+        for form, divisor in corpus[:100]:
+            dec = decompose(form, divisor)  # fills the cache
+            gd = form.gram.matvec(divisor)
+            rows, _ = form.gram.scaled_rows
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            _, fresh, _ = zariski.support_rows(form, range(form.size))
+            linalg.sylvester_pass(fresh)
+            _, fresh, _ = zariski.support_rows(form, range(form.size))
+            for row in fresh:
+                row[:] = [7] * len(row)
+            assert decompose(form, divisor) == dec
+            assert form.gram.matvec(divisor) == gd
 
 
 def laplace_det(rows):
