@@ -22,6 +22,13 @@ environment variable or a keyword); beyond the guard the value is kept as
 an exact symbolic descriptor carrying the precise integer argument, so
 equality tests stay exact either way.
 
+Materialized values print in full: :func:`decimal_string` renders an int of
+any size by divide and conquer over :mod:`decimal`, in quasi-linear time and
+without CPython's limit on int-to-str conversion (4300 digits by default).
+Bound values are :class:`BigInt`/:class:`BigFraction` instances, whose
+``str()`` goes through it, and the deferred descriptors render their
+arguments the same way.
+
 ``cramer_analysis`` ties decompositions to determinants: on an integral
 instance it reconstructs the negative-part coefficients as ratios of
 column-replaced determinants to the support Gram determinant, which is why
@@ -30,6 +37,7 @@ every denominator divides ``|det|``.  ``instance_failures`` is the ``zarlat fuzz
 
 from __future__ import annotations
 
+import decimal
 import math
 import os
 from dataclasses import dataclass
@@ -69,6 +77,86 @@ def factorial_guard(override: Optional[int] = None) -> int:
     return guard
 
 
+# Ints of at most this many bits (at most 4215 decimal digits) stay under the
+# interpreter's default 4300-digit conversion limit and use the builtin.
+_BUILTIN_STR_BITS = 14_000
+# Leaves of the divide and conquer: small enough for a direct conversion.
+_LEAF_BITS = 128
+
+
+def decimal_string(n: int) -> str:
+    """``n`` in decimal, exactly as ``int.__str__`` writes it, at any size.
+
+    Above the default conversion limit the value is split as
+    ``n = hi * 2**h + lo``, ``h`` half its bit length, down to 128-bit
+    leaves, and reassembled in :mod:`decimal` arithmetic, whose large
+    products are subquadratic; each power of two is computed once per call.
+    This is ``int_to_decimal_string`` from CPython 3.12's ``Lib/_pylong.py``
+    (gh-90716).
+    """
+    if n.bit_length() <= _BUILTIN_STR_BITS:
+        return int.__repr__(n)
+    two = decimal.Decimal(2)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        result = powers.get(w)
+        if result is None:
+            if w <= _LEAF_BITS:
+                result = two ** w
+            elif w - 1 in powers:
+                result = powers[w - 1] + powers[w - 1]
+            else:
+                # The smaller half first, so an odd ``w`` finds ``w - 1`` cached.
+                result = power(w >> 1) * power(w - (w >> 1))
+            powers[w] = result
+        return result
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, w - half) * power(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(n), abs(n).bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
+class BigInt(int):
+    """A materialized bound: an ``int`` whose ``str()`` works at any size."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return decimal_string(self)
+
+    __str__ = __repr__
+
+
+class BigFraction(Fraction):
+    """A materialized Chow degree: a ``Fraction`` whose ``str()`` works at any size."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return _fraction_string(self)
+
+    def __repr__(self) -> str:
+        return f"BigFraction({decimal_string(self.numerator)}, {decimal_string(self.denominator)})"
+
+
+def _fraction_string(q: Fraction) -> str:
+    if q.denominator == 1:
+        return decimal_string(q.numerator)
+    return f"{decimal_string(q.numerator)}/{decimal_string(q.denominator)}"
+
+
 @dataclass(frozen=True)
 class DeferredFactorial:
     """Exact value ``times * factorial(factorial_of)``, kept symbolic."""
@@ -77,11 +165,11 @@ class DeferredFactorial:
     times: int = 1
 
     def __str__(self) -> str:
-        prefix = f"{self.times} * " if self.times != 1 else ""
-        return f"{prefix}({self.factorial_of})!"
+        prefix = f"{decimal_string(self.times)} * " if self.times != 1 else ""
+        return f"{prefix}({decimal_string(self.factorial_of)})!"
 
     def to_json_dict(self) -> dict:
-        return {"factorial_of": str(self.factorial_of), "times": str(self.times)}
+        return {"factorial_of": decimal_string(self.factorial_of), "times": decimal_string(self.times)}
 
 
 @dataclass(frozen=True)
@@ -92,10 +180,10 @@ class DeferredReverse:
     card: int
 
     def __str__(self) -> str:
-        return f"d! * d * {self.card} with d = {self.denominator}"
+        return f"d! * d * {decimal_string(self.card)} with d = {self.denominator}"
 
     def to_json_dict(self) -> dict:
-        return {"reverse_of": self.denominator.to_json_dict(), "card": str(self.card)}
+        return {"reverse_of": self.denominator.to_json_dict(), "card": decimal_string(self.card)}
 
 
 @dataclass(frozen=True)
@@ -107,23 +195,23 @@ class DeferredPower:
     scale: Fraction
 
     def __str__(self) -> str:
-        return f"{self.scale} * ({self.base})**{self.exponent}"
+        return f"{_fraction_string(self.scale)} * ({self.base})**{decimal_string(self.exponent)}"
 
     def to_json_dict(self) -> dict:
         return {
             "power_of": self.base.to_json_dict(),
-            "exponent": str(self.exponent),
-            "scale": str(self.scale),
+            "exponent": decimal_string(self.exponent),
+            "scale": _fraction_string(self.scale),
         }
 
 
-BoundValue = Union[int, DeferredFactorial]
+BoundValue = Union[BigInt, DeferredFactorial]
 
 
 def _factorial_times(argument: int, times: int, guard: Optional[int]) -> BoundValue:
     if argument <= factorial_guard(guard):
-        return times * math.factorial(argument)
-    return DeferredFactorial(factorial_of=argument, times=times)
+        return BigInt(times * math.factorial(argument))
+    return DeferredFactorial(factorial_of=BigInt(argument), times=BigInt(times))
 
 
 def denominator_bound(b: int, rho: int, guard: Optional[int] = None) -> BoundValue:
@@ -161,7 +249,7 @@ def birationality_bound(n: int, card: int, rho: int, guard: Optional[int] = None
     return _factorial_times((4 * card) ** (rho - 1), prefactor, guard)
 
 
-def chow_degree_bound(n: int, volume, m0) -> Union[Fraction, DeferredPower]:
+def chow_degree_bound(n: int, volume, m0) -> Union[BigFraction, DeferredPower]:
     """Degree bound ``m0**(2n) * C`` for the image in projective space."""
     n = int(n)
     if n < 1:
@@ -174,7 +262,7 @@ def chow_degree_bound(n: int, volume, m0) -> Union[Fraction, DeferredPower]:
     m0 = int(m0)
     if m0 < 1:
         raise DomainError(f"birationality multiple must be positive, got {m0}")
-    return Fraction(m0) ** (2 * n) * c
+    return BigFraction(Fraction(m0) ** (2 * n) * c)
 
 
 @dataclass(frozen=True)
@@ -183,9 +271,9 @@ class BoundSet:
 
     rho: int
     denominator_bound: BoundValue
-    reverse_negativity_bound: Union[int, DeferredFactorial, DeferredReverse]
+    reverse_negativity_bound: Union[BigInt, DeferredFactorial, DeferredReverse]
     birationality_multiple: BoundValue
-    chow_degree: Union[Fraction, DeferredPower]
+    chow_degree: Union[BigFraction, DeferredPower]
 
 
 @dataclass(frozen=True)

@@ -15,23 +15,25 @@ Exit codes, stable and documented:
 * 3 — engine and brute-force oracle disagreed
 * 4 — a verified property failed or raised (fuzz run, table cross-check)
 
-Values are checked once, by the library: rationals (problem entries,
-``--volume``) follow the one grammar of :func:`zarlat.linalg.as_rational`,
-and preset aliases and block names are those of :mod:`zarlat.lattice`.
-Floating-point JSON literals are rejected at parse time.  Identical input
-and flags produce byte-identical output: dictionaries are built in a fixed
-key order and all randomness flows from explicit seeds.
+A problem file is checked against the structure of
+``schemas/problem.schema.json`` by a hand-written check that accepts and
+rejects the same documents as a JSON Schema validator, so no validator is
+imported at run time.  Values are checked once, by the library: rationals
+(problem entries, ``--volume``) follow the one grammar of
+:func:`zarlat.linalg.as_rational`, and preset aliases and block names are
+those of :mod:`zarlat.lattice`.  Floating-point JSON literals are rejected at
+parse time.  Identical input and flags produce byte-identical output:
+dictionaries are built in a fixed key order and all randomness flows from
+explicit seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from importlib import resources
 from typing import Optional, Sequence
-
-import jsonschema
 
 from . import bounds as bounds_mod
 from . import lattice as lattice_mod
@@ -66,9 +68,75 @@ def _nonnegative(value: int, flag: str) -> int:
     return value
 
 
-# jsonschema's messages embed the repr of the offending value, which can be
+# A type error's message embeds the repr of the offending value, which can be
 # as large as the file; the error line keeps this many characters of it.
 _SCHEMA_MESSAGE_LIMIT = 200
+
+# The ``rational`` pattern of problem.schema.json, matched with ``re.search``
+# as JSON Schema does, so ``"3\n"`` passes here and fails in the library.
+_RATIONAL_PATTERN = "^-?[0-9]+(/[1-9][0-9]*)?$"
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "integer": int}
+
+
+class _SchemaViolation(Exception):
+    """A problem document breaks problem.schema.json at ``where``."""
+
+    def __init__(self, where: str, message: str):
+        super().__init__(message)
+        self.where = where
+
+
+def _typed(value, kind: str, where: str):
+    if not isinstance(value, _JSON_TYPES[kind]) or (kind == "integer" and isinstance(value, bool)):
+        raise _SchemaViolation(where, f"{value!r} is not of type {kind!r}")
+    return value
+
+
+def _nonempty(value, kind: str, where: str):
+    if not _typed(value, kind, where):
+        raise _SchemaViolation(where, f"{value!r} should be non-empty")
+    return value
+
+
+def _object(value, where: str, names: tuple, required: tuple = ()) -> dict:
+    _typed(value, "object", where)
+    for name in required:
+        if name not in value:
+            raise _SchemaViolation(where, f"{name!r} is a required property")
+    extra = [name for name in value if name not in names]
+    if extra:
+        verb = "was" if len(extra) == 1 else "were"
+        listed = ", ".join(map(repr, extra))
+        raise _SchemaViolation(where, f"Additional properties are not allowed ({listed} {verb} unexpected)")
+    return value
+
+
+def _rationals(values, where: str) -> None:
+    for i, value in enumerate(_nonempty(values, "array", where)):
+        if isinstance(value, str):
+            if not re.search(_RATIONAL_PATTERN, value):
+                raise _SchemaViolation(f"{where}[{i}]", f"{value!r} does not match {_RATIONAL_PATTERN!r}")
+        elif not isinstance(value, int) or isinstance(value, bool):
+            raise _SchemaViolation(f"{where}[{i}]", f"{value!r} is not valid under any of the given schemas")
+
+
+def _check_problem(raw) -> None:
+    """Raise :class:`_SchemaViolation` where ``raw`` breaks problem.schema.json.
+
+    ``raw`` comes from ``json.load`` with floats rejected, so a JSON integer
+    is exactly an ``int`` that is not a ``bool``.
+    """
+    _object(raw, "$", ("labels", "gram", "divisor", "options"), ("labels", "gram", "divisor"))
+    for i, label in enumerate(_nonempty(raw["labels"], "array", "$.labels")):
+        _nonempty(label, "string", f"$.labels[{i}]")
+    for i, row in enumerate(_nonempty(raw["gram"], "array", "$.gram")):
+        _rationals(row, f"$.gram[{i}]")
+    _rationals(raw["divisor"], "$.divisor")
+    options = _object(raw.get("options", {}), "$.options", ("verify_oracle", "oracle_limit"))
+    _typed(options.get("verify_oracle", False), "boolean", "$.options.verify_oracle")
+    limit = options.get("oracle_limit", 1)
+    if _typed(limit, "integer", "$.options.oracle_limit") < 1:
+        raise _SchemaViolation("$.options.oracle_limit", f"{limit!r} is less than the minimum of 1")
 
 
 def _reject_float(text: str):
@@ -78,27 +146,27 @@ def _reject_float(text: str):
 
 
 def load_problem(path: str):
-    """Parse and validate a problem file; returns (form, divisor, options).
+    """Parse and check a problem file; returns (form, divisor, options).
 
-    The schema checks types and grammar, the library constructors shape,
-    symmetry and nonnegativity; every failure is a DomainError naming ``path``.
+    :func:`_check_problem` checks types and grammar, the library
+    constructors shape, symmetry and nonnegativity; every failure is a
+    DomainError naming ``path``.
     """
-    schema = resources.files("zarlat").joinpath("schemas/problem.schema.json")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle, parse_float=_reject_float, parse_constant=_reject_float)
-        jsonschema.validate(raw, json.loads(schema.read_text(encoding="utf-8")))
+        _check_problem(raw)
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except jsonschema.ValidationError as exc:
-        message = exc.message
+    except _SchemaViolation as exc:
+        message = str(exc)
         if len(message) > _SCHEMA_MESSAGE_LIMIT:
             message = message[:_SCHEMA_MESSAGE_LIMIT] + "..."
-        raise DomainError(f"{path}: schema violation at {exc.json_path}: {message}") from exc
+        raise DomainError(f"{path}: schema violation at {exc.where}: {message}") from exc
     except RecursionError:
-        # json and jsonschema both recurse once per nesting level.
+        # json.load, and the repr in a schema message, recurse once per nesting level.
         raise DomainError(f"{path}: JSON nested too deeply") from None
     try:
         form = zariski.IntersectionForm.from_rows(raw["labels"], raw["gram"])
@@ -359,21 +427,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # Materialized bounds are exact big integers by design (a factorial just
-    # under the guard has ~half a million digits); lift CPython's int-to-str
-    # conversion limit so serializing them cannot fail.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # Flags, problem files and decompose results may hold integers longer
+    # than CPython's int/str conversion limit; lift it while the command runs
+    # and give the caller back the limit it had.  Bound values render through
+    # bounds.decimal_string, which needs no lift.
+    previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if previous is not None:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # from argparse: usage errors and --help
+        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     except ZarlatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 def entrypoint() -> None:

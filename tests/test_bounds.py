@@ -1,16 +1,24 @@
+import contextlib
+import io
+import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zarlat import bounds, zariski
+from zarlat import bounds, cli, zariski
 from zarlat.bounds import (
+    BigFraction,
+    BigInt,
     DeferredFactorial,
     DeferredPower,
     DeferredReverse,
     birationality_bound,
     chow_degree_bound,
     cramer_analysis,
+    decimal_string,
     denominator_bound,
     det_trace_bound_holds,
     factorial_guard,
@@ -252,6 +260,20 @@ class TestInstanceFailures:
             instance_failures(form, divisor, 8, seed)
 
 
+# The interpreter's default limit on int-to-str conversion, in digits.
+DEFAULT_STR_DIGITS = 4300
+
+
+@contextlib.contextmanager
+def int_str_limit(digits):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 class TestDeferredStrings:
     def test_factorial(self):
         assert str(DeferredFactorial(8**20)) == "(1152921504606846976)!"
@@ -263,6 +285,112 @@ class TestDeferredStrings:
     def test_power(self):
         value = DeferredPower(base=DeferredFactorial(8**20, 21), exponent=4, scale=Fraction(1, 2))
         assert str(value) == "1/2 * (21 * (1152921504606846976)!)**4"
+
+    def test_plain_big_arguments(self):
+        # Descriptors built from plain ints render without a lifted limit too.
+        big = 10**5000
+        digits = "1" + "0" * 5000
+        with int_str_limit(DEFAULT_STR_DIGITS):
+            factorial = DeferredFactorial(big, big)
+            assert str(factorial) == f"{digits} * ({digits})!"
+            assert factorial.to_json_dict() == {"factorial_of": digits, "times": digits}
+            reverse = DeferredReverse(factorial, big)
+            assert reverse.to_json_dict()["card"] == digits and str(reverse).startswith(f"d! * d * {digits} ")
+            power = DeferredPower(factorial, big, Fraction(big, 3))
+            assert power.to_json_dict()["exponent"] == digits and power.to_json_dict()["scale"] == f"{digits}/3"
+            assert str(power) == f"{digits}/3 * ({digits} * ({digits})!)**{digits}"
+
+
+def _near_powers_of_two():
+    """Beside 128-bit leaves, their halvings and doublings, and the builtin threshold."""
+    top = bounds._BUILTIN_STR_BITS
+    widths = [1, 64, 127, 128, 129, 255, 256, 257, 511, 512, top - 1, top, top + 1, 3 * top]
+    return st.builds(lambda w, d: max(0, (1 << w) + d), st.sampled_from(widths), st.integers(-2, 2))
+
+
+def _render_cases():
+    """0, 10**k +- 1, values beside powers of two, and random ones up to 40,000 bits."""
+    magnitudes = st.one_of(
+        st.just(0),
+        st.builds(lambda k, d: 10**k + d, st.integers(0, 12_000), st.sampled_from([-1, 0, 1])),
+        _near_powers_of_two(),
+        st.binary(max_size=5000).map(lambda b: int.from_bytes(b, "big")),
+    )
+    return st.builds(lambda m, negative: -m if negative else m, magnitudes, st.booleans())
+
+
+def _cli_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return json.loads(out.getvalue())
+
+
+def _library_json(value):
+    return value.to_json_dict() if hasattr(value, "to_json_dict") else str(value)
+
+
+class TestDecimalString:
+    @settings(max_examples=150, deadline=None)
+    @given(_render_cases())
+    def test_matches_builtin(self, n):
+        with int_str_limit(0):
+            expected = str(n)
+        assert decimal_string(n) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(_render_cases())
+    def test_divide_and_conquer_matches_builtin_below_threshold(self, n):
+        # With the threshold at 0 every value takes the decimal route, so
+        # small ones exercise the 128-bit leaves and their neighbours.
+        with int_str_limit(0):
+            expected = str(n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_BUILTIN_STR_BITS", 0)
+            assert decimal_string(n) == expected
+
+    def test_no_lifted_limit_needed(self):
+        n = -(10**20_000 + 1)
+        with int_str_limit(DEFAULT_STR_DIGITS):
+            text = decimal_string(n)
+        assert text == "-1" + "0" * 19_999 + "1"
+
+    def test_big_values_behave_as_numbers(self):
+        value = BigInt(math.factorial(2000))
+        assert isinstance(value, int) and value == math.factorial(2000)
+        assert hash(value) == hash(math.factorial(2000)) and {value: 1}[math.factorial(2000)] == 1
+        assert type(value + 1) is int and str(BigInt(-12)) == repr(BigInt(-12)) == "-12"
+        q = BigFraction(Fraction(-10**5000, 3))
+        assert q == Fraction(-10**5000, 3) and hash(q) == hash(Fraction(-10**5000, 3))
+        assert str(BigFraction(7)) == "7"
+        with int_str_limit(DEFAULT_STR_DIGITS):
+            assert str(q) == "-1" + "0" * 5000 + "/3"
+            assert repr(q) == "BigFraction(-1" + "0" * 5000 + ", 3)"
+
+
+class TestLibraryStrings:
+    """``str()`` of bound values needs no lifted conversion limit."""
+
+    def test_reverse_bound_matches_cli(self):
+        cli_value = _cli_json(["bounds", "K3n:2", "--rho", "2"])["rho_specific"]["reverse_negativity_bound"]
+        with int_str_limit(DEFAULT_STR_DIGITS):
+            value = full_report(preset("K3n", 2), 2).at_rho.reverse_negativity_bound
+            assert str(value) == repr(value) == cli_value
+        assert len(cli_value) == 168_192 and value == math.factorial(40320) * 40320 * 2
+
+    def test_deferred_descriptors_render(self):
+        expected = _cli_json(["bounds", "K3n:2", "--rho", "5"])
+        with int_str_limit(DEFAULT_STR_DIGITS):
+            report = full_report(preset("K3n", 2), 5)
+            values = [getattr(s, name) for s in (report.at_rho, report.uniform)
+                      for name in ("denominator_bound", "reverse_negativity_bound",
+                                   "birationality_multiple", "chow_degree")]
+            texts = [str(v) for v in values] + [repr(v) for v in values]
+            rendered = [_library_json(v) for v in values[:4]]
+        assert isinstance(report.at_rho.reverse_negativity_bound, DeferredFactorial)
+        assert len(str(report.at_rho.reverse_negativity_bound)) > 26_000 and all(texts)
+        assert rendered == [expected["rho_specific"][key] for key in (
+            "denominator_bound", "reverse_negativity_bound", "birationality_m0", "chow_degree")]
 
 
 class TestDenominatorBound:

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zarlat import bounds, cli
 from zarlat import zariski
@@ -32,12 +35,14 @@ def assert_one_error(code, out, err, expected_code=1):
 SCHEMA_DIR = None
 
 
-def result_schema():
+def packaged_schema(name):
     import importlib.resources as resources
 
-    return json.loads(
-        resources.files("zarlat").joinpath("schemas/result.schema.json").read_text()
-    )
+    return json.loads(resources.files("zarlat").joinpath(f"schemas/{name}").read_text())
+
+
+def result_schema():
+    return packaged_schema("result.schema.json")
 
 
 class TestDecompose:
@@ -154,7 +159,7 @@ class TestDecompose:
         assert code == 1 and "schema" in err
 
     def test_schema_message_capped(self, tmp_path, capsys):
-        # jsonschema's message carries the repr of the whole 200000-element label
+        # The type error's message carries the repr of the whole 200000-element label
         path = write_problem(
             tmp_path, {"labels": [list(range(200_000))], "gram": [[-2]], "divisor": ["1"]}
         )
@@ -525,3 +530,204 @@ class TestSchemas:
             code, out, _ = run_cli(capsys, "decompose", path)
             assert code == 0
             jsonschema.validate(json.loads(out), schema)
+
+
+OK_PROBLEM = {"labels": ["E"], "gram": [[-2]], "divisor": ["1"]}
+
+# Problem documents that the hand check and the schema must judge alike.
+PROBLEM_CORPUS = {
+    "ok": OK_PROBLEM,
+    "all options": dict(OK_PROBLEM, options={"verify_oracle": False, "oracle_limit": 1}),
+    "empty options": dict(OK_PROBLEM, options={}),
+    "rational forms": dict(OK_PROBLEM, gram=[[0, "-5/7", "12"]], divisor=["0/1", -3, "3\n"]),
+    "root list": [OK_PROBLEM],
+    "root string": "problem",
+    "root null": None,
+    "empty object": {},
+    "missing divisor": {"labels": ["E"], "gram": [[-2]]},
+    "missing labels": {"gram": [[-2]], "divisor": ["1"]},
+    "extra key": dict(OK_PROBLEM, extra=1),
+    "two extra keys": dict(OK_PROBLEM, extra=1, more=[]),
+    "labels not array": dict(OK_PROBLEM, labels="E"),
+    "labels empty": dict(OK_PROBLEM, labels=[]),
+    "label empty": dict(OK_PROBLEM, labels=["E", ""]),
+    "label integer": dict(OK_PROBLEM, labels=[3]),
+    "label boolean": dict(OK_PROBLEM, labels=[True]),
+    "gram empty": dict(OK_PROBLEM, gram=[]),
+    "gram row empty": dict(OK_PROBLEM, gram=[[]]),
+    "gram row not array": dict(OK_PROBLEM, gram=[-2]),
+    "ragged gram": dict(OK_PROBLEM, gram=[[1, 2], [2]]),
+    "boolean entry": dict(OK_PROBLEM, gram=[[True]]),
+    "null entry": dict(OK_PROBLEM, gram=[[None]]),
+    "object entry": dict(OK_PROBLEM, divisor=[{}]),
+    "list entry": dict(OK_PROBLEM, divisor=[["1"]]),
+    "trailing newline": dict(OK_PROBLEM, divisor=["3\n"]),
+    "leading newline": dict(OK_PROBLEM, divisor=["\n3"]),
+    "plus sign": dict(OK_PROBLEM, divisor=["+3"]),
+    "zero denominator": dict(OK_PROBLEM, divisor=["3/0"]),
+    "negative denominator": dict(OK_PROBLEM, divisor=["3/-4"]),
+    "decimal string": dict(OK_PROBLEM, gram=[["1.5"]]),
+    "exponent string": dict(OK_PROBLEM, gram=[["1e3"]]),
+    "leading space": dict(OK_PROBLEM, gram=[[" 3"]]),
+    "empty string": dict(OK_PROBLEM, divisor=[""]),
+    "divisor empty": dict(OK_PROBLEM, divisor=[]),
+    "divisor not array": dict(OK_PROBLEM, divisor="1"),
+    "options not object": dict(OK_PROBLEM, options=[]),
+    "options extra key": dict(OK_PROBLEM, options={"verify": True}),
+    "verify_oracle integer": dict(OK_PROBLEM, options={"verify_oracle": 1}),
+    "verify_oracle string": dict(OK_PROBLEM, options={"verify_oracle": "true"}),
+    "oracle_limit zero": dict(OK_PROBLEM, options={"oracle_limit": 0}),
+    "oracle_limit negative": dict(OK_PROBLEM, options={"oracle_limit": -4}),
+    "oracle_limit boolean": dict(OK_PROBLEM, options={"oracle_limit": True}),
+    "oracle_limit string": dict(OK_PROBLEM, options={"oracle_limit": "3"}),
+    "oracle_limit null": dict(OK_PROBLEM, options={"oracle_limit": None}),
+}
+
+
+def hand_verdict(document):
+    """``None`` when the hand check accepts, else its (path, message)."""
+    try:
+        cli._check_problem(document)
+    except cli._SchemaViolation as exc:
+        return exc.where, str(exc)
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def problem_validator():
+    return jsonschema.Draft202012Validator(packaged_schema("problem.schema.json"))
+
+
+def schema_errors(document):
+    return list(problem_validator().iter_errors(document))
+
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text("-0123/a \n", max_size=4))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=2)
+                           | st.dictionaries(st.sampled_from(["a", "oracle_limit"]), inner, max_size=2),
+                           max_leaves=4)
+GOOD_RATIONALS = st.one_of(st.integers(-3, 3), st.sampled_from(["3", "-5/7", "0/1", "-0", "3\n"]))
+BAD_VALUES = st.one_of(JSON_VALUES, st.text("-+0123/ \n.e", max_size=5),
+                       st.sampled_from(["", "+3", "3/0", "1.5", "\n3", [], {}, True, 0, -1]))
+VALID_PROBLEMS = st.fixed_dictionaries(
+    {
+        "labels": st.lists(st.text("Ea", min_size=1, max_size=2), min_size=1, max_size=3),
+        "gram": st.lists(st.lists(GOOD_RATIONALS, min_size=1, max_size=3), min_size=1, max_size=3),
+        "divisor": st.lists(GOOD_RATIONALS, min_size=1, max_size=3),
+    },
+    optional={"options": st.fixed_dictionaries(
+        {}, optional={"verify_oracle": st.booleans(), "oracle_limit": st.integers(1, 3)})},
+)
+
+
+@st.composite
+def problem_documents(draw):
+    """A valid problem document, left whole or broken at one drawn place."""
+    doc = draw(VALID_PROBLEMS)
+    place = draw(st.sampled_from(["none", "root", "drop", "extra", "field", "label", "row",
+                                  "gram entry", "divisor entry", "option"]))
+    bad = draw(BAD_VALUES)
+    if place == "root":
+        return bad
+    if place == "drop":
+        del doc[draw(st.sampled_from(["labels", "gram", "divisor"]))]
+    elif place == "extra":
+        doc[draw(st.sampled_from(["extra", "Labels", "oracle_limit"]))] = bad
+    elif place == "field":
+        doc[draw(st.sampled_from(["labels", "gram", "divisor", "options"]))] = bad
+    elif place == "label":
+        doc["labels"][draw(st.integers(0, len(doc["labels"]) - 1))] = bad
+    elif place == "row":
+        doc["gram"][draw(st.integers(0, len(doc["gram"]) - 1))] = bad
+    elif place == "gram entry":
+        row = doc["gram"][draw(st.integers(0, len(doc["gram"]) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = bad
+    elif place == "divisor entry":
+        doc["divisor"][draw(st.integers(0, len(doc["divisor"]) - 1))] = bad
+    elif place == "option":
+        doc.setdefault("options", {})[draw(st.sampled_from(["verify_oracle", "oracle_limit", "other"]))] = bad
+    return doc
+
+
+class TestProblemCheck:
+    """The hand check in ``load_problem`` against ``problem.schema.json``."""
+
+    @pytest.mark.parametrize("name", list(PROBLEM_CORPUS))
+    def test_agrees_with_schema(self, name):
+        document = PROBLEM_CORPUS[name]
+        errors = schema_errors(document)
+        verdict = hand_verdict(document)
+        assert (verdict is None) == (not errors)
+        if len(errors) == 1:
+            # What ``jsonschema.validate`` reports; with several violations
+            # the two may name different ones.
+            best = jsonschema.exceptions.best_match(errors)
+            assert verdict == (best.json_path, best.message)
+
+    def test_corpus_has_both_verdicts(self):
+        accepted = [name for name, doc in PROBLEM_CORPUS.items() if hand_verdict(doc) is None]
+        assert accepted == ["ok", "all options", "empty options", "rational forms", "ragged gram",
+                            "trailing newline"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(problem_documents())
+    def test_agrees_with_schema_on_generated_documents(self, document):
+        assert (hand_verdict(document) is None) == (not schema_errors(document))
+
+    @pytest.mark.parametrize("name", ["trailing newline", "rational forms"])
+    def test_schema_accepted_library_rejects(self, tmp_path, capsys, name):
+        # "3\n" passes the schema pattern (search semantics) but not the
+        # library grammar, so it is the library's error that names the file.
+        path = write_problem(tmp_path, PROBLEM_CORPUS[name])
+        code, out, err = run_cli(capsys, "decompose", path)
+        assert_one_error(code, out, err)
+        assert err.startswith(f"error: {path}: ") and "schema violation" not in err
+
+
+# A 5000-digit Gram entry and a 5000-digit divisor numerator: parsing them and
+# printing the result both need more than CPython's default 4300 digits.
+BIG_PROBLEM = ('{"labels": ["E1", "E2"], "gram": [[%s, 1], [1, -2]], "divisor": ["%s/3", "1"]}'
+               % ("7" * 5000, "9" * 5000))
+BIG_PROBLEM_DIGEST = "e35d0c3557853991fb3ffa0019c2ab85418d16ee2429c9994b169ea454a7ca57"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str conversion limit")
+class TestIntStrLimit:
+    def test_big_problem_in_process(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(BIG_PROBLEM)
+        code, out, _ = run_cli(capsys, "decompose", str(path))
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == BIG_PROBLEM_DIGEST
+
+    def test_big_problem_fresh_process(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(BIG_PROBLEM)
+        proc = subprocess.run([sys.executable, "-m", "zarlat", "decompose", str(path)], capture_output=True)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert hashlib.sha256(proc.stdout).hexdigest() == BIG_PROBLEM_DIGEST
+
+    @pytest.mark.parametrize("argv", [["table"], ["lattice", "K3n:3x"], ["bounds", "K3n:2", "--rho", "2"],
+                                      ["decompose"]])
+    @pytest.mark.parametrize("limit", [4300, 5000])
+    def test_main_restores_limit(self, capsys, argv, limit):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            cli.main(argv)
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(previous)
+        capsys.readouterr()
+
+
+class TestImports:
+    @pytest.mark.parametrize("code", [
+        "import zarlat.cli",
+        "from zarlat import cli; cli.main(['decompose', PATH, '--verify-oracle'])",
+    ], ids=["import", "decompose"])
+    def test_no_jsonschema_at_run_time(self, tmp_path, code):
+        path = write_problem(tmp_path, dict(OK_PROBLEM, options={"oracle_limit": 2}))
+        script = f"import sys\nPATH = {path!r}\n{code}\nprint('jsonschema' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"

@@ -37,6 +37,10 @@ COMMANDS = {
     "bounds OG6 rho 2": ["bounds", "OG6", "--rho", "2"],
     "bounds OG10 rho 3 volume": ["bounds", "OG10", "--rho", "3", "--volume", "5/2"],
     "bounds K3n:2 rho 21 deferred": ["bounds", "K3n:2", "--rho", "21"],
+    # A 168,192-digit reverse bound; then a deferred descriptor whose
+    # argument has 13,020 digits beside a 52,084-digit Chow degree.
+    "bounds K3n:2 rho 2 big value": ["bounds", "K3n:2", "--rho", "2"],
+    "bounds K3n:2 rho 5 big deferred": ["bounds", "K3n:2", "--rho", "5"],
     **{
         f"decompose seed {seed}": ["decompose", f"{{dir}}/p{seed}.json", "--verify-oracle"]
         for seed, _ in PROBLEMS
@@ -103,6 +107,12 @@ GOLDEN = {
     ),
     "bounds K3n:2 rho 21 deferred": (
         0, "55b5ba3d86fa4b49c0c301942ca83e52b25a0606180a056154e1919d77ac230e"
+    ),
+    "bounds K3n:2 rho 2 big value": (
+        0, "0df4327d909fed7adf0a776a65f74ad7af8e3077aa7570b71a5ab36a426afde0"
+    ),
+    "bounds K3n:2 rho 5 big deferred": (
+        0, "820863d6548409f945c8ecd5e8d3907bc6b52b6ce519fd9a12f8e38f7408b264"
     ),
     "decompose seed 3": (
         0, "2eb1cd2fd2e51d42afa3131377e2160f64b2fe96464d8730315d6475ed48dc0b"
