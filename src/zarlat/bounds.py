@@ -42,6 +42,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from . import zariski
@@ -473,14 +474,16 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
     b = max(-int(form.gram[i, i]) for i in support)
     check("det_trace_bound", lambda: det_trace_bound_holds(form, support, b))
     # One random nonzero nonnegative combination on the support must pair
-    # negatively with some component and have negative square.
+    # negatively with some component and have negative square; the signs
+    # are read off the rows of c * gram, a positive multiple of the form.
     rng = zariski.SplitMix64(seed ^ 0xD1F7)
-    c = [Fraction(0)] * form.size
-    while all(x == 0 for x in c):
+    combination = [0] * form.size
+    while not any(combination):
         for i in support:
-            c[i] = Fraction(rng.randint(0, 5))
-    gc = form.gram.matvec(c)
-    check("negative_pairing_exists", lambda: any(gc[j] < 0 for j in support))
-    check("negative_square", lambda: sum((x * y for x, y in zip(c, gc)), Fraction(0)) < 0)
+            combination[i] = rng.randint(0, 5)
+    rows, _ = form.gram.scaled_rows
+    pairings = [sum(map(mul, row, combination)) for row in rows]
+    check("negative_pairing_exists", lambda: any(pairings[j] < 0 for j in support))
+    check("negative_square", lambda: sum(map(mul, combination, pairings)) < 0)
     check("certificate_positive", lambda: zariski.exceptional_certificate(form, support).accepted)
     return failures

@@ -33,6 +33,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
@@ -145,13 +146,33 @@ def _reject_float(text: str):
     )
 
 
+@contextmanager
+def _int_str_unlimited():
+    """Lift CPython's int/str conversion limit inside the block and give the
+    caller back the limit it had."""
+    previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
+
+
 def load_problem(path: str):
     """Parse and check a problem file; returns (form, divisor, options).
 
     :func:`_check_problem` checks types and grammar, the library
     constructors shape, symmetry and nonnegativity; every failure is a
-    DomainError naming ``path``.
+    DomainError naming ``path``.  Integer literals and ``p/q`` strings of
+    any length parse, whatever the caller's int/str conversion limit.
     """
+    with _int_str_unlimited():
+        return _load_problem(path)
+
+
+def _load_problem(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle, parse_float=_reject_float, parse_constant=_reject_float)
@@ -428,23 +449,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # Flags, problem files and decompose results may hold integers longer
-    # than CPython's int/str conversion limit; lift it while the command runs
-    # and give the caller back the limit it had.  Bound values render through
+    # than CPython's int/str conversion limit.  Bound values render through
     # bounds.decimal_string, which needs no lift.
-    previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if previous is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:  # from argparse: usage errors and --help
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    except ZarlatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-    finally:
-        if previous is not None:
-            sys.set_int_max_str_digits(previous)
+    with _int_str_unlimited():
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except SystemExit as exc:  # from argparse: usage errors and --help
+            return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+        except ZarlatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def entrypoint() -> None:

@@ -32,8 +32,11 @@ conditions, and demands exactly one resulting decomposition.  It decides
 definiteness by ``signature`` (integer congruence reduction), testing a
 subset only when every subset one element smaller is negative definite,
 and solves by Gaussian elimination over ``Fraction``, so it shares no
-elimination with the engine.  The two must agree coefficient for
-coefficient; any divergence is a bug by uniqueness.
+elimination with the engine.  That ``solve`` is the oracle's only
+``Fraction`` elimination: its range, nef and orthogonality tests, like the
+queries of ``in_nef_region``, run on integer rows of ``c * gram``.  The two
+must agree coefficient for coefficient; any divergence is a bug by
+uniqueness.
 
 All arithmetic is exact; all operations are pure and deterministic.
 ``random_instance`` derives everything from an explicit 64-bit seed through
@@ -122,7 +125,7 @@ def as_divisor(values: Iterable, size: int) -> tuple[Fraction, ...]:
     vec = as_vector(values)
     if len(vec) != size:
         raise ShapeError(f"divisor has {len(vec)} coefficients, form has {size} components")
-    bad = next((i for i, x in enumerate(vec) if x < 0), None)
+    bad = next((i for i, x in enumerate(vec) if x.numerator < 0), None)
     if bad is not None:
         raise DomainError(f"effective divisor needs nonnegative coefficients; entry {bad} is {vec[bad]}")
     return vec
@@ -190,15 +193,23 @@ def in_nef_region(form: IntersectionForm, divisor: Sequence, candidate: Sequence
     True iff ``0 <= b <= a`` entrywise, ``b`` vanishes outside ``supp(a)``,
     and ``(gram @ b)_j >= 0`` for every ``j`` in ``supp(a)``.  The positive
     part of the decomposition is the unique entrywise-maximal member.
+
+    Decided on integers: ``A = t * a`` and ``B = t * b`` for one common
+    denominator ``t``, and the rows of ``c * gram``, whose products with
+    ``B`` are positive multiples of ``(gram @ b)_j``.  ``B <= A`` already
+    makes ``b`` vanish outside ``supp(a)``.
     """
     a = as_divisor(divisor, form.size)
     b = as_vector(candidate)
     if len(b) != form.size:
         raise ShapeError(f"candidate has {len(b)} coefficients, form has {form.size}")
-    if any(x < 0 or x > ai for x, ai in zip(b, a)):
+    t = lcm(*(x.denominator for x in a), *(x.denominator for x in b))
+    big_a = [x.numerator * (t // x.denominator) for x in a]
+    big_b = [x.numerator * (t // x.denominator) for x in b]
+    if any(v < 0 or v > w for v, w in zip(big_b, big_a)):
         return False
-    gb = form.gram.matvec(b)
-    return all(gb[j] >= 0 for j in support_of(a))
+    rows, _ = form.gram.scaled_rows
+    return all(sum(map(mul, row, big_b)) >= 0 for row, w in zip(rows, big_a) if w)
 
 
 @dataclass(frozen=True)
@@ -331,6 +342,12 @@ def decompose_bruteforce(
     by ``signature`` only when each subset one element smaller was found
     negative definite, whatever its range test gave.  The pruning skips no
     subset that could be kept, and the enumeration stays exhaustive.
+
+    ``solve`` over ``Fraction`` is the only elimination per subset.  Its
+    solution, scaled by the lcm ``t`` of its denominators, and ``r``, the
+    integer product of ``c * gram`` with ``s * a``, decide the range, nef
+    and orthogonality tests on integers; every scale is positive, so each
+    test has the verdict of the rational one.
     """
     a = as_divisor(divisor, form.size)
     require_intersection_product(form)
@@ -338,34 +355,42 @@ def decompose_bruteforce(
     if len(support) > limit:
         raise DomainError(f"support size {len(support)} exceeds oracle limit {limit}")
     gram = form.gram
-    ga = gram.matvec(a)
+    # Integers for the acceptance tests: rows of c * gram and A = s * a, so
+    # r = (c * gram) @ A = c * s * (gram @ a).
+    rows, c = gram.scaled_rows
+    s = lcm(*(x.denominator for x in a))
+    big_a = [x.numerator * (s // x.denominator) for x in a]
+    r = [sum(map(mul, row, big_a)) for row in rows]
     accepted: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
+    if all(v >= 0 for v in r):
+        accepted[(Fraction(0),) * form.size] = ()  # D is nef: N = 0
     definite = {()}  # the negative definite subsets of the previous size
-    for size in range(len(support) + 1):
-        if size:
-            smaller, definite = definite, set()
-            if not smaller:
-                break  # no larger subset can be negative definite
+    for size in range(1, len(support) + 1):
+        smaller, definite = definite, set()
+        if not smaller:
+            break  # no larger subset can be negative definite
         for subset in combinations(support, size):
+            if any(subset[:i] + subset[i + 1 :] not in smaller for i in range(size)):
+                continue
+            sub = gram.submatrix(subset)
+            if signature(sub) != Inertia(0, size, 0):
+                continue
+            definite.add(subset)
+            solution = solve(sub, [Fraction(r[j], c * s) for j in subset])
+            # N = t * n_S; c * s * t * (gram @ (a - n)) = t * r - s * (c * gram)[:, S] @ N.
+            t = lcm(*(x.denominator for x in solution))
+            big_n = [x.numerator * (t // x.denominator) for x in solution]
+            if any(v < 0 or v * s > big_a[j] * t for j, v in zip(subset, big_n)):
+                continue
+            gp = [t * rj - s * sum(row[j] * v for j, v in zip(subset, big_n))
+                  for row, rj in zip(rows, r)]
+            if any(v < 0 for v in gp):
+                continue
+            if sum(v * gp[j] for j, v in zip(subset, big_n)) != 0:
+                continue
             negative = [Fraction(0)] * form.size
-            if subset:
-                if any(subset[:i] + subset[i + 1 :] not in smaller for i in range(size)):
-                    continue
-                sub = gram.submatrix(subset)
-                if signature(sub) != Inertia(0, size, 0):
-                    continue
-                definite.add(subset)
-                solution = solve(sub, [ga[j] for j in subset])
-                if any(x < 0 or x > a[j] for j, x in zip(subset, solution)):
-                    continue
-                for j, x in zip(subset, solution):
-                    negative[j] = x
-            positive = [ai - ni for ai, ni in zip(a, negative)]
-            gp = gram.matvec(positive)
-            if any(x < 0 for x in gp):
-                continue
-            if sum((p * q for p, q in zip(positive, gram.matvec(negative))), Fraction(0)) != 0:
-                continue
+            for j, x in zip(subset, solution):
+                negative[j] = x
             accepted.setdefault(tuple(negative), subset)
     if len(accepted) != 1:
         raise OracleMismatchError(
@@ -376,10 +401,12 @@ def decompose_bruteforce(
     sub = gram.submatrix(support)
     certificate = solve(sub, [-1] * len(support))
     scale = lcm(*(x.denominator for x in certificate))
+    y = [x.numerator * (scale // x.denominator) for x in certificate]
+    g = gcd(*y)  # 1 for an integral Gram matrix, not always for a rational one
     return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
                          negative=negative, negative_support=support,
                          rounds=0, negative_gram_det=det(sub),
-                         witness=tuple(x.numerator * (scale // x.denominator) for x in certificate))
+                         witness=tuple(v // g for v in y))
 
 
 def decomposition_checks(

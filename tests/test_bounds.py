@@ -190,6 +190,16 @@ def _negative_instances(count, m=4):
     return found
 
 
+def _whole_support(form, divisor):
+    """An engine that calls the whole divisor negative."""
+    a = zariski.as_divisor(divisor, form.size)
+    return zariski.Decomposition(
+        positive=tuple(Fraction(0) for _ in a), negative=a,
+        negative_support=tuple(range(form.size)), rounds=1,
+        negative_gram_det=Fraction(1),
+    )
+
+
 class TestInstanceFailures:
     def test_seeded_corpus_passes(self):
         for seed in range(300):
@@ -235,20 +245,36 @@ class TestInstanceFailures:
     def test_whole_support_reported(self, monkeypatch):
         # An engine that calls the whole divisor negative fails the
         # exceptional-support invariant, the oracle and the support checks.
-        def whole(form, divisor):
-            a = zariski.as_divisor(divisor, form.size)
-            return zariski.Decomposition(
-                positive=tuple(Fraction(0) for _ in a), negative=a,
-                negative_support=tuple(range(form.size)), rounds=1,
-                negative_gram_det=Fraction(1),
-            )
-
-        monkeypatch.setattr(zariski, "decompose", whole)
+        monkeypatch.setattr(zariski, "decompose", _whole_support)
         form = form_of([[2, 1], [1, -2]])
         assert instance_failures(form, [1, 1], 8, 0) == [
             "negative_exceptional", "oracle_match", "cramer_divisibility",
             "det_trace_bound", "negative_square", "certificate_positive",
         ]
+
+    def test_combination_properties_match_fraction_reference(self, monkeypatch):
+        # With the whole support called negative, both properties fail on some
+        # instances; the Gram matrices divided by 1..5 carry denominators.
+        monkeypatch.setattr(zariski, "decompose", _whole_support)
+        names = ("negative_pairing_exists", "negative_square")
+        seen = set()
+        for seed in range(200):
+            form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=1 + seed % 4))
+            q = 1 + seed % 5
+            form = zariski.IntersectionForm.from_rows(
+                form.labels, [[x / q for x in row] for row in form.gram.entries])
+            rng = zariski.SplitMix64(seed ^ 0xD1F7)
+            c = [Fraction(0)] * form.size
+            while all(x == 0 for x in c):
+                for i in range(form.size):
+                    c[i] = Fraction(rng.randint(0, 5))
+            gc = form.gram.matvec(c)
+            expected = [name for name, holds in zip(names, (
+                any(x < 0 for x in gc), sum((x * y for x, y in zip(c, gc)), Fraction(0)) < 0)) if not holds]
+            got = [name for name in instance_failures(form, divisor, 0, seed) if name in names]
+            assert got == expected, seed
+            seen.update(expected)
+        assert seen == set(names)
 
     def test_non_zarlat_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -706,6 +706,21 @@ class TestIntStrLimit:
         assert proc.returncode == 0 and proc.stderr == b""
         assert hashlib.sha256(proc.stdout).hexdigest() == BIG_PROBLEM_DIGEST
 
+    def test_load_problem_under_default_limit(self, tmp_path):
+        # A library caller, not cli.main, reads the same problem and keeps its limit.
+        path = tmp_path / "big.json"
+        path.write_text(BIG_PROBLEM)
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            form, divisor, options = cli.load_problem(str(path))
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(previous)
+        repunit = (10**5000 - 1) // 9  # the 5000-digit 11...1, built without str()
+        assert form.gram[0, 0] == 7 * repunit and form.gram[0, 1] == 1
+        assert divisor == (Fraction(9 * repunit, 3), Fraction(1)) and options == {}
+
     @pytest.mark.parametrize("argv", [["table"], ["lattice", "K3n:3x"], ["bounds", "K3n:2", "--rho", "2"],
                                       ["decompose"]])
     @pytest.mark.parametrize("limit", [4300, 5000])

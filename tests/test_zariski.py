@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,15 +11,17 @@ from zarlat.errors import (
     AxiomViolationError,
     DomainError,
     InconsistencyError,
+    OracleMismatchError,
     ShapeError,
     SingularMatrixError,
 )
-from zarlat.linalg import Inertia, det, signature
+from zarlat.linalg import Inertia, as_vector, det, signature
 from zarlat.zariski import (
     Decomposition,
     InstanceSpec,
     IntersectionForm,
     SplitMix64,
+    as_divisor,
     decompose,
     decompose_bruteforce,
     decomposition_checks,
@@ -27,6 +30,7 @@ from zarlat.zariski import (
     intersection_axiom_violations,
     is_exceptional,
     random_instance,
+    require_intersection_product,
     support_of,
 )
 
@@ -46,6 +50,75 @@ def small_corpus(count=250, m_max=5, denominator_max=4, seed_base=1000):
         )
         out.append(random_instance(spec))
     return out
+
+
+def fraction_in_nef_region(form, divisor, candidate):
+    """Reference: ``in_nef_region`` as it was over ``Fraction``s."""
+    a = as_divisor(divisor, form.size)
+    b = as_vector(candidate)
+    if len(b) != form.size:
+        raise ShapeError(f"candidate has {len(b)} coefficients, form has {form.size}")
+    if any(x < 0 or x > ai for x, ai in zip(b, a)):
+        return False
+    gb = form.gram.matvec(b)
+    return all(gb[j] >= 0 for j in support_of(a))
+
+
+def fraction_decompose_bruteforce(form, divisor, limit=12):
+    """Reference: ``decompose_bruteforce`` with its acceptance tests over
+    ``Fraction``s (``matvec`` of the remainder, a ``Fraction`` sum for the
+    orthogonality), as it was before they ran on integers.  Only the last
+    line differs: the witness is divided by its gcd, which the oracle now
+    does so that it is primitive for a rational Gram matrix too."""
+    a = as_divisor(divisor, form.size)
+    require_intersection_product(form)
+    support = support_of(a)
+    if len(support) > limit:
+        raise DomainError(f"support size {len(support)} exceeds oracle limit {limit}")
+    gram = form.gram
+    ga = gram.matvec(a)
+    accepted = {}
+    definite = {()}  # the negative definite subsets of the previous size
+    for size in range(len(support) + 1):
+        if size:
+            smaller, definite = definite, set()
+            if not smaller:
+                break  # no larger subset can be negative definite
+        for subset in combinations(support, size):
+            negative = [Fraction(0)] * form.size
+            if subset:
+                if any(subset[:i] + subset[i + 1 :] not in smaller for i in range(size)):
+                    continue
+                sub = gram.submatrix(subset)
+                if signature(sub) != Inertia(0, size, 0):
+                    continue
+                definite.add(subset)
+                solution = linalg.solve(sub, [ga[j] for j in subset])
+                if any(x < 0 or x > a[j] for j, x in zip(subset, solution)):
+                    continue
+                for j, x in zip(subset, solution):
+                    negative[j] = x
+            positive = [ai - ni for ai, ni in zip(a, negative)]
+            gp = gram.matvec(positive)
+            if any(x < 0 for x in gp):
+                continue
+            if sum((p * q for p, q in zip(positive, gram.matvec(negative))), Fraction(0)) != 0:
+                continue
+            accepted.setdefault(tuple(negative), subset)
+    if len(accepted) != 1:
+        raise OracleMismatchError(
+            f"enumeration found {len(accepted)} distinct decompositions instead of one"
+        )
+    negative = next(iter(accepted))
+    support = support_of(negative)
+    sub = gram.submatrix(support)
+    certificate = linalg.solve(sub, [-1] * len(support))
+    scale = lcm(*(x.denominator for x in certificate))
+    g = gcd(*(x.numerator for x in certificate))
+    return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
+                         negative=negative, negative_support=support,
+                         rounds=0, negative_gram_det=det(sub),
+                         witness=tuple(x.numerator * (scale // x.denominator) // g for x in certificate))
 
 
 class TestAxiom:
@@ -167,6 +240,64 @@ class TestMembership:
         assert not in_nef_region(form_of([[2]]), [1], [2])
         assert not in_nef_region(form_of([[2]]), [1], [-1])
 
+    def test_nonzero_outside_support(self):
+        form = form_of([[2, 0], [0, 2]])
+        assert in_nef_region(form, [1, 0], [1, 0])
+        assert not in_nef_region(form, [1, 0], [1, Fraction(1, 10**40)])
+
+    def test_entry_equal_to_divisor_accepted(self):
+        form = form_of([[2, 1], [1, -2]])  # P = (1, 1/2) of D = (1, 1)
+        assert in_nef_region(form, [1, 1], [1, Fraction(1, 2)])
+        assert in_nef_region(form_of([[2]]), [Fraction(3, 7)], [Fraction(3, 7)])
+
+    def test_entry_just_above_divisor(self):
+        big = 10**40 + 1
+        form = form_of([[2]])
+        assert not in_nef_region(form, [Fraction(3, 7)], [Fraction(3, 7) + Fraction(1, big)])
+        assert in_nef_region(form, [Fraction(3, 7)], [Fraction(3, 7) - Fraction(1, big)])
+
+    def test_negative_entry(self):
+        # -b pairs positively with a (-2)-curve; the sign alone excludes it
+        form = form_of([[-2]])
+        assert not in_nef_region(form, [1], [Fraction(-1, 10**40)])
+        assert not in_nef_region(form_of([[2, 0], [0, 2]]), [1, 1], [1, -1])
+
+    def test_pairing_outside_support_not_asked(self):
+        # Only j in supp(a) is tested.  Under the axiom no other j can pair
+        # negatively with b; this form breaks it, so the restriction shows.
+        form = form_of([[2, -1], [-1, 2]])
+        assert in_nef_region(form, [1, 0], [1, 0])
+        assert not in_nef_region(form, [1, 1], [1, 0])
+
+    def test_zero_candidate(self):
+        form = form_of([[-2, 1, 0], [1, -3, 2], [0, 2, -1]])
+        assert in_nef_region(form, [1, "2/3", 0], [0, 0, 0])
+        assert in_nef_region(form, [0, 0, 0], [0, 0, 0])
+
+    def test_coprime_denominators(self):
+        # a = (1/7, 2/9) and b with denominators 8, 11, 13 sharing no factor
+        form = form_of([[3, 1], [1, -5]])
+        a = [Fraction(1, 7), Fraction(2, 9)]
+        assert in_nef_region(form, a, [Fraction(1, 8), Fraction(1, 55)])
+        assert not in_nef_region(form, a, [Fraction(1, 8), Fraction(1, 11)])  # -5/11 + 1/8 < 0
+        assert not in_nef_region(form, a, [Fraction(2, 13), 0])  # 2/13 > 1/7
+        for b in ([Fraction(1, 8), Fraction(1, 55)], [Fraction(1, 8), Fraction(1, 11)],
+                  [Fraction(2, 13), 0], [Fraction(1, 7), Fraction(1, 39)]):
+            assert in_nef_region(form, a, b) == fraction_in_nef_region(form, a, b)
+
+    def test_messages(self):
+        form = form_of([[2, 0], [0, 2]])
+        with pytest.raises(ShapeError, match=r"^candidate has 1 coefficients, form has 2$"):
+            in_nef_region(form, [1, 1], [0])
+        with pytest.raises(DomainError, match=r"^float 0\.5 rejected; use int, Fraction or 'p/q' string$"):
+            in_nef_region(form, [1, 1], [0.5, 0])
+        with pytest.raises(DomainError, match=r"^boolean True is not a rational number$"):
+            in_nef_region(form, [1, 1], [True, 0])
+        with pytest.raises(DomainError, match=r"^'1\.5' is not an exact rational; expected an integer or a 'p/q' string$"):
+            in_nef_region(form, [1, 1], ["1.5", 0])
+        with pytest.raises(DomainError, match=r"^effective divisor needs nonnegative coefficients; entry 1 is -1/3$"):
+            in_nef_region(form, [1, "-1/3"], [0, 0])
+
 
 class TestDecompose:
     def test_nef_input(self):
@@ -223,6 +354,14 @@ class TestOracle:
         d = decompose_bruteforce(form_of([[-2, 1], [1, -2]]), [1, 1])
         assert d.positive == (Fraction(0), Fraction(0))
         assert d.negative == (Fraction(1), Fraction(1))
+
+    def test_orthogonality_refuses_a_wrong_solution(self, monkeypatch):
+        # With every solution doubled, N = (0, 1) on {E2} stays in range and
+        # leaves P = (1, 0) nef, pairing (2, 1); only q(P, N) = 1 refuses it.
+        real = zariski.solve
+        monkeypatch.setattr(zariski, "solve", lambda m, rhs: tuple(2 * x for x in real(m, rhs)))
+        with pytest.raises(OracleMismatchError, match="found 0 distinct"):
+            decompose_bruteforce(form_of([[2, 1], [1, -2]]), [1, 1])
 
     def test_limit(self):
         form = form_of([[2, 0], [0, 2]])
@@ -486,6 +625,7 @@ class TestRationalGram:
         oracle = decompose_bruteforce(form, divisor)
         assert (dec.positive, dec.negative) == (oracle.positive, oracle.negative)
         assert dec.negative_support == oracle.negative_support
+        assert dec.witness == oracle.witness  # primitive, whatever the denominators
         sub = [[form.gram[i, j] for j in dec.negative_support] for i in dec.negative_support]
         assert dec.negative_gram_det == oracle.negative_gram_det == laplace_det(sub)
         assert all(decomposition_checks(form, divisor, dec).values())
@@ -567,3 +707,82 @@ class TestSupportInvariant:
         monkeypatch.setattr(zariski, "sylvester_pass", zeroing_pass)
         with pytest.raises(InconsistencyError, match=r"falls outside \(0, 1\]"):
             decompose(form_of([[-2, 1], [1, -3]]), [1, 1])
+
+
+def nef_queries(form, divisor, rng):
+    """Queries shaped like acceptance criterion 3 and its edges: the zero
+    vector, the divisor, scaled positive parts, random sub-divisors, their
+    joins, and the positive part nudged by ``1/big`` up, down and below zero
+    in each coordinate."""
+    p = decompose(form, divisor).positive
+    zero = tuple(Fraction(0) for _ in divisor)
+    queries = [zero, tuple(divisor), p]
+    queries += [tuple(Fraction(rng.randint(0, 16), 16) * x for x in p) for _ in range(4)]
+    queries += [tuple(Fraction(rng.randint(0, 8 * x.numerator), 8 * x.denominator) if x > 0
+                      else Fraction(0) for x in divisor) for _ in range(4)]
+    queries += [tuple(map(max, u, v)) for u, v in zip(queries[3:], queries[4:])]
+    tiny = Fraction(1, 10**12 + 39)
+    for j in range(len(divisor)):
+        for delta in (tiny, -tiny):
+            queries.append(p[:j] + (p[j] + delta,) + p[j + 1 :])
+        queries.append(zero[:j] + (-tiny,) + zero[j + 1 :])
+    return queries
+
+
+class TestIntegerAcceptance:
+    """``in_nef_region`` and the oracle's acceptance tests run on integers;
+    the references above are the same decisions over ``Fraction``s."""
+
+    def test_nef_region_matches_reference(self, corpus_1000):
+        rng = SplitMix64(0xACCE55)
+        verdicts = []
+        for form, divisor in corpus_1000:
+            for b in nef_queries(form, divisor, rng):
+                verdict = in_nef_region(form, divisor, b)
+                assert verdict == fraction_in_nef_region(form, divisor, b), (form.gram, divisor, b)
+                verdicts.append(verdict)
+        assert len(verdicts) > 20_000 and 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+    def test_oracle_matches_reference(self, corpus_1000):
+        for form, divisor in corpus_1000:
+            assert decompose_bruteforce(form, divisor) == fraction_decompose_bruteforce(form, divisor)
+        for seed in range(300):
+            form, divisor = rational_gram_instance(seed, 1 + seed % 6)
+            assert decompose_bruteforce(form, divisor) == fraction_decompose_bruteforce(form, divisor)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
+                         min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2),
+                st.lists(st.builds(Fraction, st.integers(0, 9), st.integers(1, 4)),
+                         min_size=m, max_size=m),
+                st.lists(st.lists(st.builds(Fraction, st.integers(-2, 12), st.integers(1, 6)),
+                                  min_size=m, max_size=m), max_size=6),
+            )
+        ),
+        st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)),
+    )
+    def test_gram_scaled_by_one_over_q(self, drawn, q):
+        # random_instance draws integral Gram matrices only, so c = 1 there;
+        # here both the drawn form and its 1/q multiple carry denominators.
+        upper, divisor, candidates = drawn
+        m = len(divisor)
+        values = iter(upper)
+        rows = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                value = next(values)
+                rows[i][j] = rows[j][i] = value if i == j else abs(value)
+        form, scaled = form_of(rows), form_of([[x / q for x in row] for row in rows])
+        for engine in (decompose, decompose_bruteforce):
+            dec, dec_q = engine(form, divisor), engine(scaled, divisor)
+            assert (dec_q.positive, dec_q.negative, dec_q.negative_support, dec_q.witness) == \
+                (dec.positive, dec.negative, dec.negative_support, dec.witness)
+            assert dec_q.negative_gram_det == dec.negative_gram_det / q ** len(dec.negative_support)
+        assert dec_q == fraction_decompose_bruteforce(scaled, divisor)
+        for b in candidates + [dec.positive]:
+            verdict = in_nef_region(form, divisor, b)
+            assert in_nef_region(scaled, divisor, b) == verdict
+            assert fraction_in_nef_region(scaled, divisor, b) == verdict
