@@ -62,7 +62,9 @@ def factorial_guard(override: Optional[int] = None) -> int:
     environment, raises :class:`DomainError`.
     """
     if override is not None:
-        guard = int(override)
+        if not isinstance(override, int) or isinstance(override, bool):
+            raise DomainError(f"factorial guard {override!r} is not a nonnegative integer")
+        guard = override
         source = f"factorial guard {guard}"
     else:
         raw = os.environ.get(GUARD_ENV_VAR)

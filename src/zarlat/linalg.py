@@ -2,30 +2,33 @@
 
 Everything in this module is exact.  Matrices hold ``fractions.Fraction``
 entries.  Every determinant, leading minor and definiteness verdict goes
-through one fraction-free (Bareiss) elimination loop over integers: a
-rational matrix is first scaled by the lcm ``c`` of its denominators, and
-``det A == det(cA) / c**n``.  Run without pivoting on a symmetric matrix,
-the loop's successive pivots are the leading principal minors of ``cA``,
-so a single pass (:func:`sylvester_pass`) decides Sylvester's criterion,
-yields ``det`` and, by integer back-substitution of ``det * x`` (integral
-by Cramer's rule), solves the system for every right-hand-side column it
-carries, with exact divisions only.
+through fraction-free (Bareiss) elimination over integers: a rational
+matrix is first scaled by the lcm ``c`` of its denominators, and
+``det A == det(cA) / c**n``.  ``det`` pivots.  Run without pivoting on a
+symmetric matrix, the pivots are the leading principal minors of ``cA``,
+so one symmetric elimination (:class:`BorderedElimination`) decides
+Sylvester's criterion, yields ``det`` and, by integer back-substitution of
+``det * x`` (integral by Cramer's rule), solves the system for every
+right-hand-side column it carries, with exact divisions only.  It can be
+bordered with further rows and columns without eliminating the old ones
+again; :func:`sylvester_pass` is the extension of the empty state.
 ``solve`` (Gaussian elimination over ``Fraction``, the only ``Fraction``
 elimination left) and ``signature`` (symmetric congruence reduction over
 integers, with a 2x2 hyperbolic pivot when the diagonal of the live block
 vanishes) are separate eliminations, kept as independent cross-checks of
-that pass.  Floating point is rejected on input and never appears
+the symmetric one.  Floating point is rejected on input and never appears
 internally: denominators are data here, not noise.
 
 ``smith_normal_form`` is one integer loop that enforces the divisibility
 chain while it eliminates and records both unimodular transforms, a
 certificate that discriminant groups check (:meth:`SmithNormalForm.verify`).
 
-Every operation is a pure function.  A matrix's entries never change; its
-integer rows (:attr:`RationalMatrix.scaled_rows`) are computed on first use
-and kept in a second slot.  Two threads reading them first may both compute
-them, and each stores an equal tuple, so the race is benign and matrices can
-be shared freely between threads.
+Every function is pure; a :class:`BorderedElimination` is the one mutable
+state, owned by the caller that extends it.  A matrix's entries never
+change; its integer rows (:attr:`RationalMatrix.scaled_rows`) are computed
+on first use and kept in a second slot.  Two threads reading them first may
+both compute them, and each stores an equal tuple, so the race is benign
+and matrices can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ShapeError, SingularMatrixError
 
@@ -218,58 +221,37 @@ def scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]]
     return [[x.numerator * (c // x.denominator) for x in row] for row in rows], c
 
 
-def _bareiss_pivots(a: list[list[int]], n: int, symmetric: bool = False) -> Iterator[int]:
-    """Fraction-free Gaussian elimination of the integer rows ``a``, in place.
+def _int_det(a: list[list[int]]) -> int:
+    """Determinant of square integer rows by fraction-free Gaussian
+    elimination (the rows are overwritten).
 
-    ``a`` has ``n`` rows and at least ``n`` columns; columns past the
-    ``n``-th (right-hand sides) are carried along.  For ``k = 0, 1, ...``
-    this yields pivot ``k`` before eliminating with it; the caller may stop
-    at any pivot.  Every division is exact: by Sylvester's identity each
+    A zero pivot is replaced by a lower row that is nonzero in that column,
+    and each row swap flips the sign; when no row can be swapped in, the
+    determinant is 0.  Every division is exact: by Sylvester's identity each
     entry is a minor of the input, divisible by the previous pivot
-    (Bareiss 1968).
-
-    By default a zero pivot is replaced by a lower row that is nonzero in
-    that column, each yielded pivot carries the sign of the row permutation
-    so far, and the last value yielded is the determinant (0 when no row
-    can be swapped in).  With ``symmetric`` the leading block must be
-    symmetric and rows are never swapped: pivot ``k`` is the ``(k + 1)``-th
-    leading principal minor, a zero pivot ends the elimination (after being
-    yielded), and only the upper triangle is updated, since the trailing
-    block stays symmetric and that half suffices for the pivots and for
-    back-substitution.
+    (Bareiss 1968), and the last pivot is the determinant.
     """
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n):
         row_k = a[k]
         if row_k[k] == 0:
-            swap = None if symmetric else next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if swap is None:
-                yield 0
-                return
+                return 0
             a[k], a[swap] = a[swap], row_k
             row_k = a[k]
             sign = -sign
         pivot = row_k[k]
-        yield sign * pivot
         for i in range(k + 1, n):
             row_i = a[i]
-            if symmetric:
-                start, factor = i, row_k[i]
-            else:
-                start, factor = k + 1, row_i[k]
-            row_i[start:] = [
-                (x * pivot - factor * y) // prev for x, y in zip(row_i[start:], row_k[start:])
+            factor = row_i[k]
+            row_i[k + 1 :] = [
+                (x * pivot - factor * y) // prev for x, y in zip(row_i[k + 1 :], row_k[k + 1 :])
             ]
         prev = pivot
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    """Determinant of square integer rows (the rows are overwritten)."""
-    value = 1
-    for value in _bareiss_pivots(rows, len(rows)):
-        pass
-    return value
+    return sign * prev
 
 
 def det(matrix) -> Fraction:
@@ -282,8 +264,95 @@ def det(matrix) -> Fraction:
     return Fraction(_int_det(rows), c ** m.nrows)
 
 
+class BorderedElimination:
+    """Sylvester's criterion for negative definiteness by fraction-free
+    symmetric elimination without pivoting, grown by bordering.
+
+    The state is ``[M | R]`` for a symmetric ``n x n`` integer matrix ``M``
+    and a fixed number of right-hand-side columns ``R``, after all ``n``
+    elimination steps: row ``t`` holds, from column ``t`` on, its entries
+    after ``t`` Bareiss steps, and :attr:`pivots` are the leading principal
+    minors of ``M``.  By Sylvester's identity those entries depend only on
+    the first ``t + 1`` rows and columns (Bareiss 1968), so :meth:`extend`
+    borders ``M`` with new rows and columns without eliminating any old
+    entry again: the state equals one fresh elimination over the rows in
+    the order they joined.  Every division is exact, each entry being a
+    minor divisible by the previous pivot.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self):
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    @property
+    def det(self) -> int:
+        """``det M``: the last pivot (1 for ``n = 0``)."""
+        return self.pivots[-1] if self.pivots else 1
+
+    def extend(self, new_rows: list[list[int]]) -> bool:
+        """Border ``M`` with ``new_rows``, each holding its entries in every
+        column, old and new in the order of :attr:`rows` then ``new_rows``,
+        followed by its right-hand-side entries.  The rows are taken over
+        and overwritten.  Returns whether the bordered ``M`` is negative
+        definite, that is whether the leading minors still read
+        ``-, +, -, ...``; after ``False`` the state is spent.
+
+        The new rows go through the old pivots in full, from the column
+        after the pivot on.  Their entry in old column ``s`` after ``s``
+        steps is, by symmetry, the old pivot row's entry in their column,
+        so it is inserted into that row before the rows are updated with
+        it.  The entries of an old row in the right-hand-side columns never
+        change.  Then the new trailing block is eliminated, updating only
+        its upper triangle, which stays symmetric.
+        """
+        rows, pivots = self.rows, self.pivots
+        k = len(rows)
+        prev = 1
+        for s, row_s in enumerate(rows):
+            pivot = pivots[s]
+            row_s[k:k] = [row[s] for row in new_rows]
+            tail = row_s[s + 1 :]
+            for row in new_rows:
+                factor = row[s]
+                row[s + 1 :] = [(x * pivot - factor * y) // prev
+                                for x, y in zip(row[s + 1 :], tail)]
+            prev = pivot
+        rows += new_rows
+        n = len(rows)
+        for s in range(k, n):
+            row_s = rows[s]
+            pivot = row_s[s]
+            if pivot == 0 or (pivot < 0) != (s % 2 == 0):
+                return False
+            pivots.append(pivot)
+            for i in range(s + 1, n):
+                row_i = rows[i]
+                factor = row_s[i]
+                row_i[i:] = [(x * pivot - factor * y) // prev
+                             for x, y in zip(row_i[i:], row_s[i:])]
+            prev = pivot
+        return True
+
+    def solution(self, column: int) -> list[int]:
+        """The integer ``y`` with ``M (y / det M) == R[:, column]``, in the
+        order of :attr:`rows`; integral by Cramer's rule, and recovered by
+        back-substitution with exact integer divisions."""
+        rows = self.rows
+        n = len(rows)
+        d = self.det
+        col = n + column
+        y = [0] * n
+        for t in range(n - 1, -1, -1):
+            row = rows[t]
+            y[t] = (d * row[col] - sum(map(mul, row[t + 1 : n], y[t + 1 :]))) // row[t]
+        return y
+
+
 def sylvester_pass(rows: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]:
-    """One fraction-free symmetric elimination without pivoting.
+    """One fraction-free symmetric elimination without pivoting: a
+    :class:`BorderedElimination` extended once from the empty state.
 
     ``rows`` holds ``[M | R]``: ``n`` integer rows of a symmetric ``n x n``
     matrix ``M``, each followed by the same number (possibly none) of
@@ -292,24 +361,15 @@ def sylvester_pass(rows: list[list[int]]) -> Optional[tuple[int, list[list[int]]
     is decided by Sylvester's criterion on the pivots (the leading minors
     must be ``-, +, -, ...``; the pass stops at the first one breaking the
     pattern).  Otherwise returns ``(det M, solutions)``, one integer list
-    ``y`` per column ``r`` of ``R`` with ``M (y / det M) == r``; each ``y``
-    is integral by Cramer's rule and is recovered by back-substitution with
-    exact integer divisions.  For ``n = 0`` there are no rows to carry a
-    column: the result is ``(1, [])``.
+    ``y`` per column ``r`` of ``R`` with ``M (y / det M) == r``.  For
+    ``n = 0`` there are no rows to carry a column: the result is ``(1, [])``.
     """
+    elimination = BorderedElimination()
+    if not elimination.extend(rows):
+        return None
     n = len(rows)
-    d = 1
-    for k, d in enumerate(_bareiss_pivots(rows, n, symmetric=True)):
-        if d == 0 or (d < 0) != (k % 2 == 0):
-            return None
-    solutions = []
-    for col in range(n, len(rows[0]) if n else 0):
-        y = [0] * n
-        for k in range(n - 1, -1, -1):
-            row = rows[k]
-            y[k] = (d * row[col] - sum(map(mul, row[k + 1 : n], y[k + 1 :]))) // row[k]
-        solutions.append(y)
-    return d, solutions
+    width = len(rows[0]) if n else 0
+    return elimination.det, [elimination.solution(c) for c in range(width - n)]
 
 
 def solve(matrix, rhs) -> tuple[Fraction, ...]:

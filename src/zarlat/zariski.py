@@ -21,11 +21,13 @@ components pair nonnegatively by the axiom.
 ``decompose`` computes the splitting by support enlargement: start from the
 components that pair negatively with ``D``, solve for the negative part on
 that support, and grow the support by every component the remainder still
-pairs negatively with, until stable.  Each round is one fraction-free pass
-(:func:`zarlat.linalg.sylvester_pass`) over integers, which gives the
-definiteness verdict, the negative part, ``det Gram_S`` and an integer
-definiteness witness together.  ``decomposition_checks`` verifies that
-witness with one integer matrix-vector product and runs no elimination.
+pairs negatively with, until stable.  One fraction-free elimination over
+integers (:class:`zarlat.linalg.BorderedElimination`) grows with the
+support, eliminating each row once: each round borders it with the rows of
+the components that joined, and it gives the definiteness verdict, the
+negative part and ``det Gram_S``; after the last round it gives an integer
+definiteness witness.  ``decomposition_checks`` verifies that witness with
+one integer matrix-vector product and runs no elimination.
 ``decompose_bruteforce`` is the independent oracle: it enumerates every
 candidate support, keeps the candidates satisfying all the defining
 conditions, and demands exactly one resulting decomposition.  It decides
@@ -61,6 +63,7 @@ from .errors import (
     ShapeError,
 )
 from .linalg import (
+    BorderedElimination,
     Inertia,
     RationalMatrix,
     as_rational,
@@ -221,7 +224,10 @@ class Decomposition:
     (1 for an empty support), whose absolute value bounds every denominator
     of the negative coefficients for integral input; ``rounds`` counts
     support-enlargement iterations (0 when the divisor was already nef, and
-    for oracle results, which do not iterate).
+    for oracle results, which do not iterate).  ``joined`` records the
+    components each round added to the working support, the initial
+    support first, so ``rounds == len(joined)``; it is ``()`` when the
+    divisor was already nef and for oracle results.
 
     ``witness`` certifies that the Gram submatrix on ``negative_support``
     is negative definite: the primitive integer vector ``y`` in the
@@ -238,6 +244,7 @@ class Decomposition:
     rounds: int
     negative_gram_det: Fraction
     witness: tuple[int, ...] = ()
+    joined: tuple[tuple[int, ...], ...] = ()
 
 
 def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
@@ -256,15 +263,24 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     components rather than silently proceeding.
 
     On valid input every solved coefficient is positive, so the last working
-    support is ``supp(N)`` and its pass gives ``det Gram_S``.  By the axiom and
-    the pass, ``-Gram_S`` is a positive definite Z-matrix, hence ``-Gram_S^-1 >= 0``
-    with a positive diagonal (Berman & Plemmons, ch. 6).  Round 1 solves
-    against ``(gram @ D)_S < 0``; each later round adds ``Gram_S^-1 w``, with
-    ``w`` zero on the old support and negative on the added components.
+    support is ``supp(N)`` and its elimination gives ``det Gram_S``.  By the
+    axiom and the verdict, ``-Gram_S`` is a positive definite Z-matrix, hence
+    ``-Gram_S^-1 >= 0`` with a positive diagonal (Berman & Plemmons, ch. 6).
+    Round 1 solves against ``(gram @ D)_S < 0``; each later round adds
+    ``Gram_S^-1 w``, with ``w`` zero on the old support and negative on the
+    added components.
 
-    Every pass also solves against ``(-1, ..., -1)``; the last one's solution,
-    ``(-Gram_S)^-1 (1, ..., 1) > 0`` up to a positive factor, becomes the
-    result's definiteness ``witness``.
+    The working support is eliminated in the order its components joined.
+    Each round borders the elimination with the new components' rows of
+    ``c * gram``, carrying ``r_i`` and ``-1`` as right-hand sides, so no row
+    is eliminated twice, and back-substitutes the ``r_S`` column.  After
+    the loop the ``-1`` column is back-substituted once: ``(-Gram_S)^-1
+    (1, ..., 1) > 0``, up to a positive factor, becomes the result's
+    definiteness ``witness``.  A symmetric permutation changes neither the
+    verdict nor ``det``, so the results are those of one elimination over
+    the sorted support.  They are returned in sorted order, error messages
+    name the sorted support, and the range check reports the first
+    offending component in sorted order.
     """
     a = as_divisor(divisor, form.size)
     require_intersection_product(form)
@@ -275,49 +291,56 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     big_a = [x.numerator * (s // x.denominator) for x in a]
     r = [sum(map(mul, row, big_a)) for row in rows]
     support = support_of(a)
-    working = [j for j in support if r[j] < 0]
-    d, y, w, rounds = 1, [], [], 0
-    while working:
-        # (c * gram_S) (s * n_S) = r_S; the pass returns d = det(c * gram_S),
-        # y = d * s * n_S and w = d * (c * gram_S)^-1 (-1, ..., -1).
+    new = [j for j in support if r[j] < 0]
+    if not new:  # D is nef: N = 0
+        return Decomposition(positive=a, negative=(Fraction(0),) * form.size,
+                             negative_support=(), rounds=0, negative_gram_det=Fraction(1))
+    # The working support in the order its components joined, and the
+    # elimination of [c * gram_S | r_S, -1] over it, which grows with it.
+    order: list[int] = []
+    joined = []
+    elimination = BorderedElimination()
+    while new:
+        order += new
+        joined.append(tuple(new))
         system = []
-        for i in working:
+        for i in new:
             row = rows[i]
-            system.append([row[j] for j in working] + [r[i], -1])
-        outcome = sylvester_pass(system)
-        if outcome is None:
+            system.append([row[j] for j in order] + [r[i], -1])
+        if not elimination.extend(system):
             raise InconsistencyError(
-                f"Gram submatrix on {self_labels(form, working)} is not negative definite; "
+                f"Gram submatrix on {self_labels(form, sorted(order))} is not negative definite; "
                 "the input does not admit a decomposition"
             )
-        d, (y, w) = outcome
+        # d = det(c * gram_S) and y = d * s * n_S solve (c * gram_S) (s * n_S) = r_S.
+        d = elimination.det
+        y = elimination.solution(0)
         scale = abs(d)
         if d < 0:
             y = [-v for v in y]
-        for j, v in zip(working, y):
+        for j, v in sorted(zip(order, y)):
             if v <= 0 or v > scale * big_a[j]:
                 raise InconsistencyError(
                     f"solved coefficient {Fraction(v, scale * s)} for component "
                     f"{form.labels[j]!r} falls outside (0, {a[j]}]"
                 )
-        rounds += 1
         # c * s * |d| * (gram @ (a - n))_j = |d| * r_j - (c * gram)_j @ y.
-        members = set(working)
-        grown = [
+        members = set(order)
+        new = [
             j for j in support
-            if j not in members and scale * r[j] < sum(rows[j][i] * v for i, v in zip(working, y))
+            if j not in members and scale * r[j] < sum(rows[j][i] * v for i, v in zip(order, y))
         ]
-        if not grown:
-            break
-        working = sorted(working + grown)
     negative = [Fraction(0)] * form.size
-    for j, v in zip(working, y):
+    for j, v in zip(order, y):
         negative[j] = Fraction(v, abs(d) * s)
+    # w = d * (c * gram_S)^-1 (-1, ..., -1), solved once, for the last support.
+    w = elimination.solution(1)
     g = gcd(*w) if d > 0 else -gcd(*w)
+    by_index = sorted(zip(order, w))
     return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
-                         negative=tuple(negative), negative_support=tuple(working),
-                         rounds=rounds, negative_gram_det=Fraction(d, c ** len(working)),
-                         witness=tuple(v // g for v in w))
+                         negative=tuple(negative), negative_support=tuple(j for j, _ in by_index),
+                         rounds=len(joined), negative_gram_det=Fraction(d, c ** len(order)),
+                         witness=tuple(v // g for _, v in by_index), joined=tuple(joined))
 
 
 def self_labels(form: IntersectionForm, indices: Sequence[int]) -> str:

@@ -458,6 +458,13 @@ class TestDenominatorBound:
             denominator_bound(8, 2, guard=-1)
         assert factorial_guard(0) == 0
 
+    @pytest.mark.parametrize("value", [1.5, True, "x"])
+    def test_override_must_be_an_int(self, value):
+        with pytest.raises(DomainError, match="is not a nonnegative integer"):
+            factorial_guard(value)
+        with pytest.raises(DomainError):
+            denominator_bound(8, 2, guard=value)
+
     def test_rho_zero_rejected(self):
         with pytest.raises(DomainError):
             denominator_bound(8, 0)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from zarlat.errors import DomainError, InconsistencyError, ShapeError, SingularMatrixError
 from zarlat.lattice import a2_minus, direct_sum, e8_minus, hyperbolic_plane, rank_one
 from zarlat.linalg import (
+    BorderedElimination,
     Inertia,
     RationalMatrix,
     SmithNormalForm,
@@ -552,6 +554,73 @@ class TestSylvesterPass:
             d, x = outcome
             assert d == Fraction(str(ref.det()))
             assert x == tuple(Fraction(str(v)) for v in ref.LUsolve(sympy.Matrix(rhs)))
+
+
+@st.composite
+def bordered_systems(draw):
+    """``(m, rhs, bounds)``: a symmetric integer matrix ``m`` with 0-2
+    right-hand-side columns, and block bounds ``0 = b_0 < ... < b_k = n``
+    cutting it into 1-4 blocks.  Half the matrices are ``-(L + diag(e))``
+    for the Laplacian ``L`` of nonnegative weights: negative definite when
+    every ``e_i > 0``, singular when ``e == 0``.  The others have free
+    entries and are mostly indefinite."""
+    n = draw(st.integers(1, 8))
+    m = [[0] * n for _ in range(n)]
+    if draw(st.booleans()):
+        e = draw(st.one_of(st.just([0] * n),
+                           st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = draw(st.integers(0, 5))
+        for i in range(n):
+            m[i][i] = -(sum(m[i]) + e[i])
+    else:
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = draw(st.integers(-9, 9))
+    width = draw(st.integers(0, 2))
+    rhs = [draw(st.lists(st.integers(-9, 9), min_size=width, max_size=width)) for _ in range(n)]
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=3)) if n > 1 else set()
+    return m, rhs, [0, *sorted(cuts), n]
+
+
+class TestBorderedElimination:
+    """Extending the elimination block by block gives what one fresh
+    :func:`sylvester_pass` over the concatenated rows gives, and both agree
+    with the independent ``det``, ``signature`` and a product check."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bordered_systems())
+    def test_extension_equals_fresh_pass(self, system):
+        m, rhs, bounds = system
+        elimination = BorderedElimination()
+        for lo, hi in zip(bounds, bounds[1:]):
+            extended = elimination.extend([m[i][:hi] + rhs[i] for i in range(lo, hi)])
+            fresh = sylvester_pass([m[i][:hi] + rhs[i] for i in range(hi)])
+            prefix = [row[:hi] for row in m[:hi]]
+            assert extended == (fresh is not None) == is_nd(prefix)
+            if not extended:
+                break
+            d = elimination.det
+            solutions = [elimination.solution(c) for c in range(len(rhs[0]))]
+            assert (d, solutions) == fresh
+            assert d == det(prefix)
+            for c, y in enumerate(solutions):
+                assert [sum(map(mul, row, y)) for row in prefix] == [d * r[c] for r in rhs[:hi]]
+
+    def test_a_n_chain_grows_one_row_at_a_time(self):
+        # -A_k, the negative Cartan matrix of a chain, has det (-1)^k (k + 1);
+        # bordering it by one row at a time, each new component joining the end
+        # of the chain.
+        elimination = BorderedElimination()
+        for k in range(1, 13):
+            new_row = [1 if j == k - 2 else 0 for j in range(k - 1)] + [-2, -1]
+            assert elimination.extend([new_row])
+            assert elimination.det == (-1) ** k * (k + 1)
+            # (-A_k) y / det == (-1, ..., -1): y / det is (-A_k)^-1 applied to it.
+            y = elimination.solution(0)
+            assert [Fraction(v, elimination.det) for v in y] == \
+                [Fraction(i * (k + 1 - i), 2) for i in range(1, k + 1)]
 
 
 class TestLeadingMinors:

@@ -1,3 +1,5 @@
+import hashlib
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -303,7 +305,7 @@ class TestDecompose:
     def test_nef_input(self):
         d = decompose(form_of([[2]]), [1])
         assert d.positive == (Fraction(1),) and d.negative == (Fraction(0),)
-        assert d.rounds == 0 and d.negative_support == ()
+        assert d.rounds == 0 and d.negative_support == () and d.joined == ()
         assert d.negative_gram_det == 1
 
     def test_fully_exceptional(self):
@@ -531,7 +533,8 @@ class TestWitnessCheck:
             raise AssertionError("decomposition_checks ran an elimination")
 
         for module, name in ((linalg, "sylvester_pass"), (zariski, "sylvester_pass"),
-                             (zariski, "is_exceptional")):
+                             (linalg, "BorderedElimination"),
+                             (zariski, "BorderedElimination"), (zariski, "is_exceptional")):
             monkeypatch.setattr(module, name, raising)
         for form, divisor, dec in decs:
             assert all(decomposition_checks(form, divisor, dec).values())
@@ -573,11 +576,13 @@ class TestOracleIndependence:
         def raising(*args, **kwargs):
             raise AssertionError("the oracle ran the engine's pass")
 
-        monkeypatch.setattr(linalg, "sylvester_pass", raising)
-        monkeypatch.setattr(zariski, "sylvester_pass", raising)
+        for module in (linalg, zariski):
+            monkeypatch.setattr(module, "sylvester_pass", raising)
+            monkeypatch.setattr(module, "BorderedElimination", raising)
         for (form, divisor), parts in zip(corpus_1000, expected):
             oracle = decompose_bruteforce(form, divisor)
             assert (oracle.positive, oracle.negative) == parts
+            assert oracle.joined == ()
 
     def test_cached_rows_not_aliased(self, corpus):
         for form, divisor in corpus[:100]:
@@ -684,6 +689,9 @@ class TestSupportInvariant:
     def assert_invariant(self, form, divisor):
         dec = decompose(form, divisor)
         assert dec.negative_support == support_of(dec.negative)
+        # Each round's joined components are new, and together they are supp(N).
+        assert dec.rounds == len(dec.joined)
+        assert sorted(j for block in dec.joined for j in block) == list(dec.negative_support)
         assert all(0 < dec.negative[j] <= divisor[j] for j in dec.negative_support)
         assert dec.negative_gram_det == det(form.gram.submatrix(dec.negative_support))
         assert all(decomposition_checks(form, divisor, dec).values())
@@ -698,15 +706,82 @@ class TestSupportInvariant:
         assert max(rounds) >= 2  # later rounds, which add to the support, are exercised
 
     def test_zero_solved_coefficient_raises(self, monkeypatch):
-        real_pass = zariski.sylvester_pass
+        real_solution = zariski.BorderedElimination.solution
 
-        def zeroing_pass(rows):
-            d, (y, w) = real_pass(rows)
-            return d, [[0] + y[1:], w]
+        def zeroing_solution(elimination, column):
+            y = real_solution(elimination, column)
+            return [0] + y[1:] if column == 0 else y
 
-        monkeypatch.setattr(zariski, "sylvester_pass", zeroing_pass)
+        monkeypatch.setattr(zariski.BorderedElimination, "solution", zeroing_solution)
         with pytest.raises(InconsistencyError, match=r"falls outside \(0, 1\]"):
             decompose(form_of([[-2, 1], [1, -3]]), [1, 1])
+
+
+def decomposition_record(dec):
+    """Every field of a decomposition the engine has always returned, as text."""
+    return ";".join((",".join(map(str, dec.positive)), ",".join(map(str, dec.negative)),
+                     ",".join(map(str, dec.negative_support)), str(dec.rounds),
+                     str(dec.negative_gram_det), ",".join(map(str, dec.witness))))
+
+
+def sign_flipped_instance(seed, m):
+    """A standard instance with about a quarter of its off-diagonal entries
+    negated, which breaks the intersection-product axiom."""
+    form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=m))
+    rng = SplitMix64(seed ^ 0xBAD5)
+    rows = [list(row) for row in form.gram.entries]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rng.randint(0, 3) == 0:
+                rows[i][j] = rows[j][i] = -rows[i][j]
+    return IntersectionForm.from_rows(form.labels, rows), divisor
+
+
+class TestDecomposeDigest:
+    """``decompose`` output pinned byte for byte, so a change to the
+    elimination kernel that moves any field or error message shows here.
+    Both digests were recorded from the engine that ran one fresh pass over
+    the sorted working support per round."""
+
+    def test_results(self):
+        instances = list(growth_instances())
+        instances += [random_instance(InstanceSpec.standard(seed=seed, m=1 + seed % 8))
+                      for seed in range(2000)]
+        h = hashlib.sha256()
+        rounds = []
+        for form, divisor in instances:
+            dec = decompose(form, divisor)
+            h.update(decomposition_record(dec).encode() + b"\n")
+            rounds.append(dec.rounds)
+        assert max(rounds) >= 3 and rounds.count(0) > 100
+        assert h.hexdigest() == "9aa8a4b9cc3868e7d959a947392c269c86217959a33ed36889eefcaa7513109a"
+
+    def test_error_messages(self, monkeypatch):
+        # Valid input never raises InconsistencyError (see decompose), so the
+        # errors come from inputs that break the axiom, with its check removed.
+        monkeypatch.setattr(zariski, "require_intersection_product", lambda form: None)
+        h = hashlib.sha256()
+        messages = []
+        late = 0
+        for seed in range(2000):
+            form, divisor = sign_flipped_instance(seed, 1 + seed % 8)
+            try:
+                decompose(form, divisor)
+            except InconsistencyError as exc:
+                h.update(f"{type(exc).__name__}: {exc}\n".encode())
+                messages.append(str(exc))
+                named = re.match(r"Gram submatrix on \{(.*)\} is not", str(exc))
+                if named:
+                    # Round 1 works on the components pairing negatively with D;
+                    # a later one also on a component sorting before some of them.
+                    gd = form.gram.matvec(divisor)
+                    first = [j for j in support_of(divisor) if gd[j] < 0]
+                    later = {form.labels.index(x) for x in named[1].split(", ")} - set(first)
+                    late += bool(later) and min(later) < max(first)
+        assert late >= 3
+        assert sum(m.startswith("solved coefficient") for m in messages) > 100
+        assert sum(m.startswith("Gram submatrix") for m in messages) > 100
+        assert h.hexdigest() == "a92bb0c5d4acf2ec4e38b8bb4445d03dc561bde4068206f23be5953d4bdd4ec1"
 
 
 def nef_queries(form, divisor, rng):
