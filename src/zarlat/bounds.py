@@ -40,6 +40,7 @@ from __future__ import annotations
 import decimal
 import math
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -59,7 +60,8 @@ def factorial_guard(override: Optional[int] = None) -> int:
     """Largest factorial argument that gets materialized.
 
     A guard that is not a nonnegative integer, from the keyword or from the
-    environment, raises :class:`DomainError`.
+    environment, raises :class:`DomainError`; the environment value must
+    be ASCII decimal digits, nothing else.
     """
     if override is not None:
         if not isinstance(override, int) or isinstance(override, bool):
@@ -71,10 +73,7 @@ def factorial_guard(override: Optional[int] = None) -> int:
         if not raw:
             return DEFAULT_FACTORIAL_GUARD
         source = f"{GUARD_ENV_VAR}={raw!r}"
-        try:
-            guard = int(raw)
-        except ValueError:
-            guard = -1
+        guard = int(raw) if re.fullmatch(r"[0-9]+", raw) else -1
     if guard < 0:
         raise DomainError(f"{source} is not a nonnegative integer")
     return guard

@@ -251,10 +251,9 @@ def cmd_decompose(args) -> int:
 def _int_param(param: str, kind: str) -> Optional[int]:
     if not param:
         return None
-    try:
-        return int(param)
-    except ValueError:
-        raise DomainError(f"{kind} parameter {param!r} is not an integer") from None
+    if re.fullmatch(r"-?[0-9]+", param) is None:
+        raise DomainError(f"{kind} parameter {param!r} is not an integer")
+    return int(param)
 
 
 def parse_lattice_expr(text: str):

@@ -11,13 +11,13 @@ Sylvester's criterion, yields ``det`` and, by integer back-substitution of
 ``det * x`` (integral by Cramer's rule), solves the system for every
 right-hand-side column it carries, with exact divisions only.  It can be
 bordered with further rows and columns without eliminating the old ones
-again; :func:`sylvester_pass` is the extension of the empty state.
-``solve`` (Gaussian elimination over ``Fraction``, the only ``Fraction``
-elimination left) and ``signature`` (symmetric congruence reduction over
-integers, with a 2x2 hyperbolic pivot when the diagonal of the live block
-vanishes) are separate eliminations, kept as independent cross-checks of
-the symmetric one.  Floating point is rejected on input and never appears
-internally: denominators are data here, not noise.
+again; :func:`sylvester_pass` is the extension of the empty state.  The
+pivoting loop behind ``det`` carries right-hand sides too, and
+:func:`bareiss_solve`, behind ``solve``, back-substitutes them the same
+way.  ``signature`` (congruence reduction over integers, with a 2x2
+hyperbolic pivot when the diagonal of the live block vanishes) is the
+third elimination; none runs over ``Fraction``.  Floating point is rejected
+on input and never appears internally: denominators are data here.
 
 ``smith_normal_form`` is one integer loop that enforces the divisibility
 chain while it eliminates and records both unimodular transforms, a
@@ -222,8 +222,9 @@ def scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]]
 
 
 def _int_det(a: list[list[int]]) -> int:
-    """Determinant of square integer rows by fraction-free Gaussian
-    elimination (the rows are overwritten).
+    """Determinant of the leading square of integer rows by fraction-free
+    Gaussian elimination; the rows are overwritten, columns beyond the
+    square included.
 
     A zero pivot is replaced by a lower row that is nonzero in that column,
     and each row swap flips the sign; when no row can be swapped in, the
@@ -262,6 +263,30 @@ def det(matrix) -> Fraction:
         raise ShapeError(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
     rows, c = scaled_int_rows(m.entries)
     return Fraction(_int_det(rows), c ** m.nrows)
+
+
+def _back_substitute(rows: list[list[int]], d: int, col: int) -> list[int]:
+    """``y`` with ``M (y / d) == R[:, col]`` from rows ``[M | R]`` eliminated
+    to echelon form, ``d = +-det M``: ``y`` is integral by Cramer's rule,
+    so every division is exact."""
+    n = len(rows)
+    y = [0] * n
+    for t in range(n - 1, -1, -1):
+        row = rows[t]
+        y[t] = (d * row[col] - sum(map(mul, row[t + 1 : n], y[t + 1 :]))) // row[t]
+    return y
+
+
+def bareiss_solve(rows: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]:
+    """:func:`sylvester_pass` for any square ``M`` by the pivoting loop of
+    :func:`_int_det`: ``None`` only when ``M`` is singular, else ``(det M,
+    solutions)`` with ``M (y / det M) == r`` for each column ``r`` of ``R``."""
+    d = _int_det(rows)
+    if d == 0:
+        return None
+    n = len(rows)
+    width = len(rows[0]) if n else 0
+    return d, [_back_substitute(rows, d, col) for col in range(n, width)]
 
 
 class BorderedElimination:
@@ -337,17 +362,8 @@ class BorderedElimination:
 
     def solution(self, column: int) -> list[int]:
         """The integer ``y`` with ``M (y / det M) == R[:, column]``, in the
-        order of :attr:`rows`; integral by Cramer's rule, and recovered by
-        back-substitution with exact integer divisions."""
-        rows = self.rows
-        n = len(rows)
-        d = self.det
-        col = n + column
-        y = [0] * n
-        for t in range(n - 1, -1, -1):
-            row = rows[t]
-            y[t] = (d * row[col] - sum(map(mul, row[t + 1 : n], y[t + 1 :]))) // row[t]
-        return y
+        order of :attr:`rows`, by :func:`_back_substitute`."""
+        return _back_substitute(self.rows, self.det, len(self.rows) + column)
 
 
 def sylvester_pass(rows: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]:
@@ -373,32 +389,19 @@ def sylvester_pass(rows: list[list[int]]) -> Optional[tuple[int, list[list[int]]
 
 
 def solve(matrix, rhs) -> tuple[Fraction, ...]:
-    """Solve ``matrix @ x = rhs`` exactly for a square nonsingular matrix."""
+    """Solve ``matrix @ x = rhs`` exactly for a square nonsingular matrix,
+    by :func:`bareiss_solve` on the integer rows of ``c * [matrix | rhs]``."""
     m = as_matrix(matrix)
     if not m.is_square():
         raise ShapeError(f"solve needs a square matrix, got {m.nrows}x{m.ncols}")
     b = as_vector(rhs)
     if len(b) != m.nrows:
         raise ShapeError(f"right-hand side length {len(b)} != matrix size {m.nrows}")
-    n = m.nrows
-    a = [list(row) + [x] for row, x in zip(m.entries, b)]
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            f = a[i][k] / pivot
-            for j in range(k, n + 1):
-                a[i][j] -= f * a[k][j]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = a[k][n] - sum((a[k][j] * x[j] for j in range(k + 1, n)), Fraction(0))
-        x[k] = acc / a[k][k]
-    return tuple(x)
+    outcome = bareiss_solve(scaled_int_rows([row + (x,) for row, x in zip(m.entries, b)])[0])
+    if outcome is None:
+        raise SingularMatrixError("matrix is singular")
+    d, solutions = outcome
+    return tuple(Fraction(v, d) for v in solutions[0]) if solutions else ()
 
 
 @dataclass(frozen=True)

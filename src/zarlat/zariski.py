@@ -30,15 +30,11 @@ definiteness witness.  ``decomposition_checks`` verifies that witness with
 one integer matrix-vector product and runs no elimination.
 ``decompose_bruteforce`` is the independent oracle: it enumerates every
 candidate support, keeps the candidates satisfying all the defining
-conditions, and demands exactly one resulting decomposition.  It decides
-definiteness by ``signature`` (integer congruence reduction), testing a
-subset only when every subset one element smaller is negative definite,
-and solves by Gaussian elimination over ``Fraction``, so it shares no
-elimination with the engine.  That ``solve`` is the oracle's only
-``Fraction`` elimination: its range, nef and orthogonality tests, like the
-queries of ``in_nef_region``, run on integer rows of ``c * gram``.  The two
-must agree coefficient for coefficient; any divergence is a bug by
-uniqueness.
+conditions, and demands exactly one resulting decomposition.  Its one
+elimination per subset pivots (:func:`zarlat.linalg.bareiss_solve`), the
+engine's does not; they share only back-substitution, and each tests its
+solution against the form on its own terms.  The two must agree
+coefficient for coefficient; any divergence is a bug by uniqueness.
 
 All arithmetic is exact; all operations are pure and deterministic.
 ``random_instance`` derives everything from an explicit 64-bit seed through
@@ -61,17 +57,16 @@ from .errors import (
     InconsistencyError,
     OracleMismatchError,
     ShapeError,
+    SingularMatrixError,
 )
 from .linalg import (
     BorderedElimination,
-    Inertia,
     RationalMatrix,
     as_rational,
     as_vector,
-    det,
+    bareiss_solve,
+    det,  # not called here; perfbench/selftest.py checks its tracer rebinds zariski.det
     scaled_int_rows,
-    signature,
-    solve,
     sylvester_pass,
 )
 
@@ -183,7 +178,11 @@ class CertificateOutcome:
 def exceptional_certificate(form: IntersectionForm, indices: Sequence[int]) -> CertificateOutcome:
     _, rows, c = support_rows(form, indices)
     # (c * Gram_S) x == (-c, ..., -c) exactly when Gram_S x == (-1, ..., -1).
-    solution = solve(rows, [-c] * len(rows))
+    outcome = bareiss_solve([row + [-c] for row in rows])
+    if outcome is None:
+        raise SingularMatrixError("matrix is singular")
+    d, (y,) = outcome
+    solution = tuple(Fraction(v, d) for v in y)
     failing = next((i for i, x in enumerate(solution) if x <= 0), None)
     return CertificateOutcome(
         solution=solution, accepted=failing is None, failing_index=failing
@@ -362,31 +361,31 @@ def decompose_bruteforce(
 
     Every principal submatrix of a negative definite matrix is negative
     definite (Horn & Johnson, *Matrix Analysis*, 4.3), so a subset is tested
-    by ``signature`` only when each subset one element smaller was found
-    negative definite, whatever its range test gave.  The pruning skips no
-    subset that could be kept, and the enumeration stays exhaustive.
+    only when each subset one element smaller was found negative definite,
+    whatever its range test gave.  The pruning skips no subset that could be
+    kept, and the enumeration stays exhaustive.
 
-    ``solve`` over ``Fraction`` is the only elimination per subset.  Its
-    solution, scaled by the lcm ``t`` of its denominators, and ``r``, the
-    integer product of ``c * gram`` with ``s * a``, decide the range, nef
-    and orthogonality tests on integers; every scale is positive, so each
-    test has the verdict of the rational one.
+    A tested subset gets one :func:`zarlat.linalg.bareiss_solve` over
+    ``[(c * gram)_S | r_S, -1]``.  Its proper principal submatrices being
+    negative definite, Sylvester's criterion comes down to the last minor:
+    ``d = det(c * Gram_S)`` must be nonzero with the sign of ``(-1)^|S|``.
+    ``y = |d| * s * n_S`` decides the range, nef and orthogonality tests on
+    integers, as in :func:`decompose`, and the ``-1`` column the witness.
     """
     a = as_divisor(divisor, form.size)
     require_intersection_product(form)
     support = support_of(a)
     if len(support) > limit:
         raise DomainError(f"support size {len(support)} exceeds oracle limit {limit}")
-    gram = form.gram
-    # Integers for the acceptance tests: rows of c * gram and A = s * a, so
+    # Integers throughout: rows of c * gram and A = s * a, so
     # r = (c * gram) @ A = c * s * (gram @ a).
-    rows, c = gram.scaled_rows
+    rows, c = form.gram.scaled_rows
     s = lcm(*(x.denominator for x in a))
     big_a = [x.numerator * (s // x.denominator) for x in a]
     r = [sum(map(mul, row, big_a)) for row in rows]
-    accepted: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
+    accepted: dict[tuple[Fraction, ...], tuple[tuple[int, ...], int, list[int]]] = {}
     if all(v >= 0 for v in r):
-        accepted[(Fraction(0),) * form.size] = ()  # D is nef: N = 0
+        accepted[(Fraction(0),) * form.size] = ((), 1, [])  # D is nef: N = 0
     definite = {()}  # the negative definite subsets of the previous size
     for size in range(1, len(support) + 1):
         smaller, definite = definite, set()
@@ -395,41 +394,38 @@ def decompose_bruteforce(
         for subset in combinations(support, size):
             if any(subset[:i] + subset[i + 1 :] not in smaller for i in range(size)):
                 continue
-            sub = gram.submatrix(subset)
-            if signature(sub) != Inertia(0, size, 0):
+            outcome = bareiss_solve([[rows[i][j] for j in subset] + [r[i], -1] for i in subset])
+            if outcome is None or (outcome[0] < 0) != (size % 2 == 1):
                 continue
             definite.add(subset)
-            solution = solve(sub, [Fraction(r[j], c * s) for j in subset])
-            # N = t * n_S; c * s * t * (gram @ (a - n)) = t * r - s * (c * gram)[:, S] @ N.
-            t = lcm(*(x.denominator for x in solution))
-            big_n = [x.numerator * (t // x.denominator) for x in solution]
-            if any(v < 0 or v * s > big_a[j] * t for j, v in zip(subset, big_n)):
+            # d = det(c * gram_S); y = d * s * n_S, made |d| * s * n_S.
+            d, (y, w) = outcome
+            scale, y = (d, y) if d > 0 else (-d, [-v for v in y])
+            if any(v < 0 or v > scale * big_a[j] for j, v in zip(subset, y)):
                 continue
-            gp = [t * rj - s * sum(row[j] * v for j, v in zip(subset, big_n))
+            # c * s * |d| * (gram @ (a - n)) = |d| * r - (c * gram)[:, S] @ y.
+            gp = [scale * rj - sum(row[j] * v for j, v in zip(subset, y))
                   for row, rj in zip(rows, r)]
             if any(v < 0 for v in gp):
                 continue
-            if sum(v * gp[j] for j, v in zip(subset, big_n)) != 0:
+            if sum(v * gp[j] for j, v in zip(subset, y)) != 0:
                 continue
             negative = [Fraction(0)] * form.size
-            for j, x in zip(subset, solution):
-                negative[j] = x
-            accepted.setdefault(tuple(negative), subset)
+            for j, v in zip(subset, y):
+                negative[j] = Fraction(v, scale * s)
+            accepted.setdefault(tuple(negative), (subset, d, w))
     if len(accepted) != 1:
         raise OracleMismatchError(
             f"enumeration found {len(accepted)} distinct decompositions instead of one"
         )
-    negative = next(iter(accepted))
-    support = support_of(negative)
-    sub = gram.submatrix(support)
-    certificate = solve(sub, [-1] * len(support))
-    scale = lcm(*(x.denominator for x in certificate))
-    y = [x.numerator * (scale // x.denominator) for x in certificate]
-    g = gcd(*y)  # 1 for an integral Gram matrix, not always for a rational one
+    negative, (subset, d, w) = next(iter(accepted.items()))
+    # w = d * (c * gram_S)^-1 (-1, ..., -1).  A part with a zero coefficient
+    # on S solves the system on S without it, accepted first: S == supp(N).
+    g = gcd(*w) if d > 0 else -gcd(*w)
     return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
-                         negative=negative, negative_support=support,
-                         rounds=0, negative_gram_det=det(sub),
-                         witness=tuple(v // g for v in y))
+                         negative=negative, negative_support=subset,
+                         rounds=0, negative_gram_det=Fraction(d, c ** len(subset)),
+                         witness=tuple(v // g for v in w))
 
 
 def decomposition_checks(

@@ -447,7 +447,7 @@ class TestDenominatorBound:
         monkeypatch.delenv("BBF_FACTORIAL_GUARD")
         assert factorial_guard() == 100_000
 
-    @pytest.mark.parametrize("value", ["abc", "-3", " "])
+    @pytest.mark.parametrize("value", ["abc", "-3", " ", " 1_0 ", "1_0", "+7", "\u0663"])
     def test_env_rejects_non_guards(self, monkeypatch, value):
         monkeypatch.setenv("BBF_FACTORIAL_GUARD", value)
         with pytest.raises(DomainError):

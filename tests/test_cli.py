@@ -257,7 +257,9 @@ class TestLattice:
         assert code == 1 and "unknown block" in err
 
     @pytest.mark.parametrize("expression, kind", [("rank1:x", "block"), ("U+rank1:1.5", "block"),
-                                                  ("K3n:x", "preset")])
+                                                  ("K3n:x", "preset"), ("rank1:\u0662", "block"),
+                                                  ("K3n:+2", "preset"), ("K3n: 1_0 ", "preset"),
+                                                  ("K3n:\u0663", "preset")])
     def test_non_integer_parameter_exit_1(self, capsys, expression, kind):
         code, out, err = run_cli(capsys, "lattice", expression)
         assert_one_error(code, out, err)
@@ -360,7 +362,7 @@ class TestBounds:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "2.5", " 1_0 ", "\u0663"])
     def test_bad_guard_env_exit_1(self, capsys, monkeypatch, value):
         monkeypatch.setenv("BBF_FACTORIAL_GUARD", value)
         code, out, err = run_cli(capsys, "bounds", "K3n:2", "--rho", "2")

@@ -13,6 +13,7 @@ from zarlat.linalg import (
     RationalMatrix,
     SmithNormalForm,
     as_rational,
+    bareiss_solve,
     det,
     is_negative_definite,
     leading_principal_minors,
@@ -66,6 +67,32 @@ def snf_matrices(max_size=6):
             lambda k: st.tuples(grid(n, k, -3, 3), grid(k, n, -3, 3))
         ).map(lambda ab: product(n, ab))
         return st.one_of(grid(n, n, -9, 9), grid(n, n, -30, 30), grid(n, n, 0, 1), low_rank)
+
+    return st.integers(0, max_size).flatmap(of_size)
+
+
+def rational_square(max_size=6):
+    """Square rational matrices of sizes 0..max_size, almost all of them
+    asymmetric: dense ones, sparse ones (whose zero pivots force row swaps),
+    and products A B through an inner dimension k <= n, which are singular
+    when k < n."""
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    sparse = st.sampled_from((0, 0, 0, 1, Fraction(-3, 2)))
+
+    def grid(rows, cols, values):
+        return st.lists(st.lists(values, min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows)
+
+    def product(n, ab):
+        a, b = ab
+        return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(n)]
+                for i in range(n)]
+
+    def of_size(n):
+        low_rank = st.integers(0, n).flatmap(
+            lambda k: st.tuples(grid(n, k, entry), grid(k, n, entry))
+        ).map(lambda ab: product(n, ab))
+        return st.one_of(grid(n, n, entry), grid(n, n, sparse), low_rank)
 
     return st.integers(0, max_size).flatmap(of_size)
 
@@ -149,6 +176,32 @@ class TestDet:
         assert det(rows) == cofactor_det(rows)
 
 
+class TestBareissSolve:
+    def test_examples(self):
+        assert bareiss_solve([]) == (1, [])
+        assert bareiss_solve([[3]]) == (3, [])
+        assert bareiss_solve([[0, 2, 1], [3, 0, 1]]) == (-6, [[-2, -3]])  # one row swap
+        assert bareiss_solve([[1, 2, 1], [2, 4, 5]]) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(snf_matrices(), st.data())
+    def test_integer_product(self, m, data):
+        # M (y / det M) == r for each column r, checked as M y == det M * r
+        # on integers, for zero, one and two right-hand-side columns.
+        n = len(m)
+        width = data.draw(st.integers(0, 2))
+        rhs = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=width, max_size=width),
+                                 min_size=n, max_size=n))
+        outcome = bareiss_solve([row + extra for row, extra in zip(m, rhs)])
+        d = cofactor_det(m)
+        if d == 0:
+            assert outcome is None
+            return
+        assert outcome[0] == d and len(outcome[1]) == (width if n else 0)
+        for col, y in enumerate(outcome[1]):
+            assert [sum(map(mul, row, y)) for row in m] == [d * extra[col] for extra in rhs]
+
+
 class TestSolve:
     def test_identity(self):
         assert solve(RationalMatrix.identity(2), ["3/2", -1]) == (Fraction(3, 2), Fraction(-1))
@@ -166,6 +219,21 @@ class TestSolve:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             solve([[1, 0], [0, 1]], [1, 2, 3])
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_square(), st.data())
+    def test_against_fraction_solve(self, rows, data):
+        n = len(rows)
+        rhs = data.draw(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+                                 min_size=n, max_size=n))
+        try:
+            expected = fraction_solve(rows, rhs)
+        except SingularMatrixError:
+            assert cofactor_det(rows) == 0
+            with pytest.raises(SingularMatrixError):
+                solve(rows, rhs)
+        else:
+            assert solve(rows, rhs) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(square_int_matrices(max_size=4), st.data())
@@ -250,6 +318,30 @@ def fraction_signature(rows):
             for s in live:
                 a[r][s] -= (ri * a[j][s] + rj * a[i][s]) / b
     return Inertia(n_plus, n_minus, n_zero)
+
+
+def fraction_solve(rows, rhs):
+    """Reference: Gaussian elimination over ``Fraction`` with the first
+    nonzero entry of each column as pivot, then back-substitution."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError("matrix is singular")
+        a[k], a[pivot_row] = a[pivot_row], a[k]
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] == 0:
+                continue
+            f = a[i][k] / pivot
+            for j in range(k, n + 1):
+                a[i][j] -= f * a[k][j]
+    x = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        acc = a[k][n] - sum((a[k][j] * x[j] for j in range(k + 1, n)), Fraction(0))
+        x[k] = acc / a[k][k]
+    return tuple(x)
 
 
 def charpoly_inertia(rows):
@@ -488,8 +580,8 @@ def pass_on_rationals(rows, rhs):
 
 
 class TestSylvesterPass:
-    """The single fraction-free pass against ``signature``, ``solve``,
-    ``det`` and, where installed, sympy."""
+    """The single fraction-free pass against ``signature``, ``det``, the
+    ``Fraction`` reference solve and, where installed, sympy."""
 
     def test_empty(self):
         assert sylvester_pass([]) == (1, [])
@@ -524,7 +616,7 @@ class TestSylvesterPass:
         if outcome is not None:
             d, x = outcome
             assert d == det(rows)
-            assert x == solve(rows, rhs)
+            assert x == fraction_solve(rows, rhs)
             assert RationalMatrix(rows).matvec(x) == tuple(rhs)
 
     @settings(max_examples=150, deadline=None)
@@ -537,7 +629,7 @@ class TestSylvesterPass:
         rhs = [i - 2 for i in range(n)]
         d, (y,) = sylvester_pass([row + [b] for row, b in zip(m, rhs)])
         assert d == det(m) and d != 0
-        assert tuple(Fraction(v, d) for v in y) == solve(m, rhs)
+        assert tuple(Fraction(v, d) for v in y) == fraction_solve(m, rhs)
 
     @settings(max_examples=100, deadline=None)
     @given(rational_symmetric(max_size=4), st.data())

@@ -58,3 +58,20 @@ def test_every_error_class_is_raised():
         if not any(issubclass(other, cls) for other in classes if other.__name__ in raised)
     ]
     assert classes and not unraised, f"error classes never raised in the package: {unraised}"
+
+
+def test_engine_and_oracle_share_no_elimination():
+    # The oracle cross-checks the engine only while neither runs the other's
+    # elimination: the engine's symmetric pass stays out of the oracle, and
+    # the oracle's pivoting solve and inertia stay out of the engine.
+    tree = ast.parse((PACKAGE_DIR / "zariski.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def names(function):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(functions[function])
+                if isinstance(node, (ast.Name, ast.Attribute))}
+
+    assert not names("decompose_bruteforce") & {"BorderedElimination", "sylvester_pass",
+                                                "is_exceptional"}
+    assert not names("decompose") & {"bareiss_solve", "solve", "signature"}

@@ -36,7 +36,8 @@ from zarlat.zariski import (
     support_of,
 )
 
-from conftest import witness_verdict
+from conftest import build_corpus, witness_verdict
+from test_linalg import fraction_solve
 
 
 def form_of(rows, labels=None):
@@ -69,9 +70,10 @@ def fraction_in_nef_region(form, divisor, candidate):
 def fraction_decompose_bruteforce(form, divisor, limit=12):
     """Reference: ``decompose_bruteforce`` with its acceptance tests over
     ``Fraction``s (``matvec`` of the remainder, a ``Fraction`` sum for the
-    orthogonality), as it was before they ran on integers.  Only the last
-    line differs: the witness is divided by its gcd, which the oracle now
-    does so that it is primitive for a rational Gram matrix too."""
+    orthogonality), as it was before they ran on integers, solving with the
+    ``Fraction`` reference and taking the determinant by cofactor expansion.
+    Only the last line differs: the witness is divided by its gcd, which the
+    oracle now does so that it is primitive for a rational Gram matrix too."""
     a = as_divisor(divisor, form.size)
     require_intersection_product(form)
     support = support_of(a)
@@ -95,7 +97,7 @@ def fraction_decompose_bruteforce(form, divisor, limit=12):
                 if signature(sub) != Inertia(0, size, 0):
                     continue
                 definite.add(subset)
-                solution = linalg.solve(sub, [ga[j] for j in subset])
+                solution = fraction_solve(sub.entries, [ga[j] for j in subset])
                 if any(x < 0 or x > a[j] for j, x in zip(subset, solution)):
                     continue
                 for j, x in zip(subset, solution):
@@ -114,12 +116,12 @@ def fraction_decompose_bruteforce(form, divisor, limit=12):
     negative = next(iter(accepted))
     support = support_of(negative)
     sub = gram.submatrix(support)
-    certificate = linalg.solve(sub, [-1] * len(support))
+    certificate = fraction_solve(sub.entries, [-1] * len(support))
     scale = lcm(*(x.denominator for x in certificate))
     g = gcd(*(x.numerator for x in certificate))
     return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
                          negative=negative, negative_support=support,
-                         rounds=0, negative_gram_det=det(sub),
+                         rounds=0, negative_gram_det=laplace_det(sub.entries),
                          witness=tuple(x.numerator * (scale // x.denominator) // g for x in certificate))
 
 
@@ -360,8 +362,16 @@ class TestOracle:
     def test_orthogonality_refuses_a_wrong_solution(self, monkeypatch):
         # With every solution doubled, N = (0, 1) on {E2} stays in range and
         # leaves P = (1, 0) nef, pairing (2, 1); only q(P, N) = 1 refuses it.
-        real = zariski.solve
-        monkeypatch.setattr(zariski, "solve", lambda m, rhs: tuple(2 * x for x in real(m, rhs)))
+        real = zariski.bareiss_solve
+
+        def doubled(rows):
+            outcome = real(rows)
+            if outcome is None:
+                return None
+            d, (y, w) = outcome
+            return d, [[2 * v for v in y], w]
+
+        monkeypatch.setattr(zariski, "bareiss_solve", doubled)
         with pytest.raises(OracleMismatchError, match="found 0 distinct"):
             decompose_bruteforce(form_of([[2, 1], [1, -2]]), [1, 1])
 
@@ -546,9 +556,10 @@ class TestOracleIndependence:
 
     def test_pruning_rule(self, corpus_1000, monkeypatch):
         # A subset is negative definite exactly when every subset one element
-        # smaller is and its own inertia is (0, |S|, 0); the reference verdict
-        # is the Sylvester pass, which the oracle does not run.  The oracle
-        # calls signature on exactly the subsets passing the first half.
+        # smaller is and its determinant is nonzero with the sign of
+        # (-1)^|S|; the reference verdicts are the Sylvester pass, which the
+        # oracle does not run, and the inertia (0, |S|, 0).  The oracle calls
+        # bareiss_solve on exactly the subsets passing the first half.
         checked = candidates = 0
         for form, divisor in corpus_1000:
             support = support_of(divisor)
@@ -558,30 +569,37 @@ class TestOracleIndependence:
                     sub = form.gram.submatrix(subset)
                     definite[subset] = linalg.is_negative_definite(sub)
                     hereditary = all(definite[subset[:i] + subset[i + 1 :]] for i in range(size))
-                    rule = hereditary and signature(sub) == Inertia(0, size, 0)
-                    assert definite[subset] == rule, (form.gram, subset)
+                    d = det(sub)
+                    rule = hereditary and d != 0 and (d < 0) == (size % 2 == 1)
+                    inertia = signature(sub) == Inertia(0, size, 0)
+                    assert definite[subset] == inertia == rule, (form.gram, subset)
                     checked += 1
                     candidates += hereditary
         assert checked > 10_000 and candidates < checked / 2
         calls = []
-        monkeypatch.setattr(zariski, "signature", lambda m: calls.append(m) or signature(m))
+        real = zariski.bareiss_solve
+        monkeypatch.setattr(zariski, "bareiss_solve", lambda rows: calls.append(rows) or real(rows))
         for form, divisor in corpus_1000:
             decompose_bruteforce(form, divisor)
         assert len(calls) == candidates
 
     def test_runs_without_engine_pass(self, corpus_1000, monkeypatch):
-        expected = [(dec.positive, dec.negative)
-                    for dec in (decompose(form, divisor) for form, divisor in corpus_1000)]
+        # Neither the engine's pass nor the submatrix, inertia, solve and det
+        # routines the oracle once used: one bareiss_solve per subset is all.
+        expected = [(decompose(form, divisor), decompose_bruteforce(form, divisor))
+                    for form, divisor in corpus_1000]
 
         def raising(*args, **kwargs):
-            raise AssertionError("the oracle ran the engine's pass")
+            raise AssertionError("the oracle ran a routine it must not need")
 
         for module in (linalg, zariski):
-            monkeypatch.setattr(module, "sylvester_pass", raising)
-            monkeypatch.setattr(module, "BorderedElimination", raising)
-        for (form, divisor), parts in zip(corpus_1000, expected):
+            for name in ("sylvester_pass", "BorderedElimination", "signature", "solve", "det"):
+                monkeypatch.setattr(module, name, raising, raising=False)
+        monkeypatch.setattr(linalg.RationalMatrix, "submatrix", raising)
+        for (form, divisor), (dec, before) in zip(corpus_1000, expected):
             oracle = decompose_bruteforce(form, divisor)
-            assert (oracle.positive, oracle.negative) == parts
+            assert oracle == before
+            assert (oracle.positive, oracle.negative) == (dec.positive, dec.negative)
             assert oracle.joined == ()
 
     def test_cached_rows_not_aliased(self, corpus):
@@ -782,6 +800,23 @@ class TestDecomposeDigest:
         assert sum(m.startswith("solved coefficient") for m in messages) > 100
         assert sum(m.startswith("Gram submatrix") for m in messages) > 100
         assert h.hexdigest() == "a92bb0c5d4acf2ec4e38b8bb4445d03dc561bde4068206f23be5953d4bdd4ec1"
+
+
+class TestOracleDigest:
+    """``decompose_bruteforce`` output pinned byte for byte, every field in
+    its ``repr``, witness and determinant included.  The digest was
+    recorded from the oracle that decided definiteness by ``signature`` and
+    solved each subset by Gaussian elimination over ``Fraction``."""
+
+    def test_results(self):
+        instances = build_corpus(1000)
+        instances += [random_instance(InstanceSpec.standard(seed=seed, m=1 + seed % 8))
+                      for seed in range(10_000, 13_000)]
+        instances += [rational_gram_instance(seed, 1 + seed % 6) for seed in range(1000)]
+        h = hashlib.sha256()
+        for form, divisor in instances:
+            h.update(repr(decompose_bruteforce(form, divisor)).encode() + b"\n")
+        assert h.hexdigest() == "23b65650055f74a68cd0ae099840072b18a154b626afb1ab273bff851e73b876"
 
 
 def nef_queries(form, divisor, rng):
