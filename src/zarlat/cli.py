@@ -248,10 +248,23 @@ def cmd_decompose(args) -> int:
     return EXIT_OK if payload["status"] == "ok" else EXIT_PROPERTY
 
 
+# The one grammar of integers on the command line, for flags and lattice
+# parameters alike: int() would also read ' 1_0 ', '+7' and non-ASCII digits.
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """argparse ``type`` of the integer flags: refused spellings get
+    argparse's ``invalid int value`` line and exit 1, as ``abc`` does."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _int_param(param: str, kind: str) -> Optional[int]:
     if not param:
         return None
-    if re.fullmatch(r"-?[0-9]+", param) is None:
+    if _DECIMAL.fullmatch(param) is None:
         raise DomainError(f"{kind} parameter {param!r} is not an integer")
     return int(param)
 
@@ -414,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", help="path to a problem JSON file")
     p.add_argument("--verify-oracle", action="store_true",
                    help="cross-check against brute-force enumeration")
-    p.add_argument("--oracle-limit", type=int, default=None,
+    p.add_argument("--oracle-limit", type=_decimal, default=None,
                    help="max support size for the oracle (default 12)")
     p.add_argument("-o", "--output", default=None, help="also write the result JSON here")
     p.set_defaults(func=cmd_decompose)
@@ -425,23 +438,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("table", help="recompute the four-family discriminant table")
-    p.add_argument("--n", type=int, default=2, help="parameter for the K3/Kummer rows (default 2)")
+    p.add_argument("--n", type=_decimal, default=2,
+                   help="parameter for the K3/Kummer rows (default 2)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("bounds", help="full bound report for a preset")
     p.add_argument("preset", help='e.g. "K3n:2" or "OG10"')
-    p.add_argument("--rho", type=int, required=True, help="Picard number, in [1, h11]")
+    p.add_argument("--rho", type=_decimal, required=True, help="Picard number, in [1, h11]")
     p.add_argument("--volume", default="1", help="volume bound C (exact rational, default 1)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("fuzz", help="seeded property run over random instances")
-    p.add_argument("--seed", type=int, required=True, help="base seed; instance i uses seed+i")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--m", type=int, default=4, help="components per instance")
-    p.add_argument("--oracle-limit", type=int, default=8)
+    p.add_argument("--seed", type=_decimal, required=True, help="base seed; instance i uses seed+i")
+    p.add_argument("--count", type=_decimal, default=100)
+    p.add_argument("--m", type=_decimal, default=4, help="components per instance")
+    p.add_argument("--oracle-limit", type=_decimal, default=8)
     p.set_defaults(func=cmd_fuzz)
     return parser
 

@@ -11,13 +11,20 @@ Sylvester's criterion, yields ``det`` and, by integer back-substitution of
 ``det * x`` (integral by Cramer's rule), solves the system for every
 right-hand-side column it carries, with exact divisions only.  It can be
 bordered with further rows and columns without eliminating the old ones
-again; :func:`sylvester_pass` is the extension of the empty state.  The
-pivoting loop behind ``det`` carries right-hand sides too, and
-:func:`bareiss_solve`, behind ``solve``, back-substitutes them the same
-way.  ``signature`` (congruence reduction over integers, with a 2x2
-hyperbolic pivot when the diagonal of the live block vanishes) is the
-third elimination; none runs over ``Fraction``.  Floating point is rejected
-on input and never appears internally: denominators are data here.
+again; :func:`sylvester_pass` is the extension of the empty state.  It
+applies its pivots two at a time (Bareiss's two-step method): a row goes
+from level ``s`` to ``s + 2`` in one pass, ``(p1 a_ij - a_i,s+1 u_j + a_is
+v_j) // q``, with ``u`` the pivot row ``s + 1`` one step on and ``v`` a row
+of 2x2 minors over ``q``, the pivot before the pair; while bordering, ``v``
+comes from the two stored pivot rows alone.  Each quotient is a minor of
+the input by Sylvester's identity, so every division is exact.  The
+pivoting loop behind ``det`` (:func:`bareiss_det`) carries right-hand sides
+too, and :func:`bareiss_solve`, behind ``solve``, back-substitutes them
+the same way (:func:`back_substitute`).  ``signature`` (congruence
+reduction over integers, with a 2x2 hyperbolic pivot when the diagonal of
+the live block vanishes) is the third elimination; none runs over
+``Fraction``.  Floating point is rejected on input and never appears
+internally: denominators are data here.
 
 ``smith_normal_form`` is one integer loop that enforces the divisibility
 chain while it eliminates and records both unimodular transforms, a
@@ -221,7 +228,7 @@ def scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]]
     return [[x.numerator * (c // x.denominator) for x in row] for row in rows], c
 
 
-def _int_det(a: list[list[int]]) -> int:
+def bareiss_det(a: list[list[int]]) -> int:
     """Determinant of the leading square of integer rows by fraction-free
     Gaussian elimination; the rows are overwritten, columns beyond the
     square included.
@@ -262,10 +269,10 @@ def det(matrix) -> Fraction:
     if not m.is_square():
         raise ShapeError(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
     rows, c = scaled_int_rows(m.entries)
-    return Fraction(_int_det(rows), c ** m.nrows)
+    return Fraction(bareiss_det(rows), c ** m.nrows)
 
 
-def _back_substitute(rows: list[list[int]], d: int, col: int) -> list[int]:
+def back_substitute(rows: list[list[int]], d: int, col: int) -> list[int]:
     """``y`` with ``M (y / d) == R[:, col]`` from rows ``[M | R]`` eliminated
     to echelon form, ``d = +-det M``: ``y`` is integral by Cramer's rule,
     so every division is exact."""
@@ -279,14 +286,14 @@ def _back_substitute(rows: list[list[int]], d: int, col: int) -> list[int]:
 
 def bareiss_solve(rows: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]:
     """:func:`sylvester_pass` for any square ``M`` by the pivoting loop of
-    :func:`_int_det`: ``None`` only when ``M`` is singular, else ``(det M,
+    :func:`bareiss_det`: ``None`` only when ``M`` is singular, else ``(det M,
     solutions)`` with ``M (y / det M) == r`` for each column ``r`` of ``R``."""
-    d = _int_det(rows)
+    d = bareiss_det(rows)
     if d == 0:
         return None
     n = len(rows)
     width = len(rows[0]) if n else 0
-    return d, [_back_substitute(rows, d, col) for col in range(n, width)]
+    return d, [back_substitute(rows, d, col) for col in range(n, width)]
 
 
 class BorderedElimination:
@@ -295,14 +302,19 @@ class BorderedElimination:
 
     The state is ``[M | R]`` for a symmetric ``n x n`` integer matrix ``M``
     and a fixed number of right-hand-side columns ``R``, after all ``n``
-    elimination steps: row ``t`` holds, from column ``t`` on, its entries
-    after ``t`` Bareiss steps, and :attr:`pivots` are the leading principal
-    minors of ``M``.  By Sylvester's identity those entries depend only on
-    the first ``t + 1`` rows and columns (Bareiss 1968), so :meth:`extend`
-    borders ``M`` with new rows and columns without eliminating any old
-    entry again: the state equals one fresh elimination over the rows in
-    the order they joined.  Every division is exact, each entry being a
-    minor divisible by the previous pivot.
+    elimination steps: row ``t`` holds, from column ``t`` on, its level-``t``
+    entries (those after ``t`` Bareiss steps), and :attr:`pivots` are the
+    leading principal minors of ``M``.  By Sylvester's identity those
+    entries depend only on the first ``t + 1`` rows and columns (Bareiss
+    1968), so :meth:`extend` borders ``M`` with new rows and columns without
+    eliminating any old entry again: the state equals one fresh elimination
+    over the rows in the order they joined.
+
+    Pivots are applied two at a time, Bareiss's two-step method: a row goes
+    from level ``s`` to level ``s + 2`` in one pass, with 3 multiplications
+    and 1 exact division per entry where two single steps take 4 and 2.
+    Every division is exact, each quotient being a minor of ``M`` and the
+    divisor the pivot before the pair.
     """
 
     __slots__ = ("rows", "pivots")
@@ -324,46 +336,93 @@ class BorderedElimination:
         definite, that is whether the leading minors still read
         ``-, +, -, ...``; after ``False`` the state is spent.
 
-        The new rows go through the old pivots in full, from the column
-        after the pivot on.  Their entry in old column ``s`` after ``s``
-        steps is, by symmetry, the old pivot row's entry in their column,
-        so it is inserted into that row before the rows are updated with
-        it.  The entries of an old row in the right-hand-side columns never
+        The two-step update for pivots ``(s, s + 1)``: with ``a`` the
+        level-``s`` entries, ``p0 = a_ss``, ``u`` row ``s + 1`` at level
+        ``s + 1``, ``p1 = u_s+1``, and ``q`` the pivot before ``s`` (1 for
+        ``s = 0``), a later row ``i`` goes to level ``s + 2`` as
+
+            (p1 a_ij - a_i,s+1 u_j + a_is v_j) // q,
+            v_j = (a_s,s+1 a_s+1,j - a_sj a_s+1,s+1) // q.
+
+        Writing the two single steps out over level-``s`` entries gives
+        ``p0 q c_ij = p0 (p1 a_ij - a_i,s+1 u_j + a_is v_j)`` for the
+        level-``s + 2`` entry ``c_ij``, so the numerator is ``q c_ij``.  By
+        Sylvester's identity ``v_j``, a 2x2 determinant of level-``s``
+        entries over ``q``, is the minor of ``M`` on rows ``0..s+1`` and
+        columns ``0..s-1, s+1, j``.  Both divisions are exact.
+
+        The new rows pass the old pivot rows in pairs, from the column
+        after the pair on.  Their entry in old column ``s`` at level ``s``
+        is, by symmetry, the old pivot row's entry in their column, so it is
+        inserted into row ``s``; their entry in column ``s + 1``, taken one
+        single step on, is inserted into row ``s + 1``.  Only the stored
+        rows are at hand, row ``s`` at level ``s`` and row ``s + 1`` at level
+        ``s + 1``, so ``v`` comes from them alone: eliminating ``a_s+1,j``
+        between ``u_j`` and ``p1`` gives ``p0 v_j = a_s,s+1 u_j - p1 a_sj``,
+        an exact division by ``p0``.  An odd last old pivot takes one single
+        step.  The entries of an old row in the right-hand-side columns never
         change.  Then the new trailing block is eliminated, updating only
-        its upper triangle, which stays symmetric.
+        its upper triangle, which stays symmetric: row ``s + 1`` takes one
+        single step, which gives ``p1`` for the sign test before any later
+        row is touched, and the later rows take the two-step update.
         """
         rows, pivots = self.rows, self.pivots
         k = len(rows)
-        prev = 1
-        for s, row_s in enumerate(rows):
-            pivot = pivots[s]
+        q = 1
+        for s in range(0, k - 1, 2):
+            row_s, row_t = rows[s], rows[s + 1]
+            p0, p1 = pivots[s], pivots[s + 1]
+            f = row_s[s + 1]
             row_s[k:k] = [row[s] for row in new_rows]
-            tail = row_s[s + 1 :]
+            row_t[k:k] = [(p0 * row[s + 1] - row[s] * f) // q for row in new_rows]
+            u = row_t[s + 2 :]
+            v = [(f * y - p1 * x) // p0 for x, y in zip(row_s[s + 2 :], u)]
             for row in new_rows:
-                factor = row[s]
-                row[s + 1 :] = [(x * pivot - factor * y) // prev
-                                for x, y in zip(row[s + 1 :], tail)]
-            prev = pivot
+                g, h = row[s], row[s + 1]
+                row[s + 2 :] = [(p1 * x - h * y + g * z) // q
+                                for x, y, z in zip(row[s + 2 :], u, v)]
+            q = p1
+        if k % 2:
+            s = k - 1
+            row_s, p0 = rows[s], pivots[s]
+            row_s[k:k] = [row[s] for row in new_rows]
+            for row in new_rows:
+                g = row[s]
+                row[k:] = [(p0 * x - g * y) // q for x, y in zip(row[k:], row_s[k:])]
+            q = p0
         rows += new_rows
         n = len(rows)
-        for s in range(k, n):
+        for s in range(k, n, 2):
             row_s = rows[s]
-            pivot = row_s[s]
-            if pivot == 0 or (pivot < 0) != (s % 2 == 0):
+            p0 = row_s[s]
+            if p0 == 0 or (p0 < 0) != (s % 2 == 0):
                 return False
-            pivots.append(pivot)
-            for i in range(s + 1, n):
-                row_i = rows[i]
-                factor = row_s[i]
-                row_i[i:] = [(x * pivot - factor * y) // prev
-                             for x, y in zip(row_i[i:], row_s[i:])]
-            prev = pivot
+            pivots.append(p0)
+            if s + 1 == n:
+                break
+            row_t = rows[s + 1]
+            f, e = row_s[s + 1], row_t[s + 1]
+            w = row_t[s + 2 :]  # level s: a_s+1,j, and by symmetry a_j,s+1
+            row_t[s + 1 :] = [(p0 * y - f * x) // q
+                              for x, y in zip(row_s[s + 1 :], row_t[s + 1 :])]
+            p1 = row_t[s + 1]
+            if p1 == 0 or (p1 < 0) != (s % 2 == 1):
+                return False
+            pivots.append(p1)
+            u = row_t[s + 2 :]
+            v = [(f * y - e * x) // q for x, y in zip(row_s[s + 2 :], w)]
+            for j, row in enumerate(rows[s + 2 :]):
+                i = s + 2 + j
+                g, h = row_s[i], w[j]
+                row[i:] = [(p1 * x - h * y + g * z) // q
+                           for x, y, z in zip(row[i:], u[j:], v[j:])]
+            q = p1
         return True
 
     def solution(self, column: int) -> list[int]:
         """The integer ``y`` with ``M (y / det M) == R[:, column]``, in the
-        order of :attr:`rows`, by :func:`_back_substitute`."""
-        return _back_substitute(self.rows, self.det, len(self.rows) + column)
+        order of :attr:`rows`, by :func:`back_substitute`."""
+        return back_substitute(self.rows, self.det, len(self.rows) + column)
 
 
 def sylvester_pass(rows: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]:
@@ -519,7 +578,7 @@ class SmithNormalForm:
         umv = _int_matmul(_int_matmul(self.left, self.matrix), self.right)
         if umv != tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)):
             return False
-        return all(abs(_int_det([list(r) for r in t])) == 1 for t in (self.left, self.right))
+        return all(abs(bareiss_det([list(r) for r in t])) == 1 for t in (self.left, self.right))
 
 
 def _int_matmul(a, b):

@@ -31,7 +31,7 @@ one integer matrix-vector product and runs no elimination.
 ``decompose_bruteforce`` is the independent oracle: it enumerates every
 candidate support, keeps the candidates satisfying all the defining
 conditions, and demands exactly one resulting decomposition.  Its one
-elimination per subset pivots (:func:`zarlat.linalg.bareiss_solve`), the
+elimination per subset pivots (:func:`zarlat.linalg.bareiss_det`), the
 engine's does not; they share only back-substitution, and each tests its
 solution against the form on its own terms.  The two must agree
 coefficient for coefficient; any divergence is a bug by uniqueness.
@@ -64,6 +64,8 @@ from .linalg import (
     RationalMatrix,
     as_rational,
     as_vector,
+    back_substitute,
+    bareiss_det,
     bareiss_solve,
     det,  # not called here; perfbench/selftest.py checks its tracer rebinds zariski.det
     scaled_int_rows,
@@ -103,12 +105,14 @@ class IntersectionForm:
 
 
 def intersection_axiom_violations(form: IntersectionForm) -> tuple[tuple[int, int], ...]:
-    """Every off-diagonal pair (i, j), i < j, with a negative pairing."""
+    """Every off-diagonal pair (i, j), i < j, with a negative pairing, read
+    from the rows of ``c * gram``: ``c > 0`` keeps every sign."""
+    rows, _ = form.gram.scaled_rows
     return tuple(
         (i, j)
-        for i, row in enumerate(form.gram.entries)
+        for i, row in enumerate(rows)
         for j in range(i + 1, len(row))
-        if row[j].numerator < 0
+        if row[j] < 0
     )
 
 
@@ -365,12 +369,14 @@ def decompose_bruteforce(
     whatever its range test gave.  The pruning skips no subset that could be
     kept, and the enumeration stays exhaustive.
 
-    A tested subset gets one :func:`zarlat.linalg.bareiss_solve` over
-    ``[(c * gram)_S | r_S, -1]``.  Its proper principal submatrices being
-    negative definite, Sylvester's criterion comes down to the last minor:
-    ``d = det(c * Gram_S)`` must be nonzero with the sign of ``(-1)^|S|``.
-    ``y = |d| * s * n_S`` decides the range, nef and orthogonality tests on
-    integers, as in :func:`decompose`, and the ``-1`` column the witness.
+    A tested subset gets one pivoting elimination,
+    :func:`zarlat.linalg.bareiss_det`, over ``[(c * gram)_S | r_S, -1]``.
+    Its proper principal submatrices being negative definite, Sylvester's
+    criterion comes down to the last minor: ``d = det(c * Gram_S)`` must be
+    nonzero with the sign of ``(-1)^|S|``.  Only then is the ``r_S`` column
+    back-substituted: ``y = |d| * s * n_S`` decides the range, nef and
+    orthogonality tests on integers, as in :func:`decompose`.  The ``-1``
+    column, the witness, is back-substituted once, for the accepted subset.
     """
     a = as_divisor(divisor, form.size)
     require_intersection_product(form)
@@ -383,7 +389,7 @@ def decompose_bruteforce(
     s = lcm(*(x.denominator for x in a))
     big_a = [x.numerator * (s // x.denominator) for x in a]
     r = [sum(map(mul, row, big_a)) for row in rows]
-    accepted: dict[tuple[Fraction, ...], tuple[tuple[int, ...], int, list[int]]] = {}
+    accepted: dict[tuple[Fraction, ...], tuple[tuple[int, ...], int, list[list[int]]]] = {}
     if all(v >= 0 for v in r):
         accepted[(Fraction(0),) * form.size] = ((), 1, [])  # D is nef: N = 0
     definite = {()}  # the negative definite subsets of the previous size
@@ -394,12 +400,13 @@ def decompose_bruteforce(
         for subset in combinations(support, size):
             if any(subset[:i] + subset[i + 1 :] not in smaller for i in range(size)):
                 continue
-            outcome = bareiss_solve([[rows[i][j] for j in subset] + [r[i], -1] for i in subset])
-            if outcome is None or (outcome[0] < 0) != (size % 2 == 1):
+            system = [[rows[i][j] for j in subset] + [r[i], -1] for i in subset]
+            d = bareiss_det(system)
+            if d == 0 or (d < 0) != (size % 2 == 1):
                 continue
             definite.add(subset)
             # d = det(c * gram_S); y = d * s * n_S, made |d| * s * n_S.
-            d, (y, w) = outcome
+            y = back_substitute(system, d, size)
             scale, y = (d, y) if d > 0 else (-d, [-v for v in y])
             if any(v < 0 or v > scale * big_a[j] for j, v in zip(subset, y)):
                 continue
@@ -413,14 +420,15 @@ def decompose_bruteforce(
             negative = [Fraction(0)] * form.size
             for j, v in zip(subset, y):
                 negative[j] = Fraction(v, scale * s)
-            accepted.setdefault(tuple(negative), (subset, d, w))
+            accepted.setdefault(tuple(negative), (subset, d, system))
     if len(accepted) != 1:
         raise OracleMismatchError(
             f"enumeration found {len(accepted)} distinct decompositions instead of one"
         )
-    negative, (subset, d, w) = next(iter(accepted.items()))
+    negative, (subset, d, system) = next(iter(accepted.items()))
     # w = d * (c * gram_S)^-1 (-1, ..., -1).  A part with a zero coefficient
     # on S solves the system on S without it, accepted first: S == supp(N).
+    w = back_substitute(system, d, len(subset) + 1)
     g = gcd(*w) if d > 0 else -gcd(*w)
     return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
                          negative=negative, negative_support=subset,

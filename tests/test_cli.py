@@ -459,6 +459,32 @@ class TestNoTraceback:
             assert err.startswith(f"error: {path}: ")
 
 
+INTEGER_FLAGS = {
+    "--oracle-limit (decompose)": ["decompose", "problem.json", "--oracle-limit"],
+    "--n": ["table", "--n"],
+    "--rho": ["bounds", "K3n:2", "--rho"],
+    "--seed": ["fuzz", "--seed"],
+    "--count": ["fuzz", "--seed", "1", "--count"],
+    "--m": ["fuzz", "--seed", "1", "--m"],
+    "--oracle-limit (fuzz)": ["fuzz", "--seed", "1", "--oracle-limit"],
+}
+
+
+class TestIntegerFlags:
+    """Integer flags read ``^-?[0-9]+$``, the grammar of lattice parameters;
+    ``int()`` would also read these spellings."""
+
+    @pytest.mark.parametrize("value", [" 1_0 ", "1_0", "+7", "\u0663"])
+    @pytest.mark.parametrize("flag", list(INTEGER_FLAGS))
+    def test_refused_exit_1(self, capsys, flag, value):
+        argv = INTEGER_FLAGS[flag] + [value]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("invalid int value") == 1
+        assert err.endswith(f"zarlat {argv[0]}: error: argument {argv[-2]}: "
+                            f"invalid int value: {value!r}\n")
+
+
 class FailingStdout:
     def write(self, text):
         raise OSError(28, "No space left on device")

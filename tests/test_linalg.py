@@ -715,6 +715,131 @@ class TestBorderedElimination:
                 [Fraction(i * (k + 1 - i), 2) for i in range(1, k + 1)]
 
 
+def single_step_extend(self, new_rows):
+    """Reference: :meth:`BorderedElimination.extend` as it was with one pass
+    over the rows per pivot, in both phases, kept verbatim with its state
+    ``self`` (anything with ``rows`` and ``pivots``) passed in."""
+    rows, pivots = self.rows, self.pivots
+    k = len(rows)
+    prev = 1
+    for s, row_s in enumerate(rows):
+        pivot = pivots[s]
+        row_s[k:k] = [row[s] for row in new_rows]
+        tail = row_s[s + 1 :]
+        for row in new_rows:
+            factor = row[s]
+            row[s + 1 :] = [(x * pivot - factor * y) // prev
+                            for x, y in zip(row[s + 1 :], tail)]
+        prev = pivot
+    rows += new_rows
+    n = len(rows)
+    for s in range(k, n):
+        row_s = rows[s]
+        pivot = row_s[s]
+        if pivot == 0 or (pivot < 0) != (s % 2 == 0):
+            return False
+        pivots.append(pivot)
+        for i in range(s + 1, n):
+            row_i = rows[i]
+            factor = row_s[i]
+            row_i[i:] = [(x * pivot - factor * y) // prev
+                         for x, y in zip(row_i[i:], row_s[i:])]
+        prev = pivot
+    return True
+
+
+def break_at(m, p, how):
+    """Make the leading minors of a negative definite ``m`` first break the
+    pattern ``-, +, -, ...`` at index ``p``: ``"zero"`` duplicates component
+    ``p - 1`` into ``p`` (or zeroes ``m[0][0]``), so the minor of order
+    ``p + 1`` vanishes; ``"sign"`` makes ``m[p][p]`` positive, so the Schur
+    complement of the definite leading block is positive and that minor has
+    the sign of the one before it."""
+    if how == "sign":
+        m[p][p] = 1 + abs(m[p][p])
+    elif p == 0:
+        m[0][0] = 0
+    else:
+        for j in range(len(m)):
+            m[p][j] = m[j][p] = m[p - 1][j]
+        m[p][p] = m[p][p - 1] = m[p - 1][p] = m[p - 1][p - 1]
+
+
+@st.composite
+def blocked_systems(draw):
+    """``(m, rhs, bounds)`` as :func:`bordered_systems`, sizes 1-9: negative
+    definite, singular and free (mostly indefinite) matrices, and definite
+    ones broken at a drawn index, of either parity, by :func:`break_at`."""
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(("definite", "singular", "free", "zero", "sign")))
+    m = [[0] * n for _ in range(n)]
+    if kind == "free":
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = draw(st.integers(-9, 9))
+    else:
+        # -(L + diag(e)) for the Laplacian L of nonnegative weights: negative
+        # definite when every e_i > 0, singular when e == 0.
+        e = [0] * n if kind == "singular" else \
+            draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = draw(st.integers(0, 5))
+        for i in range(n):
+            m[i][i] = -(sum(m[i]) + e[i])
+        if kind in ("zero", "sign"):
+            break_at(m, draw(st.integers(0, n - 1)), kind)
+    width = draw(st.integers(0, 2))
+    rhs = [draw(st.lists(st.integers(-9, 9), min_size=width, max_size=width)) for _ in range(n)]
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=3)) if n > 1 else set()
+    return m, rhs, [0, *sorted(cuts), n]
+
+
+def extend_like_single_steps(m, rhs, bounds):
+    """Extend block by block, and after every block compare the verdict and
+    the pivots with :func:`single_step_extend`, and the rows from their
+    diagonal on while the matrix is still negative definite.  Returns the
+    elimination, after its first ``False`` if there is one."""
+    elimination, reference = BorderedElimination(), BorderedElimination()
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = [m[i][:hi] + rhs[i] for i in range(lo, hi)]
+        extended = elimination.extend([row[:] for row in block])
+        assert extended == single_step_extend(reference, block)
+        assert elimination.pivots == reference.pivots
+        if not extended:
+            break
+        assert [row[t:] for t, row in enumerate(elimination.rows)] == \
+            [row[t:] for t, row in enumerate(reference.rows)]
+    return elimination
+
+
+class TestTwoStepExtend:
+    """The two-step :meth:`BorderedElimination.extend` leaves the state the
+    single-step reference leaves, block by block."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocked_systems())
+    def test_against_single_steps(self, system):
+        extend_like_single_steps(*system)
+
+    @pytest.mark.parametrize("how", ["zero", "sign"])
+    @pytest.mark.parametrize("p", range(6))
+    @pytest.mark.parametrize("bounds", [[0, 6], [0, 1, 6], [0, 3, 4, 6]])
+    def test_first_failing_pivot(self, p, how, bounds):
+        # A negative definite weighted chain, broken at each index in turn:
+        # the first failing pivot falls first or second in a pair, or alone,
+        # in the trailing block of a fresh pass or of a bordering.
+        m = [[0] * 6 for _ in range(6)]
+        for i in range(5):
+            m[i][i + 1] = m[i + 1][i] = i % 3 + 1
+        for i in range(6):
+            m[i][i] = -(sum(m[i]) + 1 + i % 2)
+        assert is_nd(m)
+        break_at(m, p, how)
+        elimination = extend_like_single_steps(m, [[i, -1] for i in range(6)], bounds)
+        assert len(elimination.pivots) == p
+
+
 class TestLeadingMinors:
     def test_zero_minors_kept(self):
         # a zero minor does not cut the sequence short

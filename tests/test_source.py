@@ -74,4 +74,4 @@ def test_engine_and_oracle_share_no_elimination():
 
     assert not names("decompose_bruteforce") & {"BorderedElimination", "sylvester_pass",
                                                 "is_exceptional"}
-    assert not names("decompose") & {"bareiss_solve", "solve", "signature"}
+    assert not names("decompose") & {"bareiss_det", "bareiss_solve", "solve", "signature"}

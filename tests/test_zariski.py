@@ -362,16 +362,13 @@ class TestOracle:
     def test_orthogonality_refuses_a_wrong_solution(self, monkeypatch):
         # With every solution doubled, N = (0, 1) on {E2} stays in range and
         # leaves P = (1, 0) nef, pairing (2, 1); only q(P, N) = 1 refuses it.
-        real = zariski.bareiss_solve
+        real = zariski.back_substitute
 
-        def doubled(rows):
-            outcome = real(rows)
-            if outcome is None:
-                return None
-            d, (y, w) = outcome
-            return d, [[2 * v for v in y], w]
+        def doubled(rows, d, col):
+            y = real(rows, d, col)
+            return [2 * v for v in y] if col == len(rows) else y  # the r_S column
 
-        monkeypatch.setattr(zariski, "bareiss_solve", doubled)
+        monkeypatch.setattr(zariski, "back_substitute", doubled)
         with pytest.raises(OracleMismatchError, match="found 0 distinct"):
             decompose_bruteforce(form_of([[2, 1], [1, -2]]), [1, 1])
 
@@ -559,8 +556,9 @@ class TestOracleIndependence:
         # smaller is and its determinant is nonzero with the sign of
         # (-1)^|S|; the reference verdicts are the Sylvester pass, which the
         # oracle does not run, and the inertia (0, |S|, 0).  The oracle calls
-        # bareiss_solve on exactly the subsets passing the first half.
-        checked = candidates = 0
+        # bareiss_det on exactly the subsets passing the first half, and
+        # back-substitutes y for each definite one and the witness once.
+        checked = candidates = definite_count = 0
         for form, divisor in corpus_1000:
             support = support_of(divisor)
             definite = {(): True}
@@ -575,17 +573,21 @@ class TestOracleIndependence:
                     assert definite[subset] == inertia == rule, (form.gram, subset)
                     checked += 1
                     candidates += hereditary
+                    definite_count += rule
         assert checked > 10_000 and candidates < checked / 2
-        calls = []
-        real = zariski.bareiss_solve
-        monkeypatch.setattr(zariski, "bareiss_solve", lambda rows: calls.append(rows) or real(rows))
+        calls, solves = [], []
+        real_det, real_solve = zariski.bareiss_det, zariski.back_substitute
+        monkeypatch.setattr(zariski, "bareiss_det", lambda rows: calls.append(rows) or real_det(rows))
+        monkeypatch.setattr(zariski, "back_substitute",
+                            lambda rows, d, col: solves.append(col) or real_solve(rows, d, col))
         for form, divisor in corpus_1000:
             decompose_bruteforce(form, divisor)
         assert len(calls) == candidates
+        assert len(solves) == definite_count + len(corpus_1000)
 
     def test_runs_without_engine_pass(self, corpus_1000, monkeypatch):
         # Neither the engine's pass nor the submatrix, inertia, solve and det
-        # routines the oracle once used: one bareiss_solve per subset is all.
+        # routines the oracle once used: one bareiss_det per subset is all.
         expected = [(decompose(form, divisor), decompose_bruteforce(form, divisor))
                     for form, divisor in corpus_1000]
 
@@ -593,7 +595,8 @@ class TestOracleIndependence:
             raise AssertionError("the oracle ran a routine it must not need")
 
         for module in (linalg, zariski):
-            for name in ("sylvester_pass", "BorderedElimination", "signature", "solve", "det"):
+            for name in ("sylvester_pass", "BorderedElimination", "signature", "solve", "det",
+                         "bareiss_solve"):
                 monkeypatch.setattr(module, name, raising, raising=False)
         monkeypatch.setattr(linalg.RationalMatrix, "submatrix", raising)
         for (form, divisor), (dec, before) in zip(corpus_1000, expected):
