@@ -261,9 +261,9 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-def _int_param(param: str, kind: str) -> Optional[int]:
-    if not param:
-        return None
+def _int_param(param: str, kind: str) -> int:
+    """The ``k`` after a ``:`` in a lattice expression; an empty one is
+    refused like any other non-decimal spelling."""
     if _DECIMAL.fullmatch(param) is None:
         raise DomainError(f"{kind} parameter {param!r} is not an integer")
     return int(param)
@@ -274,18 +274,20 @@ def parse_lattice_expr(text: str):
 
     A head that :func:`zarlat.lattice.normalize_tag` accepts names a preset;
     anything else is a ``+``-separated sum of :func:`zarlat.lattice.block`
-    names, each with an optional ``:k`` parameter.
+    names, each with an optional ``:k`` parameter.  Without a ``:`` the
+    parameter is ``None``; with one, ``k`` must be an integer.
     """
-    name, _, param = text.strip().partition(":")
+    name, colon, param = text.strip().partition(":")
     try:
         lattice_mod.normalize_tag(name)
     except DomainError:
         parts = []
         for token in text.split("+"):
-            name, _, param = token.strip().partition(":")
-            parts.append(lattice_mod.block(name.strip(), _int_param(param, "block")))
+            name, colon, param = token.strip().partition(":")
+            k = _int_param(param, "block") if colon else None
+            parts.append(lattice_mod.block(name.strip(), k))
         return lattice_mod.direct_sum(parts)
-    return lattice_mod.preset(name, _int_param(param, "preset"))
+    return lattice_mod.preset(name, _int_param(param, "preset") if colon else None)
 
 
 def _lattice_payload(lat: "lattice_mod.IntegralLattice", preset=None) -> dict:

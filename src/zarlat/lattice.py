@@ -101,18 +101,20 @@ _BLOCK_NAMES = ("U", "E8_minus", "A2_minus", "rank1")
 
 
 def block(name: str, parameter: Optional[int] = None) -> IntegralLattice:
-    """Catalog lookup: ``U``, ``E8_minus``, ``A2_minus`` or ``rank1`` with k."""
-    if name == "U":
-        return hyperbolic_plane()
-    if name == "E8_minus":
-        return e8_minus()
-    if name == "A2_minus":
-        return a2_minus()
+    """Catalog lookup: ``U``, ``E8_minus``, ``A2_minus`` or ``rank1`` with k.
+
+    ``rank1`` needs its square k; the other three take no parameter, and a
+    given one raises :class:`DomainError` rather than being ignored."""
     if name == "rank1":
         if parameter is None:
             raise DomainError("rank1 block needs its square as a parameter")
         return rank_one(parameter)
-    raise DomainError(f"unknown block {name!r}; expected one of {', '.join(_BLOCK_NAMES)}")
+    builders = {"U": hyperbolic_plane, "E8_minus": e8_minus, "A2_minus": a2_minus}
+    if name not in builders:
+        raise DomainError(f"unknown block {name!r}; expected one of {', '.join(_BLOCK_NAMES)}")
+    if parameter is not None:
+        raise DomainError(f"{name} block takes no parameter, got {parameter!r}")
+    return builders[name]()
 
 
 def direct_sum(parts: Iterable[IntegralLattice]) -> IntegralLattice:

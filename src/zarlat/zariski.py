@@ -26,15 +26,24 @@ integers (:class:`zarlat.linalg.BorderedElimination`) grows with the
 support, eliminating each row once: each round borders it with the rows of
 the components that joined, and it gives the definiteness verdict, the
 negative part and ``det Gram_S``; after the last round it gives an integer
-definiteness witness.  ``decomposition_checks`` verifies that witness with
-one integer matrix-vector product and runs no elimination.
-``decompose_bruteforce`` is the independent oracle: it enumerates every
-candidate support, keeps the candidates satisfying all the defining
-conditions, and demands exactly one resulting decomposition.  Its one
-elimination per subset pivots (:func:`zarlat.linalg.bareiss_det`), the
-engine's does not; they share only back-substitution, and each tests its
-solution against the form on its own terms.  The two must agree
-coefficient for coefficient; any divergence is a bug by uniqueness.
+definiteness witness.  ``decompose_bruteforce`` is the independent oracle:
+it enumerates every candidate support, keeps the candidates satisfying all
+the defining conditions, and demands exactly one resulting decomposition.
+Its one elimination per subset pivots (:func:`zarlat.linalg.bareiss_det`),
+the engine's does not; they share only back-substitution and the witness
+normalizer, and each tests its solution against the form on its own terms.
+The two must agree coefficient for coefficient; any divergence is a bug by
+uniqueness.
+
+One verifier, ``witness_certifies``, checks every definiteness certificate
+in the module: a positive integer vector ``y`` with ``Gram_S y < 0`` on a
+support whose distinct components pair nonnegatively (the M-matrix
+characterization).  ``decomposition_checks`` runs it on the witness and
+runs no elimination; ``exceptional_certificate`` runs it on the vector
+along ``Gram_S^-1 (-1, ..., -1)``.  One normalizer, ``primitive_witness``,
+turns that vector into a primitive integer one for the engine, the oracle
+and the certificate alike; sharing it is safe because the verifier
+re-checks whatever it returns.
 
 All arithmetic is exact; all operations are pure and deterministic.
 ``random_instance`` derives everything from an explicit 64-bit seed through
@@ -49,7 +58,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AxiomViolationError,
@@ -142,7 +151,9 @@ def support_rows(
 ) -> tuple[tuple[int, ...], list[list[int]], int]:
     """``(indices, rows, c)`` for a support that is nonempty and strictly
     increasing (else :class:`DomainError`) within ``[0, form.size)`` (else
-    :class:`ShapeError`): ``rows`` are fresh integer rows of ``c * Gram_S``."""
+    :class:`ShapeError`): ``rows`` are fresh integer rows of ``c * Gram_S``,
+    sliced from :attr:`zarlat.linalg.RationalMatrix.scaled_rows`, so ``c`` is
+    the lcm of the denominators of the whole Gram matrix, not of ``Gram_S``."""
     idx = tuple(indices)
     if not idx:
         raise DomainError("empty support")
@@ -150,9 +161,8 @@ def support_rows(
         raise DomainError(f"support {list(idx)} is not strictly increasing")
     if idx[0] < 0 or idx[-1] >= form.size:
         raise ShapeError(f"support {list(idx)} out of range for {form.size} components")
-    entries = form.gram.entries
-    rows, c = scaled_int_rows([[entries[i][j] for j in idx] for i in idx])
-    return idx, rows, c
+    rows, c = form.gram.scaled_rows
+    return idx, [[rows[i][j] for j in idx] for i in idx], c
 
 
 def is_exceptional(form: IntersectionForm, indices: Sequence[int]) -> bool:
@@ -162,34 +172,74 @@ def is_exceptional(form: IntersectionForm, indices: Sequence[int]) -> bool:
     return sylvester_pass(support_rows(form, indices)[1]) is not None
 
 
+def witness_certifies(rows: Sequence[Sequence[int]], support: Sequence[int],
+                      y: Sequence[int]) -> bool:
+    """Does ``y`` prove the Gram submatrix on ``support`` negative definite?
+
+    ``rows`` are the integer rows of ``c * gram`` for some ``c > 0``, indexed
+    by component, and ``y`` has one entry per support index, in order.
+    ``-Gram_S`` is positive definite when its off-diagonal entries are
+    ``<= 0`` (the sign pattern) and some ``y > 0`` has ``(-Gram_S) y > 0``
+    entrywise (the M-matrix characterization, Berman & Plemmons, ch. 6).  So
+    the answer is yes exactly when ``len(y) == |S|``, every ``y_i`` is a
+    positive ``int``, every off-diagonal entry of ``Gram_S`` is ``>= 0`` and
+    ``Gram_S y < 0``, whatever produced ``y``.  The sign pattern is checked
+    here, not assumed from the form: without it a positive ``y`` with
+    ``Gram_S y < 0`` proves nothing (``[[-1, -2], [-2, -1]]`` and
+    ``y = (1, 1)``).  One integer matrix-vector product; no elimination.
+    """
+    return (
+        len(y) == len(support)
+        and all(type(v) is int and v > 0 for v in y)
+        and all(rows[i][j] >= 0 for i in support for j in support if i != j)
+        and all(sum(map(mul, [rows[i][j] for j in support], y)) < 0 for i in support)
+    )
+
+
+def primitive_witness(d: int, w: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector in the direction of ``w / d``, for ``w``
+    nonzero and ``d`` nonzero: with ``w = d * (c * Gram_S)^-1 (-1, ..., -1)``
+    from a fraction-free elimination, ``d = det(c * Gram_S)``, it is the
+    candidate definiteness witness, whatever the sign of ``d``."""
+    g = gcd(*w) if d > 0 else -gcd(*w)
+    return tuple(v // g for v in w)
+
+
 @dataclass(frozen=True)
 class CertificateOutcome:
     """Result of the positive-combination certificate on a support set.
 
     ``solution`` always satisfies ``gram_S @ solution == (-1, ..., -1)``.
-    For a symmetric matrix with nonnegative off-diagonal entries, the
-    solution is entrywise positive exactly when the submatrix is negative
-    definite (the M-matrix characterization), so ``accepted`` doubles as a
-    definiteness certificate: a strictly positive combination of the
-    components pairs strictly negatively with every one of them.
+    ``accepted`` is :func:`witness_certifies` of the primitive integer vector
+    along it: true exactly when ``gram_S`` is negative definite and its
+    off-diagonal entries are nonnegative (the M-matrix characterization), so
+    a strictly positive combination of the components pairs strictly
+    negatively with every one of them.
     """
 
     solution: tuple[Fraction, ...]
     accepted: bool
-    failing_index: Optional[int]
 
 
 def exceptional_certificate(form: IntersectionForm, indices: Sequence[int]) -> CertificateOutcome:
+    """Solve ``Gram_S x = (-1, ..., -1)`` on the support ``indices`` and test
+    ``x`` as a definiteness certificate (:class:`CertificateOutcome`).
+
+    One pivoting fraction-free elimination, :func:`zarlat.linalg.bareiss_solve`,
+    over the rows of :func:`support_rows`; :func:`witness_certifies` then
+    decides on the primitive integer vector in the direction of ``x``, the
+    same check :func:`decomposition_checks` runs on ``Decomposition.witness``.
+    A singular ``Gram_S`` raises :class:`SingularMatrixError`.
+    """
     _, rows, c = support_rows(form, indices)
     # (c * Gram_S) x == (-c, ..., -c) exactly when Gram_S x == (-1, ..., -1).
     outcome = bareiss_solve([row + [-c] for row in rows])
     if outcome is None:
         raise SingularMatrixError("matrix is singular")
     d, (y,) = outcome
-    solution = tuple(Fraction(v, d) for v in y)
-    failing = next((i for i, x in enumerate(solution) if x <= 0), None)
     return CertificateOutcome(
-        solution=solution, accepted=failing is None, failing_index=failing
+        solution=tuple(Fraction(v, d) for v in y),
+        accepted=witness_certifies(rows, range(len(rows)), primitive_witness(d, y)),
     )
 
 
@@ -337,13 +387,12 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     for j, v in zip(order, y):
         negative[j] = Fraction(v, abs(d) * s)
     # w = d * (c * gram_S)^-1 (-1, ..., -1), solved once, for the last support.
-    w = elimination.solution(1)
-    g = gcd(*w) if d > 0 else -gcd(*w)
-    by_index = sorted(zip(order, w))
+    by_index = sorted(zip(order, elimination.solution(1)))
     return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
                          negative=tuple(negative), negative_support=tuple(j for j, _ in by_index),
                          rounds=len(joined), negative_gram_det=Fraction(d, c ** len(order)),
-                         witness=tuple(v // g for _, v in by_index), joined=tuple(joined))
+                         witness=primitive_witness(d, [v for _, v in by_index]),
+                         joined=tuple(joined))
 
 
 def self_labels(form: IntersectionForm, indices: Sequence[int]) -> str:
@@ -429,11 +478,10 @@ def decompose_bruteforce(
     # w = d * (c * gram_S)^-1 (-1, ..., -1).  A part with a zero coefficient
     # on S solves the system on S without it, accepted first: S == supp(N).
     w = back_substitute(system, d, len(subset) + 1)
-    g = gcd(*w) if d > 0 else -gcd(*w)
     return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
                          negative=negative, negative_support=subset,
                          rounds=0, negative_gram_det=Fraction(d, c ** len(subset)),
-                         witness=tuple(v // g for v in w))
+                         witness=primitive_witness(d, w))
 
 
 def decomposition_checks(
@@ -448,13 +496,9 @@ def decomposition_checks(
     (supp(P) union supp(N) == supp(D)).
 
     No elimination runs here: every key is integer arithmetic on the rows of
-    ``c * gram``.  Definiteness is read from ``dec.witness``: ``-Gram_S`` is
-    positive definite when its off-diagonal entries are ``<= 0`` (the sign
-    pattern, required because ``form`` is not re-validated here) and some
-    ``y > 0`` has ``(-Gram_S) y > 0`` entrywise (the M-matrix
-    characterization, Berman & Plemmons, ch. 6).  So the key holds exactly
-    when ``len(witness) == |S|``, every ``y_i > 0``, every off-diagonal entry
-    of ``Gram_S`` is ``>= 0`` and ``Gram_S y < 0``, whatever produced ``y``.
+    ``c * gram``.  Definiteness is read from ``dec.witness`` by
+    :func:`witness_certifies`, which also checks the sign pattern on ``S``,
+    because ``form`` is not re-validated here.
     """
     a = as_divisor(divisor, form.size)
     p, n = as_vector(dec.positive), dec.negative
@@ -466,15 +510,11 @@ def decomposition_checks(
     # exactly when q(P, N) == 0.
     gp = [sum(map(mul, row, big_p)) for row in rows]
     support_n = support_of(n)
-    y = dec.witness
     return {
         "parts_sum": tuple(x + z for x, z in zip(p, n)) == a,
         "positive_nef": all(v >= 0 for v in gp),
         "negative_exceptional": support_n == dec.negative_support
-        and len(y) == len(support_n)
-        and all(type(v) is int and v > 0 for v in y)
-        and all(rows[i][j] >= 0 for i in support_n for j in support_n if i != j)
-        and all(sum(map(mul, [rows[i][j] for j in support_n], y)) < 0 for i in support_n),
+        and witness_certifies(rows, support_n, dec.witness),
         "orthogonal": sum(x * v for x, v in zip(n, gp) if x) == 0,
         "support_union": tuple(sorted(set(support_of(p)) | set(support_n)))
         == support_of(a),

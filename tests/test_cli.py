@@ -259,11 +259,20 @@ class TestLattice:
     @pytest.mark.parametrize("expression, kind", [("rank1:x", "block"), ("U+rank1:1.5", "block"),
                                                   ("K3n:x", "preset"), ("rank1:\u0662", "block"),
                                                   ("K3n:+2", "preset"), ("K3n: 1_0 ", "preset"),
-                                                  ("K3n:\u0663", "preset")])
+                                                  ("K3n:\u0663", "preset"), ("OG6:", "preset"),
+                                                  ("U:", "block"), ("U+rank1:", "block")])
     def test_non_integer_parameter_exit_1(self, capsys, expression, kind):
         code, out, err = run_cli(capsys, "lattice", expression)
         assert_one_error(code, out, err)
         assert f"{kind} parameter" in err and "is not an integer" in err
+
+    @pytest.mark.parametrize("expression, name", [("U:5", "U"), ("E8_minus:-3", "E8_minus"),
+                                                  ("A2_minus:0+U", "A2_minus")])
+    def test_unused_parameter_exit_1(self, capsys, expression, name):
+        # A parameter no block reads is refused rather than ignored.
+        code, out, err = run_cli(capsys, "lattice", expression)
+        assert_one_error(code, out, err)
+        assert f"{name} block takes no parameter" in err
 
     def test_odd_rank1_rejected(self, capsys):
         code, _, err = run_cli(capsys, "lattice", "rank1:3")

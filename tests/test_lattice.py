@@ -64,6 +64,9 @@ class TestBlocks:
             block("E7")
         with pytest.raises(DomainError):
             block("rank1")
+        for name in ("U", "E8_minus", "A2_minus"):
+            with pytest.raises(DomainError, match="takes no parameter"):
+                block(name, 0)
 
 
 class TestDirectSum:

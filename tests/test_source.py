@@ -75,3 +75,19 @@ def test_engine_and_oracle_share_no_elimination():
     assert not names("decompose_bruteforce") & {"BorderedElimination", "sylvester_pass",
                                                 "is_exceptional"}
     assert not names("decompose") & {"bareiss_det", "bareiss_solve", "solve", "signature"}
+
+
+def test_one_definiteness_certificate():
+    # Every definiteness certificate in the engine goes through one verifier,
+    # and one normalizer alone makes a witness primitive, so a second,
+    # weaker check (one that skips the sign pattern) cannot come back.
+    tree = ast.parse((PACKAGE_DIR / "zariski.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def calls(function):
+        return {node.func.id for node in ast.walk(functions[function])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+    for function in ("decomposition_checks", "exceptional_certificate"):
+        assert "witness_certifies" in calls(function), function
+    assert [name for name in functions if "gcd" in calls(name)] == ["primitive_witness"]

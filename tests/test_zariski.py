@@ -170,7 +170,7 @@ class TestCertificate:
 
     def test_indefinite_refused(self):
         out = exceptional_certificate(form_of([[-1, 2], [2, -1]]), [0, 1])
-        assert not out.accepted and out.failing_index == 0
+        assert not out.accepted
         # the solver contract still holds: gram @ c == -1
         assert form_of([[-1, 2], [2, -1]]).gram.matvec(out.solution) == (
             Fraction(-1),
@@ -199,6 +199,34 @@ class TestCertificate:
             assert sylvester == inertia == positive == witness_verdict(form), rows
             agree += 1
         assert agree == 1000
+
+    def test_sound_off_the_axiom(self):
+        # With negative pairings allowed, a positive solution of Gram x = -1
+        # proves nothing; acceptance must still imply negative definiteness,
+        # and holds exactly when the matrix is negative definite with every
+        # off-diagonal entry nonnegative (else no M-matrix certificate exists).
+        rng = SplitMix64(0x5016D)
+        positive_refused = 0
+        for _ in range(2000):
+            k = rng.randint(1, 5)
+            rows = [[0] * k for _ in range(k)]
+            for i in range(k):
+                rows[i][i] = rng.randint(-9, 9)
+                for j in range(i + 1, k):
+                    rows[i][j] = rows[j][i] = rng.randint(-4, 9)
+            form = form_of(rows)
+            definite = signature(form.gram) == Inertia(0, k, 0)
+            try:
+                out = exceptional_certificate(form, range(k))
+            except SingularMatrixError:
+                assert det(rows) == 0
+                continue
+            sign_pattern = all(rows[i][j] >= 0 for i in range(k) for j in range(k) if i != j)
+            if out.accepted:
+                assert definite, rows
+            assert out.accepted == (definite and sign_pattern), rows
+            positive_refused += all(x > 0 for x in out.solution) and not out.accepted
+        assert positive_refused > 20
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -532,6 +560,11 @@ class TestWitnessCheck:
         dec = Decomposition(positive=(Fraction(0),) * 2, negative=ones, negative_support=(0, 1),
                             rounds=1, negative_gram_det=det(rows), witness=(1, 1))
         assert not self.verdict(form_of(rows), ones, dec)
+        # exceptional_certificate runs the same verifier on its own solution
+        try:
+            assert not exceptional_certificate(form_of(rows), [0, 1]).accepted
+        except SingularMatrixError:
+            assert det(rows) == 0
 
     def test_checks_run_no_elimination(self, corpus, monkeypatch):
         decs = [(form, divisor, decompose(form, divisor)) for form, divisor in corpus]
