@@ -49,7 +49,7 @@ from typing import Optional, Sequence, Union
 from . import zariski
 from .errors import DomainError, InconsistencyError, ZarlatError
 from .lattice import DeformationPreset, discriminant_group
-from .linalg import as_rational, det, sylvester_pass
+from .linalg import as_integer, as_rational, det, sylvester_pass
 from .zariski import IntersectionForm, as_divisor, decompose, support_rows
 
 DEFAULT_FACTORIAL_GUARD = 100_000
@@ -218,8 +218,8 @@ def _factorial_times(argument: int, times: int, guard: Optional[int]) -> BoundVa
 
 def denominator_bound(b: int, rho: int, guard: Optional[int] = None) -> BoundValue:
     """``(b**(rho - 1))!`` — clears every decomposition denominator."""
-    b = int(b)
-    rho = int(rho)
+    b = as_integer(b)
+    rho = as_integer(rho)
     if b < 1:
         raise DomainError(f"negativity bound must be positive, got {b}")
     if rho < 1:
@@ -229,8 +229,8 @@ def denominator_bound(b: int, rho: int, guard: Optional[int] = None) -> BoundVal
 
 def reverse_negativity_bound(d: int, card: int, guard: Optional[int] = None) -> BoundValue:
     """``d! * d * card`` — squares forced by denominators bounded by d."""
-    d = int(d)
-    card = int(card)
+    d = as_integer(d)
+    card = as_integer(card)
     if d < 1 or card < 1:
         raise DomainError("reverse bound needs positive d and card")
     return _factorial_times(d, d * card, guard)
@@ -242,9 +242,9 @@ def birationality_bound(n: int, card: int, rho: int, guard: Optional[int] = None
     The polynomial prefactor ``(n + 1)(2n + 3)`` is always integral, so
     only the factorial part is subject to the guard.
     """
-    n = int(n)
-    card = int(card)
-    rho = int(rho)
+    n = as_integer(n)
+    card = as_integer(card)
+    rho = as_integer(rho)
     if n < 1 or card < 1 or rho < 1:
         raise DomainError("birationality bound needs positive n, card and rho")
     prefactor = (n + 1) * (2 * n + 3)
@@ -253,7 +253,7 @@ def birationality_bound(n: int, card: int, rho: int, guard: Optional[int] = None
 
 def chow_degree_bound(n: int, volume, m0) -> Union[BigFraction, DeferredPower]:
     """Degree bound ``m0**(2n) * C`` for the image in projective space."""
-    n = int(n)
+    n = as_integer(n)
     if n < 1:
         raise DomainError(f"half-dimension must be positive, got {n}")
     c = as_rational(volume)
@@ -261,7 +261,7 @@ def chow_degree_bound(n: int, volume, m0) -> Union[BigFraction, DeferredPower]:
         raise DomainError(f"volume must be positive, got {c}")
     if isinstance(m0, DeferredFactorial):
         return DeferredPower(base=m0, exponent=2 * n, scale=c)
-    m0 = int(m0)
+    m0 = as_integer(m0)
     if m0 < 1:
         raise DomainError(f"birationality multiple must be positive, got {m0}")
     return BigFraction(Fraction(m0) ** (2 * n) * c)
@@ -324,7 +324,7 @@ def _bound_set(rho: int, b: int, card: int, half_dim: int, volume: Fraction,
 def full_report(preset: DeformationPreset, rho: int, volume=1,
                 guard: Optional[int] = None) -> BoundReport:
     """Assemble every bound for a deformation family at Picard number rho."""
-    rho = int(rho)
+    rho = as_integer(rho)
     if rho < 1 or rho > preset.h11:
         raise DomainError(f"rho must lie in [1, {preset.h11}] for {preset.display_name}, got {rho}")
     vol = as_rational(volume)
@@ -412,7 +412,7 @@ def det_trace_bound_holds(form: IntersectionForm, support: Sequence[int], b: int
     :func:`zarlat.linalg.sylvester_pass` gives the verdict and the determinant.
     """
     _, rows, c = support_rows(form, support)
-    b = int(b)
+    b = as_integer(b)
     if b < 1:
         raise DomainError(f"diagonal bound must be positive, got {b}")
     low_diagonal = any(row[i] < -b * c for i, row in enumerate(rows))
@@ -435,6 +435,8 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
     ``negative_square`` (one combination drawn from ``SplitMix64(seed ^ 0xD1F7)``)
     and ``certificate_positive``.  A :class:`ZarlatError` raised by a check fails it
     (``decomposition_checks`` for the invariants, ``decompose`` alone for the engine).
+    :func:`cramer_analysis` needs an integral Gram matrix, so on a rational one
+    ``cramer_divisibility`` fails whenever the negative support is nonempty.
     """
     divisor = as_divisor(divisor, form.size)
     try:
@@ -472,7 +474,9 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
     if not support:
         return failures
     check("cramer_divisibility", cramer_divisibility)
-    b = max(-int(form.gram[i, i]) for i in support)
+    # b = ceil(-gram_ii), the least integer with every diagonal entry >= -b.
+    rows, c = form.gram.scaled_rows
+    b = max(-(rows[i][i] // c) for i in support)
     check("det_trace_bound", lambda: det_trace_bound_holds(form, support, b))
     # One random nonzero nonnegative combination on the support must pair
     # negatively with some component and have negative square; the signs
@@ -482,7 +486,6 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
     while not any(combination):
         for i in support:
             combination[i] = rng.randint(0, 5)
-    rows, _ = form.gram.scaled_rows
     pairings = [sum(map(mul, row, combination)) for row in rows]
     check("negative_pairing_exists", lambda: any(pairings[j] < 0 for j in support))
     check("negative_square", lambda: sum(map(mul, combination, pairings)) < 0)

@@ -296,7 +296,7 @@ def _lattice_payload(lat: "lattice_mod.IntegralLattice", preset=None) -> dict:
     payload = {
         "name": lat.name,
         "rank": lat.rank,
-        "gram": [[int(x) for x in row] for row in lat.gram.entries],
+        "gram": lat.gram.int_rows(),
         "signature": [sig.n_plus, sig.n_minus, sig.n_zero],
         "elementary_divisors": list(group.elementary_divisors),
         "group": group.describe(),

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InconsistencyError, ShapeError, SingularMatrixError
-from .linalg import RationalMatrix, det, smith_normal_form
+from .linalg import RationalMatrix, as_integer, det, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -46,14 +47,24 @@ class IntegralLattice:
         return int(det(self.gram))
 
     def is_even(self) -> bool:
-        return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
+        rows, _ = self.gram.scaled_rows
+        return all(row[i] % 2 == 0 for i, row in enumerate(rows))
 
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        gu = self.gram.matvec(u)
-        return int(sum(Fraction(x) * g for x, g in zip(v, gu)))
+        rows, _ = self.gram.scaled_rows
+        a, b = _coordinates(self, u), _coordinates(self, v)
+        return sum(y * sum(map(mul, row, a)) for y, row in zip(b, rows))
 
     def square(self, v: Sequence[int]) -> int:
         return self.pairing(v, v)
+
+
+def _coordinates(lattice: IntegralLattice, values: Sequence[int]) -> list[int]:
+    """``values`` as ``rank`` integers, each read by :func:`zarlat.linalg.as_integer`."""
+    vec = [as_integer(x) for x in values]
+    if len(vec) != lattice.rank:
+        raise ShapeError(f"class has {len(vec)} coordinates, lattice rank is {lattice.rank}")
+    return vec
 
 
 _E8_EDGES = ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
@@ -89,7 +100,7 @@ def rank_one(k: int) -> IntegralLattice:
     ``k`` must be nonzero and, matching the even lattices this catalog
     serves, even.
     """
-    k = int(k)
+    k = as_integer(k)
     if k == 0:
         raise DomainError("rank-one lattice needs a nonzero square")
     if k % 2 != 0:
@@ -128,9 +139,8 @@ def direct_sum(parts: Iterable[IntegralLattice]) -> IntegralLattice:
     rows = [[0] * total for _ in range(total)]
     offset = 0
     for part in parts:
-        for i in range(part.rank):
-            for j in range(part.rank):
-                rows[offset + i][offset + j] = int(part.gram[i, j])
+        for i, row in enumerate(part.gram.int_rows()):
+            rows[offset + i][offset : offset + part.rank] = row
         offset += part.rank
     name = " + ".join(p.name for p in parts)
     return IntegralLattice(name, RationalMatrix.symmetric(rows))
@@ -215,14 +225,13 @@ class DualCurveClass:
 
 def dual_curve_integrality(lattice: IntegralLattice, coords: Sequence[int]) -> DualCurveClass:
     """Test whether -2 q(E, .) / q(E) takes integer values on the lattice."""
-    vec = [int(c) for c in coords]
-    if len(vec) != lattice.rank:
-        raise ShapeError(f"class has {len(vec)} coordinates, lattice rank is {lattice.rank}")
-    ge = lattice.gram.matvec(vec)
-    square = int(sum(Fraction(c) * g for c, g in zip(vec, ge)))
+    vec = _coordinates(lattice, coords)
+    rows, _ = lattice.gram.scaled_rows
+    ge = [sum(map(mul, row, vec)) for row in rows]
+    square = sum(map(mul, vec, ge))
     if square == 0:
         raise DomainError("isotropic class: q(E) = 0, the dual curve class is undefined")
-    dual = tuple(Fraction(-2) * g / square for g in ge)
+    dual = tuple(Fraction(-2 * g, square) for g in ge)
     failing = next((i for i, x in enumerate(dual) if x.denominator != 1), None)
     return DualCurveClass(
         integral=failing is None, dual_class=dual, square=square, failing_index=failing
@@ -284,9 +293,9 @@ def preset(tag: str, n: Optional[int] = None) -> DeformationPreset:
     tag = normalize_tag(tag)
     u3 = [hyperbolic_plane()] * 3
     if tag in ("K3n", "Kummer"):
+        n = None if n is None else as_integer(n)
         if n is None or n < 2:
             raise DomainError(f"{tag} needs an integer parameter n >= 2, got {n!r}")
-        n = int(n)
         if tag == "K3n":
             lat = direct_sum(u3 + [e8_minus(), e8_minus(), rank_one(-(2 * n - 2))])
             published = (2 * n - 2,)

@@ -1,41 +1,33 @@
 """Exact linear algebra kernel over arbitrary-precision rationals.
 
-Everything in this module is exact.  Matrices hold ``fractions.Fraction``
-entries.  Every determinant, leading minor and definiteness verdict goes
-through fraction-free (Bareiss) elimination over integers: a rational
-matrix is first scaled by the lcm ``c`` of its denominators, and
-``det A == det(cA) / c**n``.  ``det`` pivots.  Run without pivoting on a
-symmetric matrix, the pivots are the leading principal minors of ``cA``,
-so one symmetric elimination (:class:`BorderedElimination`) decides
-Sylvester's criterion, yields ``det`` and, by integer back-substitution of
-``det * x`` (integral by Cramer's rule), solves the system for every
-right-hand-side column it carries, with exact divisions only.  It can be
-bordered with further rows and columns without eliminating the old ones
-again; :func:`sylvester_pass` is the extension of the empty state.  It
-applies its pivots two at a time (Bareiss's two-step method): a row goes
-from level ``s`` to ``s + 2`` in one pass, ``(p1 a_ij - a_i,s+1 u_j + a_is
-v_j) // q``, with ``u`` the pivot row ``s + 1`` one step on and ``v`` a row
-of 2x2 minors over ``q``, the pivot before the pair; while bordering, ``v``
-comes from the two stored pivot rows alone.  Each quotient is a minor of
-the input by Sylvester's identity, so every division is exact.  The
-pivoting loop behind ``det`` (:func:`bareiss_det`) carries right-hand sides
-too, and :func:`bareiss_solve`, behind ``solve``, back-substitutes them
-the same way (:func:`back_substitute`).  ``signature`` (congruence
-reduction over integers, with a 2x2 hyperbolic pivot when the diagonal of
-the live block vanishes) is the third elimination; none runs over
-``Fraction``.  Floating point is rejected on input and never appears
-internally: denominators are data here.
+A :class:`RationalMatrix` is the integer rows of ``cA`` and the scale
+``c``, the lcm of the entry denominators, computed once by the constructor
+and never changed, so matrices can be shared freely between threads.
+``Fraction`` values appear only at the edges, in the entries a caller
+reads and the results it gets back; floats are rejected on input, since
+denominators are data here.
 
-``smith_normal_form`` is one integer loop that enforces the divisibility
-chain while it eliminates and records both unimodular transforms, a
-certificate that discriminant groups check (:meth:`SmithNormalForm.verify`).
+Every determinant, leading minor and definiteness verdict is fraction-free
+(Bareiss) elimination over those integers, with ``det A == det(cA) / c**n``
+and every division exact by Sylvester's identity.  ``det`` pivots
+(:func:`bareiss_det`), and :func:`bareiss_solve`, behind ``solve``,
+back-substitutes the right-hand sides that loop carries
+(:func:`back_substitute`).  Without pivoting on a symmetric matrix the
+pivots are the leading principal minors of ``cA``, so one symmetric
+elimination, two pivots per pass (:class:`BorderedElimination`), decides
+Sylvester's criterion, yields ``det`` and, by integer back-substitution of
+``det * x`` (integral by Cramer's rule), solves for every right-hand side
+it carries.  It can be bordered with further rows and columns without
+eliminating the old ones again; :func:`sylvester_pass` extends the empty
+state.  ``signature`` is the third elimination, a congruence reduction
+over integers with a 2x2 hyperbolic pivot when the diagonal of the live
+block vanishes.  ``smith_normal_form`` is one integer loop that enforces
+the divisibility chain while it eliminates and records both unimodular
+transforms, a certificate that discriminant groups check
+(:meth:`SmithNormalForm.verify`).
 
 Every function is pure; a :class:`BorderedElimination` is the one mutable
-state, owned by the caller that extends it.  A matrix's entries never
-change; its integer rows (:attr:`RationalMatrix.scaled_rows`) are computed
-on first use and kept in a second slot.  Two threads reading them first may
-both compute them, and each stores an equal tuple, so the race is benign
-and matrices can be shared freely between threads.
+state, owned by the caller that extends it.
 """
 
 from __future__ import annotations
@@ -81,29 +73,44 @@ def as_rational(value) -> Fraction:
     raise DomainError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
+def as_integer(value) -> int:
+    """``value`` as an ``int`` when :func:`as_rational` reads it as an
+    integral rational: an ``int`` (``BigInt`` too), an integral ``Fraction``
+    or a string such as ``"-3"``.  A fractional value raises
+    :class:`DomainError`, as does everything :func:`as_rational` refuses."""
+    q = as_rational(value)
+    if q.denominator != 1:
+        raise DomainError(f"{value!r} is not an integer")
+    return q.numerator
+
+
 def as_vector(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(as_rational(v) for v in values)
 
 
 class RationalMatrix:
-    """Immutable two-dimensional array of exact rationals."""
+    """Immutable two-dimensional array of exact rationals: the integer rows
+    of ``c * A`` and the scale ``c``, the lcm of the reduced entry
+    denominators.  The pair is canonical, so it decides equality and hashing.
+    :attr:`entries`, indexing and ``repr`` build ``Fraction`` values on each
+    call; every computation reads :attr:`scaled_rows`."""
 
-    __slots__ = ("_rows", "_scaled")
+    __slots__ = ("_scaled",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        converted = tuple(tuple(as_rational(x) for x in row) for row in rows)
+        converted = [[as_rational(x) for x in row] for row in rows]
         if converted and any(len(r) != len(converted[0]) for r in converted):
             raise ShapeError("rows have inconsistent lengths")
-        self._rows = converted
-        self._scaled = None
+        ints, c = scaled_int_rows(converted)
+        self._scaled = tuple(map(tuple, ints)), c
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "RationalMatrix":
-        """Wrap rows of already validated ``Fraction`` entries without
-        converting or checking them again."""
+    def _from_scaled(cls, rows: tuple[tuple[int, ...], ...], c: int) -> "RationalMatrix":
+        """``rows / c`` for tuple rows of ints and ``c > 0``, both divided by
+        their gcd so the pair stays canonical."""
+        g = gcd(c, *(x for row in rows for x in row))
         m = object.__new__(cls)
-        m._rows = rows
-        m._scaled = None
+        m._scaled = (rows, c) if g == 1 else (tuple(tuple(x // g for x in r) for r in rows), c // g)
         return m
 
     @classmethod
@@ -112,84 +119,79 @@ class RationalMatrix:
 
     @classmethod
     def symmetric(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        """Build a matrix that is required to be symmetric.
-
-        Rejects any input where entry (i, j) differs from entry (j, i).
-        """
+        """Build a matrix, rejecting any input that is not square or where
+        entry (i, j) differs from entry (j, i)."""
         m = cls(rows)
         if not m.is_square():
             raise ShapeError(f"symmetric matrix must be square, got {m.nrows}x{m.ncols}")
-        for i in range(m.nrows):
+        a, _ = m._scaled
+        for i, row in enumerate(a):
             for j in range(i + 1, m.ncols):
-                if m[i, j] != m[j, i]:
+                if row[j] != a[j][i]:
                     raise ShapeError(f"asymmetric entry at ({i}, {j}): {m[i, j]} != {m[j, i]}")
         return m
 
     @property
     def nrows(self) -> int:
-        return len(self._rows)
+        return len(self._scaled[0])
 
     @property
     def ncols(self) -> int:
-        return len(self._rows[0]) if self._rows else 0
+        return len(self._scaled[0][0]) if self._scaled[0] else 0
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        """The entries as ``Fraction`` values, built on each call."""
+        rows, c = self._scaled
+        return tuple(tuple(Fraction(x, c) for x in row) for row in rows)
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._rows[i][j]
+        rows, c = self._scaled
+        return Fraction(rows[i][j], c)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def is_symmetric(self) -> bool:
-        if not self.is_square():
-            return False
-        return all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
+        a, _ = self._scaled
+        return self.is_square() and all(
+            row[j] == a[j][i] for i, row in enumerate(a) for j in range(i + 1, len(row))
         )
 
     @property
     def scaled_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """``(rows, c)``: :func:`scaled_int_rows` of the entries, computed on
-        first use and kept.  The rows are tuples, so no caller can change
-        them; one that eliminates in place takes fresh lists from
-        :func:`scaled_int_rows`."""
-        scaled = self._scaled
-        if scaled is None:
-            rows, c = scaled_int_rows(self._rows)
-            scaled = self._scaled = tuple(map(tuple, rows)), c
-        return scaled
+        """``(rows, c)``: the integer rows of ``c * A``, as tuples no caller
+        can change, and the scale; one that eliminates in place copies the
+        rows into lists first."""
+        return self._scaled
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self._rows for x in row)
+        return self._scaled[1] == 1
 
     def int_rows(self) -> list[list[int]]:
         """Entries as plain Python ints; raises if any entry is fractional."""
         if not self.is_integral():
             raise DomainError("matrix has non-integer entries")
-        return [[int(x) for x in row] for row in self._rows]
+        return [list(row) for row in self._scaled[0]]
 
     def submatrix(self, indices: Sequence[int]) -> "RationalMatrix":
-        """Principal submatrix on the given (row = column) indices."""
+        """Principal submatrix on the given (row = column) indices, sliced
+        from :attr:`scaled_rows`."""
         idx = list(indices)
-        rows = self._rows
-        return RationalMatrix._trusted(tuple(tuple(rows[i][j] for j in idx) for i in idx))
+        rows, c = self._scaled
+        return RationalMatrix._from_scaled(tuple(tuple(rows[i][j] for j in idx) for i in idx), c)
 
     def replace_column(self, j: int, column: Sequence) -> "RationalMatrix":
         col = as_vector(column)
         if len(col) != self.nrows:
             raise ShapeError("replacement column has wrong length")
-        return RationalMatrix._trusted(
-            tuple(
-                tuple(col[i] if c == j else self._rows[i][c] for c in range(self.ncols))
-                for i in range(self.nrows)
-            )
-        )
+        rows, c = self._scaled
+        t = lcm(c, *(x.denominator for x in col))
+        return RationalMatrix._from_scaled(tuple(
+            tuple(x.numerator * (t // x.denominator) if s == j else y * (t // c)
+                  for s, y in enumerate(row))
+            for row, x in zip(rows, col)), t)
 
     def matvec(self, vec: Sequence) -> tuple[Fraction, ...]:
         """``self @ vec`` by integer dot products: the vector is scaled by the
@@ -205,13 +207,13 @@ class RationalMatrix:
         return tuple(Fraction(sum(map(mul, row, w)), scale) for row in rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self._rows == other._rows
+        return isinstance(other, RationalMatrix) and self._scaled == other._scaled
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash(self._scaled)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"RationalMatrix({self.nrows}x{self.ncols}: {body})"
 
 
@@ -268,8 +270,8 @@ def det(matrix) -> Fraction:
     m = as_matrix(matrix)
     if not m.is_square():
         raise ShapeError(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
-    rows, c = scaled_int_rows(m.entries)
-    return Fraction(bareiss_det(rows), c ** m.nrows)
+    rows, c = m.scaled_rows
+    return Fraction(bareiss_det(list(map(list, rows))), c ** m.nrows)
 
 
 def back_substitute(rows: list[list[int]], d: int, col: int) -> list[int]:
@@ -313,8 +315,6 @@ class BorderedElimination:
     Pivots are applied two at a time, Bareiss's two-step method: a row goes
     from level ``s`` to level ``s + 2`` in one pass, with 3 multiplications
     and 1 exact division per entry where two single steps take 4 and 2.
-    Every division is exact, each quotient being a minor of ``M`` and the
-    divisor the pivot before the pair.
     """
 
     __slots__ = ("rows", "pivots")
@@ -426,16 +426,10 @@ class BorderedElimination:
 
 
 def sylvester_pass(rows: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]:
-    """One fraction-free symmetric elimination without pivoting: a
-    :class:`BorderedElimination` extended once from the empty state.
-
-    ``rows`` holds ``[M | R]``: ``n`` integer rows of a symmetric ``n x n``
-    matrix ``M``, each followed by the same number (possibly none) of
-    right-hand-side entries, one per column of ``R``.  The rows are
-    overwritten.  Returns ``None`` unless ``M`` is negative definite, which
-    is decided by Sylvester's criterion on the pivots (the leading minors
-    must be ``-, +, -, ...``; the pass stops at the first one breaking the
-    pattern).  Otherwise returns ``(det M, solutions)``, one integer list
+    """A :class:`BorderedElimination` extended once from the empty state
+    by ``rows``, which hold ``[M | R]`` as in :meth:`~BorderedElimination.extend`
+    and are overwritten.  Returns ``None`` unless ``M`` is negative definite
+    by Sylvester's criterion, else ``(det M, solutions)``, one integer list
     ``y`` per column ``r`` of ``R`` with ``M (y / det M) == r``.  For
     ``n = 0`` there are no rows to carry a column: the result is ``(1, [])``.
     """
@@ -449,14 +443,18 @@ def sylvester_pass(rows: list[list[int]]) -> Optional[tuple[int, list[list[int]]
 
 def solve(matrix, rhs) -> tuple[Fraction, ...]:
     """Solve ``matrix @ x = rhs`` exactly for a square nonsingular matrix,
-    by :func:`bareiss_solve` on the integer rows of ``c * [matrix | rhs]``."""
+    by :func:`bareiss_solve` on the integer rows of ``t * [matrix | rhs]``,
+    ``t`` the lcm of the matrix's scale and the denominators of ``rhs``."""
     m = as_matrix(matrix)
     if not m.is_square():
         raise ShapeError(f"solve needs a square matrix, got {m.nrows}x{m.ncols}")
     b = as_vector(rhs)
     if len(b) != m.nrows:
         raise ShapeError(f"right-hand side length {len(b)} != matrix size {m.nrows}")
-    outcome = bareiss_solve(scaled_int_rows([row + (x,) for row, x in zip(m.entries, b)])[0])
+    rows, c = m.scaled_rows
+    t = lcm(c, *(x.denominator for x in b))
+    outcome = bareiss_solve([[y * (t // c) for y in row] + [x.numerator * (t // x.denominator)]
+                             for row, x in zip(rows, b)])
     if outcome is None:
         raise SingularMatrixError("matrix is singular")
     d, solutions = outcome
@@ -490,10 +488,10 @@ def signature(matrix) -> Inertia:
     inertia the counts are those of ``A``.
     """
     m = as_matrix(matrix)
+    if not m.is_symmetric():
+        raise ShapeError("signature needs a symmetric matrix")
     a, _ = m.scaled_rows
     n = m.nrows
-    if n != m.ncols or any(a[i][j] != a[j][i] for i in range(n) for j in range(i + 1, n)):
-        raise ShapeError("signature needs a symmetric matrix")
     n_plus = n_minus = 0
     while a:
         k = next((i for i, row in enumerate(a) if row[i]), None)
@@ -548,7 +546,7 @@ def is_negative_definite(matrix) -> bool:
     m = as_matrix(matrix)
     if not m.is_symmetric():
         raise ShapeError("definiteness test needs a symmetric matrix")
-    return sylvester_pass(scaled_int_rows(m.entries)[0]) is not None
+    return sylvester_pass(list(map(list, m.scaled_rows[0]))) is not None
 
 
 @dataclass(frozen=True)
@@ -643,5 +641,5 @@ def smith_normal_form(matrix) -> SmithNormalForm:
         diagonal=tuple(d[t][t] for t in range(n)),
         left=tuple(tuple(r) for r in u),
         right=tuple(tuple(r) for r in v),
-        matrix=tuple(tuple(r) for r in m.int_rows()),
+        matrix=m.scaled_rows[0],
     )

@@ -152,8 +152,10 @@ def support_rows(
     """``(indices, rows, c)`` for a support that is nonempty and strictly
     increasing (else :class:`DomainError`) within ``[0, form.size)`` (else
     :class:`ShapeError`): ``rows`` are fresh integer rows of ``c * Gram_S``,
-    sliced from :attr:`zarlat.linalg.RationalMatrix.scaled_rows`, so ``c`` is
-    the lcm of the denominators of the whole Gram matrix, not of ``Gram_S``."""
+    sliced from the Gram matrix's stored rows
+    (:attr:`zarlat.linalg.RationalMatrix.scaled_rows`), so ``c`` is the lcm
+    of the denominators of the whole Gram matrix, not of ``Gram_S`` as in
+    :meth:`~zarlat.linalg.RationalMatrix.submatrix`."""
     idx = tuple(indices)
     if not idx:
         raise DomainError("empty support")

@@ -32,7 +32,7 @@ from zarlat.errors import (
     ShapeError,
     SingularMatrixError,
 )
-from zarlat.lattice import preset
+from zarlat.lattice import direct_sum, dual_curve_integrality, hyperbolic_plane, preset, rank_one
 from zarlat.zariski import (
     InstanceSpec,
     IntersectionForm,
@@ -275,6 +275,15 @@ class TestInstanceFailures:
             assert got == expected, seed
             seen.update(expected)
         assert seen == set(names)
+
+    def test_det_trace_bound_on_rational_diagonal(self):
+        # b is the ceiling of -gram_ii: truncating -5/2 to 2 put the diagonal
+        # below -b and failed the bound spuriously.  The Cramer property needs
+        # an integral Gram matrix, so it fails here by design.
+        form = form_of([["-5/2", 1], [1, "-5/2"]])
+        assert decompose(form, [1, 1]).negative_support == (0, 1)
+        assert det_trace_bound_holds(form, (0, 1), 3)
+        assert instance_failures(form, [1, 1], 8, 0) == ["cramer_divisibility"]
 
     def test_non_zarlat_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -561,3 +570,44 @@ class TestFullReport:
     def test_volume_positive(self):
         with pytest.raises(DomainError):
             full_report(preset("K3n", 2), rho=2, volume=0)
+
+
+# Every library entry point that takes an integer, called with the value 2
+# spelled as its argument.
+INTEGER_ENTRY_POINTS = {
+    "rank_one": rank_one,
+    "preset": lambda x: preset("K3n", x),
+    "denominator_bound b": lambda x: denominator_bound(x, 3),
+    "denominator_bound rho": lambda x: denominator_bound(3, x),
+    "reverse_negativity_bound d": lambda x: reverse_negativity_bound(x, 3),
+    "reverse_negativity_bound card": lambda x: reverse_negativity_bound(3, x),
+    "birationality_bound n": lambda x: birationality_bound(x, 1, 2),
+    "birationality_bound card": lambda x: birationality_bound(1, x, 2),
+    "birationality_bound rho": lambda x: birationality_bound(1, 1, x),
+    "chow_degree_bound n": lambda x: chow_degree_bound(x, 1, 3),
+    "chow_degree_bound m0": lambda x: chow_degree_bound(1, 1, x),
+    "full_report rho": lambda x: full_report(preset("OG6"), rho=x),
+    "det_trace_bound_holds b": lambda x: det_trace_bound_holds(form_of([[-2]]), (0,), x),
+    "dual_curve_integrality": lambda x: dual_curve_integrality(
+        direct_sum([hyperbolic_plane(), rank_one(-2)]), [1, 0, x]),
+    "IntegralLattice.pairing": lambda x: hyperbolic_plane().pairing([1, 3], [x, 1]),
+    "IntegralLattice.square": lambda x: hyperbolic_plane().square([x, 3]),
+}
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("value, accepted", [
+        *(pytest.param(v, False, id=repr(v))
+          for v in (2.0, 2.5, True, "2.5", "5/2", Fraction(5, 2), "2.0", " 2")),
+        *(pytest.param(v, True, id=repr(v)) for v in ("2", "4/2", Fraction(4, 2), BigInt(2))),
+    ])
+    @pytest.mark.parametrize("name", sorted(INTEGER_ENTRY_POINTS))
+    def test_integral_rationals_only(self, name, value, accepted):
+        # One grammar: an integral rational means 2; anything else, a float
+        # or bool included, is refused instead of truncated by int().
+        call = INTEGER_ENTRY_POINTS[name]
+        if accepted:
+            assert call(value) == call(2)
+        else:
+            with pytest.raises(DomainError):
+                call(value)

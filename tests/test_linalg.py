@@ -102,7 +102,71 @@ def symmetric_from(rows):
     return [[rows[i][j] if i <= j else rows[j][i] for j in range(n)] for i in range(n)]
 
 
+@st.composite
+def spelled_matrices(draw, max_size=4):
+    """``(rows, symmetric_wanted)``: square rows of rationals, each spelled as
+    an ``int``, a ``Fraction`` or an unreduced ``"p/q"`` string.  When
+    mirrored, the lower triangle holds the upper one's values as
+    ``Fraction``s, a different spelling of the same rational."""
+    n = draw(st.integers(0, max_size))
+    q = draw(st.integers(1, 12))  # a shared denominator, so entries can cancel
+
+    def spelled():
+        p = draw(st.integers(-30, 30))
+        k = draw(st.integers(1, 3))
+        how = draw(st.sampled_from(("int", "fraction", "string")))
+        if how == "int":
+            return p
+        d = draw(st.sampled_from((1, q, 2 * q)))
+        return Fraction(p, d) if how == "fraction" else f"{p * k}/{d * k}"
+
+    rows = [[spelled() for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[row[j] if i <= j else as_rational(rows[j][i]) for j, _ in enumerate(row)]
+                for i, row in enumerate(rows)]
+    return rows
+
+
 class TestMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(spelled_matrices(), st.data())
+    def test_integer_rows_are_the_representation(self, rows, data):
+        # Every accessor agrees with its definition over the Fraction entries.
+        n = len(rows)
+        m = RationalMatrix(rows)
+        fractions = tuple(tuple(as_rational(x) for x in row) for row in rows)
+        assert m.entries == fractions
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+        assert all(m[i, j] == x for i, row in enumerate(fractions) for j, x in enumerate(row))
+        scaled, c = m.scaled_rows
+        assert c == lcm(*(x.denominator for row in fractions for x in row))
+        assert scaled == tuple(tuple(int(x * c) for x in row) for row in fractions)
+        integral = all(x.denominator == 1 for row in fractions for x in row)
+        assert m.is_integral() == integral
+        if integral:
+            assert m.int_rows() == [[int(x) for x in row] for row in fractions]
+        else:
+            with pytest.raises(DomainError):
+                m.int_rows()
+        assert m.is_symmetric() == all(
+            fractions[i][j] == fractions[j][i] for i in range(n) for j in range(n))
+        idx = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 1) if n else st.just([]))
+        sub = m.submatrix(idx)
+        expected = RationalMatrix([[fractions[i][j] for j in idx] for i in idx])
+        assert sub == expected and hash(sub) == hash(expected)
+        assert sub.scaled_rows == expected.scaled_rows and sub.entries == expected.entries
+        if n:
+            j = data.draw(st.integers(0, n - 1))
+            column = data.draw(st.lists(st.sampled_from((0, 3, "-1/2", "4/6", Fraction(5, 7))),
+                                        min_size=n, max_size=n))
+            replaced = [list(row) for row in fractions]
+            for i, x in enumerate(column):
+                replaced[i][j] = as_rational(x)
+            expected = RationalMatrix(replaced)
+            got = m.replace_column(j, column)
+            assert got == expected and hash(got) == hash(expected)
+            assert got.scaled_rows == expected.scaled_rows
+
     def test_symmetric_constructor_rejects_asymmetry(self):
         with pytest.raises(ShapeError):
             RationalMatrix.symmetric([[1, 2], [3, 4]])

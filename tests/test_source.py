@@ -39,6 +39,17 @@ def test_benchmark_traced_names_resolve():
     assert traced and not missing, f"traced names missing from zarlat: {missing}"
 
 
+def test_benchmark_self_test_rebinding_targets():
+    # perfbench/selftest.py (test_tracer_rebinds_and_restores) checks that
+    # the tracer rebinds ``det`` in every module that imported it, through
+    # ``zariski.det`` and ``bounds.det``.  zariski does not call ``det``; the
+    # import is kept for that check, so a cleanup must not drop it.
+    from zarlat import bounds, linalg, zariski
+
+    assert zariski.det is linalg.det
+    assert bounds.det is linalg.det
+
+
 def test_every_error_class_is_raised():
     # An error class whose last raiser is gone documents a failure that
     # cannot happen; a base class counts as raised through its subclasses.
