@@ -30,9 +30,10 @@ Bound values are :class:`BigInt`/:class:`BigFraction` instances, whose
 arguments the same way.
 
 ``cramer_analysis`` ties decompositions to determinants: on an integral
-instance it reconstructs the negative-part coefficients as ratios of
-column-replaced determinants to the support Gram determinant, which is why
-every denominator divides ``|det|``.  ``instance_failures`` is the ``zarlat fuzz`` suite.
+instance it reads the negative-part coefficients, as ratios of
+column-replaced determinants to ``det Gram_S``, off one elimination, which
+is why every denominator divides ``|det|``.  ``instance_failures`` is the
+``zarlat fuzz`` suite.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ from typing import Optional, Sequence, Union
 from . import zariski
 from .errors import DomainError, InconsistencyError, ZarlatError
 from .lattice import DeformationPreset, discriminant_group
-from .linalg import as_integer, as_rational, det, sylvester_pass
-from .zariski import IntersectionForm, as_divisor, decompose, support_rows
+# det is not called here; perfbench/selftest.py checks its tracer rebinds bounds.det.
+from .linalg import as_integer, as_rational, bareiss_solve, det, sylvester_pass
+from .zariski import IntersectionForm, _scaled_divisor, decompose, support_rows
 
 DEFAULT_FACTORIAL_GUARD = 100_000
 GUARD_ENV_VAR = "BBF_FACTORIAL_GUARD"
@@ -351,8 +353,8 @@ class CramerAnalysis:
     """Negative-part coefficients as determinant ratios.
 
     ``coefficients[i] == column_determinants[i] / gram_determinant``
-    exactly; for integral input every coefficient denominator divides
-    ``common_denominator == |gram_determinant|``.
+    exactly, column ``i`` of ``Gram_S`` replaced by ``(gram @ a)_S``; every
+    coefficient denominator divides ``common_denominator == |gram_determinant|``.
     """
 
     support: tuple[int, ...]
@@ -367,38 +369,34 @@ def cramer_analysis(form: IntersectionForm, divisor: Sequence,
     """Reconstruct negative-part coefficients by Cramer's rule.
 
     Requires an integral Gram matrix and an integral divisor (that is the
-    setting in which the determinant bounds denominators).  The
-    reconstruction is cross-checked against :func:`zarlat.zariski.decompose`
-    and a mismatch raises :class:`InconsistencyError`.
+    setting in which the determinant bounds denominators).  One
+    :func:`zarlat.linalg.bareiss_solve` of ``[Gram_S | (gram @ a)_S]`` gives
+    ``d = det Gram_S`` and ``y = d * n_S``, by Cramer's rule the
+    column-replaced determinants.  The reconstruction is cross-checked against
+    :func:`zarlat.zariski.decompose` and a mismatch raises :class:`InconsistencyError`.
     """
-    if not form.gram.is_integral():
+    _, big_a, s = _scaled_divisor(divisor, form.size)
+    idx, rows, c = support_rows(form, support)
+    if c != 1:
         raise DomainError("Cramer analysis needs an integral Gram matrix")
-    a = as_divisor(divisor, form.size)
-    if any(x.denominator != 1 for x in a):
+    if s != 1:
         raise DomainError("Cramer analysis needs an integral divisor")
-    idx = support_rows(form, support)[0]
-    sub = form.gram.submatrix(idx)
-    gram_det = det(sub)
-    if gram_det == 0:
+    gram, _ = form.gram.scaled_rows
+    outcome = bareiss_solve([row + [sum(map(mul, gram[i], big_a))] for i, row in zip(idx, rows)])
+    if outcome is None:
         raise DomainError("support Gram matrix is singular")
-    ga = form.gram.matvec(a)
-    rhs = [ga[j] for j in idx]
-    column_dets = tuple(det(sub.replace_column(i, rhs)) for i in range(len(idx)))
-    coefficients = tuple(cd / gram_det for cd in column_dets)
-    reference = decompose(form, a)
+    d, (y,) = outcome
+    coefficients = tuple(Fraction(v, d) for v in y)
+    reference = decompose(form, big_a)
     for j, value in zip(idx, coefficients):
         if reference.negative[j] != value:
             raise InconsistencyError(
                 f"Cramer coefficient {value} at component {form.labels[j]!r} disagrees "
                 f"with the decomposition value {reference.negative[j]}"
             )
-    return CramerAnalysis(
-        support=tuple(idx),
-        coefficients=coefficients,
-        column_determinants=column_dets,
-        gram_determinant=gram_det,
-        common_denominator=abs(int(gram_det)),
-    )
+    return CramerAnalysis(support=idx, coefficients=coefficients,
+                          column_determinants=tuple(map(Fraction, y)),
+                          gram_determinant=Fraction(d), common_denominator=abs(d))
 
 
 def det_trace_bound_holds(form: IntersectionForm, support: Sequence[int], b: int) -> bool:
@@ -435,10 +433,11 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
     ``negative_square`` (one combination drawn from ``SplitMix64(seed ^ 0xD1F7)``)
     and ``certificate_positive``.  A :class:`ZarlatError` raised by a check fails it
     (``decomposition_checks`` for the invariants, ``decompose`` alone for the engine).
-    :func:`cramer_analysis` needs an integral Gram matrix, so on a rational one
-    ``cramer_divisibility`` fails whenever the negative support is nonempty.
+    ``cramer_divisibility`` runs :func:`cramer_analysis` on the integral form
+    ``c * gram`` and the divisor's numerators ``s * a``.
     """
-    divisor = as_divisor(divisor, form.size)
+    divisor, numerators, _ = _scaled_divisor(divisor, form.size)
+    rows, c = form.gram.scaled_rows
     try:
         dec = zariski.decompose(form, divisor)
     except ZarlatError:
@@ -463,10 +462,11 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
         return (oracle.positive, oracle.negative) == (dec.positive, dec.negative)
 
     def cramer_divisibility() -> bool:
-        # Scaling D by a positive integer scales P and N, so by uniqueness
-        # the negative support of the cleared-denominator divisor is ``support``.
-        scale = math.lcm(*(x.denominator for x in divisor))
-        analysis = cramer_analysis(form, [x * scale for x in divisor], support)
+        # Every defining condition holds for c * gram exactly when it holds
+        # for gram, and scaling D by s scales P and N, so by uniqueness the
+        # negative support of s * a under c * gram is ``support``.
+        scaled = form if c == 1 else IntersectionForm.from_rows(form.labels, rows)
+        analysis = cramer_analysis(scaled, numerators, support)
         return all(analysis.common_denominator % q.denominator == 0 for q in analysis.coefficients)
 
     if len(zariski.support_of(divisor)) <= oracle_limit:
@@ -475,7 +475,6 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
         return failures
     check("cramer_divisibility", cramer_divisibility)
     # b = ceil(-gram_ii), the least integer with every diagonal entry >= -b.
-    rows, c = form.gram.scaled_rows
     b = max(-(rows[i][i] // c) for i in support)
     check("det_trace_bound", lambda: det_trace_bound_holds(form, support, b))
     # One random nonzero nonnegative combination on the support must pair

@@ -182,27 +182,14 @@ class RationalMatrix:
         rows, c = self._scaled
         return RationalMatrix._from_scaled(tuple(tuple(rows[i][j] for j in idx) for i in idx), c)
 
-    def replace_column(self, j: int, column: Sequence) -> "RationalMatrix":
-        col = as_vector(column)
-        if len(col) != self.nrows:
-            raise ShapeError("replacement column has wrong length")
-        rows, c = self._scaled
-        t = lcm(c, *(x.denominator for x in col))
-        return RationalMatrix._from_scaled(tuple(
-            tuple(x.numerator * (t // x.denominator) if s == j else y * (t // c)
-                  for s, y in enumerate(row))
-            for row, x in zip(rows, col)), t)
-
     def matvec(self, vec: Sequence) -> tuple[Fraction, ...]:
         """``self @ vec`` by integer dot products: the vector is scaled by the
         lcm of its denominators, the matrix by the lcm of its own, and each
         entry of the result is one ``Fraction``."""
-        v = as_vector(vec)
-        if len(v) != self.ncols:
-            raise ShapeError(f"vector length {len(v)} != column count {self.ncols}")
+        w, s = scaled_int_vector(vec)
+        if len(w) != self.ncols:
+            raise ShapeError(f"vector length {len(w)} != column count {self.ncols}")
         rows, c = self.scaled_rows
-        s = lcm(*(x.denominator for x in v))
-        w = [x.numerator * (s // x.denominator) for x in v]
         scale = c * s
         return tuple(Fraction(sum(map(mul, row, w)), scale) for row in rows)
 
@@ -228,6 +215,15 @@ def scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]]
     if c == 1:
         return [[x.numerator for x in row] for row in rows], 1
     return [[x.numerator * (c // x.denominator) for x in row] for row in rows], c
+
+
+def scaled_int_vector(values: Iterable) -> tuple[list[int], int]:
+    """``(numerators, s)``: the entries of ``s * values``, each read by
+    :func:`as_rational`, as a fresh list of ints, where ``s`` is the lcm of
+    the reduced denominators; :func:`scaled_int_rows` is its matrix twin."""
+    ratios = [as_rational(x).as_integer_ratio() for x in values]
+    s = lcm(*(d for _, d in ratios))
+    return [n * (s // d) for n, d in ratios], s
 
 
 def bareiss_det(a: list[list[int]]) -> int:
@@ -444,16 +440,16 @@ def sylvester_pass(rows: list[list[int]]) -> Optional[tuple[int, list[list[int]]
 def solve(matrix, rhs) -> tuple[Fraction, ...]:
     """Solve ``matrix @ x = rhs`` exactly for a square nonsingular matrix,
     by :func:`bareiss_solve` on the integer rows of ``t * [matrix | rhs]``,
-    ``t`` the lcm of the matrix's scale and the denominators of ``rhs``."""
+    ``t`` the lcm of the matrix's scale and that of ``rhs``."""
     m = as_matrix(matrix)
     if not m.is_square():
         raise ShapeError(f"solve needs a square matrix, got {m.nrows}x{m.ncols}")
-    b = as_vector(rhs)
+    b, s = scaled_int_vector(rhs)
     if len(b) != m.nrows:
         raise ShapeError(f"right-hand side length {len(b)} != matrix size {m.nrows}")
     rows, c = m.scaled_rows
-    t = lcm(c, *(x.denominator for x in b))
-    outcome = bareiss_solve([[y * (t // c) for y in row] + [x.numerator * (t // x.denominator)]
+    t = lcm(c, s)
+    outcome = bareiss_solve([[y * (t // c) for y in row] + [x * (t // s)]
                              for row, x in zip(rows, b)])
     if outcome is None:
         raise SingularMatrixError("matrix is singular")

@@ -30,8 +30,9 @@ definiteness witness.  ``decompose_bruteforce`` is the independent oracle:
 it enumerates every candidate support, keeps the candidates satisfying all
 the defining conditions, and demands exactly one resulting decomposition.
 Its one elimination per subset pivots (:func:`zarlat.linalg.bareiss_det`),
-the engine's does not; they share only back-substitution and the witness
-normalizer, and each tests its solution against the form on its own terms.
+the engine's does not; they share only input conversion (``_scaled_divisor``),
+back-substitution and the witness normalizer, and each tests its solution
+against the form on its own terms.
 The two must agree coefficient for coefficient; any divergence is a bug by
 uniqueness.
 
@@ -56,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -71,13 +72,12 @@ from .errors import (
 from .linalg import (
     BorderedElimination,
     RationalMatrix,
-    as_rational,
     as_vector,
     back_substitute,
     bareiss_det,
     bareiss_solve,
     det,  # not called here; perfbench/selftest.py checks its tracer rebinds zariski.det
-    scaled_int_rows,
+    scaled_int_vector,
     sylvester_pass,
 )
 
@@ -109,8 +109,12 @@ class IntersectionForm:
         return len(self.labels)
 
     def pairing(self, u: Sequence, v: Sequence) -> Fraction:
-        gu = self.gram.matvec(u)
-        return sum((as_rational(x) * g for x, g in zip(v, gu)), Fraction(0))
+        """``u . gram . v`` on integers; each needs ``size`` coefficients."""
+        rows, c = self.gram.scaled_rows
+        (a, s), (b, t) = scaled_int_vector(u), scaled_int_vector(v)
+        if len(a) != self.size or len(b) != self.size:
+            raise ShapeError(f"pairing needs {self.size} coefficients, got {len(a)} and {len(b)}")
+        return Fraction(sum(y * sum(map(mul, row, a)) for y, row in zip(b, rows)), c * s * t)
 
 
 def intersection_axiom_violations(form: IntersectionForm) -> tuple[tuple[int, int], ...]:
@@ -133,13 +137,20 @@ def require_intersection_product(form: IntersectionForm) -> None:
 
 def as_divisor(values: Iterable, size: int) -> tuple[Fraction, ...]:
     """Validate an effective divisor: ``size`` exact nonnegative coefficients."""
-    vec = as_vector(values)
-    if len(vec) != size:
-        raise ShapeError(f"divisor has {len(vec)} coefficients, form has {size} components")
-    bad = next((i for i, x in enumerate(vec) if x.numerator < 0), None)
+    return _scaled_divisor(values, size)[0]
+
+
+def _scaled_divisor(values: Iterable, size: int) -> tuple[tuple[Fraction, ...], list[int], int]:
+    """``(a, A, s)``: the coefficients ``a`` of :func:`as_divisor`, and
+    ``A = s * a`` as ints by :func:`zarlat.linalg.scaled_int_vector`."""
+    a = as_vector(values)
+    if len(a) != size:
+        raise ShapeError(f"divisor has {len(a)} coefficients, form has {size} components")
+    big_a, s = scaled_int_vector(a)
+    bad = next((i for i, x in enumerate(big_a) if x < 0), None)
     if bad is not None:
-        raise DomainError(f"effective divisor needs nonnegative coefficients; entry {bad} is {vec[bad]}")
-    return vec
+        raise DomainError(f"effective divisor needs nonnegative coefficients; entry {bad} is {a[bad]}")
+    return a, big_a, s
 
 
 def support_of(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -252,19 +263,15 @@ def in_nef_region(form: IntersectionForm, divisor: Sequence, candidate: Sequence
     and ``(gram @ b)_j >= 0`` for every ``j`` in ``supp(a)``.  The positive
     part of the decomposition is the unique entrywise-maximal member.
 
-    Decided on integers: ``A = t * a`` and ``B = t * b`` for one common
-    denominator ``t``, and the rows of ``c * gram``, whose products with
-    ``B`` are positive multiples of ``(gram @ b)_j``.  ``B <= A`` already
-    makes ``b`` vanish outside ``supp(a)``.
+    Decided on integers: ``A = s * a`` and ``B = t * b``, so ``b <= a``
+    reads ``B * s <= A * t`` and makes ``b`` vanish outside ``supp(a)``, and
+    the rows of ``c * gram`` times ``B`` are positive multiples of ``gram @ b``.
     """
-    a = as_divisor(divisor, form.size)
-    b = as_vector(candidate)
-    if len(b) != form.size:
-        raise ShapeError(f"candidate has {len(b)} coefficients, form has {form.size}")
-    t = lcm(*(x.denominator for x in a), *(x.denominator for x in b))
-    big_a = [x.numerator * (t // x.denominator) for x in a]
-    big_b = [x.numerator * (t // x.denominator) for x in b]
-    if any(v < 0 or v > w for v, w in zip(big_b, big_a)):
+    _, big_a, s = _scaled_divisor(divisor, form.size)
+    big_b, t = scaled_int_vector(candidate)
+    if len(big_b) != form.size:
+        raise ShapeError(f"candidate has {len(big_b)} coefficients, form has {form.size}")
+    if any(v < 0 or v * s > w * t for v, w in zip(big_b, big_a)):
         return False
     rows, _ = form.gram.scaled_rows
     return all(sum(map(mul, row, big_b)) >= 0 for row, w in zip(rows, big_a) if w)
@@ -337,13 +344,11 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     name the sorted support, and the range check reports the first
     offending component in sorted order.
     """
-    a = as_divisor(divisor, form.size)
+    a, big_a, s = _scaled_divisor(divisor, form.size)
     require_intersection_product(form)
     # Integers throughout: rows of c * gram and A = s * a, with c and s the
     # lcms of the denominators, so r = (c * gram) @ A = c * s * (gram @ a).
     rows, c = form.gram.scaled_rows
-    s = lcm(*(x.denominator for x in a))
-    big_a = [x.numerator * (s // x.denominator) for x in a]
     r = [sum(map(mul, row, big_a)) for row in rows]
     support = support_of(a)
     new = [j for j in support if r[j] < 0]
@@ -429,7 +434,7 @@ def decompose_bruteforce(
     orthogonality tests on integers, as in :func:`decompose`.  The ``-1``
     column, the witness, is back-substituted once, for the accepted subset.
     """
-    a = as_divisor(divisor, form.size)
+    a, big_a, s = _scaled_divisor(divisor, form.size)
     require_intersection_product(form)
     support = support_of(a)
     if len(support) > limit:
@@ -437,8 +442,6 @@ def decompose_bruteforce(
     # Integers throughout: rows of c * gram and A = s * a, so
     # r = (c * gram) @ A = c * s * (gram @ a).
     rows, c = form.gram.scaled_rows
-    s = lcm(*(x.denominator for x in a))
-    big_a = [x.numerator * (s // x.denominator) for x in a]
     r = [sum(map(mul, row, big_a)) for row in rows]
     accepted: dict[tuple[Fraction, ...], tuple[tuple[int, ...], int, list[list[int]]]] = {}
     if all(v >= 0 for v in r):
@@ -502,12 +505,12 @@ def decomposition_checks(
     :func:`witness_certifies`, which also checks the sign pattern on ``S``,
     because ``form`` is not re-validated here.
     """
-    a = as_divisor(divisor, form.size)
+    a, _, _ = _scaled_divisor(divisor, form.size)
     p, n = as_vector(dec.positive), dec.negative
     if len(p) != form.size:
         raise ShapeError(f"positive part has {len(p)} coefficients, form has {form.size}")
     rows, _ = form.gram.scaled_rows
-    (big_p,), _ = scaled_int_rows([p])
+    big_p, _ = scaled_int_vector(p)
     # A positive multiple of gram @ P: the same signs, and zero pairing with N
     # exactly when q(P, N) == 0.
     gp = [sum(map(mul, row, big_p)) for row in rows]

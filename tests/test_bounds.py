@@ -12,6 +12,7 @@ from zarlat import bounds, cli, zariski
 from zarlat.bounds import (
     BigFraction,
     BigInt,
+    CramerAnalysis,
     DeferredFactorial,
     DeferredPower,
     DeferredReverse,
@@ -33,6 +34,7 @@ from zarlat.errors import (
     SingularMatrixError,
 )
 from zarlat.lattice import direct_sum, dual_curve_integrality, hyperbolic_plane, preset, rank_one
+from zarlat.linalg import det
 from zarlat.zariski import (
     InstanceSpec,
     IntersectionForm,
@@ -59,7 +61,46 @@ def pow_by_squaring(base, exponent):
     return result
 
 
+def reference_cramer(form, divisor, support):
+    """Reference: ``cramer_analysis`` as it was, one pivoting ``det`` of a
+    ``Fraction`` submatrix per column replaced by ``(gram @ a)_S``, and one
+    of ``Gram_S`` itself."""
+    sub = [[form.gram[i, j] for j in support] for i in support]
+    ga = form.gram.matvec(divisor)
+    rhs = [ga[j] for j in support]
+    gram_det = det(sub)
+    column_dets = tuple(
+        det([[rhs[r] if k == i else x for k, x in enumerate(row)] for r, row in enumerate(sub)])
+        for i in range(len(support)))
+    return CramerAnalysis(
+        support=tuple(support),
+        coefficients=tuple(cd / gram_det for cd in column_dets),
+        column_determinants=column_dets,
+        gram_determinant=gram_det,
+        common_denominator=abs(int(gram_det)),
+    )
+
+
 class TestCramer:
+    def test_matches_determinant_reference(self):
+        checked = 0
+        for seed in range(3000):
+            spec = InstanceSpec.standard(seed=seed, m=1 + seed % 8, denominator_max=1)
+            form, divisor = random_instance(spec)
+            support = decompose(form, divisor).negative_support
+            if not support:
+                continue
+            got = cramer_analysis(form, divisor, support)
+            expected = reference_cramer(form, divisor, support)
+            assert got == expected, seed
+            assert all(type(x) is Fraction for x in (*got.coefficients, *got.column_determinants,
+                                                     got.gram_determinant)), seed
+            assert type(got.common_denominator) is int, seed
+            checked += 1
+            if checked == 400:
+                break
+        assert checked == 400
+
     def test_worked_example(self):
         analysis = cramer_analysis(form_of([[2, 1], [1, -2]]), [1, 1], [1])
         assert analysis.coefficients == (Fraction(1, 2),)
@@ -278,12 +319,39 @@ class TestInstanceFailures:
 
     def test_det_trace_bound_on_rational_diagonal(self):
         # b is the ceiling of -gram_ii: truncating -5/2 to 2 put the diagonal
-        # below -b and failed the bound spuriously.  The Cramer property needs
-        # an integral Gram matrix, so it fails here by design.
+        # below -b and failed the bound spuriously.  The Cramer property runs
+        # on the integral form 2 * gram, so it holds here too.
         form = form_of([["-5/2", 1], [1, "-5/2"]])
         assert decompose(form, [1, 1]).negative_support == (0, 1)
         assert det_trace_bound_holds(form, (0, 1), 3)
-        assert instance_failures(form, [1, 1], 8, 0) == ["cramer_divisibility"]
+        assert instance_failures(form, [1, 1], 8, 0) == []
+
+    def test_cramer_divisibility_on_rational_gram(self, monkeypatch):
+        # On c * gram and s * a: the same negative support, N scaled by s.
+        calls = []
+        real = bounds.cramer_analysis
+
+        def recorded(form, divisor, support):
+            calls.append((form, divisor))
+            return real(form, divisor, support)
+
+        monkeypatch.setattr(bounds, "cramer_analysis", recorded)
+        checked = 0
+        for seed in range(200):
+            form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=1 + seed % 5))
+            q = 2 + seed % 4
+            form = form_of([[x / q for x in row] for row in form.gram.entries])
+            calls.clear()
+            assert instance_failures(form, divisor, 8, seed) == [], seed
+            if not decompose(form, divisor).negative_support:
+                continue
+            rows, c = form.gram.scaled_rows
+            s = math.lcm(*(x.denominator for x in divisor))
+            ((scaled, numerators),) = calls
+            assert scaled.gram.scaled_rows == (rows, 1) and scaled.labels == form.labels
+            assert numerators == [int(x * s) for x in divisor]
+            checked += 1
+        assert checked > 50
 
     def test_non_zarlat_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

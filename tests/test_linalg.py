@@ -18,6 +18,7 @@ from zarlat.linalg import (
     is_negative_definite,
     leading_principal_minors,
     scaled_int_rows,
+    scaled_int_vector,
     signature,
     smith_normal_form,
     solve,
@@ -155,17 +156,6 @@ class TestMatrix:
         expected = RationalMatrix([[fractions[i][j] for j in idx] for i in idx])
         assert sub == expected and hash(sub) == hash(expected)
         assert sub.scaled_rows == expected.scaled_rows and sub.entries == expected.entries
-        if n:
-            j = data.draw(st.integers(0, n - 1))
-            column = data.draw(st.lists(st.sampled_from((0, 3, "-1/2", "4/6", Fraction(5, 7))),
-                                        min_size=n, max_size=n))
-            replaced = [list(row) for row in fractions]
-            for i, x in enumerate(column):
-                replaced[i][j] = as_rational(x)
-            expected = RationalMatrix(replaced)
-            got = m.replace_column(j, column)
-            assert got == expected and hash(got) == hash(expected)
-            assert got.scaled_rows == expected.scaled_rows
 
     def test_symmetric_constructor_rejects_asymmetry(self):
         with pytest.raises(ShapeError):
@@ -183,6 +173,42 @@ class TestMatrix:
     def test_ragged_rejected(self):
         with pytest.raises(ShapeError):
             RationalMatrix([[1, 2], [3]])
+
+
+@st.composite
+def spelled_vectors(draw, max_size=6):
+    """Rationals, each spelled as an ``int``, a ``Fraction`` or an unreduced
+    ``"p/q"`` string, over a few denominators so that entries can cancel."""
+    q = draw(st.integers(1, 12))
+
+    def spelled():
+        p = draw(st.integers(-30, 30))
+        d = draw(st.sampled_from((1, q, 2 * q, 3)))
+        k = draw(st.integers(1, 3))
+        return draw(st.sampled_from((p, Fraction(p, d), f"{p * k}/{d * k}")))
+
+    return [spelled() for _ in range(draw(st.integers(0, max_size)))]
+
+
+class TestScaledIntVector:
+    """The one conversion of a rational vector to integers over one scale."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spelled_vectors())
+    def test_numerators_over_the_lcm(self, values):
+        numerators, s = scaled_int_vector(values)
+        rationals = [as_rational(x) for x in values]
+        assert all(type(x) is int for x in numerators) and type(s) is int
+        assert [Fraction(x, s) for x in numerators] == rationals
+        assert s == lcm(*(x.denominator for x in rationals))
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1.5", "1e3", None])
+    def test_rejects_what_as_rational_rejects(self, bad):
+        with pytest.raises(DomainError) as raised:
+            scaled_int_vector([1, bad, "1/2"])
+        with pytest.raises(DomainError) as expected:
+            as_rational(bad)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestAsRational:

@@ -102,3 +102,38 @@ def test_one_definiteness_certificate():
     for function in ("decomposition_checks", "exceptional_certificate"):
         assert "witness_certifies" in calls(function), function
     assert [name for name in functions if "gcd" in calls(name)] == ["primitive_witness"]
+
+
+def _top_level_functions(name):
+    tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))
+    return tree, {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _called_names(function):
+    return [node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))]
+
+
+def test_one_vector_conversion():
+    # A rational vector becomes integers over one lcm in linalg alone
+    # (scaled_int_vector, and scaled_int_rows, its matrix twin; solve takes
+    # the lcm of two scales); the engine scales a divisor once per call, and
+    # Cramer's rule runs on one elimination, not on a determinant per column.
+    for name in ("zariski.py", "bounds.py", "lattice.py", "cli.py"):
+        tree, _ = _top_level_functions(name)
+        uses = [node for node in ast.walk(tree)
+                if isinstance(node, ast.alias) and node.name == "lcm"
+                or isinstance(node, ast.Attribute) and node.attr == "lcm"
+                or isinstance(node, ast.Name) and node.id == "lcm"]
+        assert not uses, f"{name} computes an lcm"
+    _, linalg_functions = _top_level_functions("linalg.py")
+    assert [name for name, node in linalg_functions.items()
+            if "lcm" in _called_names(node)] == ["scaled_int_rows", "scaled_int_vector", "solve"]
+    _, zariski_functions = _top_level_functions("zariski.py")
+    for consumer in ("decompose", "decompose_bruteforce", "in_nef_region", "decomposition_checks"):
+        assert _called_names(zariski_functions[consumer]).count("_scaled_divisor") == 1, consumer
+    _, bounds_functions = _top_level_functions("bounds.py")
+    cramer = _called_names(bounds_functions["cramer_analysis"])
+    assert cramer.count("bareiss_solve") == 1
+    assert not {"det", "submatrix"} & set(cramer)

@@ -144,6 +144,27 @@ class TestAxiom:
             form_of([[-2, 1, 0], [1, -2, 0], [0, 0, -2]], labels=["E", "F", "E"])
 
 
+class TestPairing:
+    @pytest.mark.parametrize("u, v", [([1, 1], [1]), ([1, 1], [1, 1, 1]), ([1], [1, 1]),
+                                      ([1, 1, 1], [1, 1]), ([], [])])
+    def test_lengths_must_match_the_form(self, u, v):
+        # v used to be truncated or padded silently: (1, 1) . (1) read -1.
+        with pytest.raises(ShapeError):
+            form_of([[-2, 1], [1, -2]]).pairing(u, v)
+
+    def test_matches_fraction_reference(self):
+        for seed in range(100):
+            m = 1 + seed % 5
+            form, divisor = rational_gram_instance(seed, m)
+            rng = SplitMix64(seed)
+            other = [f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}" for _ in range(m)]
+            expected = sum((as_divisor(divisor, m)[i] * form.gram[i, j] * as_vector(other)[j]
+                            for i in range(m) for j in range(m)), Fraction(0))
+            got = form.pairing(divisor, other)
+            assert got == expected and type(got) is Fraction, seed
+            assert form.pairing(other, divisor) == expected, seed
+
+
 class TestExceptional:
     def test_single_negative(self):
         assert is_exceptional(form_of([[-2]]), [0])
