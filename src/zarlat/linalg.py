@@ -217,13 +217,35 @@ def scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]]
     return [[x.numerator * (c // x.denominator) for x in row] for row in rows], c
 
 
+_EXACT = (Fraction, int)
+
+
 def scaled_int_vector(values: Iterable) -> tuple[list[int], int]:
     """``(numerators, s)``: the entries of ``s * values``, each read by
     :func:`as_rational`, as a fresh list of ints, where ``s`` is the lcm of
-    the reduced denominators; :func:`scaled_int_rows` is its matrix twin."""
-    ratios = [as_rational(x).as_integer_ratio() for x in values]
-    s = lcm(*(d for _, d in ratios))
+    the reduced denominators; :func:`scaled_int_rows` is its matrix twin.
+
+    One pass reads each entry's numerator and denominator once.  A
+    ``Fraction`` or an ``int`` is read as it is, without building a
+    ``Fraction``; any other value goes through :func:`as_rational`, with
+    its errors."""
+    ratios = [(x if type(x) in _EXACT else as_rational(x)).as_integer_ratio() for x in values]
+    s = lcm(*[d for _, d in ratios])
     return [n * (s // d) for n, d in ratios], s
+
+
+def scaled_rationals(values: Iterable) -> tuple[tuple[Fraction, ...], list[int], int]:
+    """``(q, numerators, s)``: ``q`` the entries as :func:`as_vector` reads
+    them, a ``Fraction`` kept as it is, and :func:`scaled_int_vector` of
+    ``q``, in one pass, for a caller that returns some entries unchanged."""
+    q, ratios = [], []
+    for x in values:
+        if type(x) is not Fraction:
+            x = as_rational(x)
+        q.append(x)
+        ratios.append(x.as_integer_ratio())
+    s = lcm(*[d for _, d in ratios])
+    return tuple(q), [n * (s // d) for n, d in ratios], s
 
 
 def bareiss_det(a: list[list[int]]) -> int:

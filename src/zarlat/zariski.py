@@ -31,10 +31,18 @@ it enumerates every candidate support, keeps the candidates satisfying all
 the defining conditions, and demands exactly one resulting decomposition.
 Its one elimination per subset pivots (:func:`zarlat.linalg.bareiss_det`),
 the engine's does not; they share only input conversion (``_scaled_divisor``),
-back-substitution and the witness normalizer, and each tests its solution
+back-substitution, the witness normalizer and ``_split``, which builds
+``P`` and ``N`` from the integer solution, and each tests its solution
 against the form on its own terms.
 The two must agree coefficient for coefficient; any divergence is a bug by
 uniqueness.
+
+Between the validated input and the result no ``Fraction`` is combined
+with another.  A rational vector is read once, by one pass in
+:mod:`zarlat.linalg`, into integer numerators over one scale; the engine
+and the oracle build each coefficient of ``P`` and ``N`` once from those
+integers, and ``decomposition_checks`` and ``in_nef_region`` compare
+integers only.
 
 One verifier, ``witness_certifies``, checks every definiteness certificate
 in the module: a positive integer vector ``y`` with ``Gram_S y < 0`` on a
@@ -72,12 +80,12 @@ from .errors import (
 from .linalg import (
     BorderedElimination,
     RationalMatrix,
-    as_vector,
     back_substitute,
     bareiss_det,
     bareiss_solve,
     det,  # not called here; perfbench/selftest.py checks its tracer rebinds zariski.det
     scaled_int_vector,
+    scaled_rationals,
     sylvester_pass,
 )
 
@@ -142,18 +150,18 @@ def as_divisor(values: Iterable, size: int) -> tuple[Fraction, ...]:
 
 def _scaled_divisor(values: Iterable, size: int) -> tuple[tuple[Fraction, ...], list[int], int]:
     """``(a, A, s)``: the coefficients ``a`` of :func:`as_divisor`, and
-    ``A = s * a`` as ints by :func:`zarlat.linalg.scaled_int_vector`."""
-    a = as_vector(values)
+    ``A = s * a`` as ints, read in one pass by
+    :func:`zarlat.linalg.scaled_rationals`."""
+    a, big_a, s = scaled_rationals(values)
     if len(a) != size:
         raise ShapeError(f"divisor has {len(a)} coefficients, form has {size} components")
-    big_a, s = scaled_int_vector(a)
-    bad = next((i for i, x in enumerate(big_a) if x < 0), None)
-    if bad is not None:
-        raise DomainError(f"effective divisor needs nonnegative coefficients; entry {bad} is {a[bad]}")
+    for i, x in enumerate(big_a):
+        if x < 0:
+            raise DomainError(f"effective divisor needs nonnegative coefficients; entry {i} is {a[i]}")
     return a, big_a, s
 
 
-def support_of(vec: Sequence[Fraction]) -> tuple[int, ...]:
+def support_of(vec: Sequence) -> tuple[int, ...]:
     return tuple(i for i, x in enumerate(vec) if x != 0)
 
 
@@ -263,18 +271,24 @@ def in_nef_region(form: IntersectionForm, divisor: Sequence, candidate: Sequence
     and ``(gram @ b)_j >= 0`` for every ``j`` in ``supp(a)``.  The positive
     part of the decomposition is the unique entrywise-maximal member.
 
-    Decided on integers: ``A = s * a`` and ``B = t * b``, so ``b <= a``
-    reads ``B * s <= A * t`` and makes ``b`` vanish outside ``supp(a)``, and
-    the rows of ``c * gram`` times ``B`` are positive multiples of ``gram @ b``.
+    Decided on integers, with no ``Fraction`` arithmetic: the divisor and
+    the candidate are each validated and converted once, to ``A = s * a``
+    and ``B = t * b``.  Then ``b <= a`` reads ``B * s <= A * t`` and makes
+    ``b`` vanish outside ``supp(a)``, and the rows of ``c * gram`` times
+    ``B`` are positive multiples of ``gram @ b``.
     """
-    _, big_a, s = _scaled_divisor(divisor, form.size)
+    size = form.size
+    _, big_a, s = _scaled_divisor(divisor, size)
     big_b, t = scaled_int_vector(candidate)
-    if len(big_b) != form.size:
-        raise ShapeError(f"candidate has {len(big_b)} coefficients, form has {form.size}")
-    if any(v < 0 or v * s > w * t for v, w in zip(big_b, big_a)):
-        return False
-    rows, _ = form.gram.scaled_rows
-    return all(sum(map(mul, row, big_b)) >= 0 for row, w in zip(rows, big_a) if w)
+    if len(big_b) != size:
+        raise ShapeError(f"candidate has {len(big_b)} coefficients, form has {size}")
+    for v, w in zip(big_b, big_a):
+        if v < 0 or v * s > w * t:
+            return False
+    for row, w in zip(form.gram.scaled_rows[0], big_a):
+        if w and sum(map(mul, row, big_b)) < 0:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -350,7 +364,7 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     # lcms of the denominators, so r = (c * gram) @ A = c * s * (gram @ a).
     rows, c = form.gram.scaled_rows
     r = [sum(map(mul, row, big_a)) for row in rows]
-    support = support_of(a)
+    support = support_of(big_a)
     new = [j for j in support if r[j] < 0]
     if not new:  # D is nef: N = 0
         return Decomposition(positive=a, negative=(Fraction(0),) * form.size,
@@ -390,16 +404,28 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
             j for j in support
             if j not in members and scale * r[j] < sum(rows[j][i] * v for i, v in zip(order, y))
         ]
-    negative = [Fraction(0)] * form.size
-    for j, v in zip(order, y):
-        negative[j] = Fraction(v, abs(d) * s)
+    positive, negative = _split(a, big_a, s, order, y, scale)
     # w = d * (c * gram_S)^-1 (-1, ..., -1), solved once, for the last support.
     by_index = sorted(zip(order, elimination.solution(1)))
-    return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
-                         negative=tuple(negative), negative_support=tuple(j for j, _ in by_index),
+    return Decomposition(positive=positive, negative=negative,
+                         negative_support=tuple(j for j, _ in by_index),
                          rounds=len(joined), negative_gram_det=Fraction(d, c ** len(order)),
                          witness=primitive_witness(d, [v for _, v in by_index]),
                          joined=tuple(joined))
+
+
+def _split(a: tuple[Fraction, ...], big_a: Sequence[int], s: int, support: Sequence[int],
+           y: Sequence[int], scale: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """``(P, N)`` for ``N`` zero off ``support`` and ``N_j = y_j / (scale * s)``
+    on it: each coefficient is built once from integers, ``P_j = (scale * A_j
+    - y_j) / (scale * s)`` on the support and ``P_j = a_j`` off it, so no
+    ``Fraction`` is combined with another."""
+    positive, negative = list(a), [Fraction(0)] * len(a)
+    den = scale * s
+    for j, v in zip(support, y):
+        positive[j] = Fraction(scale * big_a[j] - v, den)
+        negative[j] = Fraction(v, den)
+    return tuple(positive), tuple(negative)
 
 
 def self_labels(form: IntersectionForm, indices: Sequence[int]) -> str:
@@ -436,16 +462,17 @@ def decompose_bruteforce(
     """
     a, big_a, s = _scaled_divisor(divisor, form.size)
     require_intersection_product(form)
-    support = support_of(a)
+    support = support_of(big_a)
     if len(support) > limit:
         raise DomainError(f"support size {len(support)} exceeds oracle limit {limit}")
     # Integers throughout: rows of c * gram and A = s * a, so
     # r = (c * gram) @ A = c * s * (gram @ a).
     rows, c = form.gram.scaled_rows
     r = [sum(map(mul, row, big_a)) for row in rows]
-    accepted: dict[tuple[Fraction, ...], tuple[tuple[int, ...], int, list[list[int]]]] = {}
+    # N -> (P, S, d, the eliminated rows), the first subset giving that N.
+    accepted: dict[tuple[Fraction, ...], tuple] = {}
     if all(v >= 0 for v in r):
-        accepted[(Fraction(0),) * form.size] = ((), 1, [])  # D is nef: N = 0
+        accepted[(Fraction(0),) * form.size] = (a, (), 1, [])  # D is nef: N = 0
     definite = {()}  # the negative definite subsets of the previous size
     for size in range(1, len(support) + 1):
         smaller, definite = definite, set()
@@ -471,20 +498,17 @@ def decompose_bruteforce(
                 continue
             if sum(v * gp[j] for j, v in zip(subset, y)) != 0:
                 continue
-            negative = [Fraction(0)] * form.size
-            for j, v in zip(subset, y):
-                negative[j] = Fraction(v, scale * s)
-            accepted.setdefault(tuple(negative), (subset, d, system))
+            positive, negative = _split(a, big_a, s, subset, y, scale)
+            accepted.setdefault(negative, (positive, subset, d, system))
     if len(accepted) != 1:
         raise OracleMismatchError(
             f"enumeration found {len(accepted)} distinct decompositions instead of one"
         )
-    negative, (subset, d, system) = next(iter(accepted.items()))
+    negative, (positive, subset, d, system) = next(iter(accepted.items()))
     # w = d * (c * gram_S)^-1 (-1, ..., -1).  A part with a zero coefficient
     # on S solves the system on S without it, accepted first: S == supp(N).
     w = back_substitute(system, d, len(subset) + 1)
-    return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
-                         negative=negative, negative_support=subset,
+    return Decomposition(positive=positive, negative=negative, negative_support=subset,
                          rounds=0, negative_gram_det=Fraction(d, c ** len(subset)),
                          witness=primitive_witness(d, w))
 
@@ -500,29 +524,38 @@ def decomposition_checks(
     definite, or N = 0), ``orthogonal`` (q(P, N) == 0), ``support_union``
     (supp(P) union supp(N) == supp(D)).
 
-    No elimination runs here: every key is integer arithmetic on the rows of
-    ``c * gram``.  Definiteness is read from ``dec.witness`` by
-    :func:`witness_certifies`, which also checks the sign pattern on ``S``,
-    because ``form`` is not re-validated here.
+    No elimination and no ``Fraction`` arithmetic runs here: ``D``, ``P``
+    and ``N`` are each validated and scaled once, to ``A = s * a``,
+    ``s_P * P`` and ``s_N * N`` as ints, and every key compares integers.
+    ``P`` and ``N`` need one coefficient per component (else
+    :class:`ShapeError`), each read by :func:`zarlat.linalg.as_rational`
+    (else :class:`DomainError`).  Definiteness is read from ``dec.witness``
+    by :func:`witness_certifies`, which also checks the sign pattern on
+    ``S``, because ``form`` is not re-validated here.
     """
-    a, _, _ = _scaled_divisor(divisor, form.size)
-    p, n = as_vector(dec.positive), dec.negative
-    if len(p) != form.size:
-        raise ShapeError(f"positive part has {len(p)} coefficients, form has {form.size}")
+    size = form.size
+    _, big_a, s = _scaled_divisor(divisor, size)
+    big_p, s_p = scaled_int_vector(dec.positive)
+    if len(big_p) != size:
+        raise ShapeError(f"positive part has {len(big_p)} coefficients, form has {size}")
+    big_n, s_n = scaled_int_vector(dec.negative)
+    if len(big_n) != size:
+        raise ShapeError(f"negative part has {len(big_n)} coefficients, form has {size}")
     rows, _ = form.gram.scaled_rows
-    big_p, _ = scaled_int_vector(p)
     # A positive multiple of gram @ P: the same signs, and zero pairing with N
     # exactly when q(P, N) == 0.
     gp = [sum(map(mul, row, big_p)) for row in rows]
-    support_n = support_of(n)
+    support_n = support_of(big_n)
+    # P + N == D, times s_P * s_N * s.
+    u, v, w = s_n * s, s_p * s, s_p * s_n
     return {
-        "parts_sum": tuple(x + z for x, z in zip(p, n)) == a,
-        "positive_nef": all(v >= 0 for v in gp),
+        "parts_sum": all(x * u + z * v == y * w for x, z, y in zip(big_p, big_n, big_a)),
+        "positive_nef": all(x >= 0 for x in gp),
         "negative_exceptional": support_n == dec.negative_support
         and witness_certifies(rows, support_n, dec.witness),
-        "orthogonal": sum(x * v for x, v in zip(n, gp) if x) == 0,
-        "support_union": tuple(sorted(set(support_of(p)) | set(support_n)))
-        == support_of(a),
+        "orthogonal": sum(x * g for x, g in zip(big_n, gp) if x) == 0,
+        "support_union": support_of([x or z for x, z in zip(big_p, big_n)])
+        == support_of(big_a),
     }
 
 

@@ -13,12 +13,14 @@ from zarlat.linalg import (
     RationalMatrix,
     SmithNormalForm,
     as_rational,
+    as_vector,
     bareiss_solve,
     det,
     is_negative_definite,
     leading_principal_minors,
     scaled_int_rows,
     scaled_int_vector,
+    scaled_rationals,
     signature,
     smith_normal_form,
     solve,
@@ -206,6 +208,42 @@ class TestScaledIntVector:
     def test_rejects_what_as_rational_rejects(self, bad):
         with pytest.raises(DomainError) as raised:
             scaled_int_vector([1, bad, "1/2"])
+        with pytest.raises(DomainError) as expected:
+            as_rational(bad)
+        assert str(raised.value) == str(expected.value)
+
+
+class TestScaledRationals:
+    """The divisor's one pass: the entries as ``as_vector`` reads them and
+    their integer form, as ``scaled_int_vector`` gives it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spelled_vectors())
+    def test_entries_and_numerators(self, values):
+        q, numerators, s = scaled_rationals(values)
+        assert type(q) is tuple and all(type(x) is Fraction for x in q)
+        assert q == as_vector(values)
+        assert (numerators, s) == scaled_int_vector(values)
+        assert all(type(x) is int for x in numerators) and type(s) is int
+
+    def test_fractions_taken_as_given(self):
+        values = [Fraction(1, 3), Fraction(-2, 7)]
+        q, _, _ = scaled_rationals(values)
+        assert all(x is y for x, y in zip(q, values))
+
+    def test_integer_subclass_read_by_as_rational(self):
+        class Count(int):
+            pass
+
+        q, numerators, s = scaled_rationals([Count(3), 4])
+        assert q == (Fraction(3), Fraction(4)) and all(type(x) is Fraction for x in q)
+        assert scaled_int_vector([Count(3), Fraction(1, 2)]) == ([6, 1], 2)
+        assert (numerators, s) == ([3, 4], 1)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1.5", "1e3", None])
+    def test_rejects_what_as_rational_rejects(self, bad):
+        with pytest.raises(DomainError) as raised:
+            scaled_rationals([1, bad, "1/2"])
         with pytest.raises(DomainError) as expected:
             as_rational(bad)
         assert str(raised.value) == str(expected.value)

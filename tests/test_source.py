@@ -117,9 +117,10 @@ def _called_names(function):
 
 def test_one_vector_conversion():
     # A rational vector becomes integers over one lcm in linalg alone
-    # (scaled_int_vector, and scaled_int_rows, its matrix twin; solve takes
-    # the lcm of two scales); the engine scales a divisor once per call, and
-    # Cramer's rule runs on one elimination, not on a determinant per column.
+    # (scaled_int_vector, scaled_rationals, its twin that keeps the entries,
+    # and scaled_int_rows, their matrix twin; solve takes the lcm of two
+    # scales); the engine scales a divisor once per call, and Cramer's rule
+    # runs on one elimination, not on a determinant per column.
     for name in ("zariski.py", "bounds.py", "lattice.py", "cli.py"):
         tree, _ = _top_level_functions(name)
         uses = [node for node in ast.walk(tree)
@@ -129,7 +130,8 @@ def test_one_vector_conversion():
         assert not uses, f"{name} computes an lcm"
     _, linalg_functions = _top_level_functions("linalg.py")
     assert [name for name, node in linalg_functions.items()
-            if "lcm" in _called_names(node)] == ["scaled_int_rows", "scaled_int_vector", "solve"]
+            if "lcm" in _called_names(node)] == ["scaled_int_rows", "scaled_int_vector",
+                                                  "scaled_rationals", "solve"]
     _, zariski_functions = _top_level_functions("zariski.py")
     for consumer in ("decompose", "decompose_bruteforce", "in_nef_region", "decomposition_checks"):
         assert _called_names(zariski_functions[consumer]).count("_scaled_divisor") == 1, consumer
@@ -137,3 +139,24 @@ def test_one_vector_conversion():
     cramer = _called_names(bounds_functions["cramer_analysis"])
     assert cramer.count("bareiss_solve") == 1
     assert not {"det", "submatrix"} & set(cramer)
+
+
+def test_integer_path_between_input_and_result():
+    # The checks and the nef query compare integers only: they build no
+    # Fraction and convert their inputs through the one linalg pass, not
+    # through as_vector or as_divisor.  The engine and the oracle build each
+    # coefficient of P and N once from integers (_split): no subtraction reads
+    # a Fraction-valued name, the divisor ``a`` or a part.  TestIntegerPath in
+    # test_zariski.py checks the same at run time.
+    _, functions = _top_level_functions("zariski.py")
+    for name in ("decomposition_checks", "in_nef_region"):
+        called = set(_called_names(functions[name]))
+        assert not called & {"Fraction", "as_vector", "as_divisor"}, name
+    fraction_names = {"a", "ai", "ni", "positive", "negative"}
+    for name in ("decompose", "decompose_bruteforce", "_split"):
+        subtracted = {leaf.id for node in ast.walk(functions[name])
+                      if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                      for leaf in ast.walk(node) if isinstance(leaf, ast.Name)}
+        assert not subtracted & fraction_names, name
+    for name in ("decompose", "decompose_bruteforce"):
+        assert "_split" in _called_names(functions[name]), name

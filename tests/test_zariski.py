@@ -16,6 +16,7 @@ from zarlat.errors import (
     OracleMismatchError,
     ShapeError,
     SingularMatrixError,
+    ZarlatError,
 )
 from zarlat.linalg import Inertia, as_vector, det, signature
 from zarlat.zariski import (
@@ -953,3 +954,226 @@ class TestIntegerAcceptance:
             verdict = in_nef_region(form, divisor, b)
             assert in_nef_region(scaled, divisor, b) == verdict
             assert fraction_in_nef_region(scaled, divisor, b) == verdict
+
+
+def parent_scaled_int_vector(values):
+    """Reference: ``scaled_int_vector`` as it was, every entry through
+    ``as_rational``, kept verbatim."""
+    ratios = [linalg.as_rational(x).as_integer_ratio() for x in values]
+    s = lcm(*(d for _, d in ratios))
+    return [n * (s // d) for n, d in ratios], s
+
+
+def parent_scaled_divisor(values, size):
+    """Reference: ``_scaled_divisor`` as it was, ``as_vector`` and then a
+    second reading of the validated entries, kept verbatim."""
+    a = as_vector(values)
+    if len(a) != size:
+        raise ShapeError(f"divisor has {len(a)} coefficients, form has {size} components")
+    big_a, s = parent_scaled_int_vector(a)
+    bad = next((i for i, x in enumerate(big_a) if x < 0), None)
+    if bad is not None:
+        raise DomainError(f"effective divisor needs nonnegative coefficients; entry {bad} is {a[bad]}")
+    return a, big_a, s
+
+
+def parent_in_nef_region(form, divisor, candidate):
+    """Reference: ``in_nef_region`` as it was, kept verbatim."""
+    _, big_a, s = parent_scaled_divisor(divisor, form.size)
+    big_b, t = parent_scaled_int_vector(candidate)
+    if len(big_b) != form.size:
+        raise ShapeError(f"candidate has {len(big_b)} coefficients, form has {form.size}")
+    if any(v < 0 or v * s > w * t for v, w in zip(big_b, big_a)):
+        return False
+    rows, _ = form.gram.scaled_rows
+    return all(sum(map(lambda x, y: x * y, row, big_b)) >= 0
+               for row, w in zip(rows, big_a) if w)
+
+
+def parent_decomposition_checks(form, divisor, dec):
+    """Reference: ``decomposition_checks`` as it was, with ``Fraction`` sums
+    for ``parts_sum`` and ``P`` converted back to integers, kept verbatim."""
+    a, _, _ = parent_scaled_divisor(divisor, form.size)
+    p, n = as_vector(dec.positive), dec.negative
+    if len(p) != form.size:
+        raise ShapeError(f"positive part has {len(p)} coefficients, form has {form.size}")
+    rows, _ = form.gram.scaled_rows
+    big_p, _ = parent_scaled_int_vector(p)
+    gp = [sum(map(lambda x, y: x * y, row, big_p)) for row in rows]
+    support_n = support_of(n)
+    return {
+        "parts_sum": tuple(x + z for x, z in zip(p, n)) == a,
+        "positive_nef": all(v >= 0 for v in gp),
+        "negative_exceptional": support_n == dec.negative_support
+        and zariski.witness_certifies(rows, support_n, dec.witness),
+        "orthogonal": sum(x * v for x, v in zip(n, gp) if x) == 0,
+        "support_union": tuple(sorted(set(support_of(p)) | set(support_n)))
+        == support_of(a),
+    }
+
+
+def mutated_decompositions(form, dec):
+    """The decomposition and its mutations: a coefficient moved between
+    ``P`` and ``N`` (both ways), a support index dropped or added, the
+    witness negated."""
+    out = [dec]
+    p, n, support = list(dec.positive), list(dec.negative), dec.negative_support
+    for j in range(form.size):
+        if n[j]:
+            moved_p, moved_n = p[:], n[:]
+            moved_p[j] += n[j] / 2
+            moved_n[j] -= n[j] / 2
+            out.append(replace(dec, positive=tuple(moved_p), negative=tuple(moved_n)))
+        if p[j]:
+            moved_p, moved_n = p[:], n[:]
+            moved_p[j] -= p[j]
+            moved_n[j] += p[j]
+            out.append(replace(dec, positive=tuple(moved_p), negative=tuple(moved_n)))
+    if support:
+        out.append(replace(dec, negative_support=support[1:], witness=dec.witness[1:]))
+        out.append(replace(dec, witness=tuple(-v for v in dec.witness)))
+    extra = next((j for j in range(form.size) if j not in support), None)
+    if extra is not None:
+        grown = tuple(sorted(support + (extra,)))
+        k = grown.index(extra)
+        out.append(replace(dec, negative_support=grown,
+                           witness=dec.witness[:k] + (1,) + dec.witness[k:]))
+    return out
+
+
+def spellings(vector):
+    """``vector`` of ``Fraction``s, the same with ``int`` entries where
+    integral, and as unreduced ``"p/q"`` strings."""
+    return (tuple(vector), tuple(x.numerator if x.denominator == 1 else x for x in vector),
+            tuple(f"{2 * x.numerator}/{2 * x.denominator}" for x in vector))
+
+
+def raised(call):
+    """``(class, message)`` of the library error ``call()`` raises, or its result."""
+    try:
+        return call()
+    except ZarlatError as exc:
+        return type(exc), str(exc)
+
+
+class TestIntegerPathReference:
+    """``decomposition_checks`` and ``in_nef_region`` give what the ``Fraction``
+    versions they replaced gave, key for key and query for query."""
+
+    def test_checks_match_on_corpus_and_mutations(self, corpus_1000):
+        compared = failing = 0
+        for form, divisor in corpus_1000:
+            engine = decompose(form, divisor)
+            oracle = decompose_bruteforce(form, divisor)
+            for dec in mutated_decompositions(form, engine) + [oracle]:
+                got = decomposition_checks(form, divisor, dec)
+                assert list(got.items()) == list(parent_decomposition_checks(form, divisor, dec).items())
+                compared += 1
+                failing += not all(got.values())
+        assert compared > 4000 and failing > 2000
+
+    def test_checks_errors_match(self, corpus_1000):
+        for form, divisor in corpus_1000[:200]:
+            dec = decompose(form, divisor)
+            p = dec.positive
+            cases = [
+                (divisor[:-1], dec), (tuple(divisor) + (0,), dec),
+                (divisor, replace(dec, positive=p[:-1])),
+                (divisor, replace(dec, positive=p + (Fraction(0),))),
+                (divisor, replace(dec, positive=(0.5,) + p[1:])),
+                (divisor, replace(dec, positive=p[:-1] + ("1.5",))),
+                ((True,) + tuple(divisor[1:]), dec),
+                ((Fraction(-1, 3),) + tuple(divisor[1:]), dec),
+            ]
+            for d, case in cases:
+                expected = raised(lambda: parent_decomposition_checks(form, d, case))
+                assert isinstance(expected, tuple), (d, case)
+                assert raised(lambda: decomposition_checks(form, d, case)) == expected
+
+    def test_nef_queries_match(self, corpus_1000):
+        # Shaped like the fuzz-small queries: scaled positive parts, random
+        # sub-divisors and joins, each also spelled with int entries where
+        # integral and as "p/q" strings, and with an invalid entry.
+        rng = SplitMix64(0xF0221)
+        verdicts = []
+        invalid = (0.5, True, "1.5", "3/0", None, -Fraction(1, 2))
+        for form, divisor in corpus_1000[:400]:
+            p = decompose(form, divisor).positive
+            members = [tuple(Fraction(rng.randint(0, 16), 16) * x for x in p) for _ in range(4)]
+            candidates = [tuple(Fraction(rng.randint(0, 8 * x.numerator), 8 * x.denominator)
+                                if x > 0 else Fraction(0) for x in divisor) for _ in range(4)]
+            pool = members + candidates
+            joins = [tuple(map(max, u, v)) for u, v in zip(pool, pool[1:] + pool[:1])]
+            for b in pool + joins:
+                for a, spelled in zip(spellings(divisor), spellings(b)):
+                    verdict = in_nef_region(form, a, spelled)
+                    assert verdict == parent_in_nef_region(form, a, spelled)
+                    verdicts.append(verdict)
+                j = rng.randint(0, form.size - 1)
+                bad = invalid[rng.randint(0, len(invalid) - 1)]
+                for args in ((divisor, b[:j] + (bad,) + b[j + 1 :]),
+                             (divisor[:j] + (bad,) + divisor[j + 1 :], b),
+                             (divisor, b[:-1]), (divisor, b + (0,)), (divisor + (1,), b)):
+                    expected = raised(lambda: parent_in_nef_region(form, *args))
+                    assert raised(lambda: in_nef_region(form, *args)) == expected
+        assert len(verdicts) > 5000 and 0.2 < sum(verdicts) / len(verdicts) < 0.9
+
+
+class TestChecksValidateNegative:
+    """``dec.negative`` is validated as ``dec.positive`` is: one exact
+    coefficient per component."""
+
+    def test_wrong_length_refused(self):
+        form = form_of([[-2, 1], [1, -2]])
+        dec = decompose(form, [1, 0])
+        assert all(decomposition_checks(form, [1, 0], dec).values())
+        for negative in (dec.negative + (Fraction(0),), dec.negative + (0, 0), dec.negative[:1], ()):
+            with pytest.raises(ShapeError, match=rf"^negative part has {len(negative)} "
+                                                  r"coefficients, form has 2$"):
+                decomposition_checks(form, [1, 0], replace(dec, negative=negative))
+
+    def test_entries_read_by_as_rational(self):
+        form = form_of([[-2, 1], [1, -2]])
+        dec = decompose(form, [1, 1])
+        with pytest.raises(DomainError, match=r"^float 1\.0 rejected"):
+            decomposition_checks(form, [1, 1], replace(dec, negative=(1.0, 1.0)))
+        with pytest.raises(DomainError, match=r"^boolean True is not a rational number$"):
+            decomposition_checks(form, [1, 1], replace(dec, negative=(True, True)))
+        spelled = replace(dec, negative=tuple(str(x) for x in dec.negative))
+        assert decomposition_checks(form, [1, 1], spelled) == decomposition_checks(form, [1, 1], dec)
+
+
+class TestIntegerPath:
+    """At run time: the engine and the oracle subtract no ``Fraction``s, and
+    on ``Fraction`` input the checks and the nef query build none and do no
+    ``Fraction`` arithmetic."""
+
+    ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                  "__truediv__", "__rtruediv__", "__lt__", "__le__", "__gt__", "__ge__")
+
+    @staticmethod
+    def forbid(monkeypatch, names):
+        def refused(*args, **kwargs):
+            raise AssertionError("Fraction arithmetic on the integer path")
+
+        for name in names:
+            monkeypatch.setattr(Fraction, name, refused)
+
+    def test_engine_and_oracle_subtract_no_fractions(self, corpus_1000, monkeypatch):
+        expected = [(decompose(f, d), decompose_bruteforce(f, d)) for f, d in corpus_1000[:300]]
+        self.forbid(monkeypatch, ("__sub__", "__rsub__"))
+        got = [(decompose(f, d), decompose_bruteforce(f, d)) for f, d in corpus_1000[:300]]
+        monkeypatch.undo()
+        assert got == expected
+
+    def test_checks_and_nef_query_build_no_fractions(self, corpus_1000, monkeypatch):
+        cases = []
+        for form, divisor in corpus_1000[:300]:
+            dec = decompose(form, divisor)
+            cases.append((form, divisor, dec, [tuple(x / 2 for x in dec.positive), dec.positive]))
+        self.forbid(monkeypatch, self.ARITHMETIC + ("__new__",))
+        results = [(decomposition_checks(form, divisor, dec),
+                    [in_nef_region(form, divisor, b) for b in queries])
+                   for form, divisor, dec, queries in cases]
+        monkeypatch.undo()
+        assert all(all(checks.values()) and all(verdicts) for checks, verdicts in results)
