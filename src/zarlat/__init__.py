@@ -58,7 +58,6 @@ from .linalg import (
     RationalMatrix,
     SmithNormalForm,
     as_rational,
-    as_vector,
     det,
     is_negative_definite,
     leading_principal_minors,

@@ -333,13 +333,13 @@ def full_report(preset: DeformationPreset, rho: int, volume=1,
     if vol <= 0:
         raise DomainError(f"volume must be positive, got {vol}")
     group = discriminant_group(preset.lattice)
-    b = 4 * group.cardinality
+    b = group.negativity_bound
     return BoundReport(
         preset_tag=preset.tag,
         name=preset.display_name,
         half_dim=preset.half_dim,
         negativity_bound=b,
-        negativity_bound_refined=4 * group.exponent,
+        negativity_bound_refined=group.negativity_bound_refined,
         published_max_square=preset.published_max_square,
         cardinality=group.cardinality,
         volume=vol,

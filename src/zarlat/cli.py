@@ -302,8 +302,8 @@ def _lattice_payload(lat: "lattice_mod.IntegralLattice", preset=None) -> dict:
         "group": group.describe(),
         "cardinality": group.cardinality,
         "exponent": group.exponent,
-        "negativity_bound_general": 4 * group.cardinality,
-        "negativity_bound_refined": 4 * group.exponent,
+        "negativity_bound_general": group.negativity_bound,
+        "negativity_bound_refined": group.negativity_bound_refined,
     }
     if preset is not None:
         payload["preset"] = {
@@ -337,8 +337,8 @@ def _table_rows(n: int) -> list[dict]:
                 "published_group": p.published_group_name(),
                 "order_d": group.exponent,
                 "published_d": p.published_exponent,
-                "bound_general": 4 * group.cardinality,
-                "bound_refined": 4 * group.exponent,
+                "bound_general": group.negativity_bound,
+                "bound_refined": group.negativity_bound_refined,
                 "published_square": p.published_max_square,
                 "group_match": group.elementary_divisors == p.published_group,
             }

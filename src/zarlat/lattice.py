@@ -4,7 +4,7 @@ Provides the standard even blocks (hyperbolic plane, E8(-1), A2(-1),
 rank-one lattices), direct sums, discriminant groups computed through Smith
 normal form, the second-cohomology lattices of the four known deformation
 families of irreducible symplectic manifolds, the negativity bounds
-``4 * Card`` / ``4 * exponent`` derived from the discriminant group, and the
+``4 * Card`` / ``4 * exponent``, properties of the discriminant group, and the
 integrality test for the dual curve class ``-2 q(E, .) / q(E)`` of a
 candidate prime exceptional class ``E``.
 
@@ -23,7 +23,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InconsistencyError, ShapeError, SingularMatrixError
-from .linalg import RationalMatrix, as_integer, det, smith_normal_form
+from .linalg import RationalMatrix, _sequence, as_integer, det, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class IntegralLattice:
 
 def _coordinates(lattice: IntegralLattice, values: Sequence[int]) -> list[int]:
     """``values`` as ``rank`` integers, each read by :func:`zarlat.linalg.as_integer`."""
-    vec = [as_integer(x) for x in values]
+    vec = [as_integer(x) for x in _sequence(values, "lattice coordinates")]
     if len(vec) != lattice.rank:
         raise ShapeError(f"class has {len(vec)} coordinates, lattice rank is {lattice.rank}")
     return vec
@@ -164,6 +164,16 @@ class DiscriminantGroup:
     def describe(self) -> str:
         return format_group(self.elementary_divisors)
 
+    @property
+    def negativity_bound(self) -> int:
+        """General lower-bound magnitude for prime exceptional squares: 4 * Card."""
+        return 4 * self.cardinality
+
+    @property
+    def negativity_bound_refined(self) -> int:
+        """Refinement by the largest element order instead of the order: 4 * exponent."""
+        return 4 * self.exponent
+
 
 def format_group(divisors: Sequence[int]) -> str:
     if not divisors:
@@ -183,7 +193,7 @@ def discriminant_group(lattice: IntegralLattice) -> DiscriminantGroup:
     if any(d == 0 for d in snf.diagonal):
         raise SingularMatrixError(f"lattice {lattice.name!r} is degenerate")
     divisors = tuple(d for d in snf.diagonal if d > 1)
-    cardinality = prod(divisors) if divisors else 1
+    cardinality = prod(divisors)
     determinant = abs(lattice.determinant())
     if cardinality != determinant:
         raise InconsistencyError(
@@ -198,13 +208,13 @@ def discriminant_group(lattice: IntegralLattice) -> DiscriminantGroup:
 
 
 def negativity_bound(lattice: IntegralLattice) -> int:
-    """General lower-bound magnitude for prime exceptional squares: 4 * Card."""
-    return 4 * discriminant_group(lattice).cardinality
+    """:attr:`DiscriminantGroup.negativity_bound` of the lattice: 4 * Card."""
+    return discriminant_group(lattice).negativity_bound
 
 
 def negativity_bound_refined(lattice: IntegralLattice) -> int:
-    """Refinement using the largest element order instead of the group order."""
-    return 4 * discriminant_group(lattice).exponent
+    """:attr:`DiscriminantGroup.negativity_bound_refined` of the lattice: 4 * exponent."""
+    return discriminant_group(lattice).negativity_bound_refined
 
 
 @dataclass(frozen=True)

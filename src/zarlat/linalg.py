@@ -5,7 +5,9 @@ A :class:`RationalMatrix` is the integer rows of ``cA`` and the scale
 and never changed, so matrices can be shared freely between threads.
 ``Fraction`` values appear only at the edges, in the entries a caller
 reads and the results it gets back; floats are rejected on input, since
-denominators are data here.
+denominators are data here.  One reader, :func:`scaled_rationals`, turns
+every rational vector and the entries of every matrix into integers over
+one lcm, each entry read by the one grammar, :func:`as_rational`.
 
 Every determinant, leading minor and definiteness verdict is fraction-free
 (Bareiss) elimination over those integers, with ``det A == det(cA) / c**n``
@@ -33,6 +35,7 @@ state, owned by the caller that extends it.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -84,8 +87,13 @@ def as_integer(value) -> int:
     return q.numerator
 
 
-def as_vector(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(as_rational(v) for v in values)
+def _sequence(values, what: str):
+    """``values``, unless it is a string, bytes, a mapping or a set, whose iteration yields no
+    coordinates: :class:`DomainError`.  Lists and tuples skip the slow ABC checks."""
+    if type(values) not in (list, tuple) and isinstance(
+            values, (str, bytes, bytearray, Mapping, AbstractSet)):
+        raise DomainError(f"cannot interpret {type(values).__name__} as {what}")
+    return values
 
 
 class RationalMatrix:
@@ -98,11 +106,18 @@ class RationalMatrix:
     __slots__ = ("_scaled",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        converted = [[as_rational(x) for x in row] for row in rows]
-        if converted and any(len(r) != len(converted[0]) for r in converted):
+        widths = []
+
+        def entries():  # row by row, so the first bad row or entry raises first
+            for row in _sequence(rows, "matrix rows"):
+                row = list(_sequence(row, "a matrix row"))
+                widths.append(len(row))
+                yield from row
+        _, flat, c = scaled_rationals(entries())
+        if len(set(widths)) > 1:
             raise ShapeError("rows have inconsistent lengths")
-        ints, c = scaled_int_rows(converted)
-        self._scaled = tuple(map(tuple, ints)), c
+        n = widths[0] if widths else 0
+        self._scaled = tuple(tuple(flat[i * n : i * n + n]) for i in range(len(widths))), c
 
     @classmethod
     def _from_scaled(cls, rows: tuple[tuple[int, ...], ...], c: int) -> "RationalMatrix":
@@ -186,7 +201,7 @@ class RationalMatrix:
         """``self @ vec`` by integer dot products: the vector is scaled by the
         lcm of its denominators, the matrix by the lcm of its own, and each
         entry of the result is one ``Fraction``."""
-        w, s = scaled_int_vector(vec)
+        _, w, s = scaled_rationals(vec)
         if len(w) != self.ncols:
             raise ShapeError(f"vector length {len(w)} != column count {self.ncols}")
         rows, c = self.scaled_rows
@@ -208,40 +223,16 @@ def as_matrix(value) -> RationalMatrix:
     return value if isinstance(value, RationalMatrix) else RationalMatrix(value)
 
 
-def scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """``(int_rows, c)``: the rows of ``c * rows`` as fresh lists of ints,
-    where ``c`` is the lcm of the entry denominators (1 when integral)."""
-    c = lcm(*(x.denominator for row in rows for x in row))
-    if c == 1:
-        return [[x.numerator for x in row] for row in rows], 1
-    return [[x.numerator * (c // x.denominator) for x in row] for row in rows], c
-
-
-_EXACT = (Fraction, int)
-
-
-def scaled_int_vector(values: Iterable) -> tuple[list[int], int]:
-    """``(numerators, s)``: the entries of ``s * values``, each read by
-    :func:`as_rational`, as a fresh list of ints, where ``s`` is the lcm of
-    the reduced denominators; :func:`scaled_int_rows` is its matrix twin.
-
-    One pass reads each entry's numerator and denominator once.  A
-    ``Fraction`` or an ``int`` is read as it is, without building a
-    ``Fraction``; any other value goes through :func:`as_rational`, with
-    its errors."""
-    ratios = [(x if type(x) in _EXACT else as_rational(x)).as_integer_ratio() for x in values]
-    s = lcm(*[d for _, d in ratios])
-    return [n * (s // d) for n, d in ratios], s
-
-
 def scaled_rationals(values: Iterable) -> tuple[tuple[Fraction, ...], list[int], int]:
-    """``(q, numerators, s)``: ``q`` the entries as :func:`as_vector` reads
-    them, a ``Fraction`` kept as it is, and :func:`scaled_int_vector` of
-    ``q``, in one pass, for a caller that returns some entries unchanged."""
+    """``(q, numerators, s)``: ``q`` the entries, each read as by
+    :func:`as_rational` (a ``Fraction`` as it is), and the entries of
+    ``s * q`` as a fresh list of ints, ``s`` the lcm of the denominators.
+    The one reader from exact input to integers, in one pass; a string,
+    bytes, a mapping or a set is refused, not read element by element."""
     q, ratios = [], []
-    for x in values:
+    for x in _sequence(values, "a vector of exact rationals"):
         if type(x) is not Fraction:
-            x = as_rational(x)
+            x = Fraction(x) if type(x) is int else as_rational(x)
         q.append(x)
         ratios.append(x.as_integer_ratio())
     s = lcm(*[d for _, d in ratios])
@@ -466,7 +457,7 @@ def solve(matrix, rhs) -> tuple[Fraction, ...]:
     m = as_matrix(matrix)
     if not m.is_square():
         raise ShapeError(f"solve needs a square matrix, got {m.nrows}x{m.ncols}")
-    b, s = scaled_int_vector(rhs)
+    _, b, s = scaled_rationals(rhs)
     if len(b) != m.nrows:
         raise ShapeError(f"right-hand side length {len(b)} != matrix size {m.nrows}")
     rows, c = m.scaled_rows

@@ -38,11 +38,11 @@ The two must agree coefficient for coefficient; any divergence is a bug by
 uniqueness.
 
 Between the validated input and the result no ``Fraction`` is combined
-with another.  A rational vector is read once, by one pass in
-:mod:`zarlat.linalg`, into integer numerators over one scale; the engine
-and the oracle build each coefficient of ``P`` and ``N`` once from those
-integers, and ``decomposition_checks`` and ``in_nef_region`` compare
-integers only.
+with another.  Every rational vector is read once, by the one reader
+:func:`zarlat.linalg.scaled_rationals`, into integer numerators over one
+scale; the engine and the oracle build each coefficient of ``P`` and ``N``
+once from those integers, and ``decomposition_checks`` and
+``in_nef_region`` compare integers only.
 
 One verifier, ``witness_certifies``, checks every definiteness certificate
 in the module: a positive integer vector ``y`` with ``Gram_S y < 0`` on a
@@ -84,7 +84,6 @@ from .linalg import (
     bareiss_det,
     bareiss_solve,
     det,  # not called here; perfbench/selftest.py checks its tracer rebinds zariski.det
-    scaled_int_vector,
     scaled_rationals,
     sylvester_pass,
 )
@@ -119,7 +118,7 @@ class IntersectionForm:
     def pairing(self, u: Sequence, v: Sequence) -> Fraction:
         """``u . gram . v`` on integers; each needs ``size`` coefficients."""
         rows, c = self.gram.scaled_rows
-        (a, s), (b, t) = scaled_int_vector(u), scaled_int_vector(v)
+        (_, a, s), (_, b, t) = scaled_rationals(u), scaled_rationals(v)
         if len(a) != self.size or len(b) != self.size:
             raise ShapeError(f"pairing needs {self.size} coefficients, got {len(a)} and {len(b)}")
         return Fraction(sum(y * sum(map(mul, row, a)) for y, row in zip(b, rows)), c * s * t)
@@ -279,7 +278,7 @@ def in_nef_region(form: IntersectionForm, divisor: Sequence, candidate: Sequence
     """
     size = form.size
     _, big_a, s = _scaled_divisor(divisor, size)
-    big_b, t = scaled_int_vector(candidate)
+    _, big_b, t = scaled_rationals(candidate)
     if len(big_b) != size:
         raise ShapeError(f"candidate has {len(big_b)} coefficients, form has {size}")
     for v, w in zip(big_b, big_a):
@@ -535,10 +534,10 @@ def decomposition_checks(
     """
     size = form.size
     _, big_a, s = _scaled_divisor(divisor, size)
-    big_p, s_p = scaled_int_vector(dec.positive)
+    _, big_p, s_p = scaled_rationals(dec.positive)
     if len(big_p) != size:
         raise ShapeError(f"positive part has {len(big_p)} coefficients, form has {size}")
-    big_n, s_n = scaled_int_vector(dec.negative)
+    _, big_n, s_n = scaled_rationals(dec.negative)
     if len(big_n) != size:
         raise ShapeError(f"negative part has {len(big_n)} coefficients, form has {size}")
     rows, _ = form.gram.scaled_rows

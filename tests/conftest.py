@@ -3,7 +3,7 @@ from math import lcm
 import pytest
 
 from zarlat.errors import SingularMatrixError
-from zarlat.linalg import scaled_int_rows, solve, sylvester_pass
+from zarlat.linalg import solve, sylvester_pass
 from zarlat.zariski import InstanceSpec, random_instance, witness_certifies
 
 
@@ -31,8 +31,8 @@ def witness_verdict(form) -> bool:
     of ``Gram x = -1`` (empty when singular), which the check must then
     refuse on its own."""
     k = form.size
-    rows, _ = scaled_int_rows(form.gram.entries)
-    outcome = sylvester_pass([row + [-1] for row in rows])
+    rows, _ = form.gram.scaled_rows
+    outcome = sylvester_pass([[*row, -1] for row in rows])
     if outcome is not None:
         d, (column,) = outcome
         witness = tuple(v if d > 0 else -v for v in column)

@@ -13,13 +13,10 @@ from zarlat.linalg import (
     RationalMatrix,
     SmithNormalForm,
     as_rational,
-    as_vector,
     bareiss_solve,
     det,
     is_negative_definite,
     leading_principal_minors,
-    scaled_int_rows,
-    scaled_int_vector,
     scaled_rationals,
     signature,
     smith_normal_form,
@@ -192,39 +189,21 @@ def spelled_vectors(draw, max_size=6):
     return [spelled() for _ in range(draw(st.integers(0, max_size)))]
 
 
-class TestScaledIntVector:
-    """The one conversion of a rational vector to integers over one scale."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(spelled_vectors())
-    def test_numerators_over_the_lcm(self, values):
-        numerators, s = scaled_int_vector(values)
-        rationals = [as_rational(x) for x in values]
-        assert all(type(x) is int for x in numerators) and type(s) is int
-        assert [Fraction(x, s) for x in numerators] == rationals
-        assert s == lcm(*(x.denominator for x in rationals))
-
-    @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1.5", "1e3", None])
-    def test_rejects_what_as_rational_rejects(self, bad):
-        with pytest.raises(DomainError) as raised:
-            scaled_int_vector([1, bad, "1/2"])
-        with pytest.raises(DomainError) as expected:
-            as_rational(bad)
-        assert str(raised.value) == str(expected.value)
-
-
 class TestScaledRationals:
-    """The divisor's one pass: the entries as ``as_vector`` reads them and
-    their integer form, as ``scaled_int_vector`` gives it."""
+    """The one reader from exact input to integers: the entries as
+    ``as_rational`` reads them, and their numerators over the lcm of the
+    reduced denominators."""
 
     @settings(max_examples=300, deadline=None)
     @given(spelled_vectors())
     def test_entries_and_numerators(self, values):
         q, numerators, s = scaled_rationals(values)
+        rationals = tuple(as_rational(x) for x in values)
         assert type(q) is tuple and all(type(x) is Fraction for x in q)
-        assert q == as_vector(values)
-        assert (numerators, s) == scaled_int_vector(values)
+        assert q == rationals
         assert all(type(x) is int for x in numerators) and type(s) is int
+        assert [Fraction(x, s) for x in numerators] == list(rationals)
+        assert s == lcm(*(x.denominator for x in rationals))
 
     def test_fractions_taken_as_given(self):
         values = [Fraction(1, 3), Fraction(-2, 7)]
@@ -237,8 +216,8 @@ class TestScaledRationals:
 
         q, numerators, s = scaled_rationals([Count(3), 4])
         assert q == (Fraction(3), Fraction(4)) and all(type(x) is Fraction for x in q)
-        assert scaled_int_vector([Count(3), Fraction(1, 2)]) == ([6, 1], 2)
         assert (numerators, s) == ([3, 4], 1)
+        assert scaled_rationals([Count(3), Fraction(1, 2)])[1:] == ([6, 1], 2)
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1.5", "1e3", None])
     def test_rejects_what_as_rational_rejects(self, bad):
@@ -246,6 +225,7 @@ class TestScaledRationals:
             scaled_rationals([1, bad, "1/2"])
         with pytest.raises(DomainError) as expected:
             as_rational(bad)
+        assert type(raised.value) is type(expected.value)
         assert str(raised.value) == str(expected.value)
 
 
@@ -696,10 +676,10 @@ def pass_on_rationals(rows, rhs):
     does: scale ``A`` by the lcm ``c`` of its denominators and ``c * b`` by
     the lcm ``s`` of its own; return ``(det A, x)`` or ``None``."""
     n = len(rows)
-    ints, c = scaled_int_rows([[Fraction(x) for x in row] for row in rows])
+    ints, c = RationalMatrix(rows).scaled_rows
     cb = [c * Fraction(b) for b in rhs]
     s = lcm(*(x.denominator for x in cb))
-    outcome = sylvester_pass([row + [int(x * s)] for row, x in zip(ints, cb)])
+    outcome = sylvester_pass([[*row, int(x * s)] for row, x in zip(ints, cb)])
     if outcome is None:
         return None
     d, solutions = outcome

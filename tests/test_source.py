@@ -116,11 +116,11 @@ def _called_names(function):
 
 
 def test_one_vector_conversion():
-    # A rational vector becomes integers over one lcm in linalg alone
-    # (scaled_int_vector, scaled_rationals, its twin that keeps the entries,
-    # and scaled_int_rows, their matrix twin; solve takes the lcm of two
-    # scales); the engine scales a divisor once per call, and Cramer's rule
-    # runs on one elimination, not on a determinant per column.
+    # A rational vector becomes integers over one lcm in linalg alone, in
+    # the one reader scaled_rationals, which the RationalMatrix constructor
+    # shares (solve takes the lcm of two scales); the engine scales a divisor
+    # once per call, and Cramer's rule runs on one elimination, not on a
+    # determinant per column.
     for name in ("zariski.py", "bounds.py", "lattice.py", "cli.py"):
         tree, _ = _top_level_functions(name)
         uses = [node for node in ast.walk(tree)
@@ -128,10 +128,14 @@ def test_one_vector_conversion():
                 or isinstance(node, ast.Attribute) and node.attr == "lcm"
                 or isinstance(node, ast.Name) and node.id == "lcm"]
         assert not uses, f"{name} computes an lcm"
-    _, linalg_functions = _top_level_functions("linalg.py")
+    linalg_tree, linalg_functions = _top_level_functions("linalg.py")
     assert [name for name, node in linalg_functions.items()
-            if "lcm" in _called_names(node)] == ["scaled_int_rows", "scaled_int_vector",
-                                                  "scaled_rationals", "solve"]
+            if "lcm" in _called_names(node)] == ["scaled_rationals", "solve"]
+    matrix = next(node for node in linalg_tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "RationalMatrix")
+    methods = {node.name: node for node in matrix.body if isinstance(node, ast.FunctionDef)}
+    for method in ("__init__", "matvec"):
+        assert "scaled_rationals" in _called_names(methods[method]), method
     _, zariski_functions = _top_level_functions("zariski.py")
     for consumer in ("decompose", "decompose_bruteforce", "in_nef_region", "decomposition_checks"):
         assert _called_names(zariski_functions[consumer]).count("_scaled_divisor") == 1, consumer

@@ -18,7 +18,8 @@ from zarlat.errors import (
     SingularMatrixError,
     ZarlatError,
 )
-from zarlat.linalg import Inertia, as_vector, det, signature
+from zarlat.lattice import dual_curve_integrality, hyperbolic_plane
+from zarlat.linalg import Inertia, RationalMatrix, as_rational, det, signature, solve
 from zarlat.zariski import (
     Decomposition,
     InstanceSpec,
@@ -54,6 +55,12 @@ def small_corpus(count=250, m_max=5, denominator_max=4, seed_base=1000):
         )
         out.append(random_instance(spec))
     return out
+
+
+def as_vector(values):
+    """Reference: ``linalg.as_vector`` as it was, every entry through
+    ``as_rational``, kept verbatim for the references below."""
+    return tuple(as_rational(v) for v in values)
 
 
 def fraction_in_nef_region(form, divisor, candidate):
@@ -1177,3 +1184,90 @@ class TestIntegerPath:
                    for form, divisor, dec, queries in cases]
         monkeypatch.undo()
         assert all(all(checks.values()) and all(verdicts) for checks, verdicts in results)
+
+
+def reader_entry_points():
+    """Every public entry point that reads a rational vector, each as a
+    function of one vector ``v`` of two entries: a row of ``RationalMatrix``,
+    ``matvec``, ``solve``, both sides of ``pairing``, ``as_divisor``, the
+    candidate of ``in_nef_region``, and ``P`` and ``N`` in
+    ``decomposition_checks``."""
+    form = form_of([[-2, 1], [1, -2]])
+    dec = decompose(form, [1, 1])
+    return {
+        "RationalMatrix": lambda v: RationalMatrix([v, [0, 1]]),
+        "matvec": form.gram.matvec,
+        "solve": lambda v: solve([[2, 0], [0, 2]], v),
+        "pairing_u": lambda v: form.pairing(v, [1, 1]),
+        "pairing_v": lambda v: form.pairing([1, 1], v),
+        "as_divisor": lambda v: as_divisor(v, 2),
+        "in_nef_region": lambda v: in_nef_region(form, [1, 1], v),
+        "checks_positive": lambda v: decomposition_checks(form, [1, 1], replace(dec, positive=v)),
+        "checks_negative": lambda v: decomposition_checks(form, [1, 1], replace(dec, negative=v)),
+    }
+
+
+READERS = sorted(reader_entry_points())
+
+
+class TestOneReader:
+    """The contract of the one reader, ``linalg.scaled_rationals``, at every
+    entry point: a bad entry raises what ``as_rational`` raises, a string,
+    bytes, a mapping or a set is refused by type instead of being read
+    element by element, and lists, tuples, ranges and generators are read."""
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1.5", "1e3", None, "3/0", " 3"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_bad_entry_raises_as_rational_error(self, reader, bad):
+        expected = raised(lambda: as_rational(bad))
+        assert raised(lambda: reader_entry_points()[reader]((1, bad))) == expected
+
+    @pytest.mark.parametrize("values", ["12", b"12", bytearray(b"12"), {0: 5, 1: 7},
+                                        {1, 2}, frozenset({1, 2}), {1: 0, 2: 0}.keys()],
+                             ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_refused_by_type(self, reader, values):
+        what = "a matrix row" if reader == "RationalMatrix" else "a vector of exact rationals"
+        message = f"cannot interpret {type(values).__name__} as {what}"
+        assert raised(lambda: reader_entry_points()[reader](values)) == (DomainError, message)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_lists_tuples_ranges_and_generators_read(self, reader):
+        call = reader_entry_points()[reader]
+        expected = call([1, 2])
+        for values in ((1, 2), range(1, 3), (x for x in (1, "2"))):
+            assert call(values) == expected
+
+    def test_reported_repros(self):
+        form = form_of([[-2, 1], [1, -2]])
+        for call in (lambda: as_divisor("12", 2), lambda: as_divisor(b"12", 2),
+                     lambda: as_divisor({0: 5, 1: 7}, 2), lambda: solve([[2, 0], [0, 2]], "12"),
+                     lambda: in_nef_region(form, [1, 1], "00"), lambda: decompose(form, "12"),
+                     lambda: RationalMatrix(["12", "34"]),
+                     lambda: IntersectionForm.from_rows(["a", "b"], ["21", "12"])):
+            with pytest.raises(DomainError, match=r"^cannot interpret (str|bytes|dict) as "):
+                call()
+
+    def test_matrix_reads_entries_before_shape(self):
+        # The first bad row or entry in reading order raises, and a ragged
+        # matrix with a bad entry reports the entry, as before.
+        float_error = raised(lambda: as_rational(1.5))
+        for rows in ([[1.5], [1, 2]], [[1, 2], [1.5]], [[1.5], "12"], [[1.5], 3]):
+            assert raised(lambda: RationalMatrix(rows)) == float_error
+        assert raised(lambda: RationalMatrix([[1], [1, 2]])) == (ShapeError,
+                                                                "rows have inconsistent lengths")
+        assert raised(lambda: RationalMatrix(["12", [1.5]])) == (DomainError,
+                                                                "cannot interpret str as a matrix row")
+        for rows in ("12", {(1, 2): 0, (3, 4): 0}, {(1, 2), (3, 4)}):
+            assert raised(lambda: RationalMatrix(rows)) == (
+                DomainError, f"cannot interpret {type(rows).__name__} as matrix rows")
+
+    @pytest.mark.parametrize("values", ["10", b"10", {0: 1, 1: 0}, {1, 0}],
+                             ids=lambda v: type(v).__name__)
+    def test_lattice_coordinates_refused_by_type(self, values):
+        lattice = hyperbolic_plane()
+        message = f"cannot interpret {type(values).__name__} as lattice coordinates"
+        for call in (lambda: lattice.pairing(values, [1, 0]), lambda: lattice.pairing([1, 0], values),
+                     lambda: dual_curve_integrality(lattice, values)):
+            assert raised(call) == (DomainError, message)
+        assert lattice.pairing(range(1, 3), (x for x in (1, 1))) == lattice.pairing([1, 2], (1, 1))
