@@ -48,8 +48,6 @@ from .lattice import (
     e8_minus,
     format_group,
     hyperbolic_plane,
-    negativity_bound,
-    negativity_bound_refined,
     preset,
     rank_one,
 )

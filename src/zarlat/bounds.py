@@ -375,7 +375,7 @@ def cramer_analysis(form: IntersectionForm, divisor: Sequence,
     column-replaced determinants.  The reconstruction is cross-checked against
     :func:`zarlat.zariski.decompose` and a mismatch raises :class:`InconsistencyError`.
     """
-    _, big_a, s = _scaled_divisor(divisor, form.size)
+    big_a, s = _scaled_divisor(divisor, form.size)
     idx, rows, c = support_rows(form, support)
     if c != 1:
         raise DomainError("Cramer analysis needs an integral Gram matrix")
@@ -436,7 +436,8 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
     ``cramer_divisibility`` runs :func:`cramer_analysis` on the integral form
     ``c * gram`` and the divisor's numerators ``s * a``.
     """
-    divisor, numerators, _ = _scaled_divisor(divisor, form.size)
+    numerators, s = _scaled_divisor(divisor, form.size)
+    divisor = tuple(Fraction(x, s) for x in numerators)  # validated, as as_divisor gives it
     rows, c = form.gram.scaled_rows
     try:
         dec = zariski.decompose(form, divisor)

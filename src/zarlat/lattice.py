@@ -207,16 +207,6 @@ def discriminant_group(lattice: IntegralLattice) -> DiscriminantGroup:
     )
 
 
-def negativity_bound(lattice: IntegralLattice) -> int:
-    """:attr:`DiscriminantGroup.negativity_bound` of the lattice: 4 * Card."""
-    return discriminant_group(lattice).negativity_bound
-
-
-def negativity_bound_refined(lattice: IntegralLattice) -> int:
-    """:attr:`DiscriminantGroup.negativity_bound_refined` of the lattice: 4 * exponent."""
-    return discriminant_group(lattice).negativity_bound_refined
-
-
 @dataclass(frozen=True)
 class DualCurveClass:
     """Outcome of the dual-curve integrality test for a class E.

@@ -7,7 +7,8 @@ and never changed, so matrices can be shared freely between threads.
 reads and the results it gets back; floats are rejected on input, since
 denominators are data here.  One reader, :func:`scaled_rationals`, turns
 every rational vector and the entries of every matrix into integers over
-one lcm, each entry read by the one grammar, :func:`as_rational`.
+one lcm, building no ``Fraction``; what is not an ``int`` or a ``Fraction``
+is read by the one grammar, :func:`as_rational`.
 
 Every determinant, leading minor and definiteness verdict is fraction-free
 (Bareiss) elimination over those integers, with ``det A == det(cA) / c**n``
@@ -78,9 +79,11 @@ def as_rational(value) -> Fraction:
 
 def as_integer(value) -> int:
     """``value`` as an ``int`` when :func:`as_rational` reads it as an
-    integral rational: an ``int`` (``BigInt`` too), an integral ``Fraction``
-    or a string such as ``"-3"``.  A fractional value raises
-    :class:`DomainError`, as does everything :func:`as_rational` refuses."""
+    integral rational: an ``int`` (``BigInt`` too, as a plain ``int``), an
+    integral ``Fraction`` or a string such as ``"-3"``.  A fractional value
+    raises :class:`DomainError`, as does everything :func:`as_rational` refuses."""
+    if type(value) is int:
+        return value
     q = as_rational(value)
     if q.denominator != 1:
         raise DomainError(f"{value!r} is not an integer")
@@ -113,7 +116,7 @@ class RationalMatrix:
                 row = list(_sequence(row, "a matrix row"))
                 widths.append(len(row))
                 yield from row
-        _, flat, c = scaled_rationals(entries())
+        flat, c = scaled_rationals(entries())
         if len(set(widths)) > 1:
             raise ShapeError("rows have inconsistent lengths")
         n = widths[0] if widths else 0
@@ -127,10 +130,6 @@ class RationalMatrix:
         m = object.__new__(cls)
         m._scaled = (rows, c) if g == 1 else (tuple(tuple(x // g for x in r) for r in rows), c // g)
         return m
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def symmetric(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
@@ -201,7 +200,7 @@ class RationalMatrix:
         """``self @ vec`` by integer dot products: the vector is scaled by the
         lcm of its denominators, the matrix by the lcm of its own, and each
         entry of the result is one ``Fraction``."""
-        _, w, s = scaled_rationals(vec)
+        w, s = scaled_rationals(vec)
         if len(w) != self.ncols:
             raise ShapeError(f"vector length {len(w)} != column count {self.ncols}")
         rows, c = self.scaled_rows
@@ -223,20 +222,20 @@ def as_matrix(value) -> RationalMatrix:
     return value if isinstance(value, RationalMatrix) else RationalMatrix(value)
 
 
-def scaled_rationals(values: Iterable) -> tuple[tuple[Fraction, ...], list[int], int]:
-    """``(q, numerators, s)``: ``q`` the entries, each read as by
-    :func:`as_rational` (a ``Fraction`` as it is), and the entries of
-    ``s * q`` as a fresh list of ints, ``s`` the lcm of the denominators.
-    The one reader from exact input to integers, in one pass; a string,
-    bytes, a mapping or a set is refused, not read element by element."""
-    q, ratios = [], []
+def scaled_rationals(values: Iterable) -> tuple[list[int], int]:
+    """``(numerators, s)``: the entries, each read as by :func:`as_rational`,
+    times ``s``, the lcm of their reduced denominators, as a fresh list of
+    ints.  The one reader from exact input to integers, in one pass; an
+    ``int`` or a ``Fraction`` gives its ratio by ``as_integer_ratio()``, so no
+    ``Fraction`` is built, and a string, bytes, a mapping or a set is refused,
+    not read element by element."""
+    numerators, denominators = [], []
     for x in _sequence(values, "a vector of exact rationals"):
-        if type(x) is not Fraction:
-            x = Fraction(x) if type(x) is int else as_rational(x)
-        q.append(x)
-        ratios.append(x.as_integer_ratio())
-    s = lcm(*[d for _, d in ratios])
-    return tuple(q), [n * (s // d) for n, d in ratios], s
+        n, d = (x if type(x) is int or type(x) is Fraction else as_rational(x)).as_integer_ratio()
+        numerators.append(n)
+        denominators.append(d)
+    s = lcm(*denominators)
+    return [n * (s // d) for n, d in zip(numerators, denominators)] if s > 1 else numerators, s
 
 
 def bareiss_det(a: list[list[int]]) -> int:
@@ -457,7 +456,7 @@ def solve(matrix, rhs) -> tuple[Fraction, ...]:
     m = as_matrix(matrix)
     if not m.is_square():
         raise ShapeError(f"solve needs a square matrix, got {m.nrows}x{m.ncols}")
-    _, b, s = scaled_rationals(rhs)
+    b, s = scaled_rationals(rhs)
     if len(b) != m.nrows:
         raise ShapeError(f"right-hand side length {len(b)} != matrix size {m.nrows}")
     rows, c = m.scaled_rows

@@ -37,12 +37,12 @@ against the form on its own terms.
 The two must agree coefficient for coefficient; any divergence is a bug by
 uniqueness.
 
-Between the validated input and the result no ``Fraction`` is combined
-with another.  Every rational vector is read once, by the one reader
-:func:`zarlat.linalg.scaled_rationals`, into integer numerators over one
-scale; the engine and the oracle build each coefficient of ``P`` and ``N``
-once from those integers, and ``decomposition_checks`` and
-``in_nef_region`` compare integers only.
+Between the input and the result there is no ``Fraction``.  Every rational
+vector is read once, by the one reader :func:`zarlat.linalg.scaled_rationals`,
+into integer numerators over one scale, a divisor into ``(A, s)`` with
+``A = s * a``; the engine and the oracle build each coefficient of ``P`` and
+``N`` once from those integers, zeros sharing one ``Fraction(0)``, and
+``decomposition_checks`` and ``in_nef_region`` compare integers only.
 
 One verifier, ``witness_certifies``, checks every definiteness certificate
 in the module: a positive integer vector ``y`` with ``Gram_S y < 0`` on a
@@ -80,6 +80,8 @@ from .errors import (
 from .linalg import (
     BorderedElimination,
     RationalMatrix,
+    _sequence,
+    as_integer,
     back_substitute,
     bareiss_det,
     bareiss_solve,
@@ -87,6 +89,9 @@ from .linalg import (
     scaled_rationals,
     sylvester_pass,
 )
+
+
+_ZERO = Fraction(0)  # immutable: every zero coefficient of a result shares it
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,7 @@ class IntersectionForm:
     gram: RationalMatrix
 
     def __post_init__(self):
+        _sequence(self.labels, "component labels")
         if not self.gram.is_symmetric():
             raise ShapeError("intersection form needs a symmetric Gram matrix")
         if len(self.labels) != self.gram.nrows:
@@ -109,7 +115,8 @@ class IntersectionForm:
 
     @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Iterable[Iterable]) -> "IntersectionForm":
-        return cls(labels=tuple(labels), gram=RationalMatrix.symmetric(rows))
+        return cls(labels=tuple(_sequence(labels, "component labels")),
+                   gram=RationalMatrix.symmetric(rows))
 
     @property
     def size(self) -> int:
@@ -118,7 +125,7 @@ class IntersectionForm:
     def pairing(self, u: Sequence, v: Sequence) -> Fraction:
         """``u . gram . v`` on integers; each needs ``size`` coefficients."""
         rows, c = self.gram.scaled_rows
-        (_, a, s), (_, b, t) = scaled_rationals(u), scaled_rationals(v)
+        (a, s), (b, t) = scaled_rationals(u), scaled_rationals(v)
         if len(a) != self.size or len(b) != self.size:
             raise ShapeError(f"pairing needs {self.size} coefficients, got {len(a)} and {len(b)}")
         return Fraction(sum(y * sum(map(mul, row, a)) for y, row in zip(b, rows)), c * s * t)
@@ -144,20 +151,21 @@ def require_intersection_product(form: IntersectionForm) -> None:
 
 def as_divisor(values: Iterable, size: int) -> tuple[Fraction, ...]:
     """Validate an effective divisor: ``size`` exact nonnegative coefficients."""
-    return _scaled_divisor(values, size)[0]
+    big_a, s = _scaled_divisor(values, size)
+    return tuple(Fraction(x, s) for x in big_a)
 
 
-def _scaled_divisor(values: Iterable, size: int) -> tuple[tuple[Fraction, ...], list[int], int]:
-    """``(a, A, s)``: the coefficients ``a`` of :func:`as_divisor`, and
-    ``A = s * a`` as ints, read in one pass by
-    :func:`zarlat.linalg.scaled_rationals`."""
-    a, big_a, s = scaled_rationals(values)
-    if len(a) != size:
-        raise ShapeError(f"divisor has {len(a)} coefficients, form has {size} components")
+def _scaled_divisor(values: Iterable, size: int) -> tuple[list[int], int]:
+    """``(A, s)``: the coefficients ``a`` of :func:`as_divisor` as the ints
+    ``A = s * a``, read in one pass by :func:`zarlat.linalg.scaled_rationals`."""
+    big_a, s = scaled_rationals(values)
+    if len(big_a) != size:
+        raise ShapeError(f"divisor has {len(big_a)} coefficients, form has {size} components")
     for i, x in enumerate(big_a):
         if x < 0:
-            raise DomainError(f"effective divisor needs nonnegative coefficients; entry {i} is {a[i]}")
-    return a, big_a, s
+            raise DomainError(
+                f"effective divisor needs nonnegative coefficients; entry {i} is {Fraction(x, s)}")
+    return big_a, s
 
 
 def support_of(vec: Sequence) -> tuple[int, ...]:
@@ -167,14 +175,15 @@ def support_of(vec: Sequence) -> tuple[int, ...]:
 def support_rows(
     form: IntersectionForm, indices: Sequence[int]
 ) -> tuple[tuple[int, ...], list[list[int]], int]:
-    """``(indices, rows, c)`` for a support that is nonempty and strictly
-    increasing (else :class:`DomainError`) within ``[0, form.size)`` (else
+    """``(indices, rows, c)`` for a support that is a sequence of integers,
+    read as lattice coordinates are, nonempty and strictly increasing (else
+    :class:`DomainError`) within ``[0, form.size)`` (else
     :class:`ShapeError`): ``rows`` are fresh integer rows of ``c * Gram_S``,
     sliced from the Gram matrix's stored rows
     (:attr:`zarlat.linalg.RationalMatrix.scaled_rows`), so ``c`` is the lcm
     of the denominators of the whole Gram matrix, not of ``Gram_S`` as in
     :meth:`~zarlat.linalg.RationalMatrix.submatrix`."""
-    idx = tuple(indices)
+    idx = tuple(as_integer(i) for i in _sequence(indices, "support indices"))
     if not idx:
         raise DomainError("empty support")
     if any(i >= j for i, j in zip(idx, idx[1:])):
@@ -277,8 +286,8 @@ def in_nef_region(form: IntersectionForm, divisor: Sequence, candidate: Sequence
     ``B`` are positive multiples of ``gram @ b``.
     """
     size = form.size
-    _, big_a, s = _scaled_divisor(divisor, size)
-    _, big_b, t = scaled_rationals(candidate)
+    big_a, s = _scaled_divisor(divisor, size)
+    big_b, t = scaled_rationals(candidate)
     if len(big_b) != size:
         raise ShapeError(f"candidate has {len(big_b)} coefficients, form has {size}")
     for v, w in zip(big_b, big_a):
@@ -357,7 +366,7 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     name the sorted support, and the range check reports the first
     offending component in sorted order.
     """
-    a, big_a, s = _scaled_divisor(divisor, form.size)
+    big_a, s = _scaled_divisor(divisor, form.size)
     require_intersection_product(form)
     # Integers throughout: rows of c * gram and A = s * a, with c and s the
     # lcms of the denominators, so r = (c * gram) @ A = c * s * (gram @ a).
@@ -366,7 +375,8 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     support = support_of(big_a)
     new = [j for j in support if r[j] < 0]
     if not new:  # D is nef: N = 0
-        return Decomposition(positive=a, negative=(Fraction(0),) * form.size,
+        positive, negative = _split(big_a, s, (), (), 1)
+        return Decomposition(positive=positive, negative=negative,
                              negative_support=(), rounds=0, negative_gram_det=Fraction(1))
     # The working support in the order its components joined, and the
     # elimination of [c * gram_S | r_S, -1] over it, which grows with it.
@@ -376,10 +386,7 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     while new:
         order += new
         joined.append(tuple(new))
-        system = []
-        for i in new:
-            row = rows[i]
-            system.append([row[j] for j in order] + [r[i], -1])
+        system = [[rows[i][j] for j in order] + [r[i], -1] for i in new]
         if not elimination.extend(system):
             raise InconsistencyError(
                 f"Gram submatrix on {self_labels(form, sorted(order))} is not negative definite; "
@@ -395,7 +402,7 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
             if v <= 0 or v > scale * big_a[j]:
                 raise InconsistencyError(
                     f"solved coefficient {Fraction(v, scale * s)} for component "
-                    f"{form.labels[j]!r} falls outside (0, {a[j]}]"
+                    f"{form.labels[j]!r} falls outside (0, {Fraction(big_a[j], s)}]"
                 )
         # c * s * |d| * (gram @ (a - n))_j = |d| * r_j - (c * gram)_j @ y.
         members = set(order)
@@ -403,7 +410,7 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
             j for j in support
             if j not in members and scale * r[j] < sum(rows[j][i] * v for i, v in zip(order, y))
         ]
-    positive, negative = _split(a, big_a, s, order, y, scale)
+    positive, negative = _split(big_a, s, order, y, scale)
     # w = d * (c * gram_S)^-1 (-1, ..., -1), solved once, for the last support.
     by_index = sorted(zip(order, elimination.solution(1)))
     return Decomposition(positive=positive, negative=negative,
@@ -413,17 +420,20 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
                          joined=tuple(joined))
 
 
-def _split(a: tuple[Fraction, ...], big_a: Sequence[int], s: int, support: Sequence[int],
-           y: Sequence[int], scale: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """``(P, N)`` for ``N`` zero off ``support`` and ``N_j = y_j / (scale * s)``
-    on it: each coefficient is built once from integers, ``P_j = (scale * A_j
-    - y_j) / (scale * s)`` on the support and ``P_j = a_j`` off it, so no
-    ``Fraction`` is combined with another."""
-    positive, negative = list(a), [Fraction(0)] * len(a)
+def _split(big_a: Sequence[int], s: int, support: Sequence[int], y: Sequence[int],
+           scale: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """``(P, N)``, each coefficient one ``Fraction`` built from integers: on
+    ``support`` ``N_j = y_j / (scale * s)`` and ``P_j = (scale * A_j - y_j) /
+    (scale * s)``, off it ``N_j = 0`` and ``P_j = A_j / s``; zeros are ``_ZERO``."""
     den = scale * s
+    positive, negative = [None] * len(big_a), [_ZERO] * len(big_a)
     for j, v in zip(support, y):
-        positive[j] = Fraction(scale * big_a[j] - v, den)
-        negative[j] = Fraction(v, den)
+        p = scale * big_a[j] - v
+        positive[j] = Fraction(p, den) if p else _ZERO
+        negative[j] = Fraction(v, den) if v else _ZERO
+    for j, x in enumerate(big_a):
+        if positive[j] is None:
+            positive[j] = Fraction(x, s) if x else _ZERO
     return tuple(positive), tuple(negative)
 
 
@@ -459,7 +469,7 @@ def decompose_bruteforce(
     orthogonality tests on integers, as in :func:`decompose`.  The ``-1``
     column, the witness, is back-substituted once, for the accepted subset.
     """
-    a, big_a, s = _scaled_divisor(divisor, form.size)
+    big_a, s = _scaled_divisor(divisor, form.size)
     require_intersection_product(form)
     support = support_of(big_a)
     if len(support) > limit:
@@ -470,8 +480,9 @@ def decompose_bruteforce(
     r = [sum(map(mul, row, big_a)) for row in rows]
     # N -> (P, S, d, the eliminated rows), the first subset giving that N.
     accepted: dict[tuple[Fraction, ...], tuple] = {}
-    if all(v >= 0 for v in r):
-        accepted[(Fraction(0),) * form.size] = (a, (), 1, [])  # D is nef: N = 0
+    if all(v >= 0 for v in r):  # D is nef: N = 0
+        positive, negative = _split(big_a, s, (), (), 1)
+        accepted[negative] = (positive, (), 1, [])
     definite = {()}  # the negative definite subsets of the previous size
     for size in range(1, len(support) + 1):
         smaller, definite = definite, set()
@@ -497,7 +508,7 @@ def decompose_bruteforce(
                 continue
             if sum(v * gp[j] for j, v in zip(subset, y)) != 0:
                 continue
-            positive, negative = _split(a, big_a, s, subset, y, scale)
+            positive, negative = _split(big_a, s, subset, y, scale)
             accepted.setdefault(negative, (positive, subset, d, system))
     if len(accepted) != 1:
         raise OracleMismatchError(
@@ -533,11 +544,11 @@ def decomposition_checks(
     ``S``, because ``form`` is not re-validated here.
     """
     size = form.size
-    _, big_a, s = _scaled_divisor(divisor, size)
-    _, big_p, s_p = scaled_rationals(dec.positive)
+    big_a, s = _scaled_divisor(divisor, size)
+    big_p, s_p = scaled_rationals(dec.positive)
     if len(big_p) != size:
         raise ShapeError(f"positive part has {len(big_p)} coefficients, form has {size}")
-    _, big_n, s_n = scaled_rationals(dec.negative)
+    big_n, s_n = scaled_rationals(dec.negative)
     if len(big_n) != size:
         raise ShapeError(f"negative part has {len(big_n)} coefficients, form has {size}")
     rows, _ = form.gram.scaled_rows

@@ -218,6 +218,31 @@ class TestSupportIndices:
         with pytest.raises(DomainError):
             SUPPORT_FUNCTIONS[name](form_of([[-2, 1], [1, -2]]), support)
 
+    @pytest.mark.parametrize("support, message", [
+        ([True], "boolean True is not a rational number"),
+        ([False, True], "boolean False is not a rational number"),
+        ("01", "cannot interpret str as support indices"),
+        (b"\x00\x01", "cannot interpret bytes as support indices"),
+        ({0: 1}, "cannot interpret dict as support indices"),
+        ({0, 1}, "cannot interpret set as support indices"),
+        ([0.0], "float 0.0 rejected; use int, Fraction or 'p/q' string"),
+        ([Fraction(1, 2)], "Fraction(1, 2) is not an integer"),
+    ], ids=["true", "false-true", "str", "bytes", "dict", "set", "float", "fraction"])
+    @pytest.mark.parametrize("name", list(SUPPORT_FUNCTIONS))
+    def test_indices_read_as_integers(self, name, support, message):
+        # Each index is read by as_integer from a sequence that _sequence
+        # accepts: a boolean is not component 0 or 1.
+        with pytest.raises(DomainError) as raised:
+            SUPPORT_FUNCTIONS[name](form_of([[-2, 1], [1, -2]]), support)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("name", list(SUPPORT_FUNCTIONS))
+    def test_integral_spellings_read(self, name):
+        form = form_of([[-2, 1], [1, -2]])
+        expected = SUPPORT_FUNCTIONS[name](form, [0, 1])
+        for support in ((Fraction(0), "1"), range(2), (x for x in (0, 1))):
+            assert SUPPORT_FUNCTIONS[name](form, support) == expected
+
 
 def _negative_instances(count, m=4):
     """Seeded fuzz instances with a nonempty negative support."""
@@ -246,6 +271,12 @@ class TestInstanceFailures:
         for seed in range(300):
             form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=1 + seed % 6))
             assert instance_failures(form, divisor, 8, seed) == [], seed
+
+    def test_divisor_read_once(self):
+        # The divisor is validated once and the validated coefficients go to
+        # every check, so an iterator is read like the tuple it yields.
+        for seed, form, divisor in _negative_instances(3):
+            assert instance_failures(form, iter(divisor), 8, seed) == []
 
     def test_oracle_limit_skips_oracle(self, monkeypatch):
         def raising(*args, **kwargs):

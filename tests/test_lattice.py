@@ -15,8 +15,6 @@ from zarlat.lattice import (
     e8_minus,
     format_group,
     hyperbolic_plane,
-    negativity_bound,
-    negativity_bound_refined,
     preset,
     rank_one,
 )
@@ -178,29 +176,31 @@ class TestPresets:
 
     def test_og10_general_vs_published(self):
         p = preset("OG10")
-        assert negativity_bound(p.lattice) == 12
+        assert discriminant_group(p.lattice).negativity_bound == 12
         assert p.published_max_square == 6  # stored data, not the general bound
 
 
 class TestNegativityBounds:
     def test_k3_square(self):
-        assert negativity_bound(preset("K3n", 2).lattice) == 8
+        assert discriminant_group(preset("K3n", 2).lattice).negativity_bound == 8
 
     def test_unimodular(self):
         u3 = direct_sum([hyperbolic_plane()] * 3)
-        assert negativity_bound(u3) == 4
-        assert negativity_bound_refined(u3) == 4
+        group = discriminant_group(u3)
+        assert group.negativity_bound == 4
+        assert group.negativity_bound_refined == 4
 
     def test_og6_refined(self):
         lat = preset("OG6").lattice
-        assert negativity_bound(lat) == 16
-        assert negativity_bound_refined(lat) == 8
+        group = discriminant_group(lat)
+        assert group.negativity_bound == 16
+        assert group.negativity_bound_refined == 8
 
     @pytest.mark.parametrize("tag,n", [(t, n) for t, n, _, _, _ in PRESET_CASES])
     def test_refined_at_most_general_equality_iff_cyclic(self, tag, n):
         lat = preset(tag, n).lattice
         group = discriminant_group(lat)
-        refined, general = negativity_bound_refined(lat), negativity_bound(lat)
+        refined, general = group.negativity_bound_refined, group.negativity_bound
         assert refined <= general
         assert (refined == general) == group.is_cyclic()
 

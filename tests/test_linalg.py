@@ -190,34 +190,45 @@ def spelled_vectors(draw, max_size=6):
 
 
 class TestScaledRationals:
-    """The one reader from exact input to integers: the entries as
-    ``as_rational`` reads them, and their numerators over the lcm of the
+    """The one reader from exact input to integers: ``(numerators, s)``, the
+    entries as ``as_rational`` reads them times ``s``, the lcm of their
     reduced denominators."""
 
     @settings(max_examples=300, deadline=None)
     @given(spelled_vectors())
-    def test_entries_and_numerators(self, values):
-        q, numerators, s = scaled_rationals(values)
-        rationals = tuple(as_rational(x) for x in values)
-        assert type(q) is tuple and all(type(x) is Fraction for x in q)
-        assert q == rationals
-        assert all(type(x) is int for x in numerators) and type(s) is int
-        assert [Fraction(x, s) for x in numerators] == list(rationals)
-        assert s == lcm(*(x.denominator for x in rationals))
+    def test_numerators_over_lcm(self, values):
+        result = scaled_rationals(values)
+        rationals = [as_rational(x) for x in values]
+        assert type(result) is tuple and len(result) == 2
+        numerators, s = result
+        assert type(numerators) is list and all(type(x) is int for x in numerators)
+        assert type(s) is int and s == lcm(*(x.denominator for x in rationals))
+        assert [Fraction(x, s) for x in numerators] == rationals
 
-    def test_fractions_taken_as_given(self):
-        values = [Fraction(1, 3), Fraction(-2, 7)]
-        q, _, _ = scaled_rationals(values)
-        assert all(x is y for x, y in zip(q, values))
+    def test_builds_no_fraction(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("Fraction built by the reader")
 
-    def test_integer_subclass_read_by_as_rational(self):
+        values = [3, Fraction(-2, 7), 0, Fraction(5, 14)]
+        monkeypatch.setattr(Fraction, "__new__", refused)
+        result = scaled_rationals(values)
+        monkeypatch.undo()
+        assert result == ([42, -4, 0, 5], 14)
+
+    def test_subclass_entries_read_by_as_rational(self):
+        # Only an exact int or Fraction gives its own ratio; a subclass is
+        # read by as_rational, whatever its as_integer_ratio says.
         class Count(int):
-            pass
+            def as_integer_ratio(self):
+                raise AssertionError("subclass ratio read")
 
-        q, numerators, s = scaled_rationals([Count(3), 4])
-        assert q == (Fraction(3), Fraction(4)) and all(type(x) is Fraction for x in q)
-        assert (numerators, s) == ([3, 4], 1)
-        assert scaled_rationals([Count(3), Fraction(1, 2)])[1:] == ([6, 1], 2)
+        class Ratio(Fraction):
+            def as_integer_ratio(self):
+                raise AssertionError("subclass ratio read")
+
+        assert scaled_rationals([Count(3), 4]) == ([3, 4], 1)
+        assert scaled_rationals([Count(3), Fraction(1, 2)]) == ([6, 1], 2)
+        assert scaled_rationals([Ratio(1, 3), Count(2)]) == ([1, 6], 3)
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1.5", "1e3", None])
     def test_rejects_what_as_rational_rejects(self, bad):
@@ -261,7 +272,7 @@ class TestAsRational:
 
 class TestDet:
     def test_identity(self):
-        assert det(RationalMatrix.identity(2)) == 1
+        assert det(RationalMatrix([[1, 0], [0, 1]])) == 1
 
     def test_a2(self):
         assert det([[-2, 1], [1, -2]]) == 3
@@ -312,7 +323,7 @@ class TestBareissSolve:
 
 class TestSolve:
     def test_identity(self):
-        assert solve(RationalMatrix.identity(2), ["3/2", -1]) == (Fraction(3, 2), Fraction(-1))
+        assert solve(RationalMatrix([[1, 0], [0, 1]]), ["3/2", -1]) == (Fraction(3, 2), Fraction(-1))
 
     def test_scalar(self):
         assert solve([[-2]], [-1]) == (Fraction(1, 2),)

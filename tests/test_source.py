@@ -164,3 +164,21 @@ def test_integer_path_between_input_and_result():
         assert not subtracted & fraction_names, name
     for name in ("decompose", "decompose_bruteforce"):
         assert "_split" in _called_names(functions[name]), name
+
+
+def test_reader_builds_no_fraction():
+    # The one reader and the divisor reader return integers over one scale;
+    # a Fraction is built only for a result, or for the value an error
+    # message shows.
+    def built_outside_raise(function):
+        in_raise = {id(node) for statement in ast.walk(function) if isinstance(statement, ast.Raise)
+                    for node in ast.walk(statement)}
+        return [node.lineno for node in ast.walk(function)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction" and id(node) not in in_raise]
+
+    _, linalg_functions = _top_level_functions("linalg.py")
+    _, zariski_functions = _top_level_functions("zariski.py")
+    for functions, name in ((linalg_functions, "scaled_rationals"),
+                            (zariski_functions, "_scaled_divisor")):
+        assert not built_outside_raise(functions[name]), name

@@ -151,6 +151,20 @@ class TestAxiom:
         with pytest.raises(DomainError, match="'E'"):
             form_of([[-2, 1, 0], [1, -2, 0], [0, 0, -2]], labels=["E", "F", "E"])
 
+    @pytest.mark.parametrize("labels", ["AB", b"AB", {"A": 0, "B": 1}, {"A", "B"}],
+                             ids=lambda v: type(v).__name__)
+    def test_labels_not_read_element_by_element(self, labels):
+        # A label string is not split into labels by from_rows, nor kept as
+        # the labels by the constructor.
+        rows = [[-2, 1], [1, -2]]
+        message = f"^cannot interpret {type(labels).__name__} as component labels$"
+        with pytest.raises(DomainError, match=message):
+            IntersectionForm.from_rows(labels, rows)
+        with pytest.raises(DomainError, match=message):
+            IntersectionForm(labels=labels, gram=RationalMatrix.symmetric(rows))
+        assert IntersectionForm.from_rows(("A", "B"), rows).labels == ("A", "B")
+        assert IntersectionForm.from_rows(iter(["A", "B"]), rows).labels == ("A", "B")
+
 
 class TestPairing:
     @pytest.mark.parametrize("u, v", [([1, 1], [1]), ([1, 1], [1, 1, 1]), ([1], [1, 1]),
