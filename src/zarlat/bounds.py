@@ -436,6 +436,7 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
     ``cramer_divisibility`` runs :func:`cramer_analysis` on the integral form
     ``c * gram`` and the divisor's numerators ``s * a``.
     """
+    oracle_limit, seed = as_integer(oracle_limit), as_integer(seed)
     numerators, s = _scaled_divisor(divisor, form.size)
     divisor = tuple(Fraction(x, s) for x in numerators)  # validated, as as_divisor gives it
     rows, c = form.gram.scaled_rows

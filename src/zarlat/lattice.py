@@ -46,10 +46,6 @@ class IntegralLattice:
     def determinant(self) -> int:
         return int(det(self.gram))
 
-    def is_even(self) -> bool:
-        rows, _ = self.gram.scaled_rows
-        return all(row[i] % 2 == 0 for i, row in enumerate(rows))
-
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
         rows, _ = self.gram.scaled_rows
         a, b = _coordinates(self, u), _coordinates(self, v)
@@ -157,9 +153,6 @@ class DiscriminantGroup:
     elementary_divisors: tuple[int, ...]
     cardinality: int
     exponent: int
-
-    def is_cyclic(self) -> bool:
-        return len(self.elementary_divisors) <= 1
 
     def describe(self) -> str:
         return format_group(self.elementary_divisors)

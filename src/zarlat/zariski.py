@@ -102,7 +102,8 @@ class IntersectionForm:
     gram: RationalMatrix
 
     def __post_init__(self):
-        _sequence(self.labels, "component labels")
+        # A tuple, whatever sequence was given, so equal forms compare and hash equal.
+        object.__setattr__(self, "labels", tuple(_sequence(self.labels, "component labels")))
         if not self.gram.is_symmetric():
             raise ShapeError("intersection form needs a symmetric Gram matrix")
         if len(self.labels) != self.gram.nrows:
@@ -115,8 +116,7 @@ class IntersectionForm:
 
     @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Iterable[Iterable]) -> "IntersectionForm":
-        return cls(labels=tuple(_sequence(labels, "component labels")),
-                   gram=RationalMatrix.symmetric(rows))
+        return cls(labels=labels, gram=RationalMatrix.symmetric(rows))
 
     @property
     def size(self) -> int:
@@ -472,6 +472,7 @@ def decompose_bruteforce(
     big_a, s = _scaled_divisor(divisor, form.size)
     require_intersection_product(form)
     support = support_of(big_a)
+    limit = as_integer(limit)
     if len(support) > limit:
         raise DomainError(f"support size {len(support)} exceeds oracle limit {limit}")
     # Integers throughout: rows of c * gram and A = s * a, so

@@ -20,10 +20,8 @@ from zarlat.bounds import (
     reverse_negativity_bound,
 )
 from zarlat.cli import _table_rows
-from zarlat.lattice import discriminant_group, preset
 from zarlat.linalg import Inertia, signature
 from zarlat.zariski import (
-    InstanceSpec,
     IntersectionForm,
     SplitMix64,
     decompose,
@@ -32,8 +30,6 @@ from zarlat.zariski import (
     exceptional_certificate,
     in_nef_region,
     is_exceptional,
-    random_instance,
-    support_of,
 )
 
 from conftest import build_corpus, witness_verdict

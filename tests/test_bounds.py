@@ -42,7 +42,6 @@ from zarlat.zariski import (
     exceptional_certificate,
     is_exceptional,
     random_instance,
-    support_of,
 )
 
 
@@ -691,6 +690,11 @@ INTEGER_ENTRY_POINTS = {
         direct_sum([hyperbolic_plane(), rank_one(-2)]), [1, 0, x]),
     "IntegralLattice.pairing": lambda x: hyperbolic_plane().pairing([1, 3], [x, 1]),
     "IntegralLattice.square": lambda x: hyperbolic_plane().square([x, 3]),
+    "decompose_bruteforce limit": lambda x: zariski.decompose_bruteforce(
+        form_of([[-2, 1], [1, -2]]), [1, 0], limit=x),
+    "instance_failures oracle_limit": lambda x: instance_failures(
+        form_of([[-2, 1], [1, -2]]), [1, 1], x, 0),
+    "instance_failures seed": lambda x: instance_failures(form_of([[-2, 1], [1, -2]]), [1, 1], 8, x),
 }
 
 

@@ -32,9 +32,6 @@ def assert_one_error(code, out, err, expected_code=1):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-SCHEMA_DIR = None
-
-
 def packaged_schema(name):
     import importlib.resources as resources
 

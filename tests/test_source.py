@@ -2,14 +2,34 @@
 
 import ast
 import importlib
+import re
 import runpy
-from functools import reduce
+from collections import Counter
+from functools import cache, reduce
 from pathlib import Path
 
 import zarlat
-from zarlat import errors
+from zarlat import errors, linalg
 
 PACKAGE_DIR = Path(zarlat.__file__).resolve().parent
+REPO_DIR = Path(__file__).resolve().parents[1]
+TESTS_DIR = REPO_DIR / "tests"
+PERFBENCH_DIR = REPO_DIR / "perfbench"
+
+# ``(module, name)``: imports that nothing in their module reads.
+# perfbench/selftest.py (test_tracer_rebinds_and_restores) checks that the
+# tracer rebinds ``det`` in every module that imported it through these two,
+# so they stay until that check reads ``lattice.det`` instead.
+SELF_TEST_IMPORTS = (("zariski", "det"), ("bounds", "det"))
+
+
+@cache
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _modules(*directories):
+    return [path for directory in directories for path in sorted(directory.glob("*.py"))]
 
 
 def test_no_assert_statements():
@@ -17,18 +37,23 @@ def test_no_assert_statements():
     # silently stops being checked; the package raises its own errors instead.
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(PACKAGE_DIR.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for path in _modules(PACKAGE_DIR)
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
 
 
+@cache
+def _traced():
+    """``TRACED`` of perfbench/spans.py: ``(module, attribute path, metric)``."""
+    return runpy.run_path(str(PERFBENCH_DIR / "spans.py"))["TRACED"]
+
+
 def test_benchmark_traced_names_resolve():
     # The benchmark's traced run wraps these names; one that no longer
     # resolves would break only that run, which this suite does not start.
-    spans_path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    traced = runpy.run_path(str(spans_path))["TRACED"]
+    traced = _traced()
     missing = []
     for module_name, path, _ in traced:
         module = importlib.import_module(f"zarlat.{module_name}")
@@ -40,14 +65,11 @@ def test_benchmark_traced_names_resolve():
 
 
 def test_benchmark_self_test_rebinding_targets():
-    # perfbench/selftest.py (test_tracer_rebinds_and_restores) checks that
-    # the tracer rebinds ``det`` in every module that imported it, through
-    # ``zariski.det`` and ``bounds.det``.  zariski does not call ``det``; the
-    # import is kept for that check, so a cleanup must not drop it.
-    from zarlat import bounds, linalg, zariski
-
-    assert zariski.det is linalg.det
-    assert bounds.det is linalg.det
+    # The imports the benchmark's self-test rebinds are kept, unused, for
+    # that check alone, so a cleanup must not drop them.
+    for module_name, name in SELF_TEST_IMPORTS:
+        module = importlib.import_module(f"zarlat.{module_name}")
+        assert getattr(module, name) is getattr(linalg, name), f"{module_name}.{name}"
 
 
 def test_every_error_class_is_raised():
@@ -55,8 +77,8 @@ def test_every_error_class_is_raised():
     # cannot happen; a base class counts as raised through its subclasses.
     raised = {
         node.exc.func.id if isinstance(node.exc, ast.Call) else node.exc.id
-        for path in sorted(PACKAGE_DIR.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for path in _modules(PACKAGE_DIR)
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.Raise)
         and isinstance(getattr(node.exc, "func", node.exc), ast.Name)
     }
@@ -75,7 +97,7 @@ def test_engine_and_oracle_share_no_elimination():
     # The oracle cross-checks the engine only while neither runs the other's
     # elimination: the engine's symmetric pass stays out of the oracle, and
     # the oracle's pivoting solve and inertia stay out of the engine.
-    tree = ast.parse((PACKAGE_DIR / "zariski.py").read_text(encoding="utf-8"))
+    tree = _tree(PACKAGE_DIR / "zariski.py")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
     def names(function):
@@ -92,7 +114,7 @@ def test_one_definiteness_certificate():
     # Every definiteness certificate in the engine goes through one verifier,
     # and one normalizer alone makes a witness primitive, so a second,
     # weaker check (one that skips the sign pattern) cannot come back.
-    tree = ast.parse((PACKAGE_DIR / "zariski.py").read_text(encoding="utf-8"))
+    tree = _tree(PACKAGE_DIR / "zariski.py")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
     def calls(function):
@@ -105,7 +127,7 @@ def test_one_definiteness_certificate():
 
 
 def _top_level_functions(name):
-    tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))
+    tree = _tree(PACKAGE_DIR / name)
     return tree, {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
@@ -182,3 +204,106 @@ def test_reader_builds_no_fraction():
     for functions, name in ((linalg_functions, "scaled_rationals"),
                             (zariski_functions, "_scaled_divisor")):
         assert not built_outside_raise(functions[name]), name
+
+
+def _where(path, node, name):
+    return f"{path.relative_to(REPO_DIR)}:{node.lineno} {name}"
+
+
+_IDENTIFIER = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name", ast.arg: "arg"}
+
+
+def _identifiers(tree, kinds):
+    """How often each identifier occurs in ``tree`` in a node of ``kinds``."""
+    return Counter(getattr(node, _IDENTIFIER[type(node)])
+                   for node in ast.walk(tree) if type(node) in kinds)
+
+
+def _definitions(tree):
+    """``(name, statement)`` for every top-level function, class and assigned name."""
+    for statement in tree.body:
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            yield statement.name, statement
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        yield node.id, statement
+
+
+def test_every_import_is_used():
+    # A top-level import that its module never reads is dead code; the
+    # package's __init__.py re-exports, so it is exempt.
+    unused = []
+    for path in _modules(PACKAGE_DIR, TESTS_DIR, PERFBENCH_DIR):
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path)
+        read = _identifiers(tree, {ast.Name})
+        for statement in tree.body:
+            if not isinstance(statement, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
+                continue
+            for alias in statement.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                kept = path.parent == PACKAGE_DIR and (path.stem, bound) in SELF_TEST_IMPORTS
+                if not read[bound] and not kept:
+                    unused.append(_where(path, alias, bound))
+    assert not unused, f"unused imports; delete them: {unused}"
+
+
+def test_every_top_level_name_is_referenced():
+    # A top-level function, class or assignment is referenced outside its
+    # definition: by name in its own module, or imported or read as an
+    # attribute elsewhere.  A test requests a fixture as a parameter, so
+    # parameter names in tests/ count; pytest itself collects test* and Test*.
+    def kinds(path, own):
+        return ({ast.Name} if own else {ast.alias, ast.Attribute}) | (
+            {ast.arg} if path.parent == TESTS_DIR else set())
+
+    referrers = _modules(PACKAGE_DIR, TESTS_DIR, PERFBENCH_DIR)
+    foreign = {path: _identifiers(_tree(path), kinds(path, own=False)) for path in referrers}
+    everywhere = sum(foreign.values(), Counter())
+    unreferenced = []
+    for path in _modules(PACKAGE_DIR, TESTS_DIR):
+        own = _identifiers(_tree(path), kinds(path, own=True))
+        for name, statement in _definitions(_tree(path)):
+            if name.startswith(("test", "Test")) or re.fullmatch(r"__\w+__", name):
+                continue
+            inside = _identifiers(statement, kinds(path, own=True))
+            if not own[name] - inside[name] + everywhere[name] - foreign[path][name]:
+                unreferenced.append(_where(path, statement, name))
+    assert not unreferenced, f"unreferenced top-level names; delete them: {unreferenced}"
+
+
+def test_public_api_is_used():
+    # Every name zarlat exports and every public method or property of a
+    # package class is used by the package outside its own definition, named
+    # in a code span of README.md, or traced by the benchmark (perfbench/spans.py).
+    readme = (REPO_DIR / "README.md").read_text(encoding="utf-8")
+    documented = {name for span in re.findall(r"`([^`]*)`", readme)
+                  for name in re.findall(r"[A-Za-z_]\w*", span)}
+    traced = {(module, path) for module, path, _ in _traced()}
+    modules = [path for path in _modules(PACKAGE_DIR) if path.name != "__init__.py"]
+    read = sum((_identifiers(_tree(path), {ast.Name, ast.Attribute}) for path in modules),
+               Counter())
+    public = []  # (defining module, qualified name, name, definition)
+    for statement in _tree(PACKAGE_DIR / "__init__.py").body:
+        if isinstance(statement, ast.ImportFrom):
+            path = PACKAGE_DIR / f"{statement.module}.py"
+            definitions = dict(_definitions(_tree(path)))
+            public += [(path, alias.name, alias.name, definitions[alias.name])
+                       for alias in statement.names]
+    for path in modules:
+        for cls in _tree(path).body:
+            if isinstance(cls, ast.ClassDef):
+                public += [(path, f"{cls.name}.{node.name}", node.name, node) for node in cls.body
+                           if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    unused = [
+        _where(path, node, qualified) for path, qualified, name, node in public
+        if read[name] == _identifiers(node, {ast.Name, ast.Attribute})[name]
+        and name not in documented and (path.stem, qualified) not in traced
+    ]
+    assert not unused, f"public names nothing uses, documents or traces; delete them: {unused}"

@@ -38,7 +38,7 @@ from zarlat.zariski import (
     support_of,
 )
 
-from conftest import build_corpus, witness_verdict
+from conftest import witness_verdict
 from test_linalg import fraction_solve
 
 
@@ -164,6 +164,17 @@ class TestAxiom:
             IntersectionForm(labels=labels, gram=RationalMatrix.symmetric(rows))
         assert IntersectionForm.from_rows(("A", "B"), rows).labels == ("A", "B")
         assert IntersectionForm.from_rows(iter(["A", "B"]), rows).labels == ("A", "B")
+
+    def test_list_labels_stored_as_tuple(self):
+        # The constructor stores the labels as a tuple, as from_rows does, so
+        # the two forms on one Gram matrix compare and hash equal.
+        rows = [[-2, 1], [1, -2]]
+        built = IntersectionForm(labels=["A", "B"], gram=RationalMatrix.symmetric(rows))
+        read = IntersectionForm.from_rows(["A", "B"], rows)
+        assert built.labels == ("A", "B")
+        assert built == read and hash(built) == hash(read)
+        with pytest.raises(DomainError, match="^cannot interpret str as component labels$"):
+            IntersectionForm(labels="AB", gram=RationalMatrix.symmetric(rows))
 
 
 class TestPairing:
@@ -887,8 +898,8 @@ class TestOracleDigest:
     recorded from the oracle that decided definiteness by ``signature`` and
     solved each subset by Gaussian elimination over ``Fraction``."""
 
-    def test_results(self):
-        instances = build_corpus(1000)
+    def test_results(self, corpus_1000):
+        instances = list(corpus_1000)
         instances += [random_instance(InstanceSpec.standard(seed=seed, m=1 + seed % 8))
                       for seed in range(10_000, 13_000)]
         instances += [rational_gram_instance(seed, 1 + seed % 6) for seed in range(1000)]
