@@ -49,6 +49,7 @@ from .lattice import (
     format_group,
     hyperbolic_plane,
     preset,
+    presets,
     rank_one,
 )
 from .linalg import (

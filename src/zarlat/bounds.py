@@ -61,14 +61,15 @@ GUARD_ENV_VAR = "BBF_FACTORIAL_GUARD"
 def factorial_guard(override: Optional[int] = None) -> int:
     """Largest factorial argument that gets materialized.
 
-    A guard that is not a nonnegative integer, from the keyword or from the
-    environment, raises :class:`DomainError`; the environment value must
-    be ASCII decimal digits, nothing else.
+    A guard that is not a nonnegative integer, from the keyword (read by
+    :func:`zarlat.linalg.as_integer`) or from the environment, raises
+    :class:`DomainError`; the environment value must be ASCII decimal digits.
     """
     if override is not None:
-        if not isinstance(override, int) or isinstance(override, bool):
-            raise DomainError(f"factorial guard {override!r} is not a nonnegative integer")
-        guard = override
+        try:
+            guard = as_integer(override)
+        except DomainError:
+            raise DomainError(f"factorial guard {override!r} is not a nonnegative integer") from None
         source = f"factorial guard {guard}"
     else:
         raw = os.environ.get(GUARD_ENV_VAR)

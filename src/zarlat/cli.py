@@ -46,7 +46,7 @@ from .errors import (
     OracleMismatchError,
     ZarlatError,
 )
-from .linalg import signature
+from .linalg import _RATIONAL, signature
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -73,9 +73,10 @@ def _nonnegative(value: int, flag: str) -> int:
 # as large as the file; the error line keeps this many characters of it.
 _SCHEMA_MESSAGE_LIMIT = 200
 
-# The ``rational`` pattern of problem.schema.json, matched with ``re.search``
-# as JSON Schema does, so ``"3\n"`` passes here and fails in the library.
-_RATIONAL_PATTERN = "^-?[0-9]+(/[1-9][0-9]*)?$"
+# The ``rational`` pattern of problem.schema.json: the library's grammar,
+# anchored and matched with ``re.search`` as JSON Schema does, so ``"3\n"``
+# passes here and fails in the library.
+_RATIONAL_PATTERN = f"^{_RATIONAL.pattern}$"
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "integer": int}
 
 
@@ -325,10 +326,8 @@ def cmd_lattice(args) -> int:
 
 
 def _table_rows(n: int) -> list[dict]:
-    presets = [lattice_mod.preset("K3n", n), lattice_mod.preset("Kummer", n),
-               lattice_mod.preset("OG6"), lattice_mod.preset("OG10")]
     rows = []
-    for p in presets:
+    for p in lattice_mod.presets(n):
         group = lattice_mod.discriminant_group(p.lattice)
         rows.append(
             {

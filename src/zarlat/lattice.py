@@ -10,8 +10,8 @@ candidate prime exceptional class ``E``.
 
 The published per-family values (discriminant group, its exponent, largest
 negative square of a prime exceptional divisor) are catalog data, stored
-verbatim; the lattice-theoretic columns are recomputed from the Gram
-matrices so the two can be cross-checked.
+verbatim in one table row per family; the lattice-theoretic columns are
+recomputed from the Gram matrices so the two can be cross-checked.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, InconsistencyError, ShapeError, SingularMatrixError
 from .linalg import RationalMatrix, _sequence, as_integer, det, smith_normal_form
@@ -104,7 +104,8 @@ def rank_one(k: int) -> IntegralLattice:
     return IntegralLattice(f"<{k}>", RationalMatrix.symmetric([[k]]))
 
 
-_BLOCK_NAMES = ("U", "E8_minus", "A2_minus", "rank1")
+# Every catalog block by name; ``rank1`` alone takes its square k.
+_BLOCKS = {"U": hyperbolic_plane, "E8_minus": e8_minus, "A2_minus": a2_minus, "rank1": rank_one}
 
 
 def block(name: str, parameter: Optional[int] = None) -> IntegralLattice:
@@ -112,16 +113,15 @@ def block(name: str, parameter: Optional[int] = None) -> IntegralLattice:
 
     ``rank1`` needs its square k; the other three take no parameter, and a
     given one raises :class:`DomainError` rather than being ignored."""
+    if name not in _BLOCKS:
+        raise DomainError(f"unknown block {name!r}; expected one of {', '.join(_BLOCKS)}")
     if name == "rank1":
         if parameter is None:
             raise DomainError("rank1 block needs its square as a parameter")
         return rank_one(parameter)
-    builders = {"U": hyperbolic_plane, "E8_minus": e8_minus, "A2_minus": a2_minus}
-    if name not in builders:
-        raise DomainError(f"unknown block {name!r}; expected one of {', '.join(_BLOCK_NAMES)}")
     if parameter is not None:
         raise DomainError(f"{name} block takes no parameter, got {parameter!r}")
-    return builders[name]()
+    return _BLOCKS[name]()
 
 
 def direct_sum(parts: Iterable[IntegralLattice]) -> IntegralLattice:
@@ -231,16 +231,30 @@ def dual_curve_integrality(lattice: IntegralLattice, coords: Sequence[int]) -> D
     )
 
 
-PRESET_TAGS = ("K3n", "Kummer", "OG6", "OG10")
+class _Family(NamedTuple):
+    """A catalog row: tag spellings, display name (formatted with ``n``),
+    whether ``n`` is taken, and ``build``: ``n`` to the summands after U^3,
+    the published discriminant group, largest negative square, half-dimension."""
 
-_TAG_ALIASES = {
-    "k3n": "K3n",
-    "k3": "K3n",
-    "kummer": "Kummer",
-    "kummern": "Kummer",
-    "og6": "OG6",
-    "og10": "OG10",
+    aliases: tuple[str, ...]
+    name: str
+    takes_n: bool
+    build: Callable[[Optional[int]], tuple[list[IntegralLattice], tuple[int, ...], int, int]]
+
+
+# One row per deformation family, in the order of the discriminant table.
+_FAMILIES = {
+    "K3n": _Family(("k3n", "k3"), "K3^[{n}]", True, lambda n: (
+        [e8_minus(), e8_minus(), rank_one(-(2 * n - 2))], (2 * n - 2,), 8 * n - 8, n)),
+    "Kummer": _Family(("kummer", "kummern"), "Kummer {n}", True, lambda n: (
+        [rank_one(-(2 * n + 2))], (2 * n + 2,), 8 * n + 8, n)),
+    "OG6": _Family(("og6",), "OG6", False, lambda n: (
+        [rank_one(-2), rank_one(-2)], (2, 2), 8, 3)),
+    "OG10": _Family(("og10",), "OG10", False, lambda n: (
+        [e8_minus(), e8_minus(), a2_minus()], (3,), 6, 5)),
 }
+
+PRESET_TAGS = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -260,11 +274,7 @@ class DeformationPreset:
 
     @property
     def display_name(self) -> str:
-        if self.tag == "K3n":
-            return f"K3^[{self.n}]"
-        if self.tag == "Kummer":
-            return f"Kummer {self.n}"
-        return self.tag
+        return _FAMILIES[self.tag].name.format(n=self.n)
 
     def published_group_name(self) -> str:
         return format_group(self.published_group)
@@ -272,9 +282,10 @@ class DeformationPreset:
 
 def normalize_tag(tag: str) -> str:
     key = tag.strip().lower().replace("_", "").replace("-", "")
-    if key not in _TAG_ALIASES:
-        raise DomainError(f"unknown deformation type {tag!r}; expected one of {PRESET_TAGS}")
-    return _TAG_ALIASES[key]
+    for name, family in _FAMILIES.items():
+        if key in family.aliases:
+            return name
+    raise DomainError(f"unknown deformation type {tag!r}; expected one of {PRESET_TAGS}")
 
 
 def preset(tag: str, n: Optional[int] = None) -> DeformationPreset:
@@ -284,42 +295,22 @@ def preset(tag: str, n: Optional[int] = None) -> DeformationPreset:
     ``Kummer``; it must be omitted for ``OG6`` and ``OG10``.
     """
     tag = normalize_tag(tag)
-    u3 = [hyperbolic_plane()] * 3
-    if tag in ("K3n", "Kummer"):
+    family = _FAMILIES[tag]
+    if family.takes_n:
         n = None if n is None else as_integer(n)
         if n is None or n < 2:
             raise DomainError(f"{tag} needs an integer parameter n >= 2, got {n!r}")
-        if tag == "K3n":
-            lat = direct_sum(u3 + [e8_minus(), e8_minus(), rank_one(-(2 * n - 2))])
-            published = (2 * n - 2,)
-            square = 8 * n - 8
-        else:
-            lat = direct_sum(u3 + [rank_one(-(2 * n + 2))])
-            published = (2 * n + 2,)
-            square = 8 * n + 8
-        half_dim = n
-    else:
-        if n is not None:
-            raise DomainError(f"{tag} takes no parameter, got n={n!r}")
-        if tag == "OG6":
-            lat = direct_sum(u3 + [rank_one(-2), rank_one(-2)])
-            published = (2, 2)
-            square = 8
-            half_dim = 3
-        else:
-            lat = direct_sum(u3 + [e8_minus(), e8_minus(), a2_minus()])
-            published = (3,)
-            square = 6
-            half_dim = 5
-    b2 = lat.rank
+    elif n is not None:
+        raise DomainError(f"{tag} takes no parameter, got n={n!r}")
+    summands, published, square, half_dim = family.build(n)
+    lat = direct_sum([hyperbolic_plane()] * 3 + summands)
     return DeformationPreset(
-        tag=tag,
-        n=n,
-        half_dim=half_dim,
-        lattice=lat,
-        b2=b2,
-        h11=b2 - 2,
-        published_group=published,
-        published_exponent=published[-1],
-        published_max_square=square,
+        tag=tag, n=n, half_dim=half_dim, lattice=lat, b2=lat.rank, h11=lat.rank - 2,
+        published_group=published, published_exponent=published[-1], published_max_square=square,
     )
+
+
+def presets(n: int) -> list[DeformationPreset]:
+    """One preset per family, in catalog order; ``n`` goes to the families
+    that take it."""
+    return [preset(tag, n if family.takes_n else None) for tag, family in _FAMILIES.items()]

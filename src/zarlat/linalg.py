@@ -191,8 +191,12 @@ class RationalMatrix:
 
     def submatrix(self, indices: Sequence[int]) -> "RationalMatrix":
         """Principal submatrix on the given (row = column) indices, sliced
-        from :attr:`scaled_rows`."""
-        idx = list(indices)
+        from :attr:`scaled_rows`.  Each index is read by :func:`as_integer`;
+        order and repeats are kept, and one outside the matrix raises
+        :class:`ShapeError`."""
+        idx = [as_integer(i) for i in _sequence(indices, "submatrix indices")]
+        if not all(0 <= i < min(self.nrows, self.ncols) for i in idx):
+            raise ShapeError(f"indices {idx} out of range for a {self.nrows}x{self.ncols} matrix")
         rows, c = self._scaled
         return RationalMatrix._from_scaled(tuple(tuple(rows[i][j] for j in idx) for i in idx), c)
 

@@ -4,7 +4,30 @@ import pytest
 
 from zarlat.errors import SingularMatrixError
 from zarlat.linalg import solve, sylvester_pass
-from zarlat.zariski import InstanceSpec, random_instance, witness_certifies
+from zarlat.zariski import InstanceSpec, IntersectionForm, random_instance, witness_certifies
+
+
+def form_of(rows, labels=None):
+    """An intersection form on ``rows``, its components labelled E1, E2, ...
+    unless ``labels`` are given."""
+    labels = labels or [f"E{i + 1}" for i in range(len(rows))]
+    return IntersectionForm.from_rows(labels, rows)
+
+
+def cofactor_det(rows):
+    """Independent determinant oracle: textbook recursive cofactor expansion."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        total += (-1) ** j * rows[0][j] * cofactor_det(minor)
+    return total
 
 
 def build_corpus(count, m_max=6, denominator_max=4, seed_base=0):

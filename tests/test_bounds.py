@@ -37,16 +37,13 @@ from zarlat.lattice import direct_sum, dual_curve_integrality, hyperbolic_plane,
 from zarlat.linalg import det
 from zarlat.zariski import (
     InstanceSpec,
-    IntersectionForm,
     decompose,
     exceptional_certificate,
     is_exceptional,
     random_instance,
 )
 
-
-def form_of(rows):
-    return IntersectionForm.from_rows([f"E{i + 1}" for i in range(len(rows))], rows)
+from conftest import form_of
 
 
 def pow_by_squaring(base, exponent):
@@ -670,6 +667,24 @@ class TestFullReport:
             full_report(preset("K3n", 2), rho=2, volume=0)
 
 
+class TestBoundDomains:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: denominator_bound(0, 2), "negativity bound must be positive, got 0"),
+        (lambda: reverse_negativity_bound(0, 1), "reverse bound needs positive d and card"),
+        (lambda: reverse_negativity_bound(1, -2), "reverse bound needs positive d and card"),
+        *((lambda args=args: birationality_bound(*args),
+           "birationality bound needs positive n, card and rho")
+          for args in ((0, 1, 1), (1, 0, 1), (1, 1, 0))),
+        (lambda: chow_degree_bound(0, 1, 10), "half-dimension must be positive, got 0"),
+        (lambda: chow_degree_bound(1, "-1/2", 10), "volume must be positive, got -1/2"),
+        (lambda: chow_degree_bound(1, 1, 0), "birationality multiple must be positive, got 0"),
+    ])
+    def test_nonpositive_arguments_rejected(self, call, message):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
+
 # Every library entry point that takes an integer, called with the value 2
 # spelled as its argument.
 INTEGER_ENTRY_POINTS = {
@@ -677,6 +692,7 @@ INTEGER_ENTRY_POINTS = {
     "preset": lambda x: preset("K3n", x),
     "denominator_bound b": lambda x: denominator_bound(x, 3),
     "denominator_bound rho": lambda x: denominator_bound(3, x),
+    "denominator_bound guard": lambda x: denominator_bound(3, 2, guard=x),
     "reverse_negativity_bound d": lambda x: reverse_negativity_bound(x, 3),
     "reverse_negativity_bound card": lambda x: reverse_negativity_bound(3, x),
     "birationality_bound n": lambda x: birationality_bound(x, 1, 2),

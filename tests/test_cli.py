@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zarlat import bounds, cli
-from zarlat import zariski
+from zarlat import linalg, zariski
 from zarlat.errors import InconsistencyError, SingularMatrixError
 
 
@@ -60,6 +60,18 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", path)
         assert code == 2
         assert "E1" in err and "E2" in err
+
+    def test_inconsistent_input_exit_2(self, tmp_path, capsys, monkeypatch):
+        # An elimination that refuses a support the axioms allow is the one
+        # way the decomposition itself detects inconsistent input.
+        path = write_problem(
+            tmp_path, {"labels": ["A", "B"], "gram": [[-2, 1], [1, -2]], "divisor": [1, 1]}
+        )
+        monkeypatch.setattr(zariski.BorderedElimination, "extend", lambda self, system: False)
+        code, out, err = run_cli(capsys, "decompose", path)
+        assert (code, out) == (2, "")
+        assert err == ("error: inconsistent input: Gram submatrix on {A, B} is not negative "
+                       "definite; the input does not admit a decomposition\n")
 
     def test_worked_example(self, tmp_path, capsys):
         path = write_problem(
@@ -550,6 +562,12 @@ class TestSubprocessEntry:
 
 
 class TestSchemas:
+    def test_problem_rational_pattern_is_the_library_grammar(self):
+        # The hand check matches the schema's pattern, which is the
+        # anchored grammar of zarlat.linalg.as_rational.
+        rational = packaged_schema("problem.schema.json")["$defs"]["rational"]["oneOf"][1]
+        assert rational["pattern"] == cli._RATIONAL_PATTERN == f"^{linalg._RATIONAL.pattern}$"
+
     def test_result_schema_accepts_all_outputs(self, tmp_path, capsys):
         schema = result_schema()
         for seed in range(5):

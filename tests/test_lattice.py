@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from zarlat.errors import DomainError, ShapeError, SingularMatrixError
 from zarlat.lattice import (
+    PRESET_TAGS,
     DiscriminantGroup,
     IntegralLattice,
     a2_minus,
@@ -15,7 +16,9 @@ from zarlat.lattice import (
     e8_minus,
     format_group,
     hyperbolic_plane,
+    normalize_tag,
     preset,
+    presets,
     rank_one,
 )
 from zarlat.linalg import Inertia, RationalMatrix, signature, smith_normal_form
@@ -26,6 +29,12 @@ class TestBlocks:
         u = hyperbolic_plane()
         assert u.gram.entries == ((0, 1), (1, 0))
         assert u.determinant() == -1
+
+    def test_gram_must_be_symmetric_and_integral(self):
+        with pytest.raises(ShapeError, match="lattice 'skew': Gram matrix must be symmetric"):
+            IntegralLattice("skew", RationalMatrix([[0, 1], [2, 0]]))
+        with pytest.raises(DomainError, match="lattice 'half': Gram matrix must be integral"):
+            IntegralLattice("half", RationalMatrix([["1/2"]]))
 
     def test_rank_one(self):
         assert rank_one(-2).gram.entries == ((-2,),)
@@ -59,8 +68,9 @@ class TestBlocks:
     def test_block_dispatch(self):
         assert block("U").name == "U"
         assert block("rank1", -6).gram.entries == ((-6,),)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             block("E7")
+        assert str(info.value) == "unknown block 'E7'; expected one of U, E8_minus, A2_minus, rank1"
         with pytest.raises(DomainError):
             block("rank1")
         for name in ("U", "E8_minus", "A2_minus"):
@@ -174,6 +184,26 @@ class TestPresets:
     def test_aliases(self):
         assert preset("kummern", 2).tag == "Kummer"
         assert preset("k3", 2).tag == "K3n"
+        spellings = {"K3n": ("K3N", "k3-n", "K3_N", " k3 "), "Kummer": ("KUMMER_N", "kummer"),
+                     "OG6": ("og6", "O-G-6"), "OG10": ("og_10",)}
+        assert PRESET_TAGS == tuple(spellings)
+        for tag, aliases in spellings.items():
+            assert all(normalize_tag(alias) == tag for alias in (tag, *aliases))
+        with pytest.raises(DomainError) as info:
+            normalize_tag("OG8")
+        assert str(info.value) == ("unknown deformation type 'OG8'; expected one of "
+                                   "('K3n', 'Kummer', 'OG6', 'OG10')")
+
+    def test_presets_follow_the_catalog(self):
+        # One preset per family, in catalog order; n reaches K3n and Kummer only.
+        built = presets(5)
+        assert [p.tag for p in built] == list(PRESET_TAGS)
+        assert [p.display_name for p in built] == ["K3^[5]", "Kummer 5", "OG6", "OG10"]
+        assert [(p.n, p.half_dim, p.b2) for p in built] == [(5, 5, 23), (5, 5, 7), (None, 3, 8),
+                                                             (None, 5, 24)]
+        assert built == [preset("K3n", 5), preset("Kummer", 5), preset("OG6"), preset("OG10")]
+        with pytest.raises(DomainError, match="K3n needs an integer parameter n >= 2, got 1"):
+            presets(1)
 
     def test_og10_general_vs_published(self):
         p = preset("OG10")

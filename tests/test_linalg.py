@@ -24,21 +24,7 @@ from zarlat.linalg import (
     sylvester_pass,
 )
 
-
-def cofactor_det(rows):
-    """Independent oracle: textbook recursive cofactor expansion."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        total += (-1) ** j * rows[0][j] * cofactor_det(minor)
-    return total
+from conftest import cofactor_det
 
 
 def square_int_matrices(max_size=5, lo=-9, hi=9):
@@ -172,6 +158,30 @@ class TestMatrix:
     def test_ragged_rejected(self):
         with pytest.raises(ShapeError):
             RationalMatrix([[1, 2], [3]])
+
+    def test_submatrix_indices_are_integers_inside_the_matrix(self):
+        # Indices follow the one integer grammar, keep their order and
+        # repeats, and must lie in the matrix: -1 no longer wraps to the last
+        # row, True no longer reads as 1, and 2 no longer escapes as IndexError.
+        m = RationalMatrix([[1, 2], [3, 4]])
+        assert m.submatrix(["1", Fraction(2, 2), 0]) == RationalMatrix(
+            [[4, 4, 3], [4, 4, 3], [2, 2, 1]])
+        assert m.submatrix(range(2)) == m and m.submatrix([]) == RationalMatrix([])
+        for bad in ([-1], [2], [0, 5]):
+            with pytest.raises(ShapeError, match="out of range for a 2x2 matrix"):
+                m.submatrix(bad)
+        with pytest.raises(ShapeError, match="out of range for a 1x3 matrix"):
+            RationalMatrix([[1, 2, 3]]).submatrix([1])
+        for bad in ([True], [0.0], ["1/2"], "01", b"\x00", {0: 1}, {0}):
+            with pytest.raises(DomainError):
+                m.submatrix(bad)
+
+    def test_repr_shows_shape_and_entries(self):
+        assert repr(RationalMatrix([["1/2", 2], [3, -4]])) == "RationalMatrix(2x2: 1/2 2; 3 -4)"
+
+    def test_matvec_length_must_match(self):
+        with pytest.raises(ShapeError, match="vector length 3 != column count 2"):
+            RationalMatrix([[1, 2], [3, 4]]).matvec([1, 2, 3])
 
 
 @st.composite
@@ -977,6 +987,21 @@ class TestLeadingMinors:
         assert leading_principal_minors(rows) == expected
 
 
+class TestShapeGuards:
+    @pytest.mark.parametrize("call, message", [
+        (lambda m: solve(m, [1]), "solve needs a square matrix, got 1x2"),
+        (leading_principal_minors, "principal minors need a square matrix"),
+        (smith_normal_form, "Smith normal form needs a square matrix, got 1x2"),
+    ], ids=["solve", "leading_principal_minors", "smith_normal_form"])
+    def test_square_only(self, call, message):
+        with pytest.raises(ShapeError, match=message):
+            call([[1, 2]])
+
+    def test_definiteness_needs_symmetry(self):
+        with pytest.raises(ShapeError, match="definiteness test needs a symmetric matrix"):
+            is_negative_definite([[-2, 1], [0, -2]])
+
+
 class TestExplicitGuards:
     """Invariant checks are raises, not asserts, so ``python -O`` keeps them."""
 
@@ -992,6 +1017,13 @@ class TestExplicitGuards:
 
         monkeypatch.setattr(lattice, "smith_normal_form", wrong)
         with pytest.raises(InconsistencyError):
+            lattice.discriminant_group(rank_one(-2))
+
+    def test_discriminant_order_against_determinant(self, monkeypatch):
+        from zarlat import lattice
+
+        monkeypatch.setattr(lattice, "det", lambda matrix: -4)
+        with pytest.raises(InconsistencyError, match="has order 2, but \\|det\\| is 4"):
             lattice.discriminant_group(rank_one(-2))
 
     def test_discriminant_forged_transform(self, monkeypatch):

@@ -38,23 +38,8 @@ from zarlat.zariski import (
     support_of,
 )
 
-from conftest import witness_verdict
+from conftest import build_corpus, cofactor_det, form_of, witness_verdict
 from test_linalg import fraction_solve
-
-
-def form_of(rows, labels=None):
-    labels = labels or [f"E{i + 1}" for i in range(len(rows))]
-    return IntersectionForm.from_rows(labels, rows)
-
-
-def small_corpus(count=250, m_max=5, denominator_max=4, seed_base=1000):
-    out = []
-    for i in range(count):
-        spec = InstanceSpec.standard(
-            seed=seed_base + i, m=1 + i % m_max, denominator_max=denominator_max
-        )
-        out.append(random_instance(spec))
-    return out
 
 
 def as_vector(values):
@@ -129,7 +114,7 @@ def fraction_decompose_bruteforce(form, divisor, limit=12):
     g = gcd(*(x.numerator for x in certificate))
     return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
                          negative=negative, negative_support=support,
-                         rounds=0, negative_gram_det=laplace_det(sub.entries),
+                         rounds=0, negative_gram_det=cofactor_det(sub.entries),
                          witness=tuple(x.numerator * (scale // x.denominator) // g for x in certificate))
 
 
@@ -146,6 +131,15 @@ class TestAxiom:
     def test_asymmetric_rejected_at_construction(self):
         with pytest.raises(ShapeError):
             form_of([[1, 2], [3, 4]])
+
+    def test_constructor_checks_symmetry_and_label_count(self):
+        # A directly built form runs the checks that from_rows reaches only
+        # after RationalMatrix.symmetric has refused an asymmetric matrix.
+        with pytest.raises(ShapeError, match="^intersection form needs a symmetric Gram matrix$"):
+            IntersectionForm(labels=("A", "B"), gram=RationalMatrix([[-2, 1], [0, -2]]))
+        with pytest.raises(ShapeError, match="^3 labels for a 2x2 Gram matrix$"):
+            IntersectionForm(labels=("A", "B", "C"),
+                             gram=RationalMatrix.symmetric([[-2, 1], [1, -2]]))
 
     def test_duplicate_labels_rejected_at_construction(self):
         with pytest.raises(DomainError, match="'E'"):
@@ -486,10 +480,24 @@ class TestGenerator:
         with pytest.raises(DomainError):
             InstanceSpec(seed=1, m=2, coefficient_range=(5, 2))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"coefficient_range": (-1, 3)},
+         "coefficient numerators must be nonnegative (effective divisor)"),
+        ({"denominator_max": 0}, "denominator_max must be at least 1"),
+    ])
+    def test_spec_keeps_divisors_effective(self, fields, message):
+        with pytest.raises(DomainError) as info:
+            InstanceSpec(seed=1, m=2, **fields)
+        assert str(info.value) == message
+
+    def test_empty_draw_range_rejected(self):
+        with pytest.raises(DomainError, match=r"^empty range \[3, 2\]$"):
+            SplitMix64(0).randint(3, 2)
+
 
 @pytest.fixture(scope="module")
 def corpus():
-    return small_corpus()
+    return build_corpus(250, m_max=5, seed_base=1000)
 
 
 class TestEngineProperties:
@@ -707,17 +715,6 @@ class TestOracleIndependence:
             assert form.gram.matvec(divisor) == gd
 
 
-def laplace_det(rows):
-    """Independent determinant by cofactor expansion over ``Fraction``."""
-    if not rows:
-        return Fraction(1)
-    return sum(
-        (-1) ** j * rows[0][j] * laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
-        for j in range(len(rows))
-        if rows[0][j] != 0
-    )
-
-
 def rational_gram_instance(seed, m):
     """A random instance whose Gram entries carry denominators up to 6:
     the engine then scales by their lcm before eliminating."""
@@ -740,7 +737,7 @@ class TestRationalGram:
         assert dec.negative_support == oracle.negative_support
         assert dec.witness == oracle.witness  # primitive, whatever the denominators
         sub = [[form.gram[i, j] for j in dec.negative_support] for i in dec.negative_support]
-        assert dec.negative_gram_det == oracle.negative_gram_det == laplace_det(sub)
+        assert dec.negative_gram_det == oracle.negative_gram_det == cofactor_det(sub)
         assert all(decomposition_checks(form, divisor, dec).values())
 
     def test_seeded_corpus(self):
