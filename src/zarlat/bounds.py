@@ -42,10 +42,9 @@ import decimal
 import math
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import zariski
 from .errors import DomainError, InconsistencyError, ZarlatError
@@ -162,8 +161,7 @@ def _fraction_string(q: Fraction) -> str:
     return f"{decimal_string(q.numerator)}/{decimal_string(q.denominator)}"
 
 
-@dataclass(frozen=True)
-class DeferredFactorial:
+class DeferredFactorial(NamedTuple):
     """Exact value ``times * factorial(factorial_of)``, kept symbolic."""
 
     factorial_of: int
@@ -177,8 +175,7 @@ class DeferredFactorial:
         return {"factorial_of": decimal_string(self.factorial_of), "times": decimal_string(self.times)}
 
 
-@dataclass(frozen=True)
-class DeferredReverse:
+class DeferredReverse(NamedTuple):
     """Exact value ``d! * d * card`` where ``d`` is itself deferred."""
 
     denominator: DeferredFactorial
@@ -191,8 +188,7 @@ class DeferredReverse:
         return {"reverse_of": self.denominator.to_json_dict(), "card": decimal_string(self.card)}
 
 
-@dataclass(frozen=True)
-class DeferredPower:
+class DeferredPower(NamedTuple):
     """Exact value ``scale * base**exponent`` with a deferred base."""
 
     base: DeferredFactorial
@@ -270,8 +266,7 @@ def chow_degree_bound(n: int, volume, m0) -> Union[BigFraction, DeferredPower]:
     return BigFraction(Fraction(m0) ** (2 * n) * c)
 
 
-@dataclass(frozen=True)
-class BoundSet:
+class BoundSet(NamedTuple):
     """The bound chain evaluated at one value of the Picard-number input."""
 
     rho: int
@@ -281,8 +276,7 @@ class BoundSet:
     chow_degree: Union[BigFraction, DeferredPower]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All closed-form bounds for one deformation family.
 
     ``at_rho`` evaluates the chain at the requested Picard number;
@@ -349,8 +343,7 @@ def full_report(preset: DeformationPreset, rho: int, volume=1,
     )
 
 
-@dataclass(frozen=True)
-class CramerAnalysis:
+class CramerAnalysis(NamedTuple):
     """Negative-part coefficients as determinant ratios.
 
     ``coefficients[i] == column_determinants[i] / gram_determinant``

@@ -16,7 +16,6 @@ recomputed from the Gram matrices so the two can be cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from operator import mul
@@ -26,18 +25,27 @@ from .errors import DomainError, InconsistencyError, ShapeError, SingularMatrixE
 from .linalg import RationalMatrix, _sequence, as_integer, det, smith_normal_form
 
 
-@dataclass(frozen=True)
-class IntegralLattice:
-    """A free Z-module with an integral symmetric bilinear form."""
-
+class _LatticeFields(NamedTuple):
     name: str
     gram: RationalMatrix
 
-    def __post_init__(self):
-        if not self.gram.is_symmetric():
-            raise ShapeError(f"lattice {self.name!r}: Gram matrix must be symmetric")
-        if not self.gram.is_integral():
-            raise DomainError(f"lattice {self.name!r}: Gram matrix must be integral")
+
+class IntegralLattice(_LatticeFields):
+    """A free Z-module with an integral symmetric bilinear form."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, gram: RationalMatrix) -> "IntegralLattice":
+        if not gram.is_symmetric():
+            raise ShapeError(f"lattice {name!r}: Gram matrix must be symmetric")
+        if not gram.is_integral():
+            raise DomainError(f"lattice {name!r}: Gram matrix must be integral")
+        return super().__new__(cls, name, gram)
+
+    @classmethod
+    def _make(cls, iterable) -> "IntegralLattice":
+        # The inherited _make, which _replace calls, would skip __new__.
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:
@@ -113,7 +121,7 @@ def block(name: str, parameter: Optional[int] = None) -> IntegralLattice:
 
     ``rank1`` needs its square k; the other three take no parameter, and a
     given one raises :class:`DomainError` rather than being ignored."""
-    if name not in _BLOCKS:
+    if not isinstance(name, str) or name not in _BLOCKS:
         raise DomainError(f"unknown block {name!r}; expected one of {', '.join(_BLOCKS)}")
     if name == "rank1":
         if parameter is None:
@@ -142,8 +150,7 @@ def direct_sum(parts: Iterable[IntegralLattice]) -> IntegralLattice:
     return IntegralLattice(name, RationalMatrix.symmetric(rows))
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(NamedTuple):
     """The finite quotient (dual lattice)/(lattice) of a nonsingular lattice.
 
     ``elementary_divisors`` are the invariant factors > 1 in divisibility
@@ -200,8 +207,7 @@ def discriminant_group(lattice: IntegralLattice) -> DiscriminantGroup:
     )
 
 
-@dataclass(frozen=True)
-class DualCurveClass:
+class DualCurveClass(NamedTuple):
     """Outcome of the dual-curve integrality test for a class E.
 
     ``dual_class`` is the rational vector representing -2 q(E, .) / q(E) in
@@ -257,8 +263,7 @@ _FAMILIES = {
 PRESET_TAGS = tuple(_FAMILIES)
 
 
-@dataclass(frozen=True)
-class DeformationPreset:
+class DeformationPreset(NamedTuple):
     """Second-cohomology lattice of one deformation family, plus its
     published discriminant data and extremal negative square."""
 
@@ -281,10 +286,11 @@ class DeformationPreset:
 
 
 def normalize_tag(tag: str) -> str:
-    key = tag.strip().lower().replace("_", "").replace("-", "")
-    for name, family in _FAMILIES.items():
-        if key in family.aliases:
-            return name
+    if isinstance(tag, str):
+        key = tag.strip().lower().replace("_", "").replace("-", "")
+        for name, family in _FAMILIES.items():
+            if key in family.aliases:
+                return name
     raise DomainError(f"unknown deformation type {tag!r}; expected one of {PRESET_TAGS}")
 
 

@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping, Set as AbstractSet
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ShapeError, SingularMatrixError
 
@@ -473,8 +472,7 @@ def solve(matrix, rhs) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, d) for v in solutions[0]) if solutions else ()
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(NamedTuple):
     """Counts of positive, negative and zero squares of a symmetric form."""
 
     n_plus: int
@@ -561,8 +559,7 @@ def is_negative_definite(matrix) -> bool:
     return sylvester_pass(list(map(list, m.scaled_rows[0]))) is not None
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
+class SmithNormalForm(NamedTuple):
     """Diagonalization ``left @ matrix @ right == diag(diagonal)``.
 
     ``left`` and ``right`` are unimodular integer matrices, kept so the

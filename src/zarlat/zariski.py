@@ -62,12 +62,11 @@ platforms and releases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     AxiomViolationError,
@@ -94,25 +93,32 @@ from .linalg import (
 _ZERO = Fraction(0)  # immutable: every zero coefficient of a result shares it
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
-    """Symmetric rational pairing on a list of labelled prime components."""
-
+class _FormFields(NamedTuple):
     labels: tuple[str, ...]
     gram: RationalMatrix
 
-    def __post_init__(self):
+
+class IntersectionForm(_FormFields):
+    """Symmetric rational pairing on a list of labelled prime components."""
+
+    __slots__ = ()
+
+    def __new__(cls, labels: Sequence[str], gram: RationalMatrix) -> "IntersectionForm":
         # A tuple, whatever sequence was given, so equal forms compare and hash equal.
-        object.__setattr__(self, "labels", tuple(_sequence(self.labels, "component labels")))
-        if not self.gram.is_symmetric():
+        labels = tuple(_sequence(labels, "component labels"))
+        if not gram.is_symmetric():
             raise ShapeError("intersection form needs a symmetric Gram matrix")
-        if len(self.labels) != self.gram.nrows:
-            raise ShapeError(
-                f"{len(self.labels)} labels for a {self.gram.nrows}x{self.gram.ncols} Gram matrix"
-            )
-        if len(set(self.labels)) != len(self.labels):
-            repeated = next(x for x in self.labels if self.labels.count(x) > 1)
+        if len(labels) != gram.nrows:
+            raise ShapeError(f"{len(labels)} labels for a {gram.nrows}x{gram.ncols} Gram matrix")
+        if len(set(labels)) != len(labels):
+            repeated = next(x for x in labels if labels.count(x) > 1)
             raise DomainError(f"component label {repeated!r} is repeated")
+        return super().__new__(cls, labels, gram)
+
+    @classmethod
+    def _make(cls, iterable) -> "IntersectionForm":
+        # The inherited _make, which _replace calls, would skip __new__.
+        return cls(*iterable)
 
     @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Iterable[Iterable]) -> "IntersectionForm":
@@ -234,8 +240,7 @@ def primitive_witness(d: int, w: Sequence[int]) -> tuple[int, ...]:
     return tuple(v // g for v in w)
 
 
-@dataclass(frozen=True)
-class CertificateOutcome:
+class CertificateOutcome(NamedTuple):
     """Result of the positive-combination certificate on a support set.
 
     ``solution`` always satisfies ``gram_S @ solution == (-1, ..., -1)``.
@@ -299,8 +304,7 @@ def in_nef_region(form: IntersectionForm, divisor: Sequence, candidate: Sequence
     return True
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """The splitting D = positive + negative.
 
     ``negative_support`` is the support of the negative part;
@@ -602,15 +606,7 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Description of a random decomposition instance.
-
-    All ranges are inclusive integer pairs.  Coefficients are drawn as
-    ``numerator / denominator`` with the numerator from
-    ``coefficient_range`` (nonnegative) and the denominator uniform in
-    ``[1, denominator_max]``."""
-
+class _SpecFields(NamedTuple):
     seed: int
     m: int
     coefficient_range: tuple[int, int] = (0, 9)
@@ -618,19 +614,37 @@ class InstanceSpec:
     offdiagonal_range: tuple[int, int] = (0, 9)
     denominator_max: int = 1
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise DomainError(f"need at least one component, got m={self.m}")
+
+class InstanceSpec(_SpecFields):
+    """Description of a random decomposition instance.
+
+    All ranges are inclusive integer pairs.  Coefficients are drawn as
+    ``numerator / denominator`` with the numerator from
+    ``coefficient_range`` (nonnegative) and the denominator uniform in
+    ``[1, denominator_max]``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "InstanceSpec":
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.m < 1:
+            raise DomainError(f"need at least one component, got m={spec.m}")
         for name in ("coefficient_range", "diagonal_range", "offdiagonal_range"):
-            lo, hi = getattr(self, name)
+            lo, hi = getattr(spec, name)
             if lo > hi:
                 raise DomainError(f"{name} is empty: [{lo}, {hi}]")
-        if self.offdiagonal_range[0] < 0:
+        if spec.offdiagonal_range[0] < 0:
             raise DomainError("off-diagonal range must be nonnegative (intersection product)")
-        if self.coefficient_range[0] < 0:
+        if spec.coefficient_range[0] < 0:
             raise DomainError("coefficient numerators must be nonnegative (effective divisor)")
-        if self.denominator_max < 1:
+        if spec.denominator_max < 1:
             raise DomainError("denominator_max must be at least 1")
+        return spec
+
+    @classmethod
+    def _make(cls, iterable) -> "InstanceSpec":
+        # The inherited _make, which _replace calls, would skip __new__.
+        return cls(*iterable)
 
     @classmethod
     def standard(cls, seed: int, m: int, denominator_max: int = 4) -> "InstanceSpec":

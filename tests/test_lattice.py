@@ -36,6 +36,17 @@ class TestBlocks:
         with pytest.raises(DomainError, match="lattice 'half': Gram matrix must be integral"):
             IntegralLattice("half", RationalMatrix([["1/2"]]))
 
+    def test_replace_checks_the_gram_matrix(self):
+        # _replace builds through _make, which must run the constructor's checks.
+        u = hyperbolic_plane()
+        with pytest.raises(DomainError, match="lattice 'U': Gram matrix must be integral"):
+            u._replace(gram=RationalMatrix([[0, "1/2"], ["1/2", 0]]))
+        with pytest.raises(ShapeError, match="lattice 'U': Gram matrix must be symmetric"):
+            IntegralLattice._make(("U", RationalMatrix([[0, 1], [2, 0]])))
+        assert u._replace(name="H") == IntegralLattice("H", u.gram)
+        with pytest.raises(AttributeError):
+            u.note = "records take no new attributes"
+
     def test_rank_one(self):
         assert rank_one(-2).gram.entries == ((-2,),)
         with pytest.raises(DomainError):
@@ -76,6 +87,9 @@ class TestBlocks:
         for name in ("U", "E8_minus", "A2_minus"):
             with pytest.raises(DomainError, match="takes no parameter"):
                 block(name, 0)
+        for name in (["U"], 5, None):
+            with pytest.raises(DomainError, match="unknown block"):
+                block(name)
 
 
 class TestDirectSum:
@@ -193,6 +207,10 @@ class TestPresets:
             normalize_tag("OG8")
         assert str(info.value) == ("unknown deformation type 'OG8'; expected one of "
                                    "('K3n', 'Kummer', 'OG6', 'OG10')")
+        for tag in (5, None, ["K3n"]):
+            for lookup in (preset, normalize_tag):
+                with pytest.raises(DomainError, match="unknown deformation type"):
+                    lookup(tag)
 
     def test_presets_follow_the_catalog(self):
         # One preset per family, in catalog order; n reaches K3n and Kummer only.

@@ -36,3 +36,15 @@ def test_failing_hypothesis_test_is_reported(tmp_path):
     output = run.stdout + run.stderr
     assert run.returncode == 1, output
     assert "1 failed, 1 passed" in output and "INTERNALERROR" not in output, output
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # Every CLI use is a fresh process.  Results are NamedTuples because
+    # dataclasses, with the inspect it imports, cost about 15 ms of
+    # ``import zarlat.cli``, with or without .pyc files.
+    script = ("import sys, zarlat.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -1,6 +1,5 @@
 import hashlib
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -169,6 +168,19 @@ class TestAxiom:
         assert built == read and hash(built) == hash(read)
         with pytest.raises(DomainError, match="^cannot interpret str as component labels$"):
             IntersectionForm(labels="AB", gram=RationalMatrix.symmetric(rows))
+
+    def test_replace_runs_the_checks(self):
+        # _replace builds through _make, which must not skip the constructor.
+        form = IntersectionForm.from_rows(["A", "B"], [[-2, 1], [1, -2]])
+        with pytest.raises(DomainError, match="^component label 'A' is repeated$"):
+            form._replace(labels=("A", "A"))
+        with pytest.raises(ShapeError, match="^1 labels for a 2x2 Gram matrix$"):
+            IntersectionForm._make((("A",), form.gram))
+        assert form._replace(labels=["C", "D"]).labels == ("C", "D")
+        with pytest.raises(AttributeError):
+            form.labels = ("C", "D")
+        with pytest.raises(AttributeError):
+            form.note = "records take no new attributes"
 
 
 class TestPairing:
@@ -480,6 +492,16 @@ class TestGenerator:
         with pytest.raises(DomainError):
             InstanceSpec(seed=1, m=2, coefficient_range=(5, 2))
 
+    def test_spec_replace_runs_the_checks(self):
+        spec = InstanceSpec.standard(seed=1, m=3)
+        with pytest.raises(DomainError, match="^need at least one component, got m=0$"):
+            spec._replace(m=0)
+        with pytest.raises(DomainError, match="^denominator_max must be at least 1$"):
+            InstanceSpec._make((1, 3, (0, 9), (-9, 9), (0, 9), 0))
+        assert spec._replace(m=4) == InstanceSpec.standard(seed=1, m=4)
+        with pytest.raises(AttributeError):
+            spec.note = "records take no new attributes"
+
     @pytest.mark.parametrize("fields, message", [
         ({"coefficient_range": (-1, 3)},
          "coefficient numerators must be nonnegative (effective divisor)"),
@@ -609,7 +631,7 @@ class TestWitnessCheck:
                 continue
             assert self.verdict(form, divisor, dec)
             for bad in ((-y[0],) + y[1:], y[:-1] + (0,), y + (1,), y[1:], ()):
-                assert not self.verdict(form, divisor, replace(dec, witness=bad))
+                assert not self.verdict(form, divisor, dec._replace(witness=bad))
             forged += 1
         assert forged > 50
 
@@ -1052,21 +1074,21 @@ def mutated_decompositions(form, dec):
             moved_p, moved_n = p[:], n[:]
             moved_p[j] += n[j] / 2
             moved_n[j] -= n[j] / 2
-            out.append(replace(dec, positive=tuple(moved_p), negative=tuple(moved_n)))
+            out.append(dec._replace(positive=tuple(moved_p), negative=tuple(moved_n)))
         if p[j]:
             moved_p, moved_n = p[:], n[:]
             moved_p[j] -= p[j]
             moved_n[j] += p[j]
-            out.append(replace(dec, positive=tuple(moved_p), negative=tuple(moved_n)))
+            out.append(dec._replace(positive=tuple(moved_p), negative=tuple(moved_n)))
     if support:
-        out.append(replace(dec, negative_support=support[1:], witness=dec.witness[1:]))
-        out.append(replace(dec, witness=tuple(-v for v in dec.witness)))
+        out.append(dec._replace(negative_support=support[1:], witness=dec.witness[1:]))
+        out.append(dec._replace(witness=tuple(-v for v in dec.witness)))
     extra = next((j for j in range(form.size) if j not in support), None)
     if extra is not None:
         grown = tuple(sorted(support + (extra,)))
         k = grown.index(extra)
-        out.append(replace(dec, negative_support=grown,
-                           witness=dec.witness[:k] + (1,) + dec.witness[k:]))
+        out.append(dec._replace(negative_support=grown,
+                                witness=dec.witness[:k] + (1,) + dec.witness[k:]))
     return out
 
 
@@ -1107,10 +1129,10 @@ class TestIntegerPathReference:
             p = dec.positive
             cases = [
                 (divisor[:-1], dec), (tuple(divisor) + (0,), dec),
-                (divisor, replace(dec, positive=p[:-1])),
-                (divisor, replace(dec, positive=p + (Fraction(0),))),
-                (divisor, replace(dec, positive=(0.5,) + p[1:])),
-                (divisor, replace(dec, positive=p[:-1] + ("1.5",))),
+                (divisor, dec._replace(positive=p[:-1])),
+                (divisor, dec._replace(positive=p + (Fraction(0),))),
+                (divisor, dec._replace(positive=(0.5,) + p[1:])),
+                (divisor, dec._replace(positive=p[:-1] + ("1.5",))),
                 ((True,) + tuple(divisor[1:]), dec),
                 ((Fraction(-1, 3),) + tuple(divisor[1:]), dec),
             ]
@@ -1159,16 +1181,16 @@ class TestChecksValidateNegative:
         for negative in (dec.negative + (Fraction(0),), dec.negative + (0, 0), dec.negative[:1], ()):
             with pytest.raises(ShapeError, match=rf"^negative part has {len(negative)} "
                                                   r"coefficients, form has 2$"):
-                decomposition_checks(form, [1, 0], replace(dec, negative=negative))
+                decomposition_checks(form, [1, 0], dec._replace(negative=negative))
 
     def test_entries_read_by_as_rational(self):
         form = form_of([[-2, 1], [1, -2]])
         dec = decompose(form, [1, 1])
         with pytest.raises(DomainError, match=r"^float 1\.0 rejected"):
-            decomposition_checks(form, [1, 1], replace(dec, negative=(1.0, 1.0)))
+            decomposition_checks(form, [1, 1], dec._replace(negative=(1.0, 1.0)))
         with pytest.raises(DomainError, match=r"^boolean True is not a rational number$"):
-            decomposition_checks(form, [1, 1], replace(dec, negative=(True, True)))
-        spelled = replace(dec, negative=tuple(str(x) for x in dec.negative))
+            decomposition_checks(form, [1, 1], dec._replace(negative=(True, True)))
+        spelled = dec._replace(negative=tuple(str(x) for x in dec.negative))
         assert decomposition_checks(form, [1, 1], spelled) == decomposition_checks(form, [1, 1], dec)
 
 
@@ -1224,8 +1246,8 @@ def reader_entry_points():
         "pairing_v": lambda v: form.pairing([1, 1], v),
         "as_divisor": lambda v: as_divisor(v, 2),
         "in_nef_region": lambda v: in_nef_region(form, [1, 1], v),
-        "checks_positive": lambda v: decomposition_checks(form, [1, 1], replace(dec, positive=v)),
-        "checks_negative": lambda v: decomposition_checks(form, [1, 1], replace(dec, negative=v)),
+        "checks_positive": lambda v: decomposition_checks(form, [1, 1], dec._replace(positive=v)),
+        "checks_negative": lambda v: decomposition_checks(form, [1, 1], dec._replace(negative=v)),
     }
 
 
