@@ -51,7 +51,8 @@ from .errors import DomainError, InconsistencyError, ZarlatError
 from .lattice import DeformationPreset, discriminant_group
 # det is not called here; perfbench/selftest.py checks its tracer rebinds bounds.det.
 from .linalg import as_integer, as_rational, bareiss_solve, det, sylvester_pass
-from .zariski import IntersectionForm, _scaled_divisor, decompose, support_rows
+from .zariski import (IntersectionForm, _Divisor, _scaled_divisor, as_divisor, decompose,
+                      support_rows)
 
 DEFAULT_FACTORIAL_GUARD = 100_000
 GUARD_ENV_VAR = "BBF_FACTORIAL_GUARD"
@@ -369,6 +370,7 @@ def cramer_analysis(form: IntersectionForm, divisor: Sequence,
     column-replaced determinants.  The reconstruction is cross-checked against
     :func:`zarlat.zariski.decompose` and a mismatch raises :class:`InconsistencyError`.
     """
+    divisor = as_divisor(divisor, form.size)
     big_a, s = _scaled_divisor(divisor, form.size)
     idx, rows, c = support_rows(form, support)
     if c != 1:
@@ -381,7 +383,7 @@ def cramer_analysis(form: IntersectionForm, divisor: Sequence,
         raise DomainError("support Gram matrix is singular")
     d, (y,) = outcome
     coefficients = tuple(Fraction(v, d) for v in y)
-    reference = decompose(form, big_a)
+    reference = decompose(form, divisor)
     for j, value in zip(idx, coefficients):
         if reference.negative[j] != value:
             raise InconsistencyError(
@@ -431,8 +433,8 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
     ``c * gram`` and the divisor's numerators ``s * a``.
     """
     oracle_limit, seed = as_integer(oracle_limit), as_integer(seed)
+    divisor = as_divisor(divisor, form.size)  # read once; every check below reads none
     numerators, s = _scaled_divisor(divisor, form.size)
-    divisor = tuple(Fraction(x, s) for x in numerators)  # validated, as as_divisor gives it
     rows, c = form.gram.scaled_rows
     try:
         dec = zariski.decompose(form, divisor)
@@ -462,7 +464,7 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
         # for gram, and scaling D by s scales P and N, so by uniqueness the
         # negative support of s * a under c * gram is ``support``.
         scaled = form if c == 1 else IntersectionForm.from_rows(form.labels, rows)
-        analysis = cramer_analysis(scaled, numerators, support)
+        analysis = cramer_analysis(scaled, _Divisor._from_scaled(numerators, 1), support)
         return all(analysis.common_denominator % q.denominator == 0 for q in analysis.coefficients)
 
     if len(zariski.support_of(divisor)) <= oracle_limit:

@@ -38,10 +38,13 @@ The two must agree coefficient for coefficient; any divergence is a bug by
 uniqueness.
 
 Between the input and the result there is no ``Fraction``.  Every rational
-vector is read once, by the one reader :func:`zarlat.linalg.scaled_rationals`,
-into integer numerators over one scale, a divisor into ``(A, s)`` with
-``A = s * a``; the engine and the oracle build each coefficient of ``P`` and
-``N`` once from those integers, zeros sharing one ``Fraction(0)``, and
+vector is read once per call, by the one reader
+:func:`zarlat.linalg.scaled_rationals`, into integer numerators over one
+scale, a divisor into ``(A, s)`` with ``A = s * a``.  A divisor is read once
+in all: :func:`as_divisor` returns a tuple that keeps ``(A, s)``, and every
+function here given it takes the integers from it instead of reading again.
+The engine and the oracle build each coefficient of ``P`` and ``N`` once from
+those integers, zeros sharing one ``Fraction(0)``, and
 ``decomposition_checks`` and ``in_nef_region`` compare integers only.
 
 One verifier, ``witness_certifies``, checks every definiteness certificate
@@ -155,15 +158,44 @@ def require_intersection_product(form: IntersectionForm) -> None:
         raise AxiomViolationError(violations, form.labels)
 
 
+class _Divisor(tuple):
+    """A divisor :func:`as_divisor` validated: the tuple of its ``Fraction``
+    coefficients ``a``, which alone gives its ``repr``, equality and hash,
+    and in ``_scaled`` the ints ``(s, *A)``, ``A = s * a``, it was built from.
+    ``_scaled`` lives in the instance dict, since a tuple subclass takes no
+    nonempty ``__slots__``.  The class has no ``__new__`` of its own, so
+    ``copy`` and ``pickle`` rebuild it through tuple's ``__getnewargs__``
+    and restore ``_scaled``."""
+
+    @classmethod
+    def _from_scaled(cls, big_a: Sequence[int], s: int) -> "_Divisor":
+        """``A / s`` for validated ints ``A >= 0`` and the lcm ``s`` of the
+        reduced denominators of ``A / s``; zeros are ``_ZERO``."""
+        divisor = cls(Fraction(x, s) if x else _ZERO for x in big_a)
+        divisor._scaled = (s, *big_a)
+        return divisor
+
+
 def as_divisor(values: Iterable, size: int) -> tuple[Fraction, ...]:
-    """Validate an effective divisor: ``size`` exact nonnegative coefficients."""
-    big_a, s = _scaled_divisor(values, size)
-    return tuple(Fraction(x, s) for x in big_a)
+    """Validate an effective divisor: ``size`` exact nonnegative coefficients.
+
+    The result is a tuple of ``Fraction``s that also keeps the integers it
+    was read into, so every function here given it skips the reader, this
+    one included: given such a divisor of ``size`` entries, it returns it."""
+    size = as_integer(size)
+    if type(values) is _Divisor and len(values) == size:
+        return values
+    return _Divisor._from_scaled(*_scaled_divisor(values, size))
 
 
 def _scaled_divisor(values: Iterable, size: int) -> tuple[list[int], int]:
     """``(A, s)``: the coefficients ``a`` of :func:`as_divisor` as the ints
-    ``A = s * a``, read in one pass by :func:`zarlat.linalg.scaled_rationals`."""
+    ``A = s * a``, read in one pass by :func:`zarlat.linalg.scaled_rationals`,
+    or, from a divisor :func:`as_divisor` returned with ``size`` entries,
+    copied from what it keeps, with no read."""
+    if type(values) is _Divisor and len(values) == size:
+        s, *big_a = values._scaled
+        return big_a, s
     big_a, s = scaled_rationals(values)
     if len(big_a) != size:
         raise ShapeError(f"divisor has {len(big_a)} coefficients, form has {size} components")
@@ -284,9 +316,10 @@ def in_nef_region(form: IntersectionForm, divisor: Sequence, candidate: Sequence
     and ``(gram @ b)_j >= 0`` for every ``j`` in ``supp(a)``.  The positive
     part of the decomposition is the unique entrywise-maximal member.
 
-    Decided on integers, with no ``Fraction`` arithmetic: the divisor and
-    the candidate are each validated and converted once, to ``A = s * a``
-    and ``B = t * b``.  Then ``b <= a`` reads ``B * s <= A * t`` and makes
+    Decided on integers, with no ``Fraction`` arithmetic: the candidate is
+    validated and converted to ``B = t * b``, and the divisor to
+    ``A = s * a``, unless it came from :func:`as_divisor`, which kept ``A``
+    and ``s``.  Then ``b <= a`` reads ``B * s <= A * t`` and makes
     ``b`` vanish outside ``supp(a)``, and the rows of ``c * gram`` times
     ``B`` are positive multiples of ``gram @ b``.
     """
@@ -615,6 +648,17 @@ class _SpecFields(NamedTuple):
     denominator_max: int = 1
 
 
+_RANGES = ("coefficient_range", "diagonal_range", "offdiagonal_range")
+
+
+def _integer_pair(value, name: str) -> tuple[int, int]:
+    """``(lo, hi)`` from a tuple or list of two integers, each read by
+    :func:`zarlat.linalg.as_integer`; anything else raises :class:`DomainError`."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise DomainError(f"{name} needs a pair of integers, got {value!r}")
+    return as_integer(value[0]), as_integer(value[1])
+
+
 class InstanceSpec(_SpecFields):
     """Description of a random decomposition instance.
 
@@ -626,10 +670,14 @@ class InstanceSpec(_SpecFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "InstanceSpec":
-        spec = super().__new__(cls, *args, **kwargs)
+        fields = super().__new__(cls, *args, **kwargs)
+        spec = super().__new__(
+            cls, as_integer(fields.seed), as_integer(fields.m),
+            *(_integer_pair(getattr(fields, name), name) for name in _RANGES),
+            as_integer(fields.denominator_max))
         if spec.m < 1:
             raise DomainError(f"need at least one component, got m={spec.m}")
-        for name in ("coefficient_range", "diagonal_range", "offdiagonal_range"):
+        for name in _RANGES:
             lo, hi = getattr(spec, name)
             if lo > hi:
                 raise DomainError(f"{name} is empty: [{lo}, {hi}]")
@@ -672,4 +720,4 @@ def random_instance(spec: InstanceSpec) -> tuple[IntersectionForm, tuple[Fractio
         denominator = rng.randint(1, spec.denominator_max)
         coeffs.append(Fraction(numerator, denominator))
     labels = tuple(f"D{i + 1}" for i in range(m))
-    return IntersectionForm(labels=labels, gram=RationalMatrix.symmetric(rows)), tuple(coeffs)
+    return IntersectionForm(labels=labels, gram=RationalMatrix.symmetric(rows)), as_divisor(coeffs, m)

@@ -1,7 +1,9 @@
+import sys
 from math import lcm
 
 import pytest
 
+from zarlat import zariski
 from zarlat.errors import SingularMatrixError
 from zarlat.linalg import solve, sylvester_pass
 from zarlat.zariski import InstanceSpec, IntersectionForm, random_instance, witness_certifies
@@ -12,6 +14,21 @@ def form_of(rows, labels=None):
     unless ``labels`` are given."""
     labels = labels or [f"E{i + 1}" for i in range(len(rows))]
     return IntersectionForm.from_rows(labels, rows)
+
+
+def reader_callers(monkeypatch):
+    """A list that gets, for each later call of the one reader through
+    ``zariski.scaled_rationals``, the name of the function that made it: a
+    read of a divisor is a call from ``_scaled_divisor``."""
+    callers = []
+    read = zariski.scaled_rationals
+
+    def counted(values):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return read(values)
+
+    monkeypatch.setattr(zariski, "scaled_rationals", counted)
+    return callers
 
 
 def cofactor_det(rows):

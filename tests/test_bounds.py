@@ -43,7 +43,7 @@ from zarlat.zariski import (
     random_instance,
 )
 
-from conftest import form_of
+from conftest import form_of, reader_callers
 
 
 def pow_by_squaring(base, exponent):
@@ -268,11 +268,21 @@ class TestInstanceFailures:
             form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=1 + seed % 6))
             assert instance_failures(form, divisor, 8, seed) == [], seed
 
-    def test_divisor_read_once(self):
-        # The divisor is validated once and the validated coefficients go to
-        # every check, so an iterator is read like the tuple it yields.
+    def test_divisor_read_once(self, monkeypatch):
+        # The divisor is validated once and the validated divisor goes to
+        # every check, so an iterator is read like the tuple it yields, and
+        # no check, Cramer's rule on s * a included, reads it again; one
+        # validated by as_divisor is not read at all.  The checks read P and N.
         for seed, form, divisor in _negative_instances(3):
             assert instance_failures(form, iter(divisor), 8, seed) == []
+        callers = reader_callers(monkeypatch)
+        for seed in range(300):
+            form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=4))
+            for spelled, reads in ((list(divisor), 1), (divisor, 0)):
+                callers.clear()
+                assert instance_failures(form, spelled, 8, seed) == []
+                assert callers.count("_scaled_divisor") == reads, seed
+                assert callers.count("decomposition_checks") == len(callers) - reads == 2
 
     def test_oracle_limit_skips_oracle(self, monkeypatch):
         def raising(*args, **kwargs):
@@ -376,7 +386,7 @@ class TestInstanceFailures:
             s = math.lcm(*(x.denominator for x in divisor))
             ((scaled, numerators),) = calls
             assert scaled.gram.scaled_rows == (rows, 1) and scaled.labels == form.labels
-            assert numerators == [int(x * s) for x in divisor]
+            assert numerators == tuple(int(x * s) for x in divisor)
             checked += 1
         assert checked > 50
 
@@ -711,6 +721,13 @@ INTEGER_ENTRY_POINTS = {
     "instance_failures oracle_limit": lambda x: instance_failures(
         form_of([[-2, 1], [1, -2]]), [1, 1], x, 0),
     "instance_failures seed": lambda x: instance_failures(form_of([[-2, 1], [1, -2]]), [1, 1], 8, x),
+    "as_divisor size": lambda x: zariski.as_divisor([1, 1], x),
+    "InstanceSpec seed": lambda x: random_instance(InstanceSpec(seed=x, m=3)),
+    "InstanceSpec m": lambda x: random_instance(InstanceSpec(seed=1, m=x)),
+    "InstanceSpec denominator_max": lambda x: random_instance(
+        InstanceSpec(seed=1, m=3, denominator_max=x)),
+    "InstanceSpec range bound": lambda x: random_instance(
+        InstanceSpec(seed=1, m=3, coefficient_range=(x, 5))),
 }
 
 

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -17,6 +19,7 @@ from zarlat.errors import (
     SingularMatrixError,
     ZarlatError,
 )
+from zarlat.bounds import CramerAnalysis, cramer_analysis
 from zarlat.lattice import dual_curve_integrality, hyperbolic_plane
 from zarlat.linalg import Inertia, RationalMatrix, as_rational, det, signature, solve
 from zarlat.zariski import (
@@ -37,7 +40,7 @@ from zarlat.zariski import (
     support_of,
 )
 
-from conftest import build_corpus, cofactor_det, form_of, witness_verdict
+from conftest import build_corpus, cofactor_det, form_of, reader_callers, witness_verdict
 from test_linalg import fraction_solve
 
 
@@ -491,6 +494,10 @@ class TestGenerator:
             InstanceSpec(seed=1, m=2, offdiagonal_range=(-1, 3))
         with pytest.raises(DomainError):
             InstanceSpec(seed=1, m=2, coefficient_range=(5, 2))
+        for bad in ((0,), (0, 1, 2), 9, "09"):
+            with pytest.raises(DomainError, match=rf"^offdiagonal_range needs a pair of integers, "
+                                                  rf"got {re.escape(repr(bad))}$"):
+                InstanceSpec(seed=1, m=2, offdiagonal_range=bad)
 
     def test_spec_replace_runs_the_checks(self):
         spec = InstanceSpec.standard(seed=1, m=3)
@@ -878,6 +885,7 @@ class TestDecomposeDigest:
         rounds = []
         for form, divisor in instances:
             dec = decompose(form, divisor)
+            assert decompose(form, tuple(divisor)) == dec  # validated and plain alike
             h.update(decomposition_record(dec).encode() + b"\n")
             rounds.append(dec.rounds)
         assert max(rounds) >= 3 and rounds.count(0) > 100
@@ -924,7 +932,9 @@ class TestOracleDigest:
         instances += [rational_gram_instance(seed, 1 + seed % 6) for seed in range(1000)]
         h = hashlib.sha256()
         for form, divisor in instances:
-            h.update(repr(decompose_bruteforce(form, divisor)).encode() + b"\n")
+            oracle = decompose_bruteforce(form, divisor)
+            assert decompose_bruteforce(form, tuple(divisor)) == oracle  # validated and plain alike
+            h.update(repr(oracle).encode() + b"\n")
         assert h.hexdigest() == "23b65650055f74a68cd0ae099840072b18a154b626afb1ab273bff851e73b876"
 
 
@@ -1099,6 +1109,15 @@ def spellings(vector):
             tuple(f"{2 * x.numerator}/{2 * x.denominator}" for x in vector))
 
 
+def divisor_spellings(divisor):
+    """Makers of one divisor's spellings, a fresh value on each call: the
+    divisor validated by ``as_divisor``, a list, a generator and unreduced
+    ``"p/q"`` strings."""
+    validated = as_divisor(divisor, len(divisor))
+    return (lambda: validated, lambda: list(divisor), lambda: (x for x in divisor),
+            lambda: spellings(divisor)[2])
+
+
 def raised(call):
     """``(class, message)`` of the library error ``call()`` raises, or its result."""
     try:
@@ -1144,12 +1163,35 @@ class TestIntegerPathReference:
     def test_nef_queries_match(self, corpus_1000):
         # Shaped like the fuzz-small queries: scaled positive parts, random
         # sub-divisors and joins, each also spelled with int entries where
-        # integral and as "p/q" strings, and with an invalid entry.
+        # integral and as "p/q" strings, and with an invalid entry.  Every
+        # spelling of the divisor gives the same verdicts, and the same
+        # results in the engine, the checks, the oracle and Cramer's rule;
+        # a validated divisor of the wrong length is refused as a tuple is.
         rng = SplitMix64(0xF0221)
         verdicts = []
+        cramer_results = []
         invalid = (0.5, True, "1.5", "3/0", None, -Fraction(1, 2))
         for form, divisor in corpus_1000[:400]:
-            p = decompose(form, divisor).positive
+            dec = decompose(form, divisor)
+            expected = (dec, decomposition_checks(form, tuple(divisor), dec),
+                        decompose_bruteforce(form, tuple(divisor)))
+            for spelled in divisor_spellings(divisor):
+                assert (decompose(form, spelled()), decomposition_checks(form, spelled(), dec),
+                        decompose_bruteforce(form, spelled())) == expected
+            scaled = tuple(x * lcm(*(y.denominator for y in divisor)) for x in divisor)
+            support = decompose(form, scaled).negative_support
+            cramer = raised(lambda: cramer_analysis(form, scaled, support))
+            for spelled in divisor_spellings(scaled):
+                assert raised(lambda: cramer_analysis(form, spelled(), support)) == cramer
+            cramer_results.append(cramer)
+            longer = divisor + (Fraction(1),)
+            for call in (lambda a: decompose(form, a), lambda a: decompose_bruteforce(form, a),
+                         lambda a: decomposition_checks(form, a, dec),
+                         lambda a: cramer_analysis(form, a, support or (0,))):
+                shape_error = raised(lambda: call(longer))
+                assert shape_error[0] is ShapeError
+                assert raised(lambda: call(as_divisor(longer, form.size + 1))) == shape_error
+            p = dec.positive
             members = [tuple(Fraction(rng.randint(0, 16), 16) * x for x in p) for _ in range(4)]
             candidates = [tuple(Fraction(rng.randint(0, 8 * x.numerator), 8 * x.denominator)
                                 if x > 0 else Fraction(0) for x in divisor) for _ in range(4)]
@@ -1160,14 +1202,18 @@ class TestIntegerPathReference:
                     verdict = in_nef_region(form, a, spelled)
                     assert verdict == parent_in_nef_region(form, a, spelled)
                     verdicts.append(verdict)
+                assert {in_nef_region(form, a(), b) for a in divisor_spellings(divisor)} == {
+                    parent_in_nef_region(form, divisor, b)}
                 j = rng.randint(0, form.size - 1)
                 bad = invalid[rng.randint(0, len(invalid) - 1)]
                 for args in ((divisor, b[:j] + (bad,) + b[j + 1 :]),
                              (divisor[:j] + (bad,) + divisor[j + 1 :], b),
-                             (divisor, b[:-1]), (divisor, b + (0,)), (divisor + (1,), b)):
+                             (divisor, b[:-1]), (divisor, b + (0,)), (divisor + (1,), b),
+                             (as_divisor(divisor + (1,), form.size + 1), b)):
                     expected = raised(lambda: parent_in_nef_region(form, *args))
                     assert raised(lambda: in_nef_region(form, *args)) == expected
         assert len(verdicts) > 5000 and 0.2 < sum(verdicts) / len(verdicts) < 0.9
+        assert sum(isinstance(x, CramerAnalysis) for x in cramer_results) > 100
 
 
 class TestChecksValidateNegative:
@@ -1281,6 +1327,41 @@ class TestOneReader:
         expected = call([1, 2])
         for values in ((1, 2), range(1, 3), (x for x in (1, "2"))):
             assert call(values) == expected
+
+    def test_validated_divisor_not_read_again(self, corpus_1000, monkeypatch):
+        # The divisor as_divisor returns keeps its integers: the nef query
+        # reads only the candidate, and the engine, the oracle and the
+        # checks (which read P and N) read no divisor.
+        callers = reader_callers(monkeypatch)
+        for form, divisor in corpus_1000[:200]:
+            a = as_divisor(list(divisor), form.size)
+            p = decompose(form, divisor).positive
+            callers.clear()
+            assert in_nef_region(form, a, p)
+            assert callers == ["in_nef_region"]
+            callers.clear()
+            dec = decompose(form, a)
+            assert decompose_bruteforce(form, a) == dec._replace(rounds=0, joined=())
+            assert all(decomposition_checks(form, a, dec).values())
+            assert callers == ["decomposition_checks"] * 2
+
+    def test_validated_divisor_copies(self, monkeypatch):
+        # The validated divisor is the plain tuple of its Fractions to repr,
+        # == and hash; copies and a pickle round trip keep its integers.
+        a = as_divisor([Fraction(1, 2), 0, "3/4"], 3)
+        plain = (Fraction(1, 2), Fraction(0), Fraction(3, 4))
+        assert repr(a) == repr(plain) and a == plain and hash(a) == hash(plain)
+        assert as_divisor(a, 3) == a
+        form = form_of([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+        expected = decompose(form, plain)
+        callers = reader_callers(monkeypatch)
+        copies = [copy.copy(a), copy.deepcopy(a)]
+        copies += [pickle.loads(pickle.dumps(a, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for b in copies:
+            assert repr(b) == repr(plain) and b == plain and hash(b) == hash(plain)
+            assert decompose(form, b) == expected
+        assert callers == []
 
     def test_reported_repros(self):
         form = form_of([[-2, 1], [1, -2]])
