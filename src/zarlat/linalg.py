@@ -8,7 +8,12 @@ reads and the results it gets back; floats are rejected on input, since
 denominators are data here.  One reader, :func:`scaled_rationals`, turns
 every rational vector and the entries of every matrix into integers over
 one lcm, building no ``Fraction``; what is not an ``int`` or a ``Fraction``
-is read by the one grammar, :func:`as_rational`.
+is read by the one grammar, :func:`as_rational`.  Exact input is built in
+a few C-level passes, not one Python step per entry: a list or tuple of
+nothing but ``int`` is its own numerators over ``1``, decided by one type
+scan, and a matrix whose rows are lists or tuples reaches the reader as
+one flat list.  Symmetry is one comparison of the rows with their
+transpose, ``tuple(zip(*rows))``.
 
 Every determinant, leading minor and definiteness verdict is fraction-free
 (Bareiss) elimination over those integers, with ``det A == det(cA) / c**n``
@@ -38,6 +43,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping, Set as AbstractSet
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -103,23 +109,35 @@ class RationalMatrix:
     of ``c * A`` and the scale ``c``, the lcm of the reduced entry
     denominators.  The pair is canonical, so it decides equality and hashing.
     :attr:`entries`, indexing and ``repr`` build ``Fraction`` values on each
-    call; every computation reads :attr:`scaled_rows`."""
+    call; every computation reads :attr:`scaled_rows`.
+
+    The constructor calls :func:`scaled_rationals` once, on every entry in
+    row-major order.  A list or tuple of rows that are all lists or tuples
+    is gathered into one flat list first, so integer rows take the reader's
+    all-``int`` pass; any other rows are read one at a time, so the first
+    bad row or entry raises first.  The shape is checked after the entries."""
 
     __slots__ = ("_scaled",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        widths = []
+        rows = _sequence(rows, "matrix rows")
+        if type(rows) in (list, tuple) and set(map(type, rows)) <= {list, tuple}:
+            widths = list(map(len, rows))  # no row can be refused
+            entries = list(chain.from_iterable(rows))
+        else:
+            widths = []
 
-        def entries():  # row by row, so the first bad row or entry raises first
-            for row in _sequence(rows, "matrix rows"):
-                row = list(_sequence(row, "a matrix row"))
-                widths.append(len(row))
-                yield from row
-        flat, c = scaled_rationals(entries())
+            def read():  # row by row, so the first bad row or entry raises first
+                for row in rows:
+                    row = list(_sequence(row, "a matrix row"))
+                    widths.append(len(row))
+                    yield from row
+            entries = read()
+        flat, c = scaled_rationals(entries)
         if len(set(widths)) > 1:
             raise ShapeError("rows have inconsistent lengths")
         n = widths[0] if widths else 0
-        self._scaled = tuple(tuple(flat[i * n : i * n + n]) for i in range(len(widths))), c
+        self._scaled = tuple(zip(*[iter(flat)] * n)) if n else ((),) * len(widths), c
 
     @classmethod
     def _from_scaled(cls, rows: tuple[tuple[int, ...], ...], c: int) -> "RationalMatrix":
@@ -133,15 +151,18 @@ class RationalMatrix:
     @classmethod
     def symmetric(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
         """Build a matrix, rejecting any input that is not square or where
-        entry (i, j) differs from entry (j, i)."""
+        entry (i, j) differs from entry (j, i).  The rows are compared with
+        their transpose at once; only a matrix that fails is scanned entry by
+        entry, for the first asymmetric pair above the diagonal."""
         m = cls(rows)
         if not m.is_square():
             raise ShapeError(f"symmetric matrix must be square, got {m.nrows}x{m.ncols}")
-        a, _ = m._scaled
-        for i, row in enumerate(a):
-            for j in range(i + 1, m.ncols):
-                if row[j] != a[j][i]:
-                    raise ShapeError(f"asymmetric entry at ({i}, {j}): {m[i, j]} != {m[j, i]}")
+        if not m.is_symmetric():  # name the first asymmetric pair in row-major order
+            a, _ = m._scaled
+            for i, row in enumerate(a):
+                for j in range(i + 1, m.ncols):
+                    if row[j] != a[j][i]:
+                        raise ShapeError(f"asymmetric entry at ({i}, {j}): {m[i, j]} != {m[j, i]}")
         return m
 
     @property
@@ -167,10 +188,9 @@ class RationalMatrix:
         return self.nrows == self.ncols
 
     def is_symmetric(self) -> bool:
+        """Square and equal to its transpose, compared row for row."""
         a, _ = self._scaled
-        return self.is_square() and all(
-            row[j] == a[j][i] for i, row in enumerate(a) for j in range(i + 1, len(row))
-        )
+        return self.is_square() and tuple(zip(*a)) == a
 
     @property
     def scaled_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -231,7 +251,13 @@ def scaled_rationals(values: Iterable) -> tuple[list[int], int]:
     ints.  The one reader from exact input to integers, in one pass; an
     ``int`` or a ``Fraction`` gives its ratio by ``as_integer_ratio()``, so no
     ``Fraction`` is built, and a string, bytes, a mapping or a set is refused,
-    not read element by element."""
+    not read element by element.  A list or tuple whose entries are all
+    exactly ``int`` is its own numerators over ``s = 1``, decided by one
+    C-level type scan after a test of the first entry alone, so a vector of
+    ``Fraction`` values pays one type test for it."""
+    if (type(values) in (list, tuple) and values and type(values[0]) is int
+            and set(map(type, values)) == {int}):
+        return list(values), 1
     numerators, denominators = [], []
     for x in _sequence(values, "a vector of exact rationals"):
         n, d = (x if type(x) is int or type(x) is Fraction else as_rational(x)).as_integer_ratio()

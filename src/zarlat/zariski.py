@@ -614,17 +614,18 @@ class SplitMix64:
     """Deterministic 64-bit generator backing the instance generator.
 
     The algorithm is frozen so seeded corpora never change between
-    releases: the state advances by the 64-bit constant
-    ``0x9E3779B97F4A7C15``; each output mixes the new state with
-    ``z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
-    z *= 0x94D049BB133111EB; z ^= z >> 31`` (all arithmetic modulo 2**64).
-    ``randint(lo, hi)`` reduces one output by ``% (hi - lo + 1)``.
+    releases: :meth:`next_u64`, the one copy of the step, advances the
+    state by a fixed 64-bit odd constant and mixes the new state by two
+    xor-shift-multiply rounds and a final xor-shift (all arithmetic modulo
+    2**64; README.md, Determinism, spells the constants out).
+    ``randint(lo, hi)`` reduces one output by ``% (hi - lo + 1)``.  The
+    seed and both bounds are read by :func:`zarlat.linalg.as_integer`.
     """
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & MASK64
+        self._state = as_integer(seed) & MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & MASK64
@@ -634,6 +635,7 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
+        lo, hi = as_integer(lo), as_integer(hi)
         if hi < lo:
             raise DomainError(f"empty range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)
@@ -706,18 +708,24 @@ def random_instance(spec: InstanceSpec) -> tuple[IntersectionForm, tuple[Fractio
     Draw order (one SplitMix64 stream seeded with ``spec.seed``): the Gram
     matrix row by row, each row i taking the diagonal entry then the
     off-diagonal entries j > i; then one coefficient per component, drawn as
-    its numerator and then its denominator."""
-    rng = SplitMix64(spec.seed)
+    its numerator and then its denominator.  Each draw is one output of
+    :meth:`SplitMix64.next_u64` reduced as :meth:`SplitMix64.randint`
+    reduces it, over the ranges :class:`InstanceSpec` validated; the rows
+    are symmetric by construction, so the form checks their symmetry once."""
+    next_u64 = SplitMix64(spec.seed).next_u64
     m = spec.m
+    (d_lo, d_hi), (o_lo, o_hi), (c_lo, c_hi) = (
+        spec.diagonal_range, spec.offdiagonal_range, spec.coefficient_range)
+    d_span, o_span, c_span = d_hi - d_lo + 1, o_hi - o_lo + 1, c_hi - c_lo + 1
     rows = [[0] * m for _ in range(m)]
-    for i in range(m):
-        rows[i][i] = rng.randint(*spec.diagonal_range)
+    for i, row in enumerate(rows):
+        row[i] = d_lo + next_u64() % d_span
         for j in range(i + 1, m):
-            rows[i][j] = rows[j][i] = rng.randint(*spec.offdiagonal_range)
+            row[j] = rows[j][i] = o_lo + next_u64() % o_span
     coeffs = []
     for _ in range(m):
-        numerator = rng.randint(*spec.coefficient_range)
-        denominator = rng.randint(1, spec.denominator_max)
+        numerator = c_lo + next_u64() % c_span
+        denominator = 1 + next_u64() % spec.denominator_max
         coeffs.append(Fraction(numerator, denominator))
     labels = tuple(f"D{i + 1}" for i in range(m))
-    return IntersectionForm(labels=labels, gram=RationalMatrix.symmetric(rows)), as_divisor(coeffs, m)
+    return IntersectionForm(labels=labels, gram=RationalMatrix(rows)), as_divisor(coeffs, m)

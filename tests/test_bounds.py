@@ -728,6 +728,9 @@ INTEGER_ENTRY_POINTS = {
         InstanceSpec(seed=1, m=3, denominator_max=x)),
     "InstanceSpec range bound": lambda x: random_instance(
         InstanceSpec(seed=1, m=3, coefficient_range=(x, 5))),
+    "SplitMix64 seed": lambda x: zariski.SplitMix64(x).next_u64(),
+    "randint lo": lambda x: zariski.SplitMix64(1).randint(x, 5),
+    "randint hi": lambda x: zariski.SplitMix64(1).randint(1, x),
 }
 
 

@@ -120,6 +120,17 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", path)
         assert code == 1 and "symmetric" in err
 
+    def test_first_asymmetric_entry_named(self, tmp_path, capsys):
+        # Three asymmetric pairs, fractional entries: the first pair above
+        # the diagonal in row-major order is named, in lowest terms.
+        path = write_problem(tmp_path, {
+            "labels": ["a", "b", "c"],
+            "gram": [["-2", "1/2", "1"], ["2/6", "-2", "2"], ["3", "1", "-2"]],
+            "divisor": ["1", "1", "1"],
+        })
+        code, out, err = run_cli(capsys, "decompose", path)
+        assert (code, out, err) == (1, "", f"error: {path}: asymmetric entry at (0, 1): 1/2 != 1/3\n")
+
     @pytest.mark.parametrize(
         "gram, divisor",
         [

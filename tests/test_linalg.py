@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -5,6 +6,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zarlat.bounds import BigInt
 from zarlat.errors import DomainError, InconsistencyError, ShapeError, SingularMatrixError
 from zarlat.lattice import a2_minus, direct_sum, e8_minus, hyperbolic_plane, rank_one
 from zarlat.linalg import (
@@ -12,6 +14,7 @@ from zarlat.linalg import (
     Inertia,
     RationalMatrix,
     SmithNormalForm,
+    _sequence,
     as_rational,
     bareiss_solve,
     det,
@@ -23,6 +26,7 @@ from zarlat.linalg import (
     solve,
     sylvester_pass,
 )
+from zarlat.zariski import SplitMix64
 
 from conftest import cofactor_det
 
@@ -146,6 +150,26 @@ class TestMatrix:
         with pytest.raises(ShapeError):
             RationalMatrix.symmetric([[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[1, 2], [3, 4]], "asymmetric entry at (0, 1): 2 != 3"),
+        ([[1, 2, 3], [5, 1, 4], [3, 7, 1]], "asymmetric entry at (0, 1): 2 != 5"),
+        ([[0, "1/2", "1/3"], ["1/2", 0, "2/3"], ["1/4", "1/5", 0]],
+         "asymmetric entry at (0, 2): 1/3 != 1/4"),
+        # (1, 2) is passed before (0, 3) column-wise, but not in row-major order.
+        ([[0, 1, 1, "7/2"], [1, 0, "-5/3", 1], [1, 2, 0, 1], [0, 1, 1, 0]],
+         "asymmetric entry at (0, 3): 7/2 != 0"),
+        ([[0, 1, 1, 1], [1, 0, "-5/3", 1], [1, Fraction(5, 3), 0, 9], [1, 1, 1, 0]],
+         "asymmetric entry at (1, 2): -5/3 != 5/3"),
+        ((("1/6", 0), (Fraction(-2, 4), "1/6")), "asymmetric entry at (0, 1): 0 != -1/2"),
+    ])
+    def test_first_asymmetric_pair_named(self, rows, message):
+        # Several asymmetric pairs: the first above the diagonal in
+        # row-major order is named, entries shown as reduced fractions.
+        with pytest.raises(ShapeError) as info:
+            RationalMatrix.symmetric(rows)
+        assert str(info.value) == message
+        assert not RationalMatrix(rows).is_symmetric()
+
     def test_entries_are_reduced_fractions(self):
         m = RationalMatrix([["2/4", "6/3"]])
         assert m[0, 0] == Fraction(1, 2) and m[0, 0].denominator == 2
@@ -239,6 +263,22 @@ class TestScaledRationals:
         assert scaled_rationals([Count(3), 4]) == ([3, 4], 1)
         assert scaled_rationals([Count(3), Fraction(1, 2)]) == ([6, 1], 2)
         assert scaled_rationals([Ratio(1, 3), Count(2)]) == ([1, 6], 3)
+
+    def test_integer_lists_are_their_own_numerators(self):
+        # A list or tuple of nothing but ints comes back as a fresh list over
+        # s = 1; a bool, an int subclass or any other entry after the first
+        # sends it through the entry-by-entry pass, with its errors.
+        for values in ([3, -4, 0], (7,), [10**40, -1]):
+            numerators, s = scaled_rationals(values)
+            assert (numerators, s) == (list(values), 1) and numerators is not values
+            numerators.append(99)
+            assert len(values) == len(numerators) - 1
+        assert scaled_rationals([]) == ([], 1) and scaled_rationals(()) == ([], 1)
+        assert scaled_rationals([2, Fraction(1, 3)]) == ([6, 1], 3)
+        assert scaled_rationals([2, "1/2"]) == ([4, 1], 2)
+        for bad in ([1, True], [1, 2.0], (4, None)):
+            with pytest.raises(DomainError):
+                scaled_rationals(bad)
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1.5", "1e3", None])
     def test_rejects_what_as_rational_rejects(self, bad):
@@ -1039,3 +1079,155 @@ class TestExplicitGuards:
         monkeypatch.setattr(lattice, "smith_normal_form", forged)
         with pytest.raises(InconsistencyError, match="certificate"):
             lattice.discriminant_group(a2_minus())
+
+
+def parent_scaled_rationals(values):
+    """Reference: ``scaled_rationals`` as it was, before the all-``int``
+    pass, kept verbatim."""
+    numerators, denominators = [], []
+    for x in _sequence(values, "a vector of exact rationals"):
+        n, d = (x if type(x) is int or type(x) is Fraction else as_rational(x)).as_integer_ratio()
+        numerators.append(n)
+        denominators.append(d)
+    s = lcm(*denominators)
+    return [n * (s // d) for n, d in zip(numerators, denominators)] if s > 1 else numerators, s
+
+
+def parent_matrix(rows):
+    """Reference: ``RationalMatrix.__init__`` as it was, kept verbatim, on
+    an instance made without the constructor."""
+    self = object.__new__(RationalMatrix)
+    widths = []
+
+    def entries():  # row by row, so the first bad row or entry raises first
+        for row in _sequence(rows, "matrix rows"):
+            row = list(_sequence(row, "a matrix row"))
+            widths.append(len(row))
+            yield from row
+    flat, c = parent_scaled_rationals(entries())
+    if len(set(widths)) > 1:
+        raise ShapeError("rows have inconsistent lengths")
+    n = widths[0] if widths else 0
+    self._scaled = tuple(tuple(flat[i * n : i * n + n]) for i in range(len(widths))), c
+    return self
+
+
+def parent_is_symmetric(self):
+    """Reference: ``RationalMatrix.is_symmetric`` as it was, kept verbatim."""
+    a, _ = self._scaled
+    return self.is_square() and all(
+        row[j] == a[j][i] for i, row in enumerate(a) for j in range(i + 1, len(row))
+    )
+
+
+def parent_symmetric(rows):
+    """Reference: ``RationalMatrix.symmetric`` as it was, kept verbatim."""
+    m = parent_matrix(rows)
+    if not m.is_square():
+        raise ShapeError(f"symmetric matrix must be square, got {m.nrows}x{m.ncols}")
+    a, _ = m._scaled
+    for i, row in enumerate(a):
+        for j in range(i + 1, m.ncols):
+            if row[j] != a[j][i]:
+                raise ShapeError(f"asymmetric entry at ({i}, {j}): {m[i, j]} != {m[j, i]}")
+    return m
+
+
+def built(call):
+    """``scaled_rows`` of the matrix ``call()`` builds, or the class and
+    message of whatever it raises, a ``TypeError`` included."""
+    try:
+        return call().scaled_rows
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Spellings of the rational p/q, each read as that value, and entries the
+# reader refuses.
+ENTRY_SPELLINGS = (lambda p, q: p * q, lambda p, q: Fraction(p, q), lambda p, q: f"{p}/{q}",
+                   lambda p, q: BigInt(p * q), lambda p, q: f"{2 * p}/{2 * q}")
+REFUSED_ENTRIES = (True, False, 0.5, 2.0, None)
+# Containers for a row or for the rows, and containers the reader refuses.
+CONTAINERS = (list, tuple, lambda values: (x for x in values))
+REFUSED_CONTAINERS = (lambda values: "12", lambda values: b"12",
+                      lambda values: dict(enumerate(values)))
+
+
+def generated_row_sets(count, seed):
+    """``count`` makers of matrix rows, each giving a fresh value per call:
+    shapes up to 4x4, square ones mostly symmetric, entries spelled in every
+    way the reader takes; now and then a refused entry, row or container, a
+    row given as a range, a ragged row, or the rows given as a range."""
+    rng = SplitMix64(seed)
+    makers = []
+    for _ in range(count):
+        n, k = rng.randint(0, 4), rng.randint(0, 4)
+        if rng.randint(0, 1):
+            k = n
+        values = [[(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)] for _ in range(n)]
+        if n == k and rng.randint(0, 3):
+            for i in range(n):
+                for j in range(i):
+                    values[i][j] = values[j][i]
+        rows = [[ENTRY_SPELLINGS[rng.randint(0, 4)](p, q) for p, q in row] for row in values]
+        for row in rows:
+            if row and rng.randint(0, 29) == 0:
+                row[rng.randint(0, len(row) - 1)] = REFUSED_ENTRIES[rng.randint(0, 4)]
+        if rows and rng.randint(0, 9) == 0:
+            i = rng.randint(0, n - 1)
+            rows[i] = rows[i][:-1] if rows[i] and rng.randint(0, 1) else rows[i] + [1]
+        wraps = []
+        for row in rows:
+            pick = rng.randint(0, 39)
+            if pick == 0:
+                wraps.append(REFUSED_CONTAINERS[rng.randint(0, 2)])
+            elif pick == 1:
+                start = rng.randint(-3, 3)
+                wraps.append(lambda values, start=start: range(start, start + len(values)))
+            else:
+                wraps.append(CONTAINERS[rng.randint(0, 2)])
+        pick = rng.randint(0, 49)
+        outer = (REFUSED_CONTAINERS[rng.randint(0, 2)] if pick == 0
+                 else (lambda values: range(len(values))) if pick == 1
+                 else CONTAINERS[rng.randint(0, 2)])
+        makers.append(lambda rows=rows, wraps=wraps, outer=outer:
+                      outer([wrap(row) for wrap, row in zip(wraps, rows)]))
+    return makers
+
+
+class TestConstructionReference:
+    """``RationalMatrix``, ``is_symmetric`` and ``RationalMatrix.symmetric``
+    build what they built before the all-``int`` pass and the transpose
+    check, or raise the same error with the same message."""
+
+    SHAPES = ([], (), range(0), [[]], [()], ((),), [[], []], [[1], [1, 2]], [[], [1]],
+              [[1, 2], []], [(1, 2), [3]], [[1.5], [1, 2]], [["1/2", 2], (3, "4/6")],
+              [range(2), range(1, 3)], [[1, 2], range(2)], [[1], "1"], [[1], b"1"],
+              [[1], {0: 1}], [[1], 2], "12", b"12", {0: [1]}, {(1,)}, 5)
+
+    def test_matches_parent_on_generated_rows(self):
+        outcomes = Counter()
+        for make in generated_row_sets(3000, 0xC0115):
+            got, expected = built(lambda: RationalMatrix(make())), built(lambda: parent_matrix(make()))
+            assert got == expected
+            got_sym = built(lambda: RationalMatrix.symmetric(make()))
+            assert got_sym == built(lambda: parent_symmetric(make()))
+            if type(expected[0]) is type:
+                outcomes[expected[0].__name__] += 1
+                continue
+            m = RationalMatrix(make())
+            assert m.is_symmetric() == parent_is_symmetric(m)
+            outcomes["symmetric" if got_sym == expected
+                     else "asymmetric" if got_sym[1].startswith("asymmetric") else "not square"] += 1
+        assert min(outcomes[key] for key in ("symmetric", "asymmetric", "not square",
+                                             "DomainError", "ShapeError", "TypeError")) >= 20, outcomes
+
+    @pytest.mark.parametrize("rows", SHAPES, ids=repr)
+    def test_matches_parent_on_shapes(self, rows):
+        for build, parent in ((RationalMatrix, parent_matrix),
+                              (RationalMatrix.symmetric, parent_symmetric)):
+            for spelled in (lambda: rows, lambda: (x for x in rows) if type(rows) is list else rows):
+                assert built(lambda: build(spelled())) == built(lambda: parent(spelled()))
+        if isinstance(built(lambda: parent_matrix(rows))[0], tuple):
+            m = RationalMatrix(rows)
+            assert m.is_symmetric() == parent_is_symmetric(m)

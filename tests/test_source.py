@@ -167,6 +167,27 @@ def test_one_vector_conversion():
     assert not {"det", "submatrix"} & set(cramer)
 
 
+def test_one_generator_step_and_one_matrix_read():
+    # The frozen SplitMix64 step is written once in the package, so no
+    # second copy can drift from it: each of its constants occurs exactly
+    # once, in the code and in the text.  The RationalMatrix constructor
+    # reads its entries in exactly one call of the one reader, whichever way
+    # it gathers them.
+    sources = sorted((REPO_DIR / "src").rglob("*.py"))
+    text = "".join(path.read_text(encoding="utf-8") for path in sources).upper()
+    constants = Counter(node.value for path in sources for node in ast.walk(_tree(path))
+                        if isinstance(node, ast.Constant) and type(node.value) is int)
+    for constant in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB):
+        assert constants[constant] == 1, hex(constant)
+        assert text.count(f"{constant:#X}") == 1, hex(constant)
+    linalg_tree, _ = _top_level_functions("linalg.py")
+    matrix = next(node for node in linalg_tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "RationalMatrix")
+    init = next(node for node in matrix.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    assert _called_names(init).count("scaled_rationals") == 1
+
+
 def test_integer_path_between_input_and_result():
     # The checks and the nef query compare integers only: they build no
     # Fraction and convert their inputs through the one linalg pass, not

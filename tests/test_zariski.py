@@ -19,7 +19,7 @@ from zarlat.errors import (
     SingularMatrixError,
     ZarlatError,
 )
-from zarlat.bounds import CramerAnalysis, cramer_analysis
+from zarlat.bounds import BigInt, CramerAnalysis, cramer_analysis
 from zarlat.lattice import dual_curve_integrality, hyperbolic_plane
 from zarlat.linalg import Inertia, RationalMatrix, as_rational, det, signature, solve
 from zarlat.zariski import (
@@ -41,7 +41,7 @@ from zarlat.zariski import (
 )
 
 from conftest import build_corpus, cofactor_det, form_of, reader_callers, witness_verdict
-from test_linalg import fraction_solve
+from test_linalg import fraction_solve, parent_symmetric
 
 
 def as_vector(values):
@@ -486,6 +486,22 @@ class TestGenerator:
         form, divisor = random_instance(InstanceSpec.standard(seed=1, m=3))
         assert intersection_axiom_violations(form) == ()
         assert all(x >= 0 for x in divisor)
+
+    def test_generator_reads_integers(self):
+        # The seed and both randint bounds follow the one integer grammar: a
+        # bool, a float or a fractional value is refused instead of seeding 1
+        # or giving a float draw, and an integral spelling means its int.
+        rng, spelled = SplitMix64(7), SplitMix64("7")
+        assert [spelled.randint("-3", Fraction(6, 2)) for _ in range(5)] == [
+            rng.randint(-3, 3) for _ in range(5)]
+        assert type(SplitMix64(1).randint(BigInt(1), 3)) is int
+        for call in (lambda: SplitMix64(True), lambda: SplitMix64(1.5), lambda: SplitMix64("7.0"),
+                     lambda: SplitMix64(1).randint(1.5, 3), lambda: SplitMix64(1).randint(1, 3.0),
+                     lambda: SplitMix64(1).randint(False, 3)):
+            with pytest.raises(DomainError):
+                call()
+        with pytest.raises(DomainError, match=r"^empty range \[3, 1\]$"):
+            SplitMix64(1).randint("3", 1)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -1116,6 +1132,77 @@ def divisor_spellings(divisor):
     validated = as_divisor(divisor, len(divisor))
     return (lambda: validated, lambda: list(divisor), lambda: (x for x in divisor),
             lambda: spellings(divisor)[2])
+
+
+class ParentSplitMix64:
+    """Reference: ``SplitMix64`` as it was, kept verbatim."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int):
+        self._state = seed & zariski.MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & zariski.MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & zariski.MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & zariski.MASK64
+        return z ^ (z >> 31)
+
+    def randint(self, lo: int, hi: int) -> int:
+        if hi < lo:
+            raise DomainError(f"empty range [{lo}, {hi}]")
+        return lo + self.next_u64() % (hi - lo + 1)
+
+
+def parent_random_instance(spec):
+    """Reference: ``random_instance`` as it was, kept verbatim, over the
+    generator and ``RationalMatrix.symmetric`` as they were."""
+    rng = ParentSplitMix64(spec.seed)
+    m = spec.m
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = rng.randint(*spec.diagonal_range)
+        for j in range(i + 1, m):
+            rows[i][j] = rows[j][i] = rng.randint(*spec.offdiagonal_range)
+    coeffs = []
+    for _ in range(m):
+        numerator = rng.randint(*spec.coefficient_range)
+        denominator = rng.randint(1, spec.denominator_max)
+        coeffs.append(Fraction(numerator, denominator))
+    labels = tuple(f"D{i + 1}" for i in range(m))
+    return IntersectionForm(labels=labels, gram=parent_symmetric(rows)), as_divisor(coeffs, m)
+
+
+class TestInstanceReference:
+    """``random_instance`` draws the instance it drew before it read the
+    stream directly and checked symmetry once."""
+
+    def test_standard_specs(self):
+        seeds = SplitMix64(0x1257A)
+        specs = [InstanceSpec.standard(seed=seeds.next_u64() if i % 4 else i - 1000, m=1 + i % 10)
+                 for i in range(2000)]
+        self.assert_same_instances(specs)
+
+    def test_growth_families(self):
+        # The benchmark's negative-heavy and mixed ranges, at m = 12..48.
+        seeds = SplitMix64(0x96077)
+        specs = []
+        for m in range(12, 49):
+            specs.append(InstanceSpec(seed=seeds.next_u64(), m=m, diagonal_range=(-3 * m, -2 * m),
+                                      offdiagonal_range=(0, 2), coefficient_range=(1, 9)))
+            specs.append(InstanceSpec(seed=seeds.next_u64(), m=m, diagonal_range=(-30, 4),
+                                      offdiagonal_range=(0, 1), coefficient_range=(1, 9)))
+        self.assert_same_instances(specs)
+
+    @staticmethod
+    def assert_same_instances(specs):
+        for spec in specs:
+            form, divisor = random_instance(spec)
+            expected_form, expected_divisor = parent_random_instance(spec)
+            assert (form, divisor, divisor._scaled) == (
+                expected_form, expected_divisor, expected_divisor._scaled), spec
+            assert repr(form) == repr(expected_form) and type(divisor) is type(expected_divisor)
 
 
 def raised(call):
