@@ -50,7 +50,7 @@ from . import zariski
 from .errors import DomainError, InconsistencyError, ZarlatError
 from .lattice import DeformationPreset, discriminant_group
 # det is not called here; perfbench/selftest.py checks its tracer rebinds bounds.det.
-from .linalg import as_integer, as_rational, bareiss_solve, det, sylvester_pass
+from .linalg import _digit_limit_error, as_integer, as_rational, bareiss_solve, det, sylvester_pass
 from .zariski import (IntersectionForm, _Divisor, _scaled_divisor, as_divisor, decompose,
                       support_rows)
 
@@ -76,7 +76,10 @@ def factorial_guard(override: Optional[int] = None) -> int:
         if not raw:
             return DEFAULT_FACTORIAL_GUARD
         source = f"{GUARD_ENV_VAR}={raw!r}"
-        guard = int(raw) if re.fullmatch(r"[0-9]+", raw) else -1
+        try:
+            guard = int(raw) if re.fullmatch(r"[0-9]+", raw) else -1
+        except ValueError:  # digits past the interpreter's int/str conversion limit
+            raise _digit_limit_error(GUARD_ENV_VAR, len(raw)) from None
     if guard < 0:
         raise DomainError(f"{source} is not a nonnegative integer")
     return guard

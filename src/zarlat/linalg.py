@@ -41,6 +41,7 @@ state, owned by the caller that extends it.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Mapping, Set as AbstractSet
 from fractions import Fraction
 from itertools import chain
@@ -54,6 +55,14 @@ from .errors import DomainError, ShapeError, SingularMatrixError
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
+def _digit_limit_error(what: str, digits: int) -> DomainError:
+    """The error for a string in an integer grammar whose conversion the
+    interpreter refuses: more digits than ``sys.get_int_max_str_digits()``
+    allows.  It gives the digit count, not the string."""
+    return DomainError(f"{what} has {digits} digits, more than the interpreter's limit of "
+                       f"{sys.get_int_max_str_digits()} for integer string conversion")
+
+
 def as_rational(value) -> Fraction:
     """Convert ``value`` to an exact rational.
 
@@ -63,7 +72,9 @@ def as_rational(value) -> Fraction:
     Everything else raises :class:`DomainError`: floats and strings like
     ``"1.5"`` or ``"1e3"``, because a caller holding one has already lost
     exactness, and ``" 3"``, ``"+3"``, ``"3/0"`` or ``"3/-4"``, because
-    they are not in the grammar.
+    they are not in the grammar.  A string in the grammar with more digits
+    than the interpreter's int/str conversion limit allows raises
+    :class:`DomainError` too; the limit is the caller's to lift.
     """
     if type(value) is Fraction:
         return value  # immutable and already reduced
@@ -76,7 +87,10 @@ def as_rational(value) -> Fraction:
             raise DomainError(
                 f"{value!r} is not an exact rational; expected an integer or a 'p/q' string"
             )
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:  # in the grammar, so only the digit limit refuses it
+            raise _digit_limit_error("rational string", sum(map(str.isdigit, value))) from None
     if isinstance(value, float):
         raise DomainError(f"float {value!r} rejected; use int, Fraction or 'p/q' string")
     raise DomainError(f"cannot interpret {type(value).__name__} as an exact rational")

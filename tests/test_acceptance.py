@@ -9,8 +9,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from zarlat.bounds import (
     DeferredFactorial,
     birationality_bound,
@@ -32,17 +30,12 @@ from zarlat.zariski import (
     is_exceptional,
 )
 
-from conftest import build_corpus, witness_verdict
+from conftest import build_corpus, seeded_gram, witness_verdict
 
 
 def report(number, title, ok):
     print(f"\nACCEPTANCE {number} ({title}): {'PASS' if ok else 'FAIL'}")
     assert ok
-
-
-@pytest.fixture(scope="module")
-def integral_corpus_1000():
-    return build_corpus(1000, denominator_max=1, seed_base=100_000)
 
 
 def test_criterion_1_table_reproduction():
@@ -137,13 +130,8 @@ def test_criterion_4_certificate_duality():
     # three draw profiles so definite, indefinite and singular cases all occur
     profiles = [((-9, 9), (0, 9)), ((-9, -1), (0, 2)), ((-9, -1), (0, 0))]
     while checked < 1002:
-        diag_range, off_range = profiles[checked % 3]
-        k = rng.randint(1, 5)
-        rows = [[0] * k for _ in range(k)]
-        for i in range(k):
-            rows[i][i] = rng.randint(*diag_range)
-            for j in range(i + 1, k):
-                rows[i][j] = rows[j][i] = rng.randint(*off_range)
+        rows = seeded_gram(rng, *profiles[checked % 3])
+        k = len(rows)
         form = IntersectionForm.from_rows([f"K{i}" for i in range(k)], rows)
         sylvester = is_exceptional(form, range(k))
         inertia = signature(form.gram) == Inertia(0, k, 0)
@@ -158,10 +146,10 @@ def test_criterion_4_certificate_duality():
     report(4, "negative-definiteness certificate duality", ok)
 
 
-def test_criterion_5_cramer_denominators_and_amgm(integral_corpus_1000):
+def test_criterion_5_cramer_denominators_and_amgm():
     ok = True
     nontrivial = 0
-    for form, divisor in integral_corpus_1000:
+    for form, divisor in build_corpus(1000, denominator_max=1, seed_base=100_000):
         dec = decompose(form, divisor)
         if not dec.negative_support:
             continue

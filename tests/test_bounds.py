@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import math
-import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from zarlat import bounds, cli, zariski
 from zarlat.bounds import (
     BigFraction,
     BigInt,
-    CramerAnalysis,
     DeferredFactorial,
     DeferredPower,
     DeferredReverse,
@@ -34,7 +32,7 @@ from zarlat.errors import (
     SingularMatrixError,
 )
 from zarlat.lattice import direct_sum, dual_curve_integrality, hyperbolic_plane, preset, rank_one
-from zarlat.linalg import det
+from zarlat.linalg import as_integer, as_rational
 from zarlat.zariski import (
     InstanceSpec,
     decompose,
@@ -43,7 +41,8 @@ from zarlat.zariski import (
     random_instance,
 )
 
-from conftest import form_of, reader_callers
+import reference
+from conftest import DEFAULT_STR_DIGITS, build_corpus, form_of, int_str_limit, reader_callers
 
 
 def pow_by_squaring(base, exponent):
@@ -57,26 +56,6 @@ def pow_by_squaring(base, exponent):
     return result
 
 
-def reference_cramer(form, divisor, support):
-    """Reference: ``cramer_analysis`` as it was, one pivoting ``det`` of a
-    ``Fraction`` submatrix per column replaced by ``(gram @ a)_S``, and one
-    of ``Gram_S`` itself."""
-    sub = [[form.gram[i, j] for j in support] for i in support]
-    ga = form.gram.matvec(divisor)
-    rhs = [ga[j] for j in support]
-    gram_det = det(sub)
-    column_dets = tuple(
-        det([[rhs[r] if k == i else x for k, x in enumerate(row)] for r, row in enumerate(sub)])
-        for i in range(len(support)))
-    return CramerAnalysis(
-        support=tuple(support),
-        coefficients=tuple(cd / gram_det for cd in column_dets),
-        column_determinants=column_dets,
-        gram_determinant=gram_det,
-        common_denominator=abs(int(gram_det)),
-    )
-
-
 class TestCramer:
     def test_matches_determinant_reference(self):
         checked = 0
@@ -87,7 +66,7 @@ class TestCramer:
             if not support:
                 continue
             got = cramer_analysis(form, divisor, support)
-            expected = reference_cramer(form, divisor, support)
+            expected = reference.cramer_analysis(form, divisor, support)
             assert got == expected, seed
             assert all(type(x) is Fraction for x in (*got.coefficients, *got.column_determinants,
                                                      got.gram_determinant)), seed
@@ -125,9 +104,7 @@ class TestCramer:
 
     def test_divisibility_over_integral_corpus(self):
         checked = 0
-        for seed in range(400):
-            spec = InstanceSpec.standard(seed=50_000 + seed, m=1 + seed % 6, denominator_max=1)
-            form, divisor = random_instance(spec)
+        for form, divisor in build_corpus(400, denominator_max=1, seed_base=50_000):
             dec = decompose(form, divisor)
             if not dec.negative_support:
                 continue
@@ -158,9 +135,7 @@ class TestDetTraceBound:
 
     def test_theorem_over_corpus(self):
         checked = 0
-        for seed in range(400):
-            spec = InstanceSpec.standard(seed=60_000 + seed, m=1 + seed % 6)
-            form, divisor = random_instance(spec)
+        for form, divisor in build_corpus(400, seed_base=60_000):
             dec = decompose(form, divisor)
             if not dec.negative_support:
                 continue
@@ -240,18 +215,6 @@ class TestSupportIndices:
             assert SUPPORT_FUNCTIONS[name](form, support) == expected
 
 
-def _negative_instances(count, m=4):
-    """Seeded fuzz instances with a nonempty negative support."""
-    found = []
-    seed = 0
-    while len(found) < count:
-        form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=m))
-        if decompose(form, divisor).negative_support:
-            found.append((seed, form, divisor))
-        seed += 1
-    return found
-
-
 def _whole_support(form, divisor):
     """An engine that calls the whole divisor negative."""
     a = zariski.as_divisor(divisor, form.size)
@@ -264,16 +227,15 @@ def _whole_support(form, divisor):
 
 class TestInstanceFailures:
     def test_seeded_corpus_passes(self):
-        for seed in range(300):
-            form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=1 + seed % 6))
+        for seed, (form, divisor) in enumerate(build_corpus(300)):
             assert instance_failures(form, divisor, 8, seed) == [], seed
 
-    def test_divisor_read_once(self, monkeypatch):
+    def test_divisor_read_once(self, negative_instances, monkeypatch):
         # The divisor is validated once and the validated divisor goes to
         # every check, so an iterator is read like the tuple it yields, and
         # no check, Cramer's rule on s * a included, reads it again; one
         # validated by as_divisor is not read at all.  The checks read P and N.
-        for seed, form, divisor in _negative_instances(3):
+        for seed, form, divisor in negative_instances[:3]:
             assert instance_failures(form, iter(divisor), 8, seed) == []
         callers = reader_callers(monkeypatch)
         for seed in range(300):
@@ -284,12 +246,12 @@ class TestInstanceFailures:
                 assert callers.count("_scaled_divisor") == reads, seed
                 assert callers.count("decomposition_checks") == len(callers) - reads == 2
 
-    def test_oracle_limit_skips_oracle(self, monkeypatch):
+    def test_oracle_limit_skips_oracle(self, negative_instances, monkeypatch):
         def raising(*args, **kwargs):
             raise AssertionError("oracle called above its limit")
 
         monkeypatch.setattr(zariski, "decompose_bruteforce", raising)
-        seed, form, divisor = _negative_instances(1)[0]
+        seed, form, divisor = negative_instances[0]
         assert instance_failures(form, divisor, 0, seed) == []
 
     @pytest.mark.parametrize(
@@ -304,12 +266,13 @@ class TestInstanceFailures:
             (zariski, "decomposition_checks", SingularMatrixError, "decomposition_checks"),
         ],
     )
-    def test_raising_check_is_that_check_failing(self, monkeypatch, module, attribute, error, name):
+    def test_raising_check_is_that_check_failing(self, negative_instances, monkeypatch, module,
+                                                 attribute, error, name):
         def raising(*args, **kwargs):
             raise error("injected")
 
         monkeypatch.setattr(module, attribute, raising)
-        for seed, form, divisor in _negative_instances(5):
+        for seed, form, divisor in negative_instances:
             assert instance_failures(form, divisor, 8, seed) == [name]
 
     def test_raising_engine_is_decompose(self, monkeypatch):
@@ -336,8 +299,7 @@ class TestInstanceFailures:
         monkeypatch.setattr(zariski, "decompose", _whole_support)
         names = ("negative_pairing_exists", "negative_square")
         seen = set()
-        for seed in range(200):
-            form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=1 + seed % 4))
+        for seed, (form, divisor) in enumerate(build_corpus(200, m_max=4)):
             q = 1 + seed % 5
             form = zariski.IntersectionForm.from_rows(
                 form.labels, [[x / q for x in row] for row in form.gram.entries])
@@ -374,8 +336,7 @@ class TestInstanceFailures:
 
         monkeypatch.setattr(bounds, "cramer_analysis", recorded)
         checked = 0
-        for seed in range(200):
-            form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=1 + seed % 5))
+        for seed, (form, divisor) in enumerate(build_corpus(200, m_max=5)):
             q = 2 + seed % 4
             form = form_of([[x / q for x in row] for row in form.gram.entries])
             calls.clear()
@@ -390,28 +351,14 @@ class TestInstanceFailures:
             checked += 1
         assert checked > 50
 
-    def test_non_zarlat_errors_propagate(self, monkeypatch):
+    def test_non_zarlat_errors_propagate(self, negative_instances, monkeypatch):
         def broken(*args, **kwargs):
             raise ZeroDivisionError("a bug, not a property")
 
         monkeypatch.setattr(zariski, "exceptional_certificate", broken)
-        seed, form, divisor = _negative_instances(1)[0]
+        seed, form, divisor = negative_instances[0]
         with pytest.raises(ZeroDivisionError):
             instance_failures(form, divisor, 8, seed)
-
-
-# The interpreter's default limit on int-to-str conversion, in digits.
-DEFAULT_STR_DIGITS = 4300
-
-
-@contextlib.contextmanager
-def int_str_limit(digits):
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(digits)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
 
 
 class TestDeferredStrings:
@@ -506,6 +453,36 @@ class TestDecimalString:
         with int_str_limit(DEFAULT_STR_DIGITS):
             assert str(q) == "-1" + "0" * 5000 + "/3"
             assert repr(q) == "BigFraction(-1" + "0" * 5000 + ", 3)"
+
+
+# 5000 digits, past the interpreter's default conversion limit, and their
+# value built without str(); each reader of an integer grammar reading them
+# (the factorial guard from the environment), with the value it must read.
+LONG_DIGITS, LONG_VALUE = "1" * 5000, (10**5000 - 1) // 9
+LONG_DIGIT_READERS = {
+    "as_rational": (lambda: as_rational(LONG_DIGITS), Fraction(LONG_VALUE)),
+    "as_integer": (lambda: as_integer(LONG_DIGITS), LONG_VALUE),
+    "IntersectionForm.from_rows": (
+        lambda: zariski.IntersectionForm.from_rows(["E"], [[LONG_DIGITS]]).gram[0, 0], LONG_VALUE),
+    "factorial_guard": (factorial_guard, LONG_VALUE),
+}
+
+
+class TestDigitLimit:
+    @pytest.mark.parametrize("name", sorted(LONG_DIGIT_READERS))
+    def test_past_the_limit_is_a_domain_error(self, monkeypatch, name):
+        # A string in the grammar that the interpreter refuses to convert is
+        # refused as bad input, by its digit count; with the limit lifted, as
+        # cli.main lifts it, the same string reads exactly.
+        monkeypatch.setenv("BBF_FACTORIAL_GUARD", LONG_DIGITS)
+        read, expected = LONG_DIGIT_READERS[name]
+        with int_str_limit(DEFAULT_STR_DIGITS):
+            with pytest.raises(DomainError, match=r"^(rational string|BBF_FACTORIAL_GUARD) has 5000 "
+                                                  r"digits, more than the interpreter's limit of 4300 "
+                                                  r"for integer string conversion$"):
+                read()
+        with int_str_limit(0):
+            assert read() == expected
 
 
 class TestLibraryStrings:
@@ -614,18 +591,6 @@ class TestBirationalityBound:
     def test_guard(self):
         value = birationality_bound(2, 2, 21)
         assert value == DeferredFactorial(factorial_of=8**20, times=21)
-
-    def test_identity_with_denominator_bound(self):
-        for n in range(1, 6):
-            for card in range(1, 7):
-                for rho in range(1, 5):
-                    lhs = birationality_bound(n, card, rho)
-                    base = denominator_bound(4 * card, rho)
-                    prefactor = (n + 1) * (2 * n + 3)
-                    if isinstance(base, int):
-                        assert lhs == prefactor * base
-                    else:
-                        assert lhs == DeferredFactorial(base.factorial_of, prefactor)
 
 
 class TestChowDegree:

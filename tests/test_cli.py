@@ -14,6 +14,8 @@ from zarlat import bounds, cli
 from zarlat import linalg, zariski
 from zarlat.errors import InconsistencyError, SingularMatrixError
 
+from conftest import DEFAULT_STR_DIGITS, int_str_limit, problem_payload
+
 
 def write_problem(tmp_path, payload, name="problem.json"):
     path = tmp_path / name
@@ -584,12 +586,7 @@ class TestSchemas:
         for seed in range(5):
             spec = zariski.InstanceSpec.standard(seed=seed, m=3)
             form, divisor = zariski.random_instance(spec)
-            payload = {
-                "labels": list(form.labels),
-                "gram": [[str(x) for x in row] for row in form.gram.entries],
-                "divisor": [str(x) for x in divisor],
-            }
-            path = write_problem(tmp_path, payload, name=f"p{seed}.json")
+            path = write_problem(tmp_path, problem_payload(form, divisor), name=f"p{seed}.json")
             code, out, _ = run_cli(capsys, "decompose", path)
             assert code == 0
             jsonschema.validate(json.loads(out), schema)
@@ -773,13 +770,9 @@ class TestIntStrLimit:
         # A library caller, not cli.main, reads the same problem and keeps its limit.
         path = tmp_path / "big.json"
         path.write_text(BIG_PROBLEM)
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        try:
+        with int_str_limit(DEFAULT_STR_DIGITS):
             form, divisor, options = cli.load_problem(str(path))
-            assert sys.get_int_max_str_digits() == 4300
-        finally:
-            sys.set_int_max_str_digits(previous)
+            assert sys.get_int_max_str_digits() == DEFAULT_STR_DIGITS
         repunit = (10**5000 - 1) // 9  # the 5000-digit 11...1, built without str()
         assert form.gram[0, 0] == 7 * repunit and form.gram[0, 1] == 1
         assert divisor == (Fraction(9 * repunit, 3), Fraction(1)) and options == {}
@@ -788,13 +781,9 @@ class TestIntStrLimit:
                                       ["decompose"]])
     @pytest.mark.parametrize("limit", [4300, 5000])
     def test_main_restores_limit(self, capsys, argv, limit):
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(limit)
-        try:
+        with int_str_limit(limit):
             cli.main(argv)
             assert sys.get_int_max_str_digits() == limit
-        finally:
-            sys.set_int_max_str_digits(previous)
         capsys.readouterr()
 
 

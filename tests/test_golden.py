@@ -13,6 +13,8 @@ import pytest
 
 from zarlat import cli, zariski
 
+from conftest import problem_payload
+
 # (seed, m) of each seeded decompose problem: an empty negative support, one
 # component, and two or three components reached in one or two rounds.
 PROBLEMS = ((3, 3), (22, 5), (32, 3), (61, 4), (73, 5), (129, 4), (375, 6), (620, 3))
@@ -146,12 +148,7 @@ def problem_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("golden")
     for seed, m in PROBLEMS:
         form, divisor = zariski.random_instance(zariski.InstanceSpec.standard(seed=seed, m=m))
-        payload = {
-            "labels": list(form.labels),
-            "gram": [[str(x) for x in row] for row in form.gram.entries],
-            "divisor": [str(x) for x in divisor],
-        }
-        (directory / f"p{seed}.json").write_text(json.dumps(payload))
+        (directory / f"p{seed}.json").write_text(json.dumps(problem_payload(form, divisor)))
     return directory
 
 

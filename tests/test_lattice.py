@@ -23,6 +23,9 @@ from zarlat.lattice import (
 )
 from zarlat.linalg import Inertia, RationalMatrix, signature, smith_normal_form
 
+import reference
+from conftest import UNIMODULAR_OPS, congruent
+
 
 class TestBlocks:
     def test_hyperbolic_plane(self):
@@ -254,25 +257,6 @@ class TestNegativityBounds:
         assert (refined == general) == (len(group.elementary_divisors) <= 1)
 
 
-def unimodular_with_inverse(ops, n):
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for kind, i, j, k in ops:
-        i, j = i % n, j % n
-        if i == j:
-            continue
-        if kind == 0:
-            # m: row i += k row j  =>  inv: col j -= k col i
-            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
-            for row in inv:
-                row[j] -= k * row[i]
-        else:
-            m[i], m[j] = m[j], m[i]
-            for row in inv:
-                row[i], row[j] = row[j], row[i]
-    return m, inv
-
-
 class TestDualCurveIntegrality:
     def test_k3_square_double_class(self):
         lat = preset("K3n", 2).lattice
@@ -301,25 +285,12 @@ class TestDualCurveIntegrality:
             dual_curve_integrality(hyperbolic_plane(), [1, 0, 0])
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2)),
-            max_size=6,
-        ),
-        st.lists(st.integers(-3, 3), min_size=4, max_size=4),
-    )
+    @given(UNIMODULAR_OPS, st.lists(st.integers(-3, 3), min_size=4, max_size=4))
     def test_basis_change_invariance(self, ops, coords):
         lat = direct_sum([hyperbolic_plane(), rank_one(-2), rank_one(-4)])
         n = lat.rank
-        a, a_inv = unimodular_with_inverse(ops, n)
-        gram = lat.gram
-        new_gram = [
-            [
-                sum(a[k][i] * int(gram[k, l]) * a[l][j] for k in range(n) for l in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        a, a_inv = reference.unimodular(ops, n)
+        new_gram = congruent(a, lat.gram.int_rows())
         new_lat = IntegralLattice("transformed", RationalMatrix.symmetric(new_gram))
         new_coords = [sum(a_inv[i][j] * coords[j] for j in range(n)) for i in range(n)]
         if lat.square(coords) == 0:

@@ -14,7 +14,6 @@ from zarlat.linalg import (
     Inertia,
     RationalMatrix,
     SmithNormalForm,
-    _sequence,
     as_rational,
     bareiss_solve,
     det,
@@ -28,7 +27,8 @@ from zarlat.linalg import (
 )
 from zarlat.zariski import SplitMix64
 
-from conftest import cofactor_det
+import reference
+from conftest import UNIMODULAR_OPS, congruent
 
 
 def square_int_matrices(max_size=5, lo=-9, hi=9):
@@ -128,9 +128,7 @@ class TestMatrix:
         assert m.entries == fractions
         assert all(type(x) is Fraction for row in m.entries for x in row)
         assert all(m[i, j] == x for i, row in enumerate(fractions) for j, x in enumerate(row))
-        scaled, c = m.scaled_rows
-        assert c == lcm(*(x.denominator for row in fractions for x in row))
-        assert scaled == tuple(tuple(int(x * c) for x in row) for row in fractions)
+        assert m.scaled_rows == reference.matrix_in_reading_order(rows).scaled_rows
         integral = all(x.denominator == 1 for row in fractions for x in row)
         assert m.is_integral() == integral
         if integral:
@@ -232,12 +230,10 @@ class TestScaledRationals:
     @given(spelled_vectors())
     def test_numerators_over_lcm(self, values):
         result = scaled_rationals(values)
-        rationals = [as_rational(x) for x in values]
         assert type(result) is tuple and len(result) == 2
         numerators, s = result
         assert type(numerators) is list and all(type(x) is int for x in numerators)
-        assert type(s) is int and s == lcm(*(x.denominator for x in rationals))
-        assert [Fraction(x, s) for x in numerators] == rationals
+        assert type(s) is int and result == reference.scaled_rationals(values)
 
     def test_builds_no_fraction(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -329,7 +325,7 @@ class TestDet:
 
     def test_e8_against_cofactor_oracle(self):
         rows = e8_minus().gram.int_rows()
-        assert cofactor_det(rows) == 1
+        assert reference.cofactor_det(rows) == 1
         assert det(rows) == 1
 
     def test_non_square_rejected(self):
@@ -342,7 +338,7 @@ class TestDet:
     @settings(max_examples=150, deadline=None)
     @given(square_int_matrices())
     def test_matches_cofactor_expansion(self, rows):
-        assert det(rows) == cofactor_det(rows)
+        assert det(rows) == reference.cofactor_det(rows)
 
 
 class TestBareissSolve:
@@ -362,7 +358,7 @@ class TestBareissSolve:
         rhs = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=width, max_size=width),
                                  min_size=n, max_size=n))
         outcome = bareiss_solve([row + extra for row, extra in zip(m, rhs)])
-        d = cofactor_det(m)
+        d = reference.cofactor_det(m)
         if d == 0:
             assert outcome is None
             return
@@ -396,9 +392,9 @@ class TestSolve:
         rhs = data.draw(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
                                  min_size=n, max_size=n))
         try:
-            expected = fraction_solve(rows, rhs)
+            expected = reference.solve(rows, rhs)
         except SingularMatrixError:
-            assert cofactor_det(rows) == 0
+            assert reference.cofactor_det(rows) == 0
             with pytest.raises(SingularMatrixError):
                 solve(rows, rhs)
         else:
@@ -416,20 +412,6 @@ class TestSolve:
         assert m.matvec(x) == tuple(Fraction(b) for b in rhs)
 
 
-def random_unimodular(ops, n):
-    """Integer matrix with determinant +-1 built from elementary operations."""
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for kind, i, j, k in ops:
-        i, j = i % n, j % n
-        if i == j:
-            continue
-        if kind == 0:  # row i += k * row j
-            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
-        else:  # swap
-            rows[i], rows[j] = rows[j], rows[i]
-    return rows
-
-
 def rational_symmetric(max_size=5, lo=-9, hi=9, denominator_max=4):
     """Symmetric matrices of exact rationals, sizes 0..max_size."""
     entry = st.builds(Fraction, st.integers(lo, hi), st.integers(1, denominator_max))
@@ -438,79 +420,6 @@ def rational_symmetric(max_size=5, lo=-9, hi=9, denominator_max=4):
             st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
         ).map(symmetric_from)
     )
-
-
-def fraction_signature(rows):
-    """Reference: congruence reduction over ``Fraction`` with the pivot
-    order of ``signature`` (first nonzero diagonal entry, else the first
-    nonzero entry above it as a hyperbolic 2x2 block), dividing as it goes."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    live = list(range(len(a)))
-    n_plus = n_minus = n_zero = 0
-    while live:
-        pivot = next((i for i in live if a[i][i] != 0), None)
-        if pivot is not None:
-            p = a[pivot][pivot]
-            if p > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            live.remove(pivot)
-            for r in live:
-                if a[r][pivot] == 0:
-                    continue
-                f = a[r][pivot] / p
-                for s in live:
-                    a[r][s] -= f * a[pivot][s]
-            continue
-        block = None
-        for pos, i in enumerate(live):
-            for j in live[pos + 1 :]:
-                if a[i][j] != 0:
-                    block = (i, j)
-                    break
-            if block:
-                break
-        if block is None:
-            n_zero += len(live)
-            break
-        i, j = block
-        b = a[i][j]
-        n_plus += 1
-        n_minus += 1
-        live.remove(i)
-        live.remove(j)
-        for r in live:
-            ri, rj = a[r][i], a[r][j]
-            if ri == 0 and rj == 0:
-                continue
-            for s in live:
-                a[r][s] -= (ri * a[j][s] + rj * a[i][s]) / b
-    return Inertia(n_plus, n_minus, n_zero)
-
-
-def fraction_solve(rows, rhs):
-    """Reference: Gaussian elimination over ``Fraction`` with the first
-    nonzero entry of each column as pivot, then back-substitution."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            f = a[i][k] / pivot
-            for j in range(k, n + 1):
-                a[i][j] -= f * a[k][j]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = a[k][n] - sum((a[k][j] * x[j] for j in range(k + 1, n)), Fraction(0))
-        x[k] = acc / a[k][k]
-    return tuple(x)
 
 
 def charpoly_inertia(rows):
@@ -604,7 +513,7 @@ class TestSignature:
     @settings(max_examples=200, deadline=None)
     @given(inertia_cases())
     def test_against_fraction_reduction(self, rows):
-        assert signature(rows) == fraction_signature(rows)
+        assert signature(rows) == reference.signature(rows)
 
     @settings(max_examples=100, deadline=None)
     @given(inertia_cases(max_size=4))
@@ -613,26 +522,11 @@ class TestSignature:
         assert signature(rows) == charpoly_inertia(rows)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        square_int_matrices(max_size=4),
-        st.lists(
-            st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2)),
-            max_size=6,
-        ),
-    )
+    @given(square_int_matrices(max_size=4), UNIMODULAR_OPS)
     def test_congruence_invariance(self, rows, ops):
         sym = symmetric_from(rows)
-        n = len(sym)
-        a = random_unimodular(ops, n)
-        m = RationalMatrix(sym)
-        transformed = [
-            [
-                sum(a[k][i] * int(m[k, l]) * a[l][j] for k in range(n) for l in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        assert signature(sym) == signature(transformed)
+        a, _ = reference.unimodular(ops, len(sym))
+        assert signature(sym) == signature(congruent(a, sym))
 
 
 class TestDefiniteness:
@@ -785,7 +679,7 @@ class TestSylvesterPass:
         if outcome is not None:
             d, x = outcome
             assert d == det(rows)
-            assert x == fraction_solve(rows, rhs)
+            assert x == reference.solve(rows, rhs)
             assert RationalMatrix(rows).matvec(x) == tuple(rhs)
 
     @settings(max_examples=150, deadline=None)
@@ -798,7 +692,7 @@ class TestSylvesterPass:
         rhs = [i - 2 for i in range(n)]
         d, (y,) = sylvester_pass([row + [b] for row, b in zip(m, rhs)])
         assert d == det(m) and d != 0
-        assert tuple(Fraction(v, d) for v in y) == fraction_solve(m, rhs)
+        assert tuple(Fraction(v, d) for v in y) == reference.solve(m, rhs)
 
     @settings(max_examples=100, deadline=None)
     @given(rational_symmetric(max_size=4), st.data())
@@ -884,39 +778,6 @@ class TestBorderedElimination:
                 [Fraction(i * (k + 1 - i), 2) for i in range(1, k + 1)]
 
 
-def single_step_extend(self, new_rows):
-    """Reference: :meth:`BorderedElimination.extend` as it was with one pass
-    over the rows per pivot, in both phases, kept verbatim with its state
-    ``self`` (anything with ``rows`` and ``pivots``) passed in."""
-    rows, pivots = self.rows, self.pivots
-    k = len(rows)
-    prev = 1
-    for s, row_s in enumerate(rows):
-        pivot = pivots[s]
-        row_s[k:k] = [row[s] for row in new_rows]
-        tail = row_s[s + 1 :]
-        for row in new_rows:
-            factor = row[s]
-            row[s + 1 :] = [(x * pivot - factor * y) // prev
-                            for x, y in zip(row[s + 1 :], tail)]
-        prev = pivot
-    rows += new_rows
-    n = len(rows)
-    for s in range(k, n):
-        row_s = rows[s]
-        pivot = row_s[s]
-        if pivot == 0 or (pivot < 0) != (s % 2 == 0):
-            return False
-        pivots.append(pivot)
-        for i in range(s + 1, n):
-            row_i = rows[i]
-            factor = row_s[i]
-            row_i[i:] = [(x * pivot - factor * y) // prev
-                         for x, y in zip(row_i[i:], row_s[i:])]
-        prev = pivot
-    return True
-
-
 def break_at(m, p, how):
     """Make the leading minors of a negative definite ``m`` first break the
     pattern ``-, +, -, ...`` at index ``p``: ``"zero"`` duplicates component
@@ -966,19 +827,19 @@ def blocked_systems(draw):
 
 def extend_like_single_steps(m, rhs, bounds):
     """Extend block by block, and after every block compare the verdict and
-    the pivots with :func:`single_step_extend`, and the rows from their
+    the pivots with :func:`reference.single_step_extend`, and the rows from their
     diagonal on while the matrix is still negative definite.  Returns the
     elimination, after its first ``False`` if there is one."""
-    elimination, reference = BorderedElimination(), BorderedElimination()
+    elimination, expected = BorderedElimination(), BorderedElimination()
     for lo, hi in zip(bounds, bounds[1:]):
         block = [m[i][:hi] + rhs[i] for i in range(lo, hi)]
         extended = elimination.extend([row[:] for row in block])
-        assert extended == single_step_extend(reference, block)
-        assert elimination.pivots == reference.pivots
+        assert extended == reference.single_step_extend(expected, block)
+        assert elimination.pivots == expected.pivots
         if not extended:
             break
         assert [row[t:] for t, row in enumerate(elimination.rows)] == \
-            [row[t:] for t, row in enumerate(reference.rows)]
+            [row[t:] for t, row in enumerate(expected.rows)]
     return elimination
 
 
@@ -1023,7 +884,7 @@ class TestLeadingMinors:
     @given(square_int_matrices(max_size=5, lo=-2, hi=2))
     def test_match_submatrix_determinants(self, rows):
         n = len(rows)
-        expected = tuple(cofactor_det([r[: k + 1] for r in rows[: k + 1]]) for k in range(n))
+        expected = tuple(reference.cofactor_det([r[: k + 1] for r in rows[: k + 1]]) for k in range(n))
         assert leading_principal_minors(rows) == expected
 
 
@@ -1079,58 +940,6 @@ class TestExplicitGuards:
         monkeypatch.setattr(lattice, "smith_normal_form", forged)
         with pytest.raises(InconsistencyError, match="certificate"):
             lattice.discriminant_group(a2_minus())
-
-
-def parent_scaled_rationals(values):
-    """Reference: ``scaled_rationals`` as it was, before the all-``int``
-    pass, kept verbatim."""
-    numerators, denominators = [], []
-    for x in _sequence(values, "a vector of exact rationals"):
-        n, d = (x if type(x) is int or type(x) is Fraction else as_rational(x)).as_integer_ratio()
-        numerators.append(n)
-        denominators.append(d)
-    s = lcm(*denominators)
-    return [n * (s // d) for n, d in zip(numerators, denominators)] if s > 1 else numerators, s
-
-
-def parent_matrix(rows):
-    """Reference: ``RationalMatrix.__init__`` as it was, kept verbatim, on
-    an instance made without the constructor."""
-    self = object.__new__(RationalMatrix)
-    widths = []
-
-    def entries():  # row by row, so the first bad row or entry raises first
-        for row in _sequence(rows, "matrix rows"):
-            row = list(_sequence(row, "a matrix row"))
-            widths.append(len(row))
-            yield from row
-    flat, c = parent_scaled_rationals(entries())
-    if len(set(widths)) > 1:
-        raise ShapeError("rows have inconsistent lengths")
-    n = widths[0] if widths else 0
-    self._scaled = tuple(tuple(flat[i * n : i * n + n]) for i in range(len(widths))), c
-    return self
-
-
-def parent_is_symmetric(self):
-    """Reference: ``RationalMatrix.is_symmetric`` as it was, kept verbatim."""
-    a, _ = self._scaled
-    return self.is_square() and all(
-        row[j] == a[j][i] for i, row in enumerate(a) for j in range(i + 1, len(row))
-    )
-
-
-def parent_symmetric(rows):
-    """Reference: ``RationalMatrix.symmetric`` as it was, kept verbatim."""
-    m = parent_matrix(rows)
-    if not m.is_square():
-        raise ShapeError(f"symmetric matrix must be square, got {m.nrows}x{m.ncols}")
-    a, _ = m._scaled
-    for i, row in enumerate(a):
-        for j in range(i + 1, m.ncols):
-            if row[j] != a[j][i]:
-                raise ShapeError(f"asymmetric entry at ({i}, {j}): {m[i, j]} != {m[j, i]}")
-    return m
 
 
 def built(call):
@@ -1196,38 +1005,41 @@ def generated_row_sets(count, seed):
 
 
 class TestConstructionReference:
-    """``RationalMatrix``, ``is_symmetric`` and ``RationalMatrix.symmetric``
-    build what they built before the all-``int`` pass and the transpose
-    check, or raise the same error with the same message."""
+    """``RationalMatrix`` and ``RationalMatrix.symmetric`` build what the
+    reference that reads one row and one entry at a time builds, or raise
+    the same error with the same message; ``is_symmetric`` holds exactly
+    when the symmetric reference accepts the rows."""
 
     SHAPES = ([], (), range(0), [[]], [()], ((),), [[], []], [[1], [1, 2]], [[], [1]],
               [[1, 2], []], [(1, 2), [3]], [[1.5], [1, 2]], [["1/2", 2], (3, "4/6")],
               [range(2), range(1, 3)], [[1, 2], range(2)], [[1], "1"], [[1], b"1"],
               [[1], {0: 1}], [[1], 2], "12", b"12", {0: [1]}, {(1,)}, 5)
 
-    def test_matches_parent_on_generated_rows(self):
+    def test_matches_reference_on_generated_rows(self):
         outcomes = Counter()
         for make in generated_row_sets(3000, 0xC0115):
-            got, expected = built(lambda: RationalMatrix(make())), built(lambda: parent_matrix(make()))
+            got = built(lambda: RationalMatrix(make()))
+            expected = built(lambda: reference.matrix_in_reading_order(make()))
             assert got == expected
             got_sym = built(lambda: RationalMatrix.symmetric(make()))
-            assert got_sym == built(lambda: parent_symmetric(make()))
+            assert got_sym == built(lambda: reference.symmetric_in_reading_order(make()))
             if type(expected[0]) is type:
                 outcomes[expected[0].__name__] += 1
                 continue
-            m = RationalMatrix(make())
-            assert m.is_symmetric() == parent_is_symmetric(m)
+            # A built matrix is symmetric exactly when the symmetric constructor accepts it.
+            assert RationalMatrix(make()).is_symmetric() == (got_sym == expected)
             outcomes["symmetric" if got_sym == expected
                      else "asymmetric" if got_sym[1].startswith("asymmetric") else "not square"] += 1
         assert min(outcomes[key] for key in ("symmetric", "asymmetric", "not square",
                                              "DomainError", "ShapeError", "TypeError")) >= 20, outcomes
 
     @pytest.mark.parametrize("rows", SHAPES, ids=repr)
-    def test_matches_parent_on_shapes(self, rows):
-        for build, parent in ((RationalMatrix, parent_matrix),
-                              (RationalMatrix.symmetric, parent_symmetric)):
+    def test_matches_reference_on_shapes(self, rows):
+        for build, spec in ((RationalMatrix, reference.matrix_in_reading_order),
+                            (RationalMatrix.symmetric, reference.symmetric_in_reading_order)):
             for spelled in (lambda: rows, lambda: (x for x in rows) if type(rows) is list else rows):
-                assert built(lambda: build(spelled())) == built(lambda: parent(spelled()))
-        if isinstance(built(lambda: parent_matrix(rows))[0], tuple):
-            m = RationalMatrix(rows)
-            assert m.is_symmetric() == parent_is_symmetric(m)
+                assert built(lambda: build(spelled())) == built(lambda: spec(spelled()))
+        expected = built(lambda: reference.matrix_in_reading_order(rows))
+        if isinstance(expected[0], tuple):
+            assert RationalMatrix(rows).is_symmetric() == (
+                built(lambda: reference.symmetric_in_reading_order(rows)) == expected)

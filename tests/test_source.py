@@ -275,6 +275,29 @@ def test_every_import_is_used():
     assert not unused, f"unused imports; delete them: {unused}"
 
 
+def test_references_live_in_one_module():
+    # Each operation has one specification, in tests/reference.py, so a
+    # change that makes an operation faster compares it with that instead of
+    # keeping its old code as one more copy; and a test module imports
+    # helpers from conftest and reference alone, not from another test module.
+    local = {path.stem for path in _modules(TESTS_DIR)}
+    misplaced, imported = [], []
+    for path in _modules(TESTS_DIR):
+        tree = _tree(path)
+        if path.name != "reference.py":
+            misplaced += [_where(path, node, node.name) for node in tree.body
+                          if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                          and (node.name.startswith(("parent_", "Parent", "fraction_"))
+                               or (ast.get_docstring(node) or "").startswith("Reference:"))]
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) and node.module else [])
+            imported += [_where(path, node, name) for name in names
+                         if name.partition(".")[0] in local - {"conftest", "reference"}]
+    assert not misplaced, f"references outside tests/reference.py: {misplaced}"
+    assert not imported, f"test modules importing another test module: {imported}"
+
+
 def test_every_top_level_name_is_referenced():
     # A top-level function, class or assignment is referenced outside its
     # definition: by name in its own module, or imported or read as an

@@ -4,7 +4,7 @@ import pickle
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,88 +36,12 @@ from zarlat.zariski import (
     intersection_axiom_violations,
     is_exceptional,
     random_instance,
-    require_intersection_product,
     support_of,
 )
 
-from conftest import build_corpus, cofactor_det, form_of, reader_callers, witness_verdict
-from test_linalg import fraction_solve, parent_symmetric
-
-
-def as_vector(values):
-    """Reference: ``linalg.as_vector`` as it was, every entry through
-    ``as_rational``, kept verbatim for the references below."""
-    return tuple(as_rational(v) for v in values)
-
-
-def fraction_in_nef_region(form, divisor, candidate):
-    """Reference: ``in_nef_region`` as it was over ``Fraction``s."""
-    a = as_divisor(divisor, form.size)
-    b = as_vector(candidate)
-    if len(b) != form.size:
-        raise ShapeError(f"candidate has {len(b)} coefficients, form has {form.size}")
-    if any(x < 0 or x > ai for x, ai in zip(b, a)):
-        return False
-    gb = form.gram.matvec(b)
-    return all(gb[j] >= 0 for j in support_of(a))
-
-
-def fraction_decompose_bruteforce(form, divisor, limit=12):
-    """Reference: ``decompose_bruteforce`` with its acceptance tests over
-    ``Fraction``s (``matvec`` of the remainder, a ``Fraction`` sum for the
-    orthogonality), as it was before they ran on integers, solving with the
-    ``Fraction`` reference and taking the determinant by cofactor expansion.
-    Only the last line differs: the witness is divided by its gcd, which the
-    oracle now does so that it is primitive for a rational Gram matrix too."""
-    a = as_divisor(divisor, form.size)
-    require_intersection_product(form)
-    support = support_of(a)
-    if len(support) > limit:
-        raise DomainError(f"support size {len(support)} exceeds oracle limit {limit}")
-    gram = form.gram
-    ga = gram.matvec(a)
-    accepted = {}
-    definite = {()}  # the negative definite subsets of the previous size
-    for size in range(len(support) + 1):
-        if size:
-            smaller, definite = definite, set()
-            if not smaller:
-                break  # no larger subset can be negative definite
-        for subset in combinations(support, size):
-            negative = [Fraction(0)] * form.size
-            if subset:
-                if any(subset[:i] + subset[i + 1 :] not in smaller for i in range(size)):
-                    continue
-                sub = gram.submatrix(subset)
-                if signature(sub) != Inertia(0, size, 0):
-                    continue
-                definite.add(subset)
-                solution = fraction_solve(sub.entries, [ga[j] for j in subset])
-                if any(x < 0 or x > a[j] for j, x in zip(subset, solution)):
-                    continue
-                for j, x in zip(subset, solution):
-                    negative[j] = x
-            positive = [ai - ni for ai, ni in zip(a, negative)]
-            gp = gram.matvec(positive)
-            if any(x < 0 for x in gp):
-                continue
-            if sum((p * q for p, q in zip(positive, gram.matvec(negative))), Fraction(0)) != 0:
-                continue
-            accepted.setdefault(tuple(negative), subset)
-    if len(accepted) != 1:
-        raise OracleMismatchError(
-            f"enumeration found {len(accepted)} distinct decompositions instead of one"
-        )
-    negative = next(iter(accepted))
-    support = support_of(negative)
-    sub = gram.submatrix(support)
-    certificate = fraction_solve(sub.entries, [-1] * len(support))
-    scale = lcm(*(x.denominator for x in certificate))
-    g = gcd(*(x.numerator for x in certificate))
-    return Decomposition(positive=tuple(ai - ni for ai, ni in zip(a, negative)),
-                         negative=negative, negative_support=support,
-                         rounds=0, negative_gram_det=cofactor_det(sub.entries),
-                         witness=tuple(x.numerator * (scale // x.denominator) // g for x in certificate))
+import reference
+from conftest import (build_corpus, form_of, rational_gram_corpus, reader_callers, seeded_gram,
+                      witness_verdict)
 
 
 class TestAxiom:
@@ -195,12 +119,11 @@ class TestPairing:
             form_of([[-2, 1], [1, -2]]).pairing(u, v)
 
     def test_matches_fraction_reference(self):
-        for seed in range(100):
-            m = 1 + seed % 5
-            form, divisor = rational_gram_instance(seed, m)
+        for seed, (form, divisor) in enumerate(rational_gram_corpus(100, m_max=5)):
+            m = form.size
             rng = SplitMix64(seed)
             other = [f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}" for _ in range(m)]
-            expected = sum((as_divisor(divisor, m)[i] * form.gram[i, j] * as_vector(other)[j]
+            expected = sum((as_divisor(divisor, m)[i] * form.gram[i, j] * reference.rationals(other)[j]
                             for i in range(m) for j in range(m)), Fraction(0))
             got = form.pairing(divisor, other)
             assert got == expected and type(got) is Fraction, seed
@@ -246,12 +169,8 @@ class TestCertificate:
         rng = SplitMix64(7)
         agree = 0
         for _ in range(1000):
-            k = rng.randint(1, 5)
-            rows = [[0] * k for _ in range(k)]
-            for i in range(k):
-                rows[i][i] = rng.randint(-9, 9)
-                for j in range(i + 1, k):
-                    rows[i][j] = rows[j][i] = rng.randint(0, 9)
+            rows = seeded_gram(rng, (-9, 9), (0, 9))
+            k = len(rows)
             form = form_of(rows)
             sylvester = is_exceptional(form, range(k))
             inertia = signature(form.gram) == Inertia(0, k, 0)
@@ -271,12 +190,8 @@ class TestCertificate:
         rng = SplitMix64(0x5016D)
         positive_refused = 0
         for _ in range(2000):
-            k = rng.randint(1, 5)
-            rows = [[0] * k for _ in range(k)]
-            for i in range(k):
-                rows[i][i] = rng.randint(-9, 9)
-                for j in range(i + 1, k):
-                    rows[i][j] = rows[j][i] = rng.randint(-4, 9)
+            rows = seeded_gram(rng, (-9, 9), (-4, 9))
+            k = len(rows)
             form = form_of(rows)
             definite = signature(form.gram) == Inertia(0, k, 0)
             try:
@@ -378,7 +293,7 @@ class TestMembership:
         assert not in_nef_region(form, a, [Fraction(2, 13), 0])  # 2/13 > 1/7
         for b in ([Fraction(1, 8), Fraction(1, 55)], [Fraction(1, 8), Fraction(1, 11)],
                   [Fraction(2, 13), 0], [Fraction(1, 7), Fraction(1, 39)]):
-            assert in_nef_region(form, a, b) == fraction_in_nef_region(form, a, b)
+            assert in_nef_region(form, a, b) == reference.in_nef_region(form, a, b)
 
     def test_messages(self):
         form = form_of([[2, 0], [0, 2]])
@@ -540,17 +455,12 @@ class TestGenerator:
             SplitMix64(0).randint(3, 2)
 
 
-@pytest.fixture(scope="module")
-def corpus():
-    return build_corpus(250, m_max=5, seed_base=1000)
-
-
 class TestEngineProperties:
     """Seeded-corpus properties; the full 1000-instance run lives in the
     acceptance suite."""
 
-    def test_oracle_equivalence_and_invariants(self, corpus):
-        for form, divisor in corpus:
+    def test_oracle_equivalence_and_invariants(self, corpus_250):
+        for form, divisor in corpus_250:
             dec = decompose(form, divisor)
             oracle = decompose_bruteforce(form, divisor)
             assert (dec.positive, dec.negative) == (oracle.positive, oracle.negative)
@@ -560,8 +470,8 @@ class TestEngineProperties:
             assert oracle.witness == dec.witness  # both primitive along (-Gram_S)^-1 (1, ..., 1)
             assert dec.rounds <= len(support_of(divisor))
 
-    def test_idempotence(self, corpus):
-        for form, divisor in corpus[:120]:
+    def test_idempotence(self, corpus_250):
+        for form, divisor in corpus_250[:120]:
             dec = decompose(form, divisor)
             again_p = decompose(form, dec.positive)
             assert again_p.positive == dec.positive
@@ -570,9 +480,9 @@ class TestEngineProperties:
             assert again_n.negative == dec.negative
             assert all(x == 0 for x in again_n.positive)
 
-    def test_scaling_equivariance(self, corpus):
+    def test_scaling_equivariance(self, corpus_250):
         factors = [Fraction(1, 3), Fraction(2), Fraction(7, 5)]
-        for idx, (form, divisor) in enumerate(corpus[:120]):
+        for idx, (form, divisor) in enumerate(corpus_250[:120]):
             t = factors[idx % len(factors)]
             dec = decompose(form, divisor)
             scaled = decompose(form, [t * x for x in divisor])
@@ -580,9 +490,9 @@ class TestEngineProperties:
             assert scaled.negative == tuple(t * x for x in dec.negative)
             assert scaled.negative_support == dec.negative_support
 
-    def test_maximality_and_lattice_closure(self, corpus):
+    def test_maximality_and_lattice_closure(self, corpus_250):
         rng = SplitMix64(2024)
-        for form, divisor in corpus[:120]:
+        for form, divisor in corpus_250[:120]:
             dec = decompose(form, divisor)
             members = [tuple(Fraction(0) for _ in divisor), dec.positive]
             # scaled-down copies of P are always members; random candidates
@@ -605,11 +515,11 @@ class TestEngineProperties:
                 joined = tuple(max(x, y) for x, y in zip(b1, b2))
                 assert in_nef_region(form, divisor, joined)
 
-    def test_negative_combinations_pair_negatively(self, corpus):
+    def test_negative_combinations_pair_negatively(self, corpus_250):
         # on the negative support, every nonzero nonnegative combination has
         # negative square and pairs negatively with some component
         rng = SplitMix64(515)
-        for form, divisor in corpus[:150]:
+        for form, divisor in corpus_250[:150]:
             dec = decompose(form, divisor)
             if not dec.negative_support:
                 continue
@@ -622,8 +532,8 @@ class TestEngineProperties:
                 assert any(gc[j] < 0 for j in dec.negative_support)
                 assert form.pairing(c, c) < 0
 
-    def test_support_union(self, corpus):
-        for form, divisor in corpus:
+    def test_support_union(self, corpus_250):
+        for form, divisor in corpus_250:
             dec = decompose(form, divisor)
             union = sorted(set(support_of(dec.positive)) | set(dec.negative_support))
             assert tuple(union) == support_of(divisor)
@@ -644,9 +554,9 @@ class TestWitnessCheck:
     def verdict(self, form, divisor, dec):
         return decomposition_checks(form, divisor, dec)["negative_exceptional"]
 
-    def test_forged_witnesses_fail(self, corpus):
+    def test_forged_witnesses_fail(self, corpus_250):
         forged = 0
-        for form, divisor in corpus:
+        for form, divisor in corpus_250:
             dec = decompose(form, divisor)
             y = dec.witness
             if not y:
@@ -673,8 +583,8 @@ class TestWitnessCheck:
         except SingularMatrixError:
             assert det(rows) == 0
 
-    def test_checks_run_no_elimination(self, corpus, monkeypatch):
-        decs = [(form, divisor, decompose(form, divisor)) for form, divisor in corpus]
+    def test_checks_run_no_elimination(self, corpus_250, monkeypatch):
+        decs = [(form, divisor, decompose(form, divisor)) for form, divisor in corpus_250]
 
         def raising(*args, **kwargs):
             raise AssertionError("decomposition_checks ran an elimination")
@@ -745,8 +655,8 @@ class TestOracleIndependence:
             assert (oracle.positive, oracle.negative) == (dec.positive, dec.negative)
             assert oracle.joined == ()
 
-    def test_cached_rows_not_aliased(self, corpus):
-        for form, divisor in corpus[:100]:
+    def test_cached_rows_not_aliased(self, corpus_250):
+        for form, divisor in corpus_250[:100]:
             dec = decompose(form, divisor)  # fills the cache
             gd = form.gram.matvec(divisor)
             rows, _ = form.gram.scaled_rows
@@ -760,16 +670,25 @@ class TestOracleIndependence:
             assert form.gram.matvec(divisor) == gd
 
 
-def rational_gram_instance(seed, m):
-    """A random instance whose Gram entries carry denominators up to 6:
-    the engine then scales by their lcm before eliminating."""
-    form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=m))
-    rng = SplitMix64(seed ^ 0x5CA1E)
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            rows[i][j] = rows[j][i] = form.gram[i, j] / rng.randint(1, 6)
-    return form_of(rows), divisor
+def drawn_forms(*extra):
+    """``(rows, divisor, ...)``: rational Gram rows on 1-5 components, drawn
+    as the upper triangle row by row with the off-diagonal entries made
+    nonnegative, a divisor, then one draw of each ``extra(m)``."""
+    def symmetric(upper, m):
+        values = iter(upper)
+        rows = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                value = next(values)
+                rows[i][j] = rows[j][i] = value if i == j else abs(value)
+        return rows
+
+    return st.integers(1, 5).flatmap(lambda m: st.tuples(
+        st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
+                 min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2),
+        st.lists(st.builds(Fraction, st.integers(0, 9), st.integers(1, 4)), min_size=m, max_size=m),
+        *(strategy(m) for strategy in extra),
+    )).map(lambda drawn: (symmetric(drawn[0], len(drawn[1])), *drawn[1:]))
 
 
 class TestRationalGram:
@@ -782,12 +701,11 @@ class TestRationalGram:
         assert dec.negative_support == oracle.negative_support
         assert dec.witness == oracle.witness  # primitive, whatever the denominators
         sub = [[form.gram[i, j] for j in dec.negative_support] for i in dec.negative_support]
-        assert dec.negative_gram_det == oracle.negative_gram_det == cofactor_det(sub)
+        assert dec.negative_gram_det == oracle.negative_gram_det == reference.cofactor_det(sub)
         assert all(decomposition_checks(form, divisor, dec).values())
 
     def test_seeded_corpus(self):
-        for seed in range(300):
-            form, divisor = rational_gram_instance(seed, 1 + seed % 5)
+        for form, divisor in rational_gram_corpus(300, m_max=5):
             self.assert_agree(form, divisor)
 
     def test_half_integral_pair(self):
@@ -798,38 +716,10 @@ class TestRationalGram:
         self.assert_agree(form, [1, 1])
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(1, 5).flatmap(
-            lambda m: st.tuples(
-                st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
-                         min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2),
-                st.lists(st.builds(Fraction, st.integers(0, 9), st.integers(1, 4)),
-                         min_size=m, max_size=m),
-            )
-        )
-    )
+    @given(drawn_forms())
     def test_hypothesis(self, drawn):
-        upper, divisor = drawn
-        m = len(divisor)
-        values = iter(upper)
-        rows = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                value = next(values)
-                rows[i][j] = rows[j][i] = value if i == j else abs(value)
+        rows, divisor = drawn
         self.assert_agree(form_of(rows), divisor)
-
-
-def growth_instances():
-    """Instances shaped like the benchmark's ``support-growth`` deck: large
-    negative-heavy and mixed forms whose negative support grows over rounds."""
-    for m in (12, 24, 36, 48):
-        for seed in range(m * 100, m * 100 + 3):
-            for diagonal, offdiagonal in (((-3 * m, -2 * m), (0, 2)), ((-30, 4), (0, 1))):
-                yield random_instance(InstanceSpec(
-                    seed=seed, m=m, diagonal_range=diagonal, offdiagonal_range=offdiagonal,
-                    coefficient_range=(1, 9),
-                ))
 
 
 class TestSupportInvariant:
@@ -851,8 +741,8 @@ class TestSupportInvariant:
         for form, divisor in corpus_1000:
             self.assert_invariant(form, divisor)
 
-    def test_growth_shaped(self):
-        rounds = [self.assert_invariant(form, divisor).rounds for form, divisor in growth_instances()]
+    def test_growth_shaped(self, growth_instances):
+        rounds = [self.assert_invariant(form, divisor).rounds for form, divisor in growth_instances]
         assert max(rounds) >= 2  # later rounds, which add to the support, are exercised
 
     def test_zero_solved_coefficient_raises(self, monkeypatch):
@@ -874,17 +764,17 @@ def decomposition_record(dec):
                      str(dec.negative_gram_det), ",".join(map(str, dec.witness))))
 
 
-def sign_flipped_instance(seed, m):
-    """A standard instance with about a quarter of its off-diagonal entries
-    negated, which breaks the intersection-product axiom."""
-    form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=m))
+def sign_flipped(form, seed):
+    """``form`` with about a quarter of its off-diagonal entries negated, by
+    draws seeded from ``seed``, which breaks the intersection-product axiom."""
+    m = form.size
     rng = SplitMix64(seed ^ 0xBAD5)
     rows = [list(row) for row in form.gram.entries]
     for i in range(m):
         for j in range(i + 1, m):
             if rng.randint(0, 3) == 0:
                 rows[i][j] = rows[j][i] = -rows[i][j]
-    return IntersectionForm.from_rows(form.labels, rows), divisor
+    return IntersectionForm.from_rows(form.labels, rows)
 
 
 class TestDecomposeDigest:
@@ -893,10 +783,8 @@ class TestDecomposeDigest:
     Both digests were recorded from the engine that ran one fresh pass over
     the sorted working support per round."""
 
-    def test_results(self):
-        instances = list(growth_instances())
-        instances += [random_instance(InstanceSpec.standard(seed=seed, m=1 + seed % 8))
-                      for seed in range(2000)]
+    def test_results(self, growth_instances):
+        instances = growth_instances + build_corpus(2000, m_max=8)
         h = hashlib.sha256()
         rounds = []
         for form, divisor in instances:
@@ -914,8 +802,8 @@ class TestDecomposeDigest:
         h = hashlib.sha256()
         messages = []
         late = 0
-        for seed in range(2000):
-            form, divisor = sign_flipped_instance(seed, 1 + seed % 8)
+        for seed, (form, divisor) in enumerate(build_corpus(2000, m_max=8)):
+            form = sign_flipped(form, seed)
             try:
                 decompose(form, divisor)
             except InconsistencyError as exc:
@@ -941,11 +829,8 @@ class TestOracleDigest:
     recorded from the oracle that decided definiteness by ``signature`` and
     solved each subset by Gaussian elimination over ``Fraction``."""
 
-    def test_results(self, corpus_1000):
-        instances = list(corpus_1000)
-        instances += [random_instance(InstanceSpec.standard(seed=seed, m=1 + seed % 8))
-                      for seed in range(10_000, 13_000)]
-        instances += [rational_gram_instance(seed, 1 + seed % 6) for seed in range(1000)]
+    def test_results(self, corpus_1000, rational_corpus_1000):
+        instances = corpus_1000 + build_corpus(3000, m_max=8, seed_base=10_000) + rational_corpus_1000
         h = hashlib.sha256()
         for form, divisor in instances:
             oracle = decompose_bruteforce(form, divisor)
@@ -976,7 +861,8 @@ def nef_queries(form, divisor, rng):
 
 class TestIntegerAcceptance:
     """``in_nef_region`` and the oracle's acceptance tests run on integers;
-    the references above are the same decisions over ``Fraction``s."""
+    their specifications in ``reference.py`` are the same decisions over
+    ``Fraction``s."""
 
     def test_nef_region_matches_reference(self, corpus_1000):
         rng = SplitMix64(0xACCE55)
@@ -984,109 +870,34 @@ class TestIntegerAcceptance:
         for form, divisor in corpus_1000:
             for b in nef_queries(form, divisor, rng):
                 verdict = in_nef_region(form, divisor, b)
-                assert verdict == fraction_in_nef_region(form, divisor, b), (form.gram, divisor, b)
+                assert verdict == reference.in_nef_region(form, divisor, b), (form.gram, divisor, b)
                 verdicts.append(verdict)
         assert len(verdicts) > 20_000 and 0.2 < sum(verdicts) / len(verdicts) < 0.8
 
-    def test_oracle_matches_reference(self, corpus_1000):
-        for form, divisor in corpus_1000:
-            assert decompose_bruteforce(form, divisor) == fraction_decompose_bruteforce(form, divisor)
-        for seed in range(300):
-            form, divisor = rational_gram_instance(seed, 1 + seed % 6)
-            assert decompose_bruteforce(form, divisor) == fraction_decompose_bruteforce(form, divisor)
+    def test_oracle_matches_reference(self, corpus_1000, rational_corpus_1000):
+        for form, divisor in corpus_1000 + rational_corpus_1000[:300]:
+            assert decompose_bruteforce(form, divisor) == reference.decompose_bruteforce(form, divisor)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(1, 5).flatmap(
-            lambda m: st.tuples(
-                st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
-                         min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2),
-                st.lists(st.builds(Fraction, st.integers(0, 9), st.integers(1, 4)),
-                         min_size=m, max_size=m),
-                st.lists(st.lists(st.builds(Fraction, st.integers(-2, 12), st.integers(1, 6)),
-                                  min_size=m, max_size=m), max_size=6),
-            )
-        ),
-        st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)),
-    )
+    @given(drawn_forms(lambda m: st.lists(st.lists(st.builds(Fraction, st.integers(-2, 12),
+                                                             st.integers(1, 6)),
+                                                   min_size=m, max_size=m), max_size=6)),
+           st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)))
     def test_gram_scaled_by_one_over_q(self, drawn, q):
         # random_instance draws integral Gram matrices only, so c = 1 there;
         # here both the drawn form and its 1/q multiple carry denominators.
-        upper, divisor, candidates = drawn
-        m = len(divisor)
-        values = iter(upper)
-        rows = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                value = next(values)
-                rows[i][j] = rows[j][i] = value if i == j else abs(value)
+        rows, divisor, candidates = drawn
         form, scaled = form_of(rows), form_of([[x / q for x in row] for row in rows])
         for engine in (decompose, decompose_bruteforce):
             dec, dec_q = engine(form, divisor), engine(scaled, divisor)
             assert (dec_q.positive, dec_q.negative, dec_q.negative_support, dec_q.witness) == \
                 (dec.positive, dec.negative, dec.negative_support, dec.witness)
             assert dec_q.negative_gram_det == dec.negative_gram_det / q ** len(dec.negative_support)
-        assert dec_q == fraction_decompose_bruteforce(scaled, divisor)
+        assert dec_q == reference.decompose_bruteforce(scaled, divisor)
         for b in candidates + [dec.positive]:
             verdict = in_nef_region(form, divisor, b)
             assert in_nef_region(scaled, divisor, b) == verdict
-            assert fraction_in_nef_region(scaled, divisor, b) == verdict
-
-
-def parent_scaled_int_vector(values):
-    """Reference: ``scaled_int_vector`` as it was, every entry through
-    ``as_rational``, kept verbatim."""
-    ratios = [linalg.as_rational(x).as_integer_ratio() for x in values]
-    s = lcm(*(d for _, d in ratios))
-    return [n * (s // d) for n, d in ratios], s
-
-
-def parent_scaled_divisor(values, size):
-    """Reference: ``_scaled_divisor`` as it was, ``as_vector`` and then a
-    second reading of the validated entries, kept verbatim."""
-    a = as_vector(values)
-    if len(a) != size:
-        raise ShapeError(f"divisor has {len(a)} coefficients, form has {size} components")
-    big_a, s = parent_scaled_int_vector(a)
-    bad = next((i for i, x in enumerate(big_a) if x < 0), None)
-    if bad is not None:
-        raise DomainError(f"effective divisor needs nonnegative coefficients; entry {bad} is {a[bad]}")
-    return a, big_a, s
-
-
-def parent_in_nef_region(form, divisor, candidate):
-    """Reference: ``in_nef_region`` as it was, kept verbatim."""
-    _, big_a, s = parent_scaled_divisor(divisor, form.size)
-    big_b, t = parent_scaled_int_vector(candidate)
-    if len(big_b) != form.size:
-        raise ShapeError(f"candidate has {len(big_b)} coefficients, form has {form.size}")
-    if any(v < 0 or v * s > w * t for v, w in zip(big_b, big_a)):
-        return False
-    rows, _ = form.gram.scaled_rows
-    return all(sum(map(lambda x, y: x * y, row, big_b)) >= 0
-               for row, w in zip(rows, big_a) if w)
-
-
-def parent_decomposition_checks(form, divisor, dec):
-    """Reference: ``decomposition_checks`` as it was, with ``Fraction`` sums
-    for ``parts_sum`` and ``P`` converted back to integers, kept verbatim."""
-    a, _, _ = parent_scaled_divisor(divisor, form.size)
-    p, n = as_vector(dec.positive), dec.negative
-    if len(p) != form.size:
-        raise ShapeError(f"positive part has {len(p)} coefficients, form has {form.size}")
-    rows, _ = form.gram.scaled_rows
-    big_p, _ = parent_scaled_int_vector(p)
-    gp = [sum(map(lambda x, y: x * y, row, big_p)) for row in rows]
-    support_n = support_of(n)
-    return {
-        "parts_sum": tuple(x + z for x, z in zip(p, n)) == a,
-        "positive_nef": all(v >= 0 for v in gp),
-        "negative_exceptional": support_n == dec.negative_support
-        and zariski.witness_certifies(rows, support_n, dec.witness),
-        "orthogonal": sum(x * v for x, v in zip(n, gp) if x) == 0,
-        "support_union": tuple(sorted(set(support_of(p)) | set(support_n)))
-        == support_of(a),
-    }
+            assert reference.in_nef_region(scaled, divisor, b) == verdict
 
 
 def mutated_decompositions(form, dec):
@@ -1134,49 +945,10 @@ def divisor_spellings(divisor):
             lambda: spellings(divisor)[2])
 
 
-class ParentSplitMix64:
-    """Reference: ``SplitMix64`` as it was, kept verbatim."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & zariski.MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & zariski.MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & zariski.MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & zariski.MASK64
-        return z ^ (z >> 31)
-
-    def randint(self, lo: int, hi: int) -> int:
-        if hi < lo:
-            raise DomainError(f"empty range [{lo}, {hi}]")
-        return lo + self.next_u64() % (hi - lo + 1)
-
-
-def parent_random_instance(spec):
-    """Reference: ``random_instance`` as it was, kept verbatim, over the
-    generator and ``RationalMatrix.symmetric`` as they were."""
-    rng = ParentSplitMix64(spec.seed)
-    m = spec.m
-    rows = [[0] * m for _ in range(m)]
-    for i in range(m):
-        rows[i][i] = rng.randint(*spec.diagonal_range)
-        for j in range(i + 1, m):
-            rows[i][j] = rows[j][i] = rng.randint(*spec.offdiagonal_range)
-    coeffs = []
-    for _ in range(m):
-        numerator = rng.randint(*spec.coefficient_range)
-        denominator = rng.randint(1, spec.denominator_max)
-        coeffs.append(Fraction(numerator, denominator))
-    labels = tuple(f"D{i + 1}" for i in range(m))
-    return IntersectionForm(labels=labels, gram=parent_symmetric(rows)), as_divisor(coeffs, m)
-
-
 class TestInstanceReference:
-    """``random_instance`` draws the instance it drew before it read the
-    stream directly and checked symmetry once."""
+    """``random_instance`` draws the instance the frozen stream draws in the
+    frozen order, before it read the stream directly and checked symmetry
+    once."""
 
     def test_standard_specs(self):
         seeds = SplitMix64(0x1257A)
@@ -1199,7 +971,7 @@ class TestInstanceReference:
     def assert_same_instances(specs):
         for spec in specs:
             form, divisor = random_instance(spec)
-            expected_form, expected_divisor = parent_random_instance(spec)
+            expected_form, expected_divisor = reference.frozen_random_instance(spec)
             assert (form, divisor, divisor._scaled) == (
                 expected_form, expected_divisor, expected_divisor._scaled), spec
             assert repr(form) == repr(expected_form) and type(divisor) is type(expected_divisor)
@@ -1214,8 +986,9 @@ def raised(call):
 
 
 class TestIntegerPathReference:
-    """``decomposition_checks`` and ``in_nef_region`` give what the ``Fraction``
-    versions they replaced gave, key for key and query for query."""
+    """``decomposition_checks`` and ``in_nef_region`` give what their
+    ``Fraction`` specifications give, key for key, query for query and
+    error for error."""
 
     def test_checks_match_on_corpus_and_mutations(self, corpus_1000):
         compared = failing = 0
@@ -1224,7 +997,7 @@ class TestIntegerPathReference:
             oracle = decompose_bruteforce(form, divisor)
             for dec in mutated_decompositions(form, engine) + [oracle]:
                 got = decomposition_checks(form, divisor, dec)
-                assert list(got.items()) == list(parent_decomposition_checks(form, divisor, dec).items())
+                assert list(got.items()) == list(reference.decomposition_checks(form, divisor, dec).items())
                 compared += 1
                 failing += not all(got.values())
         assert compared > 4000 and failing > 2000
@@ -1243,7 +1016,7 @@ class TestIntegerPathReference:
                 ((Fraction(-1, 3),) + tuple(divisor[1:]), dec),
             ]
             for d, case in cases:
-                expected = raised(lambda: parent_decomposition_checks(form, d, case))
+                expected = raised(lambda: reference.decomposition_checks(form, d, case))
                 assert isinstance(expected, tuple), (d, case)
                 assert raised(lambda: decomposition_checks(form, d, case)) == expected
 
@@ -1285,19 +1058,19 @@ class TestIntegerPathReference:
             pool = members + candidates
             joins = [tuple(map(max, u, v)) for u, v in zip(pool, pool[1:] + pool[:1])]
             for b in pool + joins:
+                expected = reference.in_nef_region(form, divisor, b)
                 for a, spelled in zip(spellings(divisor), spellings(b)):
                     verdict = in_nef_region(form, a, spelled)
-                    assert verdict == parent_in_nef_region(form, a, spelled)
+                    assert verdict == expected
                     verdicts.append(verdict)
-                assert {in_nef_region(form, a(), b) for a in divisor_spellings(divisor)} == {
-                    parent_in_nef_region(form, divisor, b)}
+                assert {in_nef_region(form, a(), b) for a in divisor_spellings(divisor)} == {expected}
                 j = rng.randint(0, form.size - 1)
                 bad = invalid[rng.randint(0, len(invalid) - 1)]
                 for args in ((divisor, b[:j] + (bad,) + b[j + 1 :]),
                              (divisor[:j] + (bad,) + divisor[j + 1 :], b),
                              (divisor, b[:-1]), (divisor, b + (0,)), (divisor + (1,), b),
                              (as_divisor(divisor + (1,), form.size + 1), b)):
-                    expected = raised(lambda: parent_in_nef_region(form, *args))
+                    expected = raised(lambda: reference.in_nef_region(form, *args))
                     assert raised(lambda: in_nef_region(form, *args)) == expected
         assert len(verdicts) > 5000 and 0.2 < sum(verdicts) / len(verdicts) < 0.9
         assert sum(isinstance(x, CramerAnalysis) for x in cramer_results) > 100
