@@ -16,18 +16,21 @@ The chain of bounds computed here:
   volume-``C`` models in projective space.
 
 These numbers are astronomically large by design; they are meaningful as
-formulas.  A factorial is materialized only while its argument stays below
-a guard (default 100000, overridable via the ``BBF_FACTORIAL_GUARD``
-environment variable or a keyword); beyond the guard the value is kept as
-an exact symbolic descriptor carrying the precise integer argument, so
-equality tests stay exact either way.
+formulas.  A factorial is materialized only while its argument does not
+exceed a guard (default 100000, overridable via the ``BBF_FACTORIAL_GUARD``
+environment variable, ASCII digits only, or the ``guard=`` keyword); beyond
+the guard the value is kept as an exact symbolic descriptor carrying the
+precise integer argument (``{"factorial_of": "...", "times": "..."}`` in
+JSON), so equality tests stay exact either way.  Derived quantities over a
+deferred value (the reverse bound, the Chow degree) nest the descriptor.
 
-Materialized values print in full: :func:`decimal_string` renders an int of
-any size by divide and conquer over :mod:`decimal`, in quasi-linear time and
-without CPython's limit on int-to-str conversion (4300 digits by default).
-Bound values are :class:`BigInt`/:class:`BigFraction` instances, whose
-``str()`` goes through it, and the deferred descriptors render their
-arguments the same way.
+Materialized values print in full: :func:`zarlat.linalg.decimal_string`
+renders an int of any size by divide and conquer over :mod:`decimal`, in
+quasi-linear time and without CPython's limit on int-to-str conversion (4300
+digits by default).  Bound values are :class:`BigInt`/:class:`BigFraction`
+instances, which compare, hash and compute as the plain ``int`` or
+``Fraction`` and whose ``str()`` goes through it, and the deferred
+descriptors render their arguments the same way.
 
 ``cramer_analysis`` ties decompositions to determinants: on an integral
 instance it reads the negative-part coefficients, as ratios of
@@ -38,7 +41,6 @@ is why every denominator divides ``|det|``.  ``instance_failures`` is the
 
 from __future__ import annotations
 
-import decimal
 import math
 import os
 import re
@@ -50,7 +52,8 @@ from . import zariski
 from .errors import DomainError, InconsistencyError, ZarlatError
 from .lattice import DeformationPreset, discriminant_group
 # det is not called here; perfbench/selftest.py checks its tracer rebinds bounds.det.
-from .linalg import _digit_limit_error, as_integer, as_rational, bareiss_solve, det, sylvester_pass
+from .linalg import (_digit_limit_error, _fraction_string, _shown, as_integer, as_rational,
+                     bareiss_solve, decimal_string, det, sylvester_pass)
 from .zariski import (IntersectionForm, _Divisor, _scaled_divisor, as_divisor, decompose,
                       support_rows)
 
@@ -69,71 +72,21 @@ def factorial_guard(override: Optional[int] = None) -> int:
         try:
             guard = as_integer(override)
         except DomainError:
-            raise DomainError(f"factorial guard {override!r} is not a nonnegative integer") from None
-        source = f"factorial guard {guard}"
-    else:
-        raw = os.environ.get(GUARD_ENV_VAR)
-        if not raw:
-            return DEFAULT_FACTORIAL_GUARD
-        source = f"{GUARD_ENV_VAR}={raw!r}"
-        try:
-            guard = int(raw) if re.fullmatch(r"[0-9]+", raw) else -1
-        except ValueError:  # digits past the interpreter's int/str conversion limit
-            raise _digit_limit_error(GUARD_ENV_VAR, len(raw)) from None
-    if guard < 0:
-        raise DomainError(f"{source} is not a nonnegative integer")
-    return guard
-
-
-# Ints of at most this many bits (at most 4215 decimal digits) stay under the
-# interpreter's default 4300-digit conversion limit and use the builtin.
-_BUILTIN_STR_BITS = 14_000
-# Leaves of the divide and conquer: small enough for a direct conversion.
-_LEAF_BITS = 128
-
-
-def decimal_string(n: int) -> str:
-    """``n`` in decimal, exactly as ``int.__str__`` writes it, at any size.
-
-    Above the default conversion limit the value is split as
-    ``n = hi * 2**h + lo``, ``h`` half its bit length, down to 128-bit
-    leaves, and reassembled in :mod:`decimal` arithmetic, whose large
-    products are subquadratic; each power of two is computed once per call.
-    This is ``int_to_decimal_string`` from CPython 3.12's ``Lib/_pylong.py``
-    (gh-90716).
-    """
-    if n.bit_length() <= _BUILTIN_STR_BITS:
-        return int.__repr__(n)
-    two = decimal.Decimal(2)
-    powers: dict[int, decimal.Decimal] = {}
-
-    def power(w: int) -> decimal.Decimal:
-        result = powers.get(w)
-        if result is None:
-            if w <= _LEAF_BITS:
-                result = two ** w
-            elif w - 1 in powers:
-                result = powers[w - 1] + powers[w - 1]
-            else:
-                # The smaller half first, so an odd ``w`` finds ``w - 1`` cached.
-                result = power(w >> 1) * power(w - (w >> 1))
-            powers[w] = result
-        return result
-
-    def convert(m: int, w: int) -> decimal.Decimal:
-        if w <= _LEAF_BITS:
-            return decimal.Decimal(m)
-        half = w >> 1
-        hi = m >> half
-        return convert(m - (hi << half), half) + convert(hi, w - half) * power(half)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
-        digits = str(convert(abs(n), abs(n).bit_length()))
-    return "-" + digits if n < 0 else digits
+            raise DomainError(
+                f"factorial guard {_shown(override)} is not a nonnegative integer") from None
+        if guard < 0:
+            raise DomainError(
+                f"factorial guard {decimal_string(guard)} is not a nonnegative integer")
+        return guard
+    raw = os.environ.get(GUARD_ENV_VAR)
+    if not raw:
+        return DEFAULT_FACTORIAL_GUARD
+    if re.fullmatch(r"[0-9]+", raw) is None:
+        raise DomainError(f"{GUARD_ENV_VAR}={raw!r} is not a nonnegative integer")
+    try:
+        return int(raw)
+    except ValueError:  # digits past the interpreter's int/str conversion limit
+        raise _digit_limit_error(GUARD_ENV_VAR, len(raw)) from None
 
 
 class BigInt(int):
@@ -157,12 +110,6 @@ class BigFraction(Fraction):
 
     def __repr__(self) -> str:
         return f"BigFraction({decimal_string(self.numerator)}, {decimal_string(self.denominator)})"
-
-
-def _fraction_string(q: Fraction) -> str:
-    if q.denominator == 1:
-        return decimal_string(q.numerator)
-    return f"{decimal_string(q.numerator)}/{decimal_string(q.denominator)}"
 
 
 class DeferredFactorial(NamedTuple):
@@ -224,9 +171,9 @@ def denominator_bound(b: int, rho: int, guard: Optional[int] = None) -> BoundVal
     b = as_integer(b)
     rho = as_integer(rho)
     if b < 1:
-        raise DomainError(f"negativity bound must be positive, got {b}")
+        raise DomainError(f"negativity bound must be positive, got {decimal_string(b)}")
     if rho < 1:
-        raise DomainError(f"rho must be at least 1, got {rho}")
+        raise DomainError(f"rho must be at least 1, got {decimal_string(rho)}")
     return _factorial_times(b ** (rho - 1), 1, guard)
 
 
@@ -258,15 +205,15 @@ def chow_degree_bound(n: int, volume, m0) -> Union[BigFraction, DeferredPower]:
     """Degree bound ``m0**(2n) * C`` for the image in projective space."""
     n = as_integer(n)
     if n < 1:
-        raise DomainError(f"half-dimension must be positive, got {n}")
+        raise DomainError(f"half-dimension must be positive, got {decimal_string(n)}")
     c = as_rational(volume)
     if c <= 0:
-        raise DomainError(f"volume must be positive, got {c}")
+        raise DomainError(f"volume must be positive, got {_fraction_string(c)}")
     if isinstance(m0, DeferredFactorial):
         return DeferredPower(base=m0, exponent=2 * n, scale=c)
     m0 = as_integer(m0)
     if m0 < 1:
-        raise DomainError(f"birationality multiple must be positive, got {m0}")
+        raise DomainError(f"birationality multiple must be positive, got {decimal_string(m0)}")
     return BigFraction(Fraction(m0) ** (2 * n) * c)
 
 
@@ -284,7 +231,7 @@ class BoundReport(NamedTuple):
     """All closed-form bounds for one deformation family.
 
     ``at_rho`` evaluates the chain at the requested Picard number;
-    ``uniform`` replaces it by ``h11``, which bounds the Picard number of
+    ``uniform`` replaces it by ``h11 = b2 - 2``, which bounds the Picard number of
     every member of the deformation family, so those values hold uniformly.
     The reverse bound uses the full second-cohomology discriminant order as
     a stand-in for the Neron-Severi one; feed
@@ -327,10 +274,11 @@ def full_report(preset: DeformationPreset, rho: int, volume=1,
     """Assemble every bound for a deformation family at Picard number rho."""
     rho = as_integer(rho)
     if rho < 1 or rho > preset.h11:
-        raise DomainError(f"rho must lie in [1, {preset.h11}] for {preset.display_name}, got {rho}")
+        raise DomainError(f"rho must lie in [1, {preset.h11}] for {preset.display_name}, "
+                          f"got {decimal_string(rho)}")
     vol = as_rational(volume)
     if vol <= 0:
-        raise DomainError(f"volume must be positive, got {vol}")
+        raise DomainError(f"volume must be positive, got {_fraction_string(vol)}")
     group = discriminant_group(preset.lattice)
     b = group.negativity_bound
     return BoundReport(
@@ -390,8 +338,8 @@ def cramer_analysis(form: IntersectionForm, divisor: Sequence,
     for j, value in zip(idx, coefficients):
         if reference.negative[j] != value:
             raise InconsistencyError(
-                f"Cramer coefficient {value} at component {form.labels[j]!r} disagrees "
-                f"with the decomposition value {reference.negative[j]}"
+                f"Cramer coefficient {_fraction_string(value)} at component {form.labels[j]!r} "
+                f"disagrees with the decomposition value {_fraction_string(reference.negative[j])}"
             )
     return CramerAnalysis(support=idx, coefficients=coefficients,
                           column_determinants=tuple(map(Fraction, y)),
@@ -411,13 +359,13 @@ def det_trace_bound_holds(form: IntersectionForm, support: Sequence[int], b: int
     _, rows, c = support_rows(form, support)
     b = as_integer(b)
     if b < 1:
-        raise DomainError(f"diagonal bound must be positive, got {b}")
+        raise DomainError(f"diagonal bound must be positive, got {decimal_string(b)}")
     low_diagonal = any(row[i] < -b * c for i, row in enumerate(rows))
     outcome = sylvester_pass(rows)
     if outcome is None:
         raise DomainError("support Gram matrix is not negative definite")
     if low_diagonal:
-        raise DomainError(f"a diagonal entry lies below -{b}")
+        raise DomainError(f"a diagonal entry lies below -{decimal_string(b)}")
     d, _ = outcome
     return abs(d) <= (b * c) ** len(rows)
 
@@ -433,7 +381,9 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
     and ``certificate_positive``.  A :class:`ZarlatError` raised by a check fails it
     (``decomposition_checks`` for the invariants, ``decompose`` alone for the engine).
     ``cramer_divisibility`` runs :func:`cramer_analysis` on the integral form
-    ``c * gram`` and the divisor's numerators ``s * a``.
+    ``c * gram`` and the divisor's numerators ``s * a``; positive scales keep
+    the negative support, so the property holds on a rational Gram matrix too
+    (``zarlat fuzz`` draws integral ones).
     """
     oracle_limit, seed = as_integer(oracle_limit), as_integer(seed)
     divisor = as_divisor(divisor, form.size)  # read once; every check below reads none

@@ -417,8 +417,21 @@ def cmd_fuzz(args) -> int:
     return EXIT_PROPERTY if first_failure else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse writes every message through ``_print_message``, which
+    swallows an ``OSError``.  What goes to stdout, ``--help``, goes through
+    :func:`_emit` instead, so help to an unwritable stdout exits 1 as every
+    other output does; usage errors still go to stderr as before."""
+
+    def _print_message(self, message, file=None) -> None:
+        if file is sys.stdout:
+            _emit(message, None)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zarlat",
         description="Exact Zariski decompositions, lattice discriminants and bound reports.",
     )
@@ -464,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # Flags, problem files and decompose results may hold integers longer
     # than CPython's int/str conversion limit.  Bound values render through
-    # bounds.decimal_string, which needs no lift.
+    # linalg.decimal_string, which needs no lift.
     with _int_str_unlimited():
         try:
             args = build_parser().parse_args(argv)

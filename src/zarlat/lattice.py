@@ -11,7 +11,11 @@ candidate prime exceptional class ``E``.
 The published per-family values (discriminant group, its exponent, largest
 negative square of a prime exceptional divisor) are catalog data, stored
 verbatim in one table row per family; the lattice-theoretic columns are
-recomputed from the Gram matrices so the two can be cross-checked.
+recomputed from the Gram matrices so the two can be cross-checked.  For OG10
+the stored largest square, 6, is finer than the general bound
+``4 * Card(A_X) = 12``.  ``preset``, ``normalize_tag``, ``PRESET_TAGS`` and
+``presets(n)`` (read by the ``table`` command) all derive from that table,
+so a family is added or corrected in one row.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from operator import mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, InconsistencyError, ShapeError, SingularMatrixError
-from .linalg import RationalMatrix, _sequence, as_integer, det, smith_normal_form
+from .linalg import (RationalMatrix, _sequence, _shown, as_integer, decimal_string, det,
+                     smith_normal_form)
 
 
 class _LatticeFields(NamedTuple):
@@ -31,7 +36,9 @@ class _LatticeFields(NamedTuple):
 
 
 class IntegralLattice(_LatticeFields):
-    """A free Z-module with an integral symmetric bilinear form."""
+    """A free Z-module with an integral symmetric bilinear form.
+
+    It is even when every diagonal entry of ``gram.int_rows()`` is even."""
 
     __slots__ = ()
 
@@ -64,7 +71,10 @@ class IntegralLattice(_LatticeFields):
 
 
 def _coordinates(lattice: IntegralLattice, values: Sequence[int]) -> list[int]:
-    """``values`` as ``rank`` integers, each read by :func:`zarlat.linalg.as_integer`."""
+    """``values`` as ``rank`` integers, each read by :func:`zarlat.linalg.as_integer`:
+    a list, a tuple or another iterable that is not a string, bytes, a
+    mapping or a set.  Lattice pairings and the dual-curve test read
+    coordinates through it."""
     vec = [as_integer(x) for x in _sequence(values, "lattice coordinates")]
     if len(vec) != lattice.rank:
         raise ShapeError(f"class has {len(vec)} coordinates, lattice rank is {lattice.rank}")
@@ -108,8 +118,9 @@ def rank_one(k: int) -> IntegralLattice:
     if k == 0:
         raise DomainError("rank-one lattice needs a nonzero square")
     if k % 2 != 0:
-        raise DomainError(f"rank-one square {k} is odd; the catalog holds even lattices only")
-    return IntegralLattice(f"<{k}>", RationalMatrix.symmetric([[k]]))
+        raise DomainError(
+            f"rank-one square {decimal_string(k)} is odd; the catalog holds even lattices only")
+    return IntegralLattice(f"<{decimal_string(k)}>", RationalMatrix.symmetric([[k]]))
 
 
 # Every catalog block by name; ``rank1`` alone takes its square k.
@@ -128,7 +139,7 @@ def block(name: str, parameter: Optional[int] = None) -> IntegralLattice:
             raise DomainError("rank1 block needs its square as a parameter")
         return rank_one(parameter)
     if parameter is not None:
-        raise DomainError(f"{name} block takes no parameter, got {parameter!r}")
+        raise DomainError(f"{name} block takes no parameter, got {_shown(parameter)}")
     return _BLOCKS[name]()
 
 
@@ -154,7 +165,9 @@ class DiscriminantGroup(NamedTuple):
     """The finite quotient (dual lattice)/(lattice) of a nonsingular lattice.
 
     ``elementary_divisors`` are the invariant factors > 1 in divisibility
-    order, so the group is the product of Z/d for d in that tuple.
+    order, so the group is the product of Z/d for d in that tuple, and it is
+    cyclic when ``len(elementary_divisors) <= 1``.  The ``lattice``, ``table``
+    and ``bounds`` commands read both negativity bounds from here.
     """
 
     elementary_divisors: tuple[int, ...]
@@ -305,9 +318,9 @@ def preset(tag: str, n: Optional[int] = None) -> DeformationPreset:
     if family.takes_n:
         n = None if n is None else as_integer(n)
         if n is None or n < 2:
-            raise DomainError(f"{tag} needs an integer parameter n >= 2, got {n!r}")
+            raise DomainError(f"{tag} needs an integer parameter n >= 2, got {_shown(n)}")
     elif n is not None:
-        raise DomainError(f"{tag} takes no parameter, got n={n!r}")
+        raise DomainError(f"{tag} takes no parameter, got n={_shown(n)}")
     summands, published, square, half_dim = family.build(n)
     lat = direct_sum([hyperbolic_plane()] * 3 + summands)
     return DeformationPreset(

@@ -40,6 +40,7 @@ state, owned by the caller that extends it.
 
 from __future__ import annotations
 
+import decimal
 import re
 import sys
 from collections.abc import Mapping, Set as AbstractSet
@@ -61,6 +62,82 @@ def _digit_limit_error(what: str, digits: int) -> DomainError:
     allows.  It gives the digit count, not the string."""
     return DomainError(f"{what} has {digits} digits, more than the interpreter's limit of "
                        f"{sys.get_int_max_str_digits()} for integer string conversion")
+
+
+# Ints of at most this many bits (at most 4215 decimal digits) stay under the
+# interpreter's default 4300-digit conversion limit and use the builtin.
+_BUILTIN_STR_BITS = 14_000
+# Leaves of the divide and conquer: small enough for a direct conversion.
+_LEAF_BITS = 128
+
+
+def decimal_string(n: int) -> str:
+    """``n`` in decimal, exactly as ``int.__str__`` writes it, at any size.
+
+    Above the default conversion limit the value is split as
+    ``n = hi * 2**h + lo``, ``h`` half its bit length, down to 128-bit
+    leaves, and reassembled in :mod:`decimal` arithmetic, whose large
+    products are subquadratic; each power of two is computed once per call.
+    This is ``int_to_decimal_string`` from CPython 3.12's ``Lib/_pylong.py``
+    (gh-90716), about 6x faster than ``int.__str__`` on the 168,192-digit
+    reverse bound of ``K3n:2`` at rho = 2.
+    """
+    if n.bit_length() <= _BUILTIN_STR_BITS:
+        return int.__repr__(n)
+    two = decimal.Decimal(2)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        result = powers.get(w)
+        if result is None:
+            if w <= _LEAF_BITS:
+                result = two ** w
+            elif w - 1 in powers:
+                result = powers[w - 1] + powers[w - 1]
+            else:
+                # The smaller half first, so an odd ``w`` finds ``w - 1`` cached.
+                result = power(w >> 1) * power(w - (w >> 1))
+            powers[w] = result
+        return result
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, w - half) * power(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(n), abs(n).bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
+def _fraction_string(q: Fraction) -> str:
+    """``str(q)`` for an int or a ``Fraction``, at any size."""
+    if q.denominator == 1:
+        return decimal_string(q.numerator)
+    return f"{decimal_string(q.numerator)}/{decimal_string(q.denominator)}"
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, at any size: an int or a
+    ``Fraction``, or a list or tuple of them, prints its digits by
+    :func:`decimal_string`, so a value past the int/str conversion limit
+    still gives the intended error; anything else is its own ``repr``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return decimal_string(value)
+    if isinstance(value, Fraction):
+        return (f"{type(value).__name__}({decimal_string(value.numerator)}, "
+                f"{decimal_string(value.denominator)})")
+    if type(value) is list:
+        return f"[{', '.join(map(_shown, value))}]"
+    if type(value) is tuple:
+        return f"({', '.join(map(_shown, value))}{',' if len(value) == 1 else ''})"
+    return repr(value)
 
 
 def as_rational(value) -> Fraction:
@@ -105,13 +182,14 @@ def as_integer(value) -> int:
         return value
     q = as_rational(value)
     if q.denominator != 1:
-        raise DomainError(f"{value!r} is not an integer")
+        raise DomainError(f"{_shown(value)} is not an integer")
     return q.numerator
 
 
 def _sequence(values, what: str):
     """``values``, unless it is a string, bytes, a mapping or a set, whose iteration yields no
-    coordinates: :class:`DomainError`.  Lists and tuples skip the slow ABC checks."""
+    coordinates: :class:`DomainError` naming its type.  Lists, tuples, ranges and generators
+    are read; lists and tuples skip the slow ABC checks."""
     if type(values) not in (list, tuple) and isinstance(
             values, (str, bytes, bytearray, Mapping, AbstractSet)):
         raise DomainError(f"cannot interpret {type(values).__name__} as {what}")
@@ -176,7 +254,8 @@ class RationalMatrix:
             for i, row in enumerate(a):
                 for j in range(i + 1, m.ncols):
                     if row[j] != a[j][i]:
-                        raise ShapeError(f"asymmetric entry at ({i}, {j}): {m[i, j]} != {m[j, i]}")
+                        upper, lower = _fraction_string(m[i, j]), _fraction_string(m[j, i])
+                        raise ShapeError(f"asymmetric entry at ({i}, {j}): {upper} != {lower}")
         return m
 
     @property
@@ -229,7 +308,8 @@ class RationalMatrix:
         :class:`ShapeError`."""
         idx = [as_integer(i) for i in _sequence(indices, "submatrix indices")]
         if not all(0 <= i < min(self.nrows, self.ncols) for i in idx):
-            raise ShapeError(f"indices {idx} out of range for a {self.nrows}x{self.ncols} matrix")
+            raise ShapeError(
+                f"indices {_shown(idx)} out of range for a {self.nrows}x{self.ncols} matrix")
         rows, c = self._scaled
         return RationalMatrix._from_scaled(tuple(tuple(rows[i][j] for j in idx) for i in idx), c)
 
@@ -363,7 +443,8 @@ class BorderedElimination:
     eliminating any old entry again: the state equals one fresh elimination
     over the rows in the order they joined.
 
-    Pivots are applied two at a time, Bareiss's two-step method: a row goes
+    Pivots are applied two at a time, Bareiss's two-step method (*Math.
+    Comp.* 22, 1968): a row goes
     from level ``s`` to level ``s + 2`` in one pass, with 3 multiplications
     and 1 exact division per entry where two single steps take 4 and 2.
     """
@@ -639,8 +720,10 @@ def smith_normal_form(matrix) -> SmithNormalForm:
     For each ``t`` an entry of least magnitude in the trailing block moves
     to ``(t, t)``, and column ``t`` and row ``t`` are cleared by division
     with remainder; when the pivot divides row ``t`` but not the whole
-    block, a row of the block is first added into row ``t``.  Row operations
-    are recorded in ``left`` and column operations in ``right``.
+    block, a row of the block is first added into row ``t``, so the
+    divisibility chain holds as soon as the loop ends.  Row operations are
+    recorded in ``left`` and column operations in ``right``, the certificate
+    :meth:`SmithNormalForm.verify` checks.
     """
     m = as_matrix(matrix)
     if not m.is_square():

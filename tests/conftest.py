@@ -1,7 +1,10 @@
+import doctest
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -177,3 +180,20 @@ def witness_verdict(form) -> bool:
         s = lcm(*(v.denominator for v in x))
         witness = tuple(v.numerator * (s // v.denominator) for v in x)
     return witness_certifies(form.gram.scaled_rows[0], range(k), witness)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(info):
+    """The bodies of README.md's fenced code blocks opened by ```` ```info ````, in order."""
+    text = README.read_text(encoding="utf-8")
+    return re.findall(rf"(?ms)^```{re.escape(info)}\n(.*?)^```$", text)
+
+
+def readme_example():
+    """The README's one ``python`` block as a doctest, its line numbers those of README.md."""
+    text = README.read_text(encoding="utf-8")
+    (block,) = readme_blocks("python")
+    lineno = text[:text.index(block)].count("\n")
+    return doctest.DocTestParser().get_doctest(block, {}, "README.md", str(README), lineno)

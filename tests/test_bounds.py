@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zarlat import bounds, cli, zariski
+from zarlat import bounds, cli, linalg, zariski
 from zarlat.bounds import (
     BigFraction,
     BigInt,
@@ -30,9 +30,11 @@ from zarlat.errors import (
     InconsistencyError,
     ShapeError,
     SingularMatrixError,
+    ZarlatError,
 )
-from zarlat.lattice import direct_sum, dual_curve_integrality, hyperbolic_plane, preset, rank_one
-from zarlat.linalg import as_integer, as_rational
+from zarlat.lattice import (block, direct_sum, dual_curve_integrality, hyperbolic_plane, preset,
+                            rank_one)
+from zarlat.linalg import RationalMatrix, as_integer, as_rational
 from zarlat.zariski import (
     InstanceSpec,
     decompose,
@@ -390,7 +392,7 @@ class TestDeferredStrings:
 
 def _near_powers_of_two():
     """Beside 128-bit leaves, their halvings and doublings, and the builtin threshold."""
-    top = bounds._BUILTIN_STR_BITS
+    top = linalg._BUILTIN_STR_BITS
     widths = [1, 64, 127, 128, 129, 255, 256, 257, 511, 512, top - 1, top, top + 1, 3 * top]
     return st.builds(lambda w, d: max(0, (1 << w) + d), st.sampled_from(widths), st.integers(-2, 2))
 
@@ -433,7 +435,7 @@ class TestDecimalString:
         with int_str_limit(0):
             expected = str(n)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bounds, "_BUILTIN_STR_BITS", 0)
+            patch.setattr(linalg, "_BUILTIN_STR_BITS", 0)
             assert decimal_string(n) == expected
 
     def test_no_lifted_limit_needed(self):
@@ -483,6 +485,48 @@ class TestDigitLimit:
                 read()
         with int_str_limit(0):
             assert read() == expected
+
+
+# Each call ends the same way given a small value and given one past the
+# interpreter's int/str conversion limit: an error message shows the value
+# through linalg._shown or linalg._fraction_string, at any size.
+HUGE = 10**5000
+_PAIR = form_of([[-2, 1], [1, -2]])
+SIZED_CALLS = {
+    "factorial_guard": factorial_guard,
+    "full_report": lambda n: full_report(preset("K3n", 2), rho=n),
+    "rank_one": lambda n: rank_one(2 * n),
+    "preset": lambda n: preset("K3n", -n),
+    "denominator_bound": lambda n: denominator_bound(-n, 2),
+    "chow_degree_bound": lambda n: chow_degree_bound(1, 1, -n),
+    "InstanceSpec": lambda n: InstanceSpec(seed=0, m=-n),
+    "SplitMix64.randint": lambda n: zariski.SplitMix64(0).randint(n, 0),
+    "as_divisor": lambda n: zariski.as_divisor([1], n),
+    "decompose_bruteforce": lambda n: zariski.decompose_bruteforce(_PAIR, [1, 1], limit=-n),
+    "block": lambda n: block("U", n),
+    "RationalMatrix.submatrix": lambda n: RationalMatrix([[1]]).submatrix([n]),
+    "exceptional_certificate": lambda n: exceptional_certificate(_PAIR, [n]),
+    "decompose": lambda n: decompose(_PAIR, [-n, 0]),
+    "as_integer": lambda n: as_integer(Fraction(2 * n + 1, 2)),
+    "RationalMatrix.symmetric": lambda n: RationalMatrix.symmetric([[0, n], [0, 0]]),
+}
+
+
+class TestHugeValuesInMessages:
+    @pytest.mark.parametrize("name", sorted(SIZED_CALLS))
+    def test_same_outcome_as_a_small_value(self, name):
+        def outcome(n):
+            try:
+                SIZED_CALLS[name](n)
+            except ZarlatError as exc:
+                return type(exc), str(exc)
+            return None, ""
+
+        with int_str_limit(DEFAULT_STR_DIGITS):
+            small, _ = outcome(50)
+            huge, message = outcome(HUGE)
+        assert huge is small
+        assert small is None or len(message) > 5000  # the value, every digit
 
 
 class TestLibraryStrings:

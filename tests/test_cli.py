@@ -524,13 +524,15 @@ class FailingStdout:
         pass
 
 
-# Each writes stdout through ``cli._emit``; the last one writes more than
-# one buffer's worth.
+# Each writes stdout through ``cli._emit``, help included; ``bounds`` writes
+# more than one buffer's worth.
 STDOUT_COMMANDS = [
     ["table", "--n", "2"],
     ["fuzz", "--seed", "1", "--count", "3"],
     ["lattice", "OG6"],
     ["bounds", "K3n:2", "--rho", "2"],
+    ["--help"],
+    ["decompose", "--help"],
 ]
 
 

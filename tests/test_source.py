@@ -10,6 +10,7 @@ from pathlib import Path
 
 import zarlat
 from zarlat import errors, linalg
+from conftest import readme_example
 
 PACKAGE_DIR = Path(zarlat.__file__).resolve().parent
 REPO_DIR = Path(__file__).resolve().parents[1]
@@ -191,14 +192,14 @@ def test_one_generator_step_and_one_matrix_read():
 def test_integer_path_between_input_and_result():
     # The checks and the nef query compare integers only: they build no
     # Fraction and convert their inputs through the one linalg pass, not
-    # through as_vector or as_divisor.  The engine and the oracle build each
+    # through as_divisor.  The engine and the oracle build each
     # coefficient of P and N once from integers (_split): no subtraction reads
     # a Fraction-valued name, the divisor ``a`` or a part.  TestIntegerPath in
     # test_zariski.py checks the same at run time.
     _, functions = _top_level_functions("zariski.py")
     for name in ("decomposition_checks", "in_nef_region"):
         called = set(_called_names(functions[name]))
-        assert not called & {"Fraction", "as_vector", "as_divisor"}, name
+        assert not called & {"Fraction", "as_divisor"}, name
     fraction_names = {"a", "ai", "ni", "positive", "negative"}
     for name in ("decompose", "decompose_bruteforce", "_split"):
         subtracted = {leaf.id for node in ast.walk(functions[name])
@@ -324,30 +325,34 @@ def test_every_top_level_name_is_referenced():
 
 def test_public_api_is_used():
     # Every name zarlat exports and every public method or property of a
-    # package class is used by the package outside its own definition, named
-    # in a code span of README.md, or traced by the benchmark (perfbench/spans.py).
-    readme = (REPO_DIR / "README.md").read_text(encoding="utf-8")
-    documented = {name for span in re.findall(r"`([^`]*)`", readme)
-                  for name in re.findall(r"[A-Za-z_]\w*", span)}
-    traced = {(module, path) for module, path, _ in _traced()}
+    # package class is read outside its own definition, by the package or by
+    # the library example of README.md (a doctest, parsed as code), or is
+    # traced by the benchmark (perfbench/spans.py).  A method counts as read
+    # only through an attribute (``x.square``), since a bare name is some
+    # other variable; prose and inline code spans count for nothing.
+    example = ast.parse("".join(step.source for step in readme_example().examples))
     modules = [path for path in _modules(PACKAGE_DIR) if path.name != "__init__.py"]
-    read = sum((_identifiers(_tree(path), {ast.Name, ast.Attribute}) for path in modules),
-               Counter())
-    public = []  # (defining module, qualified name, name, definition)
+    by_name, by_attribute = frozenset({ast.Name, ast.Attribute}), frozenset({ast.Attribute})
+    read = {kinds: sum((_identifiers(tree, kinds) for tree in [*map(_tree, modules), example]),
+                       Counter())
+            for kinds in (by_name, by_attribute)}
+    traced = {(module, path) for module, path, _ in _traced()}
+    public = []  # (defining module, qualified name, name, definition, node kinds that read it)
     for statement in _tree(PACKAGE_DIR / "__init__.py").body:
         if isinstance(statement, ast.ImportFrom):
             path = PACKAGE_DIR / f"{statement.module}.py"
             definitions = dict(_definitions(_tree(path)))
-            public += [(path, alias.name, alias.name, definitions[alias.name])
+            public += [(path, alias.name, alias.name, definitions[alias.name], by_name)
                        for alias in statement.names]
     for path in modules:
         for cls in _tree(path).body:
             if isinstance(cls, ast.ClassDef):
-                public += [(path, f"{cls.name}.{node.name}", node.name, node) for node in cls.body
+                public += [(path, f"{cls.name}.{node.name}", node.name, node, by_attribute)
+                           for node in cls.body
                            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
     unused = [
-        _where(path, node, qualified) for path, qualified, name, node in public
-        if read[name] == _identifiers(node, {ast.Name, ast.Attribute})[name]
-        and name not in documented and (path.stem, qualified) not in traced
+        _where(path, node, qualified) for path, qualified, name, node, kinds in public
+        if read[kinds][name] == _identifiers(node, kinds)[name]
+        and (path.stem, qualified) not in traced
     ]
-    assert not unused, f"public names nothing uses, documents or traces; delete them: {unused}"
+    assert not unused, f"public names nothing reads or traces; delete them: {unused}"
