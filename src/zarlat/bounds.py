@@ -280,6 +280,7 @@ def full_report(preset: DeformationPreset, rho: int, volume=1,
     if vol <= 0:
         raise DomainError(f"volume must be positive, got {_fraction_string(vol)}")
     group = discriminant_group(preset.lattice)
+    guard = factorial_guard(guard)  # read once; the int is passed down
     b = group.negativity_bound
     return BoundReport(
         preset_tag=preset.tag,

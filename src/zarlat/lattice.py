@@ -191,7 +191,7 @@ class DiscriminantGroup(NamedTuple):
 def format_group(divisors: Sequence[int]) -> str:
     if not divisors:
         return "1"
-    return " x ".join(f"Z/{d}" for d in divisors)
+    return " x ".join(f"Z/{decimal_string(d)}" for d in divisors)
 
 
 def discriminant_group(lattice: IntegralLattice) -> DiscriminantGroup:
@@ -292,7 +292,7 @@ class DeformationPreset(NamedTuple):
 
     @property
     def display_name(self) -> str:
-        return _FAMILIES[self.tag].name.format(n=self.n)
+        return _FAMILIES[self.tag].name.format(n=_shown(self.n))
 
     def published_group_name(self) -> str:
         return format_group(self.published_group)

@@ -28,9 +28,10 @@ Sylvester's criterion, yields ``det`` and, by integer back-substitution of
 it carries.  It can be bordered with further rows and columns without
 eliminating the old ones again; :func:`sylvester_pass` extends the empty
 state.  ``signature`` is the third elimination, a congruence reduction
-over integers with a 2x2 hyperbolic pivot when the diagonal of the live
-block vanishes.  ``smith_normal_form`` is one integer loop that enforces
-the divisibility chain while it eliminates and records both unimodular
+over integers with one pivot rule, 1x1; when the diagonal of the live
+block vanishes, a unimodular congruence first makes one entry of it
+nonzero.  ``smith_normal_form`` is one integer loop that enforces the
+divisibility chain while it eliminates and records both unimodular
 transforms, a certificate that discriminant groups check
 (:meth:`SmithNormalForm.verify`).
 
@@ -331,7 +332,7 @@ class RationalMatrix:
         return hash(self._scaled)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
+        body = "; ".join(" ".join(map(_fraction_string, row)) for row in self.entries)
         return f"RationalMatrix({self.nrows}x{self.ncols}: {body})"
 
 
@@ -606,17 +607,16 @@ def signature(matrix) -> Inertia:
 
     The reduction starts from the integer rows of ``c * A`` (``c > 0``, see
     :attr:`RationalMatrix.scaled_rows`) and keeps only the live block, the
-    rows and columns not yet pivoted on.  The first nonzero diagonal entry
-    ``p`` of the block is a 1x1 pivot: the new block is ``|p|`` times the
-    Schur complement, entries ``|p| a_rs - sign(p) a_rp a_ps``.  When the
-    whole diagonal vanishes, the first nonzero entry ``b`` above it spans a
-    hyperbolic 2x2 pivot ``[[0, b], [b, 0]]``, one positive and one negative
-    square, and the new block is ``b**2`` times its Schur complement,
-    entries ``b**2 a_rs - b (a_ri a_js + a_rj a_is)``.  After each step the
-    block is divided by the gcd of its entries.  Every scale is positive, so
-    each block is congruent to a positive multiple of the ``Fraction``
-    reduction's, with the same pivots chosen, and by Sylvester's law of
-    inertia the counts are those of ``A``.
+    rows and columns not yet pivoted on.  Every step is one 1x1 pivot on the
+    first nonzero diagonal entry ``p`` of the block: the new block is ``|p|``
+    times the Schur complement, entries ``|p| a_rs - sign(p) a_rp a_ps``,
+    divided by the gcd of its entries.  When the whole diagonal vanishes,
+    the first nonzero entry ``a_kj`` above it (``k < j``) gives one: adding
+    row ``j`` to row ``k`` and column ``j`` to column ``k`` is a unimodular
+    congruence that puts ``2 a_kj`` on the diagonal at ``k``, and the pivot
+    is taken there.  Each step builds new rows and never writes into the
+    stored ones.  Every scale is positive and every transform a congruence,
+    so by Sylvester's law of inertia the counts are those of ``A``.
     """
     m = as_matrix(matrix)
     if not m.is_symmetric():
@@ -626,39 +626,30 @@ def signature(matrix) -> Inertia:
     n_plus = n_minus = 0
     while a:
         k = next((i for i, row in enumerate(a) if row[i]), None)
-        if k is not None:
-            pivot_row = a[k]
-            p = pivot_row[k]
-            if p > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            q = abs(p)
-            rest_k = pivot_row[:k] + pivot_row[k + 1 :]
-            block = []
-            for r, row in enumerate(a):
-                if r == k:
-                    continue
-                f = row[k] if p > 0 else -row[k]
-                rest = row[:k] + row[k + 1 :]
-                block.append([q * x - f * y for x, y in zip(rest, rest_k)] if f
-                             else [q * x for x in rest])
-        else:
-            ij = next(((i, j) for i, row in enumerate(a) for j in range(i + 1, len(a)) if row[j]),
+        if k is None:
+            kj = next(((i, j) for i, row in enumerate(a) for j in range(i + 1, len(a)) if row[j]),
                       None)
-            if ij is None:
+            if kj is None:
                 break  # the live block is zero
-            i, j = ij
-            row_i, row_j = a[i], a[j]
-            b = row_i[j]
-            bb = b * b
+            k, j = kj
+            a = [[*row[:k], row[k] + row[j], *row[k + 1 :]] for row in a]  # column j into k
+            a[k] = [x + y for x, y in zip(a[k], a[j])]  # row j into k
+        pivot_row = a[k]
+        p = pivot_row[k]
+        if p > 0:
             n_plus += 1
+        else:
             n_minus += 1
-            keep = [s for s in range(len(a)) if s != i and s != j]
-            block = []
-            for r in keep:
-                row, ri, rj = a[r], a[r][i], a[r][j]
-                block.append([bb * row[s] - b * (ri * row_j[s] + rj * row_i[s]) for s in keep])
+        q = abs(p)
+        rest_k = pivot_row[:k] + pivot_row[k + 1 :]
+        block = []
+        for r, row in enumerate(a):
+            if r == k:
+                continue
+            f = row[k] if p > 0 else -row[k]
+            rest = row[:k] + row[k + 1 :]
+            block.append([q * x - f * y for x, y in zip(rest, rest_k)] if f
+                         else [q * x for x in rest])
         g = gcd(*(x for row in block for x in row))
         a = [[x // g for x in row] for row in block] if g > 1 else block
     return Inertia(n_plus, n_minus, n - n_plus - n_minus)

@@ -134,9 +134,13 @@ def solve(rows, rhs):
 
 
 def signature(rows):
-    """Reference: congruence reduction over ``Fraction`` with the pivot
-    order of ``signature`` (first nonzero diagonal entry, else the first
-    nonzero entry above it as a hyperbolic 2x2 block), dividing as it goes."""
+    """Reference: congruence reduction over ``Fraction``, dividing as it
+    goes: a 1x1 pivot on the first nonzero diagonal entry, else the first
+    nonzero entry ``b`` above it spans a hyperbolic 2x2 block ``[[0, b],
+    [b, 0]]``, one positive and one negative square, eliminated at once.
+    The kernel instead makes a diagonal entry nonzero by a unimodular
+    congruence; the 2x2 block is kept here on purpose, so the two are
+    independent formulations of the reduction."""
     a = [[Fraction(x) for x in row] for row in rows]
     live = list(range(len(a)))
     n_plus = n_minus = n_zero = 0

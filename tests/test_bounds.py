@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -32,8 +33,8 @@ from zarlat.errors import (
     SingularMatrixError,
     ZarlatError,
 )
-from zarlat.lattice import (block, direct_sum, dual_curve_integrality, hyperbolic_plane, preset,
-                            rank_one)
+from zarlat.lattice import (block, direct_sum, discriminant_group, dual_curve_integrality,
+                            format_group, hyperbolic_plane, preset, rank_one)
 from zarlat.linalg import RationalMatrix, as_integer, as_rational
 from zarlat.zariski import (
     InstanceSpec,
@@ -529,6 +530,27 @@ class TestHugeValuesInMessages:
         assert small is None or len(message) > 5000  # the value, every digit
 
 
+# Text the library builds from a caller-sized value: the same under the
+# default int/str conversion limit as under none.
+TEXTS_OF_HUGE_VALUES = {
+    "RationalMatrix.__repr__": lambda: repr(RationalMatrix([[HUGE, Fraction(1, HUGE)]])),
+    "format_group": lambda: format_group((2, HUGE)),
+    "DiscriminantGroup.describe": lambda: discriminant_group(rank_one(-2 * HUGE)).describe(),
+    "DeformationPreset.published_group_name": lambda: preset("K3n", HUGE).published_group_name(),
+    "DeformationPreset.display_name": lambda: preset("K3n", HUGE).display_name,
+}
+
+
+class TestHugeValuesInText:
+    @pytest.mark.parametrize("name", sorted(TEXTS_OF_HUGE_VALUES))
+    def test_same_text_as_without_a_limit(self, name):
+        with int_str_limit(0):
+            expected = TEXTS_OF_HUGE_VALUES[name]()
+        with int_str_limit(DEFAULT_STR_DIGITS):
+            assert TEXTS_OF_HUGE_VALUES[name]() == expected
+        assert len(expected) > 5000  # the value, every digit
+
+
 class TestLibraryStrings:
     """``str()`` of bound values needs no lifted conversion limit."""
 
@@ -684,6 +706,23 @@ class TestFullReport:
     def test_volume_positive(self):
         with pytest.raises(DomainError):
             full_report(preset("K3n", 2), rho=2, volume=0)
+
+    def test_guard_read_once(self, monkeypatch):
+        reads = []
+
+        class Environ(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+        monkeypatch.setenv(bounds.GUARD_ENV_VAR, "100000")
+        monkeypatch.setattr(os, "environ", Environ(os.environ))
+        full_report(preset("K3n", 2), 2)
+        assert reads.count(bounds.GUARD_ENV_VAR) == 1
 
 
 class TestBoundDomains:

@@ -22,6 +22,7 @@ from zarlat.lattice import (
     rank_one,
 )
 from zarlat.linalg import Inertia, RationalMatrix, signature, smith_normal_form
+from zarlat.zariski import SplitMix64
 
 import reference
 from conftest import UNIMODULAR_OPS, congruent
@@ -189,6 +190,21 @@ class TestPresets:
     def test_signature_is_3_b2_minus_3(self, tag, n, group, exponent, square):
         p = preset(tag, n)
         assert signature(p.lattice.gram) == Inertia(3, p.b2 - 3, 0)
+
+    @pytest.mark.parametrize("tag, n, seed", [
+        ("K3n", 2, 1), ("Kummer", 2, 2), ("OG6", None, 3), ("OG10", None, 4),
+    ])
+    def test_signature_survives_a_unimodular_congruence(self, tag, n, seed):
+        # The preset's own Gram matrix, checked above, reaches its U^3 block
+        # with a zero diagonal; a seeded change of basis keeps the inertia.
+        p = preset(tag, n)
+        rows = p.lattice.gram.int_rows()
+        size = len(rows)
+        rng = SplitMix64(seed)
+        ops = [(rng.randint(0, 1), rng.randint(0, size - 1), rng.randint(0, size - 1),
+                rng.randint(-2, 2)) for _ in range(2 * size)]
+        a, _ = reference.unimodular(ops, size)
+        assert signature(congruent(a, rows)) == Inertia(3, p.b2 - 3, 0)
 
     def test_invalid_n(self):
         with pytest.raises(DomainError):

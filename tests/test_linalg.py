@@ -446,15 +446,17 @@ def charpoly_inertia(rows):
     return Inertia(sign_changes(coeffs), sign_changes(mirrored), n_zero)
 
 
+def zero_diagonal(rows):
+    return [[Fraction(0) if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
 def inertia_cases(max_size=5):
     """Symmetric rational matrices of sizes 0..max_size: dense ones (mostly
-    indefinite), ones with a zero diagonal (hyperbolic pivots only at the
-    start), and ``B diag(e) B^T / q`` through an inner dimension ``r <= n``
-    (singular when ``r < n`` or some ``e_i == 0``)."""
-
-    def zero_diagonal(rows):
-        return [[Fraction(0) if i == j else x for j, x in enumerate(row)]
-                for i, row in enumerate(rows)]
+    indefinite), ones with a zero diagonal (the congruence that makes a
+    diagonal entry nonzero runs at the start), and ``B diag(e) B^T / q``
+    through an inner dimension ``r <= n`` (singular when ``r < n`` or some
+    ``e_i == 0``)."""
 
     def congruent_diagonal(n):
         return st.integers(0, n).flatmap(lambda r: st.tuples(
@@ -502,9 +504,13 @@ class TestSignature:
         assert signature([]) == Inertia(0, 0, 0)
 
     def test_zero_diagonal_then_one_by_one(self):
-        # eigenvalues 2, -1, -1: a hyperbolic pivot leaves the 1x1 block [-2/1]
+        # eigenvalues 2, -1, -1
         assert signature([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == Inertia(1, 2, 0)
         assert signature([[0] * 3] * 3) == Inertia(0, 0, 3)
+        # eigenvalues about -4.47, -0.05, 1.31, 3.21; the diagonal is zero, so
+        # the first pivot is made from a_01
+        rows = [[0, 1, -3, 2], [1, 0, 1, 0], [-3, 1, 0, 1], [2, 0, 1, 0]]
+        assert signature(rows) == Inertia(2, 2, 0)
 
     def test_rational_entries(self):
         assert signature([["-1/2", "1/3"], ["1/3", "-1/2"]]) == Inertia(0, 2, 0)
@@ -521,10 +527,11 @@ class TestSignature:
         pytest.importorskip("sympy")
         assert signature(rows) == charpoly_inertia(rows)
 
-    @settings(max_examples=100, deadline=None)
-    @given(square_int_matrices(max_size=4), UNIMODULAR_OPS)
-    def test_congruence_invariance(self, rows, ops):
-        sym = symmetric_from(rows)
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(square_int_matrices(max_size=4).map(symmetric_from),
+                     rational_symmetric(max_size=4).filter(len).map(zero_diagonal)),
+           UNIMODULAR_OPS)
+    def test_congruence_invariance(self, sym, ops):
         a, _ = reference.unimodular(ops, len(sym))
         assert signature(sym) == signature(congruent(a, sym))
 
