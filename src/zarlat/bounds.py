@@ -52,10 +52,9 @@ from . import zariski
 from .errors import DomainError, InconsistencyError, ZarlatError
 from .lattice import DeformationPreset, discriminant_group
 # det is not called here; perfbench/selftest.py checks its tracer rebinds bounds.det.
-from .linalg import (_digit_limit_error, _fraction_string, _shown, as_integer, as_rational,
-                     bareiss_solve, decimal_string, det, sylvester_pass)
-from .zariski import (IntersectionForm, _Divisor, _scaled_divisor, as_divisor, decompose,
-                      support_rows)
+from .linalg import (BorderedElimination, _digit_limit_error, _fraction_string, _shown,
+                     as_integer, as_rational, bareiss_solve, decimal_string, det)
+from .zariski import IntersectionForm, _scaled_divisor, as_divisor, decompose, support_rows
 
 DEFAULT_FACTORIAL_GUARD = 100_000
 GUARD_ENV_VAR = "BBF_FACTORIAL_GUARD"
@@ -316,13 +315,12 @@ def cramer_analysis(form: IntersectionForm, divisor: Sequence,
     """Reconstruct negative-part coefficients by Cramer's rule.
 
     Requires an integral Gram matrix and an integral divisor (that is the
-    setting in which the determinant bounds denominators).  One
-    :func:`zarlat.linalg.bareiss_solve` of ``[Gram_S | (gram @ a)_S]`` gives
-    ``d = det Gram_S`` and ``y = d * n_S``, by Cramer's rule the
+    setting in which the determinant bounds denominators), read once into ints
+    ``A``.  One :func:`zarlat.linalg.bareiss_solve` of ``[Gram_S | (gram @ A)_S]``
+    gives ``d = det Gram_S`` and ``y = d * n_S``, by Cramer's rule the
     column-replaced determinants.  The reconstruction is cross-checked against
-    :func:`zarlat.zariski.decompose` and a mismatch raises :class:`InconsistencyError`.
+    :func:`zarlat.zariski.decompose` of ``A``; a mismatch raises :class:`InconsistencyError`.
     """
-    divisor = as_divisor(divisor, form.size)
     big_a, s = _scaled_divisor(divisor, form.size)
     idx, rows, c = support_rows(form, support)
     if c != 1:
@@ -333,9 +331,9 @@ def cramer_analysis(form: IntersectionForm, divisor: Sequence,
     outcome = bareiss_solve([row + [sum(map(mul, gram[i], big_a))] for i, row in zip(idx, rows)])
     if outcome is None:
         raise DomainError("support Gram matrix is singular")
-    d, (y,) = outcome
+    d, y = outcome
     coefficients = tuple(Fraction(v, d) for v in y)
-    reference = decompose(form, divisor)
+    reference = decompose(form, big_a)
     for j, value in zip(idx, coefficients):
         if reference.negative[j] != value:
             raise InconsistencyError(
@@ -355,20 +353,19 @@ def det_trace_bound_holds(form: IntersectionForm, support: Sequence[int], b: int
     inequality on the eigenvalue magnitudes forces the bound), so a False
     return from admissible input would expose a bug, not a property of the
     input.  Inadmissible input raises :class:`DomainError`.  One
-    :func:`zarlat.linalg.sylvester_pass` gives the verdict and the determinant.
+    :class:`zarlat.linalg.BorderedElimination` gives the verdict and the determinant.
     """
     _, rows, c = support_rows(form, support)
     b = as_integer(b)
     if b < 1:
         raise DomainError(f"diagonal bound must be positive, got {decimal_string(b)}")
     low_diagonal = any(row[i] < -b * c for i, row in enumerate(rows))
-    outcome = sylvester_pass(rows)
-    if outcome is None:
+    elimination = BorderedElimination()
+    if not elimination.extend(rows):
         raise DomainError("support Gram matrix is not negative definite")
     if low_diagonal:
         raise DomainError(f"a diagonal entry lies below -{decimal_string(b)}")
-    d, _ = outcome
-    return abs(d) <= (b * c) ** len(rows)
+    return abs(elimination.det) <= (b * c) ** len(rows)
 
 
 def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: int,
@@ -418,7 +415,7 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
         # for gram, and scaling D by s scales P and N, so by uniqueness the
         # negative support of s * a under c * gram is ``support``.
         scaled = form if c == 1 else IntersectionForm.from_rows(form.labels, rows)
-        analysis = cramer_analysis(scaled, _Divisor._from_scaled(numerators, 1), support)
+        analysis = cramer_analysis(scaled, numerators, support)
         return all(analysis.common_denominator % q.denominator == 0 for q in analysis.coefficients)
 
     if len(zariski.support_of(divisor)) <= oracle_limit:

@@ -17,19 +17,19 @@ transpose, ``tuple(zip(*rows))``.
 
 Every determinant, leading minor and definiteness verdict is fraction-free
 (Bareiss) elimination over those integers, with ``det A == det(cA) / c**n``
-and every division exact by Sylvester's identity.  ``det`` pivots
-(:func:`bareiss_det`), and :func:`bareiss_solve`, behind ``solve``,
-back-substitutes the right-hand sides that loop carries
-(:func:`back_substitute`).  Without pivoting on a symmetric matrix the
-pivots are the leading principal minors of ``cA``, so one symmetric
-elimination, two pivots per pass (:class:`BorderedElimination`), decides
-Sylvester's criterion, yields ``det`` and, by integer back-substitution of
-``det * x`` (integral by Cramer's rule), solves for every right-hand side
-it carries.  It can be bordered with further rows and columns without
-eliminating the old ones again; :func:`sylvester_pass` extends the empty
-state.  ``signature`` is the third elimination, a congruence reduction
-over integers with one pivot rule, 1x1; when the diagonal of the live
-block vanishes, a unimodular congruence first makes one entry of it
+and every division exact by Sylvester's identity.  The kernel has two such
+loops and one back-substitution they share (:func:`back_substitute`).
+``det`` pivots (:func:`bareiss_det`), and :func:`bareiss_solve`, behind
+``solve``, runs that loop over ``[M | r]`` and back-substitutes its one
+right-hand side.  Without pivoting on a symmetric matrix the pivots are the
+leading principal minors of ``cA``, so one symmetric elimination, two
+pivots per pass (:class:`BorderedElimination`), decides Sylvester's
+criterion, yields ``det`` and, by integer back-substitution of ``det * x``
+(integral by Cramer's rule), solves for every right-hand side it carries.
+It can be bordered with further rows and columns without eliminating the
+old ones again.  ``signature`` is a third elimination, a congruence
+reduction over integers with one pivot rule, 1x1; when the diagonal of the
+live block vanishes, a unimodular congruence first makes one entry of it
 nonzero.  ``smith_normal_form`` is one integer loop that enforces the
 divisibility chain while it eliminates and records both unimodular
 transforms, a certificate that discriminant groups check
@@ -418,16 +418,14 @@ def back_substitute(rows: list[list[int]], d: int, col: int) -> list[int]:
     return y
 
 
-def bareiss_solve(rows: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]:
-    """:func:`sylvester_pass` for any square ``M`` by the pivoting loop of
-    :func:`bareiss_det`: ``None`` only when ``M`` is singular, else ``(det M,
-    solutions)`` with ``M (y / det M) == r`` for each column ``r`` of ``R``."""
+def bareiss_solve(rows: list[list[int]]) -> Optional[tuple[int, list[int]]]:
+    """``(det M, y)`` with ``M (y / det M) == r`` for integer rows ``[M | r]``,
+    ``M`` square and ``r`` one column, overwritten by the pivoting loop of
+    :func:`bareiss_det`; ``None`` when ``M`` is singular.  ``n = 0`` gives ``(1, [])``."""
     d = bareiss_det(rows)
     if d == 0:
         return None
-    n = len(rows)
-    width = len(rows[0]) if n else 0
-    return d, [back_substitute(rows, d, col) for col in range(n, width)]
+    return d, back_substitute(rows, d, len(rows))
 
 
 class BorderedElimination:
@@ -558,22 +556,6 @@ class BorderedElimination:
         return back_substitute(self.rows, self.det, len(self.rows) + column)
 
 
-def sylvester_pass(rows: list[list[int]]) -> Optional[tuple[int, list[list[int]]]]:
-    """A :class:`BorderedElimination` extended once from the empty state
-    by ``rows``, which hold ``[M | R]`` as in :meth:`~BorderedElimination.extend`
-    and are overwritten.  Returns ``None`` unless ``M`` is negative definite
-    by Sylvester's criterion, else ``(det M, solutions)``, one integer list
-    ``y`` per column ``r`` of ``R`` with ``M (y / det M) == r``.  For
-    ``n = 0`` there are no rows to carry a column: the result is ``(1, [])``.
-    """
-    elimination = BorderedElimination()
-    if not elimination.extend(rows):
-        return None
-    n = len(rows)
-    width = len(rows[0]) if n else 0
-    return elimination.det, [elimination.solution(c) for c in range(width - n)]
-
-
 def solve(matrix, rhs) -> tuple[Fraction, ...]:
     """Solve ``matrix @ x = rhs`` exactly for a square nonsingular matrix,
     by :func:`bareiss_solve` on the integer rows of ``t * [matrix | rhs]``,
@@ -590,8 +572,8 @@ def solve(matrix, rhs) -> tuple[Fraction, ...]:
                              for row, x in zip(rows, b)])
     if outcome is None:
         raise SingularMatrixError("matrix is singular")
-    d, solutions = outcome
-    return tuple(Fraction(v, d) for v in solutions[0]) if solutions else ()
+    d, y = outcome
+    return tuple(Fraction(v, d) for v in y)
 
 
 class Inertia(NamedTuple):
@@ -664,11 +646,11 @@ def leading_principal_minors(matrix) -> tuple[Fraction, ...]:
 
 def is_negative_definite(matrix) -> bool:
     """Sylvester criterion: leading principal minors strictly alternate,
-    starting negative; decided by one :func:`sylvester_pass`."""
+    starting negative; decided by one :meth:`BorderedElimination.extend`."""
     m = as_matrix(matrix)
     if not m.is_symmetric():
         raise ShapeError("definiteness test needs a symmetric matrix")
-    return sylvester_pass(list(map(list, m.scaled_rows[0]))) is not None
+    return BorderedElimination().extend(list(map(list, m.scaled_rows[0])))
 
 
 class SmithNormalForm(NamedTuple):

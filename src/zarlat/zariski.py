@@ -59,9 +59,9 @@ and the certificate alike; sharing it is safe because the verifier
 re-checks whatever it returns.  For a symmetric matrix with nonnegative
 off-diagonal entries, negative definiteness (``is_exceptional``), a strictly
 positive solution of ``Gram x = -1`` (``exceptional_certificate``), inertia
-``(0, k, 0)`` and the verifier's acceptance of the ``(-1, ..., -1)`` column
-of a Sylvester pass are equivalent; the test suite checks the four routes
-against each other, singular and indefinite matrices included.
+``(0, k, 0)`` and the verifier's acceptance of the ``(-1, ..., -1)`` solution
+of a ``BorderedElimination`` are equivalent; the test suite checks the four
+routes against each other, singular and indefinite matrices included.
 
 All arithmetic is exact; all operations are pure and deterministic.
 ``random_instance`` derives everything from an explicit 64-bit seed through
@@ -97,7 +97,6 @@ from .linalg import (
     bareiss_solve,
     det,  # not called here; perfbench/selftest.py checks its tracer rebinds zariski.det
     scaled_rationals,
-    sylvester_pass,
 )
 
 
@@ -264,8 +263,8 @@ def support_rows(
 def is_exceptional(form: IntersectionForm, indices: Sequence[int]) -> bool:
     """Is the Gram submatrix on ``indices`` negative definite?  Decided exactly
     by Sylvester's criterion (leading principal minors ``-, +, -, ...``) in one
-    :func:`zarlat.linalg.sylvester_pass` over the rows of :func:`support_rows`."""
-    return sylvester_pass(support_rows(form, indices)[1]) is not None
+    :meth:`zarlat.linalg.BorderedElimination.extend` over :func:`support_rows`."""
+    return BorderedElimination().extend(support_rows(form, indices)[1])
 
 
 def witness_certifies(rows: Sequence[Sequence[int]], support: Sequence[int],
@@ -320,10 +319,10 @@ def exceptional_certificate(form: IntersectionForm, indices: Sequence[int]) -> C
     """Solve ``Gram_S x = (-1, ..., -1)`` on the support ``indices`` and test
     ``x`` as a definiteness certificate (:class:`CertificateOutcome`).
 
-    One pivoting fraction-free elimination, :func:`zarlat.linalg.bareiss_solve`,
-    over the rows of :func:`support_rows`; :func:`witness_certifies` then
-    decides on the primitive integer vector in the direction of ``x``, the
-    same check :func:`decomposition_checks` runs on ``Decomposition.witness``.
+    One pivoting fraction-free elimination, :func:`zarlat.linalg.bareiss_solve`
+    of :func:`support_rows` and the one column ``(-c, ..., -c)``, gives ``d`` and
+    ``d * x``; :func:`witness_certifies` then decides on the primitive integer vector
+    along ``x``, the check :func:`decomposition_checks` runs on ``Decomposition.witness``.
     A singular ``Gram_S`` raises :class:`SingularMatrixError`.
     """
     _, rows, c = support_rows(form, indices)
@@ -331,7 +330,7 @@ def exceptional_certificate(form: IntersectionForm, indices: Sequence[int]) -> C
     outcome = bareiss_solve([row + [-c] for row in rows])
     if outcome is None:
         raise SingularMatrixError("matrix is singular")
-    d, (y,) = outcome
+    d, y = outcome
     return CertificateOutcome(
         solution=tuple(Fraction(v, d) for v in y),
         accepted=witness_certifies(rows, range(len(rows)), primitive_witness(d, y)),

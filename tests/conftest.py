@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from zarlat import zariski
 from zarlat.errors import SingularMatrixError
-from zarlat.linalg import solve, sylvester_pass
+from zarlat.linalg import BorderedElimination, solve
 from zarlat.zariski import (
     InstanceSpec,
     IntersectionForm,
@@ -162,16 +162,17 @@ def witness_verdict(form) -> bool:
     """Negative definiteness of the whole Gram matrix by
     :func:`zarlat.zariski.witness_certifies`, the check
     :func:`decomposition_checks` and :func:`exceptional_certificate` run.
-    The witness is the pass's ``(-1, ..., -1)`` column with the sign of
-    ``det`` removed; where the pass refuses, it is the lcm-scaled ``solve``
-    of ``Gram x = -1`` (empty when singular), which the check must then
-    refuse on its own."""
+    The witness is the solution of the ``(-1, ..., -1)`` column that one
+    :class:`BorderedElimination` carries, with the sign of ``det`` removed;
+    where the elimination refuses, it is the lcm-scaled ``solve`` of
+    ``Gram x = -1`` (empty when singular), which the check must then refuse
+    on its own."""
     k = form.size
     rows, _ = form.gram.scaled_rows
-    outcome = sylvester_pass([[*row, -1] for row in rows])
-    if outcome is not None:
-        d, (column,) = outcome
-        witness = tuple(v if d > 0 else -v for v in column)
+    elimination = BorderedElimination()
+    if elimination.extend([[*row, -1] for row in rows]):
+        d = elimination.det
+        witness = tuple(v if d > 0 else -v for v in elimination.solution(0))
     else:
         try:
             x = solve(form.gram, [-1] * k)

@@ -35,7 +35,7 @@ from zarlat.errors import (
 )
 from zarlat.lattice import (block, direct_sum, discriminant_group, dual_curve_integrality,
                             format_group, hyperbolic_plane, preset, rank_one)
-from zarlat.linalg import RationalMatrix, as_integer, as_rational
+from zarlat.linalg import BorderedElimination, RationalMatrix, as_integer, as_rational
 from zarlat.zariski import (
     InstanceSpec,
     decompose,
@@ -86,6 +86,20 @@ class TestCramer:
         assert analysis.gram_determinant == Fraction(-2)
         assert analysis.common_denominator == 2
 
+    def test_plain_list_builds_no_divisor(self, monkeypatch):
+        # A plain list is read into integers once and cross-checked as
+        # integers: no validated divisor, one Fraction per component, is
+        # built, neither here nor for the fuzz check on s * a.
+        form = form_of([[2, 1], [1, -2]])
+        divisor = zariski.as_divisor([1, 1], form.size)
+
+        def raising(*args):
+            raise AssertionError("a validated divisor was built")
+
+        monkeypatch.setattr(zariski._Divisor, "_from_scaled", raising)
+        assert cramer_analysis(form, [1, 1], [1]).coefficients == (Fraction(1, 2),)
+        assert instance_failures(form, divisor, 8, 0) == []
+
     def test_integral_coefficient(self):
         analysis = cramer_analysis(form_of([[-2]]), [1], [0])
         assert analysis.coefficients == (Fraction(1),)
@@ -130,6 +144,13 @@ class TestDetTraceBound:
         form = form_of([[-2, 0, 0], [0, -2, 0], [0, 0, -2]])
         assert det_trace_bound_holds(form, [0, 1, 2], 2)  # 8 <= 8
 
+    def test_compares_the_determinant(self, monkeypatch):
+        # The bound is a theorem on admissible input, so only a planted
+        # determinant can break it: |-9| against 2**3 = 8 reads False.
+        monkeypatch.setattr(BorderedElimination, "det", property(lambda self: -9))
+        assert not det_trace_bound_holds(form_of([[-2, 0, 0], [0, -2, 0], [0, 0, -2]]),
+                                         [0, 1, 2], 2)
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             det_trace_bound_holds(form_of([[2]]), [0], 2)  # not negative definite
@@ -156,16 +177,16 @@ class TestDetTraceBound:
 
     def test_one_elimination(self, monkeypatch):
         passes = []
-        real = bounds.sylvester_pass
+        real = BorderedElimination.extend
 
-        def counted(rows):
+        def counted(self, rows):
             passes.append(len(rows))
-            return real(rows)
+            return real(self, rows)
 
         def forbidden(*args):
             raise AssertionError("det_trace_bound_holds recomputed an elimination")
 
-        monkeypatch.setattr(bounds, "sylvester_pass", counted)
+        monkeypatch.setattr(BorderedElimination, "extend", counted)
         monkeypatch.setattr(bounds, "det", forbidden)
         assert det_trace_bound_holds(form_of([[-2, 1, 0], [1, -2, 1], [0, 1, -2]]), [0, 1, 2], 2)
         assert passes == [3]
@@ -236,18 +257,22 @@ class TestInstanceFailures:
     def test_divisor_read_once(self, negative_instances, monkeypatch):
         # The divisor is validated once and the validated divisor goes to
         # every check, so an iterator is read like the tuple it yields, and
-        # no check, Cramer's rule on s * a included, reads it again; one
-        # validated by as_divisor is not read at all.  The checks read P and N.
+        # no check reads it again; one validated by as_divisor is not read at
+        # all.  The checks read P and N.  Cramer's rule, on a nonempty
+        # negative support, gets the ints s * a, not a divisor, and reads
+        # them twice: once itself and once in its decompose cross-check.
         for seed, form, divisor in negative_instances[:3]:
             assert instance_failures(form, iter(divisor), 8, seed) == []
         callers = reader_callers(monkeypatch)
         for seed in range(300):
             form, divisor = random_instance(InstanceSpec.standard(seed=seed, m=4))
+            cramer = 2 if decompose(form, divisor).negative_support else 0
             for spelled, reads in ((list(divisor), 1), (divisor, 0)):
                 callers.clear()
                 assert instance_failures(form, spelled, 8, seed) == []
-                assert callers.count("_scaled_divisor") == reads, seed
-                assert callers.count("decomposition_checks") == len(callers) - reads == 2
+                assert callers.count("_scaled_divisor") == reads + cramer, seed
+                assert callers.count("decomposition_checks") == 2
+                assert len(callers) == reads + cramer + 2
 
     def test_oracle_limit_skips_oracle(self, negative_instances, monkeypatch):
         def raising(*args, **kwargs):
@@ -350,7 +375,7 @@ class TestInstanceFailures:
             s = math.lcm(*(x.denominator for x in divisor))
             ((scaled, numerators),) = calls
             assert scaled.gram.scaled_rows == (rows, 1) and scaled.labels == form.labels
-            assert numerators == tuple(int(x * s) for x in divisor)
+            assert numerators == [int(x * s) for x in divisor]
             checked += 1
         assert checked > 50
 

@@ -23,7 +23,6 @@ from zarlat.linalg import (
     signature,
     smith_normal_form,
     solve,
-    sylvester_pass,
 )
 from zarlat.zariski import SplitMix64
 
@@ -344,27 +343,22 @@ class TestDet:
 class TestBareissSolve:
     def test_examples(self):
         assert bareiss_solve([]) == (1, [])
-        assert bareiss_solve([[3]]) == (3, [])
-        assert bareiss_solve([[0, 2, 1], [3, 0, 1]]) == (-6, [[-2, -3]])  # one row swap
+        assert bareiss_solve([[3, 6]]) == (3, [6])
+        assert bareiss_solve([[0, 2, 1], [3, 0, 1]]) == (-6, [-2, -3])  # one row swap
         assert bareiss_solve([[1, 2, 1], [2, 4, 5]]) is None
 
     @settings(max_examples=300, deadline=None)
     @given(snf_matrices(), st.data())
     def test_integer_product(self, m, data):
-        # M (y / det M) == r for each column r, checked as M y == det M * r
-        # on integers, for zero, one and two right-hand-side columns.
-        n = len(m)
-        width = data.draw(st.integers(0, 2))
-        rhs = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=width, max_size=width),
-                                 min_size=n, max_size=n))
-        outcome = bareiss_solve([row + extra for row, extra in zip(m, rhs)])
+        # M (y / det M) == r, checked as M y == det M * r on integers.
+        rhs = data.draw(st.lists(st.integers(-9, 9), min_size=len(m), max_size=len(m)))
+        outcome = bareiss_solve([row + [r] for row, r in zip(m, rhs)])
         d = reference.cofactor_det(m)
         if d == 0:
             assert outcome is None
             return
-        assert outcome[0] == d and len(outcome[1]) == (width if n else 0)
-        for col, y in enumerate(outcome[1]):
-            assert [sum(map(mul, row, y)) for row in m] == [d * extra[col] for extra in rhs]
+        assert outcome[0] == d and len(outcome[1]) == len(m)
+        assert [sum(map(mul, row, outcome[1])) for row in m] == [d * r for r in rhs]
 
 
 class TestSolve:
@@ -634,46 +628,51 @@ def is_nd(rows):
 
 
 def pass_on_rationals(rows, rhs):
-    """Run :func:`sylvester_pass` on a rational system the way the engine
-    does: scale ``A`` by the lcm ``c`` of its denominators and ``c * b`` by
-    the lcm ``s`` of its own; return ``(det A, x)`` or ``None``."""
-    n = len(rows)
+    """Run one :class:`BorderedElimination` on a rational system the way the
+    engine does: scale ``A`` by the lcm ``c`` of its denominators and
+    ``c * b`` by the lcm ``s`` of its own; return ``(det A, x)`` or ``None``."""
     ints, c = RationalMatrix(rows).scaled_rows
     cb = [c * Fraction(b) for b in rhs]
     s = lcm(*(x.denominator for x in cb))
-    outcome = sylvester_pass([[*row, int(x * s)] for row, x in zip(ints, cb)])
-    if outcome is None:
+    elimination = BorderedElimination()
+    if not elimination.extend([[*row, int(x * s)] for row, x in zip(ints, cb)]):
         return None
-    d, solutions = outcome
-    y = solutions[0] if n else []  # zero rows carry no right-hand-side column
-    return Fraction(d, c**n), tuple(Fraction(v, s * d) for v in y)
+    d = elimination.det
+    return Fraction(d, c ** len(rows)), tuple(Fraction(v, s * d) for v in elimination.solution(0))
 
 
-class TestSylvesterPass:
-    """The single fraction-free pass against ``signature``, ``det``, the
-    ``Fraction`` reference solve and, where installed, sympy."""
+class TestSylvesterCriterion:
+    """One :class:`BorderedElimination` from the empty state against
+    ``signature``, ``det``, the ``Fraction`` reference solve and, where
+    installed, sympy."""
 
     def test_empty(self):
-        assert sylvester_pass([]) == (1, [])
+        elimination = BorderedElimination()
+        assert elimination.extend([]) and elimination.det == 1
         assert is_negative_definite([]) and det([]) == 1
 
     def test_scalar(self):
-        assert sylvester_pass([[-3, 6]]) == (-3, [[6]])
-        assert sylvester_pass([[3, 6]]) is None
+        elimination = BorderedElimination()
+        assert elimination.extend([[-3, 6]])
+        assert (elimination.det, elimination.solution(0)) == (-3, [6])
+        assert not BorderedElimination().extend([[3, 6]])
         assert pass_on_rationals([["-1/2"]], ["1/3"]) == (Fraction(-1, 2), (Fraction(-2, 3),))
 
     def test_a2(self):
-        assert sylvester_pass([[-2, 1, -1], [1, -2, -1]]) == (3, [[3, 3]])
+        elimination = BorderedElimination()
+        assert elimination.extend([[-2, 1, -1], [1, -2, -1]])
+        assert (elimination.det, elimination.solution(0)) == (3, [3, 3])
 
     def test_without_rhs(self):
-        assert sylvester_pass([[-2, 1], [1, -2]]) == (3, [])
+        elimination = BorderedElimination()
+        assert elimination.extend([[-2, 1], [1, -2]]) and elimination.pivots == [-2, 3]
 
     def test_stops_at_zero_pivot(self):
-        assert sylvester_pass([[0, 1], [1, 0]]) is None  # leading minors 0, -1
-        assert sylvester_pass([[-1, 1], [1, -1]]) is None  # singular: last minor 0
+        assert not BorderedElimination().extend([[0, 1], [1, 0]])  # leading minors 0, -1
+        assert not BorderedElimination().extend([[-1, 1], [1, -1]])  # singular: last minor 0
 
     def test_indefinite(self):
-        assert sylvester_pass([[-1, 2, 0], [2, -1, 0]]) is None
+        assert not BorderedElimination().extend([[-1, 2, 0], [2, -1, 0]])
 
     @settings(max_examples=200, deadline=None)
     @given(rational_symmetric(), st.data())
@@ -697,7 +696,9 @@ class TestSylvesterPass:
         m = [[-sum(rows[i][k] * rows[j][k] for k in range(n)) - (i == j) for j in range(n)]
              for i in range(n)]
         rhs = [i - 2 for i in range(n)]
-        d, (y,) = sylvester_pass([row + [b] for row, b in zip(m, rhs)])
+        elimination = BorderedElimination()
+        assert elimination.extend([row + [b] for row, b in zip(m, rhs)])
+        d, y = elimination.det, elimination.solution(0)
         assert d == det(m) and d != 0
         assert tuple(Fraction(v, d) for v in y) == reference.solve(m, rhs)
 
@@ -748,8 +749,8 @@ def bordered_systems(draw):
 
 class TestBorderedElimination:
     """Extending the elimination block by block gives what one fresh
-    :func:`sylvester_pass` over the concatenated rows gives, and both agree
-    with the independent ``det``, ``signature`` and a product check."""
+    elimination over the concatenated rows gives, and both agree with the
+    independent ``det``, ``signature`` and a product check."""
 
     @settings(max_examples=200, deadline=None)
     @given(bordered_systems())
@@ -758,14 +759,16 @@ class TestBorderedElimination:
         elimination = BorderedElimination()
         for lo, hi in zip(bounds, bounds[1:]):
             extended = elimination.extend([m[i][:hi] + rhs[i] for i in range(lo, hi)])
-            fresh = sylvester_pass([m[i][:hi] + rhs[i] for i in range(hi)])
+            fresh = BorderedElimination()
+            verdict = fresh.extend([m[i][:hi] + rhs[i] for i in range(hi)])
             prefix = [row[:hi] for row in m[:hi]]
-            assert extended == (fresh is not None) == is_nd(prefix)
+            assert extended == verdict == is_nd(prefix)
             if not extended:
                 break
             d = elimination.det
             solutions = [elimination.solution(c) for c in range(len(rhs[0]))]
-            assert (d, solutions) == fresh
+            assert d == fresh.det
+            assert solutions == [fresh.solution(c) for c in range(len(rhs[0]))]
             assert d == det(prefix)
             for c, y in enumerate(solutions):
                 assert [sum(map(mul, row, y)) for row in prefix] == [d * r[c] for r in rhs[:hi]]

@@ -589,25 +589,26 @@ class TestWitnessCheck:
         def raising(*args, **kwargs):
             raise AssertionError("decomposition_checks ran an elimination")
 
-        for module, name in ((linalg, "sylvester_pass"), (zariski, "sylvester_pass"),
-                             (linalg, "BorderedElimination"),
-                             (zariski, "BorderedElimination"), (zariski, "is_exceptional")):
+        for module, name in ((linalg, "BorderedElimination"), (zariski, "BorderedElimination"),
+                             (zariski, "is_exceptional")):
             monkeypatch.setattr(module, name, raising)
         for form, divisor, dec in decs:
             assert all(decomposition_checks(form, divisor, dec).values())
 
 
 class TestOracleIndependence:
-    """The oracle's pruning rule, its independence from the engine's pass,
-    and the integer rows it shares with the engine through the Gram cache."""
+    """The oracle's pruning rule, its independence from the engine's
+    elimination, and the integer rows it shares with the engine: those the
+    Gram matrix stores when it is built."""
 
     def test_pruning_rule(self, corpus_1000, monkeypatch):
         # A subset is negative definite exactly when every subset one element
         # smaller is and its determinant is nonzero with the sign of
-        # (-1)^|S|; the reference verdicts are the Sylvester pass, which the
-        # oracle does not run, and the inertia (0, |S|, 0).  The oracle calls
-        # bareiss_det on exactly the subsets passing the first half, and
-        # back-substitutes y for each definite one and the witness once.
+        # (-1)^|S|; the reference verdicts are the engine's bordered
+        # elimination, which the oracle does not run, and the inertia
+        # (0, |S|, 0).  The oracle calls bareiss_det on exactly the subsets
+        # passing the first half, and back-substitutes y for each definite
+        # one and the witness once.
         checked = candidates = definite_count = 0
         for form, divisor in corpus_1000:
             support = support_of(divisor)
@@ -645,8 +646,7 @@ class TestOracleIndependence:
             raise AssertionError("the oracle ran a routine it must not need")
 
         for module in (linalg, zariski):
-            for name in ("sylvester_pass", "BorderedElimination", "signature", "solve", "det",
-                         "bareiss_solve"):
+            for name in ("BorderedElimination", "signature", "solve", "det", "bareiss_solve"):
                 monkeypatch.setattr(module, name, raising, raising=False)
         monkeypatch.setattr(linalg.RationalMatrix, "submatrix", raising)
         for (form, divisor), (dec, before) in zip(corpus_1000, expected):
@@ -655,14 +655,14 @@ class TestOracleIndependence:
             assert (oracle.positive, oracle.negative) == (dec.positive, dec.negative)
             assert oracle.joined == ()
 
-    def test_cached_rows_not_aliased(self, corpus_250):
+    def test_stored_rows_not_aliased(self, corpus_250):
         for form, divisor in corpus_250[:100]:
-            dec = decompose(form, divisor)  # fills the cache
+            dec = decompose(form, divisor)
             gd = form.gram.matvec(divisor)
             rows, _ = form.gram.scaled_rows
             assert type(rows) is tuple and all(type(row) is tuple for row in rows)
             _, fresh, _ = zariski.support_rows(form, range(form.size))
-            linalg.sylvester_pass(fresh)
+            linalg.BorderedElimination().extend(fresh)
             _, fresh, _ = zariski.support_rows(form, range(form.size))
             for row in fresh:
                 row[:] = [7] * len(row)
