@@ -379,8 +379,9 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
     and ``certificate_positive``.  A :class:`ZarlatError` raised by a check fails it
     (``decomposition_checks`` for the invariants, ``decompose`` alone for the engine).
     ``cramer_divisibility`` runs :func:`cramer_analysis` on the integral form
-    ``c * gram`` and the divisor's numerators ``s * a``; positive scales keep
-    the negative support, so the property holds on a rational Gram matrix too
+    ``c * gram`` and the numerators ``s * a``, whose negative part is ``s * N``
+    on the same support, and asks its ``common_denominator`` to clear every
+    engine coefficient ``s * N_j``, so it holds on a rational Gram matrix too
     (``zarlat fuzz`` draws integral ones).
     """
     oracle_limit, seed = as_integer(oracle_limit), as_integer(seed)
@@ -413,10 +414,10 @@ def instance_failures(form: IntersectionForm, divisor: Sequence, oracle_limit: i
     def cramer_divisibility() -> bool:
         # Every defining condition holds for c * gram exactly when it holds
         # for gram, and scaling D by s scales P and N, so by uniqueness the
-        # negative support of s * a under c * gram is ``support``.
+        # negative part of s * a under c * gram is s * N, on ``support``.
         scaled = form if c == 1 else IntersectionForm.from_rows(form.labels, rows)
-        analysis = cramer_analysis(scaled, numerators, support)
-        return all(analysis.common_denominator % q.denominator == 0 for q in analysis.coefficients)
+        bound = cramer_analysis(scaled, numerators, support).common_denominator
+        return all(bound % (s * dec.negative[j]).denominator == 0 for j in support)
 
     if len(zariski.support_of(divisor)) <= oracle_limit:
         check("oracle_match", oracle_match)

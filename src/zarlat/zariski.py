@@ -27,8 +27,8 @@ support, eliminating each row once: each round borders it with the rows of
 the components that joined, and it gives the definiteness verdict, the
 negative part and ``det Gram_S``; after the last round it gives an integer
 definiteness witness.  ``decompose_bruteforce`` is the independent oracle:
-it enumerates every candidate support, keeps the candidates satisfying all
-the defining conditions, and demands exactly one resulting decomposition.
+it enumerates every candidate support, keeps those where the solved negative
+part is positive and meets every defining condition, and demands exactly one.
 Its one elimination per subset pivots (:func:`zarlat.linalg.bareiss_det`),
 the engine's does not; they share only input conversion (``_scaled_divisor``),
 back-substitution, the witness normalizer and ``_split``, which builds
@@ -407,7 +407,9 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     with.  Zero coefficients are pruned up front, the working support
     lying in ``supp(D)``, and come back as zeros in the result.  Growing by
     *all* violated components each round makes the iteration independent of
-    component order and bounds it by ``|supp(D)|`` rounds.
+    component order and bounds it by ``|supp(D)|`` rounds.  A nef ``D`` takes
+    the same path with an empty working support: ``det`` 1, no round, an
+    empty witness and ``N = 0``.
 
     Inputs violating the intersection-product axiom are rejected before any
     work.  If an intermediate Gram submatrix fails to be negative definite,
@@ -445,15 +447,12 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
     r = [sum(map(mul, row, big_a)) for row in rows]
     support = support_of(big_a)
     new = [j for j in support if r[j] < 0]
-    if not new:  # D is nef: N = 0
-        positive, negative = _split(big_a, s, (), (), 1)
-        return Decomposition(positive=positive, negative=negative,
-                             negative_support=(), rounds=0, negative_gram_det=Fraction(1))
-    # The working support in the order its components joined, and the
-    # elimination of [c * gram_S | r_S, -1] over it, which grows with it.
+    # The working support in the order its components joined (none if D is
+    # nef), the elimination of [c * gram_S | r_S, -1] over it, its det and y.
     order: list[int] = []
     joined = []
     elimination = BorderedElimination()
+    d, y = 1, []
     while new:
         order += new
         joined.append(tuple(new))
@@ -482,7 +481,7 @@ def decompose(form: IntersectionForm, divisor: Sequence) -> Decomposition:
             j for j in support
             if j not in members and scale * r[j] < sum(rows[j][i] * v for i, v in zip(order, y))
         ]
-    positive, negative = _split(big_a, s, order, y, scale)
+    positive, negative = _split(big_a, s, order, y, abs(d))
     # w = d * (c * gram_S)^-1 (-1, ..., -1), solved once, for the last support.
     by_index = sorted(zip(order, elimination.solution(1)))
     return Decomposition(positive=positive, negative=negative,
@@ -520,11 +519,10 @@ def decompose_bruteforce(
 
     Scans every subset of ``supp(D)`` in increasing size order, keeps those
     with a negative definite Gram submatrix whose solved negative part
-    stays in ``[0, a]``, leaves the remainder nef on the whole basis, and
-    is orthogonal to it.  Distinct subsets may describe the same splitting
-    when a solved coefficient is zero, so acceptance is deduplicated by the
-    negative-part vector; anything other than exactly one surviving
-    decomposition raises :class:`OracleMismatchError`.
+    lies in ``(0, a]`` on the subset, leaves the remainder nef on the whole
+    basis, and is orthogonal to it, so a kept subset is ``supp(N)``.
+    Anything other than exactly one kept subset raises
+    :class:`OracleMismatchError`; ``P`` and ``N`` are built once, from it.
 
     Every principal submatrix of a negative definite matrix is negative
     definite (Horn & Johnson, *Matrix Analysis*, 4.3), so a subset is tested
@@ -538,10 +536,10 @@ def decompose_bruteforce(
     criterion comes down to the last minor: ``d = det(c * Gram_S)`` must be
     nonzero with the sign of ``(-1)^|S|``.  Only then is the ``r_S`` column
     back-substituted: with ``r = (c * gram) @ A`` computed once and
-    ``y = |d| * s * n_S``, a subset is kept when ``0 <= y_j <= |d| * A_j``,
+    ``y = |d| * s * n_S``, a subset is kept when ``0 < y_j <= |d| * A_j``,
     ``|d| * r - (c * gram)[:, S] @ y >= 0`` entrywise and that vector is
     orthogonal to ``y``; the empty subset is kept when ``r >= 0``.  The ``-1``
-    column is back-substituted once, for the accepted subset; divided by its
+    column is back-substituted once, for the kept subset; divided by its
     gcd it is the witness, primitive as the engine's, and ``d / c**|S|`` is
     the determinant.  On the 1000-instance test corpus the pruning tests
     4,270 of 14,691 nonempty subsets, with 3,084 back-substitutions where
@@ -557,11 +555,8 @@ def decompose_bruteforce(
     # r = (c * gram) @ A = c * s * (gram @ a).
     rows, c = form.gram.scaled_rows
     r = [sum(map(mul, row, big_a)) for row in rows]
-    # N -> (P, S, d, the eliminated rows), the first subset giving that N.
-    accepted: dict[tuple[Fraction, ...], tuple] = {}
-    if all(v >= 0 for v in r):  # D is nef: N = 0
-        positive, negative = _split(big_a, s, (), (), 1)
-        accepted[negative] = (positive, (), 1, [])
+    # (S, d, y, the eliminated rows) for each kept subset.
+    kept = [((), 1, [], [])] if all(v >= 0 for v in r) else []  # D is nef: N = 0
     definite = {()}  # the negative definite subsets of the previous size
     for size in range(1, len(support) + 1):
         smaller, definite = definite, set()
@@ -578,7 +573,7 @@ def decompose_bruteforce(
             # d = det(c * gram_S); y = d * s * n_S, made |d| * s * n_S.
             y = back_substitute(system, d, size)
             scale, y = (d, y) if d > 0 else (-d, [-v for v in y])
-            if any(v < 0 or v > scale * big_a[j] for j, v in zip(subset, y)):
+            if any(v <= 0 or v > scale * big_a[j] for j, v in zip(subset, y)):
                 continue
             # c * s * |d| * (gram @ (a - n)) = |d| * r - (c * gram)[:, S] @ y.
             gp = [scale * rj - sum(row[j] * v for j, v in zip(subset, y))
@@ -587,15 +582,14 @@ def decompose_bruteforce(
                 continue
             if sum(v * gp[j] for j, v in zip(subset, y)) != 0:
                 continue
-            positive, negative = _split(big_a, s, subset, y, scale)
-            accepted.setdefault(negative, (positive, subset, d, system))
-    if len(accepted) != 1:
+            kept.append((subset, d, y, system))
+    if len(kept) != 1:
         raise OracleMismatchError(
-            f"enumeration found {len(accepted)} distinct decompositions instead of one"
+            f"enumeration found {len(kept)} distinct decompositions instead of one"
         )
-    negative, (positive, subset, d, system) = next(iter(accepted.items()))
-    # w = d * (c * gram_S)^-1 (-1, ..., -1).  A part with a zero coefficient
-    # on S solves the system on S without it, accepted first: S == supp(N).
+    [(subset, d, y, system)] = kept
+    positive, negative = _split(big_a, s, subset, y, abs(d))
+    # w = d * (c * gram_S)^-1 (-1, ..., -1).
     w = back_substitute(system, d, len(subset) + 1)
     return Decomposition(positive=positive, negative=negative, negative_support=subset,
                          rounds=0, negative_gram_det=Fraction(d, c ** len(subset)),

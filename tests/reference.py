@@ -284,7 +284,11 @@ def decompose_bruteforce(form, divisor, limit=12):
     of the support is accepted when ``Gram_S`` has the inertia ``(0, |S|,
     0)``, the :func:`solve` of ``Gram_S N_S = (Gram a)_S`` lies in ``[0, a]``,
     ``P = a - N`` is nef and ``q(P, N) = 0``; exactly one ``N`` must be.  The
-    witness is ``Gram_S y = -1`` solved in primitive integers."""
+    witness is ``Gram_S y = -1`` solved in primitive integers.  The library
+    oracle keeps only subsets where every coefficient of ``N`` is positive
+    and needs exactly one; the map keyed by ``N``, which also takes subsets
+    with zero coefficients, is kept here on purpose, so the two are
+    independent formulations of the acceptance."""
     a = effective_divisor(divisor, form.size)
     require_intersection_product(form)
     support = support_of(a)

@@ -154,9 +154,9 @@ def test_criterion_5_cramer_denominators_and_amgm():
         if not dec.negative_support:
             continue
         nontrivial += 1
-        analysis = cramer_analysis(form, divisor, dec.negative_support)
-        for coefficient in analysis.coefficients:
-            if analysis.common_denominator % coefficient.denominator != 0:
+        bound = cramer_analysis(form, divisor, dec.negative_support).common_denominator
+        for j in dec.negative_support:
+            if bound % dec.negative[j].denominator != 0:
                 ok = False
         b = max(-int(form.gram[i, i]) for i in dec.negative_support)
         if not det_trace_bound_holds(form, dec.negative_support, b):

@@ -125,10 +125,9 @@ class TestCramer:
             dec = decompose(form, divisor)
             if not dec.negative_support:
                 continue
-            analysis = cramer_analysis(form, divisor, dec.negative_support)
-            bound = analysis.common_denominator
-            for c in analysis.coefficients:
-                assert bound % c.denominator == 0
+            bound = cramer_analysis(form, divisor, dec.negative_support).common_denominator
+            for j in dec.negative_support:
+                assert bound % dec.negative[j].denominator == 0
             checked += 1
         assert checked > 100
 
@@ -273,6 +272,23 @@ class TestInstanceFailures:
                 assert callers.count("_scaled_divisor") == reads + cramer, seed
                 assert callers.count("decomposition_checks") == 2
                 assert len(callers) == reads + cramer + 2
+
+    def test_cramer_divisibility_reads_the_engine(self, monkeypatch):
+        # The property divides the engine's coefficients, not the analysis's
+        # own: a planted analysis with integer coefficients and common
+        # denominator 1 fails it, for N = (0, 1/2) has denominator 2.
+        form = form_of([[2, 1], [1, -2]])
+        real = bounds.cramer_analysis
+
+        def planted(*args):
+            analysis = real(*args)
+            return analysis._replace(coefficients=(Fraction(1),) * len(analysis.coefficients),
+                                     common_denominator=1)
+
+        assert decompose(form, [1, 1]).negative == (0, Fraction(1, 2))
+        assert instance_failures(form, [1, 1], 8, 0) == []
+        monkeypatch.setattr(bounds, "cramer_analysis", planted)
+        assert instance_failures(form, [1, 1], 8, 0) == ["cramer_divisibility"]
 
     def test_oracle_limit_skips_oracle(self, negative_instances, monkeypatch):
         def raising(*args, **kwargs):

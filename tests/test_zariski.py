@@ -655,6 +655,19 @@ class TestOracleIndependence:
             assert (oracle.positive, oracle.negative) == (dec.positive, dec.negative)
             assert oracle.joined == ()
 
+    def test_one_split_per_call(self, corpus_1000, monkeypatch):
+        # Each call builds P and N once: the oracle after its scan, from the
+        # one support it kept, and the engine after its last round, from an
+        # empty working support when D is nef.
+        splits = []
+        real_split = zariski._split
+        monkeypatch.setattr(zariski, "_split", lambda *args: splits.append(args) or real_split(*args))
+        for form, divisor in corpus_1000:
+            for function in (decompose, decompose_bruteforce):
+                splits.clear()
+                function(form, divisor)
+                assert len(splits) == 1, (function.__name__, form.gram, divisor)
+
     def test_stored_rows_not_aliased(self, corpus_250):
         for form, divisor in corpus_250[:100]:
             dec = decompose(form, divisor)
@@ -837,6 +850,23 @@ class TestOracleDigest:
             assert decompose_bruteforce(form, tuple(divisor)) == oracle  # validated and plain alike
             h.update(repr(oracle).encode() + b"\n")
         assert h.hexdigest() == "23b65650055f74a68cd0ae099840072b18a154b626afb1ab273bff851e73b876"
+
+    def test_error_messages(self, monkeypatch):
+        # The deck of TestDecomposeDigest.test_error_messages: with the axiom
+        # check removed, the oracle keeps no support or more than one on some
+        # inputs that break the axiom, and each error text is pinned.
+        monkeypatch.setattr(zariski, "require_intersection_product", lambda form: None)
+        h = hashlib.sha256()
+        found = []
+        for seed, (form, divisor) in enumerate(build_corpus(2000, m_max=8)):
+            form = sign_flipped(form, seed)
+            try:
+                h.update(repr(decompose_bruteforce(form, divisor)).encode() + b"\n")
+            except OracleMismatchError as exc:
+                h.update(f"{type(exc).__name__}: {exc}\n".encode())
+                found.append(int(re.match(r"enumeration found (\d+) ", str(exc))[1]))
+        assert found.count(0) > 500 and found.count(2) >= 1
+        assert h.hexdigest() == "7b984edb67bc70a42252f9ce7a293b21b5dd668ba0e73cfba09d71c83263a961"
 
 
 def nef_queries(form, divisor, rng):
