@@ -320,6 +320,8 @@ def cramer_analysis(form: IntersectionForm, divisor: Sequence,
     gives ``d = det Gram_S`` and ``y = d * n_S``, by Cramer's rule the
     column-replaced determinants.  The reconstruction is cross-checked against
     :func:`zarlat.zariski.decompose` of ``A``; a mismatch raises :class:`InconsistencyError`.
+    A singular ``Gram_S`` raises :class:`SingularMatrixError`, as in
+    :func:`zarlat.zariski.exceptional_certificate`.
     """
     big_a, s = _scaled_divisor(divisor, form.size)
     idx, rows, c = support_rows(form, support)
@@ -328,10 +330,7 @@ def cramer_analysis(form: IntersectionForm, divisor: Sequence,
     if s != 1:
         raise DomainError("Cramer analysis needs an integral divisor")
     gram, _ = form.gram.scaled_rows
-    outcome = bareiss_solve([row + [sum(map(mul, gram[i], big_a))] for i, row in zip(idx, rows)])
-    if outcome is None:
-        raise DomainError("support Gram matrix is singular")
-    d, y = outcome
+    d, y = bareiss_solve([row + [sum(map(mul, gram[i], big_a))] for i, row in zip(idx, rows)])
     coefficients = tuple(Fraction(v, d) for v in y)
     reference = decompose(form, big_a)
     for j, value in zip(idx, coefficients):

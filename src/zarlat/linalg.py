@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, ShapeError, SingularMatrixError
 
@@ -418,13 +418,14 @@ def back_substitute(rows: list[list[int]], d: int, col: int) -> list[int]:
     return y
 
 
-def bareiss_solve(rows: list[list[int]]) -> Optional[tuple[int, list[int]]]:
+def bareiss_solve(rows: list[list[int]]) -> tuple[int, list[int]]:
     """``(det M, y)`` with ``M (y / det M) == r`` for integer rows ``[M | r]``,
     ``M`` square and ``r`` one column, overwritten by the pivoting loop of
-    :func:`bareiss_det`; ``None`` when ``M`` is singular.  ``n = 0`` gives ``(1, [])``."""
+    :func:`bareiss_det`.  A singular ``M`` raises :class:`SingularMatrixError`.
+    ``n = 0`` gives ``(1, [])``."""
     d = bareiss_det(rows)
     if d == 0:
-        return None
+        raise SingularMatrixError("matrix is singular")
     return d, back_substitute(rows, d, len(rows))
 
 
@@ -568,11 +569,8 @@ def solve(matrix, rhs) -> tuple[Fraction, ...]:
         raise ShapeError(f"right-hand side length {len(b)} != matrix size {m.nrows}")
     rows, c = m.scaled_rows
     t = lcm(c, s)
-    outcome = bareiss_solve([[y * (t // c) for y in row] + [x * (t // s)]
-                             for row, x in zip(rows, b)])
-    if outcome is None:
-        raise SingularMatrixError("matrix is singular")
-    d, y = outcome
+    d, y = bareiss_solve([[y * (t // c) for y in row] + [x * (t // s)]
+                          for row, x in zip(rows, b)])
     return tuple(Fraction(v, d) for v in y)
 
 

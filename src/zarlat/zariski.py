@@ -83,7 +83,6 @@ from .errors import (
     InconsistencyError,
     OracleMismatchError,
     ShapeError,
-    SingularMatrixError,
 )
 from .linalg import (
     BorderedElimination,
@@ -327,10 +326,7 @@ def exceptional_certificate(form: IntersectionForm, indices: Sequence[int]) -> C
     """
     _, rows, c = support_rows(form, indices)
     # (c * Gram_S) x == (-c, ..., -c) exactly when Gram_S x == (-1, ..., -1).
-    outcome = bareiss_solve([row + [-c] for row in rows])
-    if outcome is None:
-        raise SingularMatrixError("matrix is singular")
-    d, y = outcome
+    d, y = bareiss_solve([row + [-c] for row in rows])
     return CertificateOutcome(
         solution=tuple(Fraction(v, d) for v in y),
         accepted=witness_certifies(rows, range(len(rows)), primitive_witness(d, y)),

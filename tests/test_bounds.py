@@ -113,6 +113,13 @@ class TestCramer:
         for c in analysis.coefficients:
             assert 3 % c.denominator == 0
 
+    def test_singular_support_raises_as_the_certificate_does(self):
+        form = form_of([[-1, 1], [1, -1]])
+        with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+            exceptional_certificate(form, (0, 1))
+        with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+            cramer_analysis(form, [1, 1], (0, 1))
+
     def test_rational_input_rejected(self):
         with pytest.raises(DomainError):
             cramer_analysis(form_of([[-2]]), ["1/2"], [0])

@@ -345,18 +345,20 @@ class TestBareissSolve:
         assert bareiss_solve([]) == (1, [])
         assert bareiss_solve([[3, 6]]) == (3, [6])
         assert bareiss_solve([[0, 2, 1], [3, 0, 1]]) == (-6, [-2, -3])  # one row swap
-        assert bareiss_solve([[1, 2, 1], [2, 4, 5]]) is None
+        with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+            bareiss_solve([[1, 2, 1], [2, 4, 5]])
 
     @settings(max_examples=300, deadline=None)
     @given(snf_matrices(), st.data())
     def test_integer_product(self, m, data):
         # M (y / det M) == r, checked as M y == det M * r on integers.
         rhs = data.draw(st.lists(st.integers(-9, 9), min_size=len(m), max_size=len(m)))
-        outcome = bareiss_solve([row + [r] for row, r in zip(m, rhs)])
         d = reference.cofactor_det(m)
         if d == 0:
-            assert outcome is None
+            with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                bareiss_solve([row + [r] for row, r in zip(m, rhs)])
             return
+        outcome = bareiss_solve([row + [r] for row, r in zip(m, rhs)])
         assert outcome[0] == d and len(outcome[1]) == len(m)
         assert [sum(map(mul, row, outcome[1])) for row in m] == [d * r for r in rhs]
 
