@@ -374,6 +374,9 @@ class Decomposition(NamedTuple):
     components each round added to the working support, the initial
     support first, so ``rounds == len(joined)``; it is ``()`` when the
     divisor was already nef and for oracle results.
+    :func:`decomposition_checks` verifies the parts, the support and the
+    witness; ``negative_gram_det``, ``rounds`` and ``joined`` are reported,
+    not verified.
 
     ``witness`` certifies that the Gram submatrix on ``negative_support``
     is negative definite: the primitive integer vector ``y`` in the
@@ -599,9 +602,12 @@ def decomposition_checks(
 
     Keys, in fixed order: ``parts_sum`` (P + N == D), ``positive_nef``
     ((gram @ P)_j >= 0 for every j), ``negative_exceptional`` (support of N
-    matches the recorded support and its Gram submatrix is negative
-    definite, or N = 0), ``orthogonal`` (q(P, N) == 0), ``support_union``
-    (supp(P) union supp(N) == supp(D)).
+    matches the recorded support, N_j > 0 on it and its Gram submatrix is
+    negative definite, or N = 0), ``orthogonal`` (q(P, N) == 0),
+    ``support_union`` (supp(P) union supp(N) == supp(D)).  With N >= 0 the
+    five characterize the decomposition: a split of D that passes them all
+    is the one :func:`decompose` returns.  ``negative_gram_det``, ``rounds``
+    and ``joined`` are reported, not verified: no key reads them.
 
     No elimination and no ``Fraction`` arithmetic runs here: ``D``, ``P``
     and ``N`` are each validated and scaled once, to ``A = s * a``,
@@ -634,6 +640,7 @@ def decomposition_checks(
         "parts_sum": all(x * u + z * v == y * w for x, z, y in zip(big_p, big_n, big_a)),
         "positive_nef": all(x >= 0 for x in gp),
         "negative_exceptional": support_n == dec.negative_support
+        and all(big_n[j] > 0 for j in support_n)
         and witness_certifies(rows, support_n, dec.witness),
         "orthogonal": sum(x * g for x, g in zip(big_n, gp) if x) == 0,
         "support_union": support_of([x or z for x, z in zip(big_p, big_n)])

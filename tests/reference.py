@@ -260,7 +260,8 @@ def decomposition_checks(form, divisor, dec):
     """Reference: the five checks of ``decomposition_checks``, with a
     ``Fraction`` sum for ``parts_sum`` and ``Gram P`` taken on the integer
     rows of ``c * Gram`` and ``s * P``, which have the signs of ``Gram P``;
-    ``negative_exceptional`` runs the library's one witness verifier."""
+    ``negative_exceptional`` asks ``N_j > 0`` on the recorded support and
+    runs the library's one witness verifier."""
     a = effective_divisor(divisor, form.size)
     p, n = rationals(dec.positive), dec.negative
     if len(p) != form.size:
@@ -273,6 +274,7 @@ def decomposition_checks(form, divisor, dec):
         "parts_sum": tuple(x + z for x, z in zip(p, n)) == a,
         "positive_nef": all(v >= 0 for v in gp),
         "negative_exceptional": support_n == dec.negative_support
+        and all(n[j] > 0 for j in support_n)
         and witness_certifies(rows, support_n, dec.witness),
         "orthogonal": sum(x * v for x, v in zip(n, gp) if x) == 0,
         "support_union": tuple(sorted(set(support_of(p)) | set(support_n))) == support_of(a),

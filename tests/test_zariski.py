@@ -3,8 +3,8 @@ import hashlib
 import pickle
 import re
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -594,6 +594,107 @@ class TestWitnessCheck:
             monkeypatch.setattr(module, name, raising)
         for form, divisor, dec in decs:
             assert all(decomposition_checks(form, divisor, dec).values())
+
+
+def certificate_witness(form, support):
+    """The primitive integer vector along the certificate solution of
+    ``Gram_S x = -1``, or ``None`` when the certificate refuses ``support``."""
+    try:
+        outcome = exceptional_certificate(form, support)
+    except SingularMatrixError:
+        return None
+    if not outcome.accepted:
+        return None
+    scale = lcm(*(x.denominator for x in outcome.solution))
+    w = [int(x * scale) for x in outcome.solution]
+    g = gcd(*w)
+    return tuple(v // g for v in w)
+
+
+# Nonzero coefficients of the grid candidates, some negative.
+_GRID = (Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
+_NUDGES = (Fraction(-1, 2), Fraction(-1, 3), Fraction(1, 3), Fraction(1, 2))
+
+
+def candidate_splits(form, divisor, engine):
+    """Splits ``D = P + N`` to put to :func:`decomposition_checks`, each with
+    the certificate witness of its recorded support: the engine's result,
+    ``N`` with coefficients from ``_GRID`` on every negative definite support
+    (the empty one too), and the engine's ``N`` with one coefficient nudged,
+    one component dropped from the support or one added to it."""
+    m = form.size
+    a = tuple(map(Fraction, divisor))
+
+    def split(n, support, witness):
+        return engine._replace(positive=tuple(x - z for x, z in zip(a, n)), negative=tuple(n),
+                               negative_support=tuple(support), witness=witness)
+
+    out = [engine]
+    for size in range(m + 1):
+        for support in combinations(range(m), size):
+            witness = certificate_witness(form, support) if support else ()
+            if witness is None:
+                continue
+            for values in product(_GRID, repeat=size):
+                n = [Fraction(0)] * m
+                for j, v in zip(support, values):
+                    n[j] = v
+                out.append(split(n, support, witness))
+    n, support = list(engine.negative), engine.negative_support
+    for j in support:
+        for delta in _NUDGES:
+            nudged = n[:]
+            nudged[j] += delta
+            out.append(split(nudged, support, engine.witness))
+        dropped = tuple(i for i in support if i != j)
+        out.append(split([Fraction(0) if i == j else x for i, x in enumerate(n)], dropped,
+                         certificate_witness(form, dropped) if dropped else ()))
+    for j in range(m):
+        if j in support:
+            continue
+        grown = tuple(sorted(support + (j,)))
+        witness = certificate_witness(form, grown)
+        if witness is None:
+            k = grown.index(j)
+            witness = engine.witness[:k] + (1,) + engine.witness[k:]
+        for value in sorted({Fraction(1, 2), a[j]} - {0}):
+            out.append(split([value if i == j else x for i, x in enumerate(n)], grown, witness))
+    return out
+
+
+class TestChecksCompleteness:
+    """With ``N > 0`` on the recorded support, the five checks characterize
+    the decomposition: they accept exactly one split of ``D``."""
+
+    def test_negative_coefficient_refused(self):
+        form = IntersectionForm.from_rows(["A", "B", "C"], [[1, 1, 2], [1, 2, 1], [2, 1, -2]])
+        dec = decompose(form, (1, 3, 2))
+        assert dec.negative_support == ()  # D is nef
+        bogus = dec._replace(positive=(1, 3, Fraction(5, 2)), negative=(0, 0, Fraction(-1, 2)),
+                             negative_support=(2,), witness=(1,))
+        expected = {"parts_sum": True, "positive_nef": True, "negative_exceptional": False,
+                    "orthogonal": True, "support_union": True}
+        assert decomposition_checks(form, (1, 3, 2), bogus) == expected
+        assert reference.decomposition_checks(form, (1, 3, 2), bogus) == expected
+
+    def test_only_the_engine_result_passes(self):
+        # 300 forms, m = 1, 2, 3 in turn, with mostly negative diagonals:
+        # 108 nef divisors, 192 not, and 13553 candidate splits.
+        def key(dec):
+            return dec.positive, dec.negative, dec.negative_support, dec.witness
+
+        nef = candidates = 0
+        for seed in range(300):
+            spec = InstanceSpec(seed=70_000 + seed, m=1 + seed % 3, coefficient_range=(0, 4),
+                                diagonal_range=(-6, 3), offdiagonal_range=(0, 2), denominator_max=2)
+            form, divisor = random_instance(spec)
+            engine = decompose(form, divisor)
+            nef += not engine.negative_support
+            splits = candidate_splits(form, divisor, engine)
+            accepted = {key(dec) for dec in splits if all(decomposition_checks(form, divisor, dec).values())}
+            assert accepted == {key(engine)}, seed
+            candidates += len(splits)
+        assert (nef, candidates) == (108, 13553)
 
 
 class TestOracleIndependence:
