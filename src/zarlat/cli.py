@@ -15,6 +15,10 @@ Exit codes, stable and documented:
 * 3 — engine and brute-force oracle disagreed
 * 4 — a verified property failed or raised (fuzz run, table cross-check)
 
+Each code holds whatever the state of stdout and stderr.  A closed or full
+stdout exits 1 with one ``error: cannot write stdout: …`` line; an error
+line that stderr cannot take is lost, and the code stays the same.
+
 A problem file is checked against the structure of
 ``schemas/problem.schema.json`` by a hand-written check that accepts and
 rejects the same documents as a JSON Schema validator, so no validator is
@@ -30,10 +34,12 @@ explicit seeds.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
@@ -198,6 +204,36 @@ def _load_problem(path: str):
     return form, divisor, raw.get("options", {})
 
 
+def _write(name: str, text: str) -> None:
+    """Write and flush ``text`` to ``sys.stdout`` or ``sys.stderr`` (``name``).
+
+    A closed stream (``None``) fails as a closed descriptor does.  When the
+    process's own stream fails, its descriptor is pointed at ``os.devnull``
+    before the :class:`OSError` propagates, as the ``signal`` module's note
+    on SIGPIPE suggests, so the interpreter's flush at exit has nothing left
+    to fail on.  A stream a caller substituted is left as it is.
+    """
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        if stream is getattr(sys, f"__{name}__"):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+        raise
+
+
+def _report(text: str) -> None:
+    """The one writer of error lines: stderr or nowhere, never stdout, and
+    never an error of its own, so the exit code stays the one reported."""
+    with suppress(OSError):
+        _write("stderr", text)
+
+
 def _emit(content, output: Optional[str]) -> None:
     """Write a JSON payload or ready text to ``output`` first, then stdout."""
     text = content if isinstance(content, str) else json.dumps(content, indent=2) + "\n"
@@ -208,8 +244,7 @@ def _emit(content, output: Optional[str]) -> None:
         except OSError as exc:
             raise DomainError(f"cannot write {output}: {exc}") from exc
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        _write("stdout", text)
     except OSError as exc:
         raise DomainError(f"cannot write stdout: {exc}") from exc
 
@@ -235,7 +270,7 @@ def cmd_decompose(args) -> int:
     try:
         dec = zariski.decompose(form, divisor)
     except InconsistencyError as exc:
-        print(f"error: inconsistent input: {exc}", file=sys.stderr)
+        _report(f"error: inconsistent input: {exc}\n")
         return EXIT_AXIOM
     checks = zariski.decomposition_checks(form, divisor, dec)
     if verify and len(zariski.support_of(divisor)) <= oracle_limit:
@@ -421,13 +456,13 @@ class _Parser(argparse.ArgumentParser):
     """argparse writes every message through ``_print_message``, which
     swallows an ``OSError``.  What goes to stdout, ``--help``, goes through
     :func:`_emit` instead, so help to an unwritable stdout exits 1 as every
-    other output does; usage errors still go to stderr as before."""
+    other output does; usage errors go to stderr through :func:`_report`."""
 
     def _print_message(self, message, file=None) -> None:
         if file is sys.stdout:
             _emit(message, None)
         else:
-            super()._print_message(message, file)
+            _report(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,7 +520,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except SystemExit as exc:  # from argparse: usage errors and --help
             return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
         except ZarlatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _report(f"error: {exc}\n")
             return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 

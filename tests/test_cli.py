@@ -516,7 +516,7 @@ class TestIntegerFlags:
                             f"invalid int value: {value!r}\n")
 
 
-class FailingStdout:
+class FailingStream:
     def write(self, text):
         raise OSError(28, "No space left on device")
 
@@ -535,27 +535,89 @@ STDOUT_COMMANDS = [
     ["decompose", "--help"],
 ]
 
+AXIOM_PROBLEM = {"labels": ["E1", "E2"], "gram": [[2, -1], [-1, 2]], "divisor": ["1", "1"]}
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+
+
+def run_fresh(argv, redirect, unbuffered=False):
+    """``python -m zarlat argv`` in a fresh process, its streams redirected by
+    ``sh -c`` (``>&-`` closes stdout).  The environment is the whole of it,
+    not the caller's: the package on the path, and ``PYTHONUNBUFFERED`` only
+    when asked."""
+    env = {"PATH": os.defpath, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(["sh", "-c", f'"$0" -m zarlat "$@" {redirect}', sys.executable, *argv],
+                          env=env, capture_output=True, text=True)
+
 
 class TestUnwritableStdout:
     @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
     def test_in_process(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        monkeypatch.setattr(sys, "stdout", FailingStream())
         code = cli.main(argv)
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
     @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
-    def test_fresh_process_dev_full(self, argv):
+    def test_in_process_closed(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", None)
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: cannot write stdout: [Errno 9] Bad file descriptor\n"
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv, unbuffered", [(argv, False) for argv in STDOUT_COMMANDS]
+                             + [(STDOUT_COMMANDS[0], True)])
+    def test_fresh_process_dev_full(self, argv, unbuffered):
         # Exactly one stderr line: no "Exception ignored" from the
-        # interpreter's own flush of stdout at exit.
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run([sys.executable, "-m", "zarlat", *argv], stdout=full,
-                                  stderr=subprocess.PIPE, text=True)
+        # interpreter's own flush of stdout at exit, buffered or not.
+        proc = run_fresh(argv, ">/dev/full", unbuffered)
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.startswith("error: cannot write stdout: [Errno 28] ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["table", "--n", "2"], ["--help"]])
+    def test_fresh_process_closed(self, argv):
+        proc = run_fresh(argv, ">&-")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write stdout: [Errno 9] Bad file descriptor\n"
+
+
+class TestUnwritableStderr:
+    """An error line that cannot be written is lost, never sent to stdout,
+    and the exit code is the one it would have reported."""
+
+    @pytest.mark.parametrize("case, expected", [
+        ("lattice", 1), ("usage", 1), ("axiom", 2), ("inconsistent", 2), ("oracle", 3),
+    ])
+    def test_in_process(self, tmp_path, capsys, monkeypatch, case, expected):
+        axiom = write_problem(tmp_path, AXIOM_PROBLEM, "axiom.json")
+        ok = write_problem(tmp_path, OK_PROBLEM)
+        argv = {"lattice": ["lattice", "Q8"], "usage": ["table", "--n", "x"], "axiom": ["decompose", axiom],
+                "inconsistent": ["decompose", ok], "oracle": ["decompose", ok, "--verify-oracle"]}[case]
+        if case == "inconsistent":
+            monkeypatch.setattr(zariski.BorderedElimination, "extend", lambda self, system: False)
+        if case == "oracle":
+            monkeypatch.setattr(zariski, "decompose_bruteforce",
+                                lambda form, divisor, limit: zariski.decompose(form, [0]))
+        monkeypatch.setattr(sys, "stderr", FailingStream())
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == expected
+        # No error line falls back to stdout; only the oracle case prints a result.
+        assert "error" not in out and (out == "") == (case != "oracle")
+
+    @pytest.mark.parametrize("redirect", ["2>&-", pytest.param("2>/dev/full", marks=needs_dev_full)])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("case, expected", [("axiom", 2), ("lattice", 1)])
+    def test_fresh_process(self, tmp_path, case, expected, unbuffered, redirect):
+        argv = ["decompose", write_problem(tmp_path, AXIOM_PROBLEM)] if case == "axiom" else ["lattice", "Q8"]
+        proc = run_fresh(argv, redirect, unbuffered)
+        assert (proc.returncode, proc.stdout) == (expected, "")
 
 
 class TestSubprocessEntry:

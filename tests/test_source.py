@@ -45,6 +45,44 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+# The integer functions of ``math``; everything else in it works in floats.
+EXACT_MATH = {"factorial", "gcd", "lcm", "prod"}
+
+
+def _inexact(tree):
+    """``(line, what)`` for each float or complex literal, true division
+    (``/``, ``/=``), call of ``float``, ``round`` or ``complex``, and name
+    from ``math`` outside ``EXACT_MATH`` in ``tree``."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "math"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, "/"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in {"float", "round", "complex"}:
+            yield node.lineno, f"{node.func.id}()"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            yield from ((node.lineno, f"math.{a.name}") for a in node.names if a.name not in EXACT_MATH)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases and node.attr not in EXACT_MATH:
+            yield node.lineno, f"math.{node.attr}"
+
+
+def test_exact_arithmetic_only():
+    # Denominators are data: no float enters the package, so no result can
+    # round.  The rule itself is checked on planted lines.
+    assert sorted(_inexact(ast.parse(
+        "import math as m\nfrom math import gcd, sqrt\nx = 1 / 2\nx /= 2\ny = 0.5 + 1j\n"
+        "z = float(x) + round(x) + complex(x) + m.floor(x) + m.factorial(3) + x // 2\n"))) == [
+        (2, "math.sqrt"), (3, "/"), (4, "/"), (5, "0.5"), (5, "1j"),
+        (6, "complex()"), (6, "float()"), (6, "math.floor"), (6, "round()")]
+    found = [f"{path.name}:{line}: {what}" for path in _modules(PACKAGE_DIR)
+             for line, what in _inexact(_tree(path))]
+    assert not found, f"inexact arithmetic in the package: {found}"
+
+
 @cache
 def _traced():
     """``TRACED`` of perfbench/spans.py: ``(module, attribute path, metric)``."""
