@@ -592,24 +592,28 @@ class TestUnwritableStderr:
     and the exit code is the one it would have reported."""
 
     @pytest.mark.parametrize("case, expected", [
-        ("lattice", 1), ("usage", 1), ("axiom", 2), ("inconsistent", 2), ("oracle", 3),
+        ("ok", 0), ("lattice", 1), ("usage", 1), ("axiom", 2), ("inconsistent", 2), ("oracle", 3),
+        ("property", 4),
     ])
     def test_in_process(self, tmp_path, capsys, monkeypatch, case, expected):
         axiom = write_problem(tmp_path, AXIOM_PROBLEM, "axiom.json")
         ok = write_problem(tmp_path, OK_PROBLEM)
         argv = {"lattice": ["lattice", "Q8"], "usage": ["table", "--n", "x"], "axiom": ["decompose", axiom],
-                "inconsistent": ["decompose", ok], "oracle": ["decompose", ok, "--verify-oracle"]}[case]
+                "oracle": ["decompose", ok, "--verify-oracle"]}.get(case, ["decompose", ok])
         if case == "inconsistent":
             monkeypatch.setattr(zariski.BorderedElimination, "extend", lambda self, system: False)
         if case == "oracle":
             monkeypatch.setattr(zariski, "decompose_bruteforce",
                                 lambda form, divisor, limit: zariski.decompose(form, [0]))
+        if case == "property":
+            monkeypatch.setattr(zariski, "decomposition_checks", lambda form, divisor, dec: {"parts_sum": False})
         monkeypatch.setattr(sys, "stderr", FailingStream())
         code = cli.main(argv)
         out = capsys.readouterr().out
         assert code == expected
-        # No error line falls back to stdout; only the oracle case prints a result.
-        assert "error" not in out and (out == "") == (case != "oracle")
+        # No error line falls back to stdout; a decompose that gets to its
+        # result prints it.
+        assert "error" not in out and (out == "") == (expected in (1, 2))
 
     @pytest.mark.parametrize("redirect", ["2>&-", pytest.param("2>/dev/full", marks=needs_dev_full)])
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
