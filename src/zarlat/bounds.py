@@ -50,7 +50,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import zariski
 from .errors import DomainError, InconsistencyError, ZarlatError
-from .lattice import DeformationPreset, discriminant_group
+from .lattice import DeformationPreset, DiscriminantGroup, discriminant_group
 # det is not called here; perfbench/selftest.py checks its tracer rebinds bounds.det.
 from .linalg import (BorderedElimination, _digit_limit_error, _fraction_string, _shown,
                      as_integer, as_rational, bareiss_solve, decimal_string, det)
@@ -232,19 +232,13 @@ class BoundReport(NamedTuple):
     ``at_rho`` evaluates the chain at the requested Picard number;
     ``uniform`` replaces it by ``h11 = b2 - 2``, which bounds the Picard number of
     every member of the deformation family, so those values hold uniformly.
-    The reverse bound uses the full second-cohomology discriminant order as
-    a stand-in for the Neron-Severi one; feed
-    :func:`reverse_negativity_bound` the actual Neron-Severi order when it
-    is known.
+    The reverse bound uses the order of ``group``, the second-cohomology
+    discriminant group the chain is read from, as a stand-in for the
+    Neron-Severi one; feed :func:`reverse_negativity_bound` the actual
+    Neron-Severi order when it is known.
     """
 
-    preset_tag: str
-    name: str
-    half_dim: int
-    negativity_bound: int
-    negativity_bound_refined: int
-    published_max_square: int
-    cardinality: int
+    group: DiscriminantGroup
     volume: Fraction
     at_rho: BoundSet
     uniform: BoundSet
@@ -282,13 +276,7 @@ def full_report(preset: DeformationPreset, rho: int, volume=1,
     guard = factorial_guard(guard)  # read once; the int is passed down
     b = group.negativity_bound
     return BoundReport(
-        preset_tag=preset.tag,
-        name=preset.display_name,
-        half_dim=preset.half_dim,
-        negativity_bound=b,
-        negativity_bound_refined=group.negativity_bound_refined,
-        published_max_square=preset.published_max_square,
-        cardinality=group.cardinality,
+        group=group,
         volume=vol,
         at_rho=_bound_set(rho, b, group.cardinality, preset.half_dim, vol, guard),
         uniform=_bound_set(preset.h11, b, group.cardinality, preset.half_dim, vol, guard),
@@ -303,7 +291,6 @@ class CramerAnalysis(NamedTuple):
     coefficient denominator divides ``common_denominator == |gram_determinant|``.
     """
 
-    support: tuple[int, ...]
     coefficients: tuple[Fraction, ...]
     column_determinants: tuple[Fraction, ...]
     gram_determinant: Fraction
@@ -339,7 +326,7 @@ def cramer_analysis(form: IntersectionForm, divisor: Sequence,
                 f"Cramer coefficient {_fraction_string(value)} at component {form.labels[j]!r} "
                 f"disagrees with the decomposition value {_fraction_string(reference.negative[j])}"
             )
-    return CramerAnalysis(support=idx, coefficients=coefficients,
+    return CramerAnalysis(coefficients=coefficients,
                           column_determinants=tuple(map(Fraction, y)),
                           gram_determinant=Fraction(d), common_denominator=abs(d))
 

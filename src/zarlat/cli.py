@@ -22,10 +22,11 @@ line that stderr cannot take is lost, and the code stays the same.
 A problem file is checked against the structure of
 ``schemas/problem.schema.json`` by a hand-written check that accepts and
 rejects the same documents as a JSON Schema validator, so no validator is
-imported at run time.  Values are checked once, by the library: rationals
-(problem entries, ``--volume``) follow the one grammar of
-:func:`zarlat.linalg.as_rational`, and preset aliases and block names are
-those of :mod:`zarlat.lattice`.  Floating-point JSON literals are rejected at
+imported at run time.  Rationals follow the one grammar of
+:func:`zarlat.linalg.as_rational`: the check matches each problem entry
+against the schema's pattern of it, then the library reads every value,
+``--volume`` included.  Preset aliases and block names are those of
+:mod:`zarlat.lattice`.  Floating-point JSON literals are rejected at
 parse time.  Identical input and flags produce byte-identical output:
 dictionaries are built in a fixed key order and all randomness flows from
 explicit seeds.
@@ -335,7 +336,7 @@ def _lattice_payload(lat: "lattice_mod.IntegralLattice", preset=None) -> dict:
         "gram": lat.gram.int_rows(),
         "signature": [sig.n_plus, sig.n_minus, sig.n_zero],
         "elementary_divisors": list(group.elementary_divisors),
-        "group": group.describe(),
+        "group": lattice_mod.format_group(group.elementary_divisors),
         "cardinality": group.cardinality,
         "exponent": group.exponent,
         "negativity_bound_general": group.negativity_bound,
@@ -346,8 +347,8 @@ def _lattice_payload(lat: "lattice_mod.IntegralLattice", preset=None) -> dict:
             "type": preset.display_name,
             "b2": preset.b2,
             "h11": preset.h11,
-            "published_group": preset.published_group_name(),
-            "published_exponent": preset.published_exponent,
+            "published_group": lattice_mod.format_group(preset.published_group),
+            "published_exponent": preset.published_group[-1],
             "published_max_square": preset.published_max_square,
         }
     return payload
@@ -367,10 +368,10 @@ def _table_rows(n: int) -> list[dict]:
         rows.append(
             {
                 "type": p.display_name,
-                "group": group.describe(),
-                "published_group": p.published_group_name(),
+                "group": lattice_mod.format_group(group.elementary_divisors),
+                "published_group": lattice_mod.format_group(p.published_group),
                 "order_d": group.exponent,
-                "published_d": p.published_exponent,
+                "published_d": p.published_group[-1],
                 "bound_general": group.negativity_bound,
                 "bound_refined": group.negativity_bound_refined,
                 "published_square": p.published_max_square,
@@ -421,12 +422,12 @@ def cmd_bounds(args) -> int:
         raise DomainError(f"bounds needs a deformation preset, got block expression {args.preset!r}")
     report = bounds_mod.full_report(parsed, rho=args.rho, volume=args.volume)
     payload = {
-        "preset": report.name,
-        "half_dimension": report.half_dim,
-        "cardinality": report.cardinality,
-        "negativity_bound_general": report.negativity_bound,
-        "negativity_bound_refined": report.negativity_bound_refined,
-        "published_max_square": report.published_max_square,
+        "preset": parsed.display_name,
+        "half_dimension": parsed.half_dim,
+        "cardinality": report.group.cardinality,
+        "negativity_bound_general": report.group.negativity_bound,
+        "negativity_bound_refined": report.group.negativity_bound_refined,
+        "published_max_square": parsed.published_max_square,
         "volume": str(report.volume),
         "rho_specific": _bound_set_json(report.at_rho),
         "uniform": _bound_set_json(report.uniform),
@@ -456,10 +457,12 @@ class _Parser(argparse.ArgumentParser):
     """argparse writes every message through ``_print_message``, which
     swallows an ``OSError``.  What goes to stdout, ``--help``, goes through
     :func:`_emit` instead, so help to an unwritable stdout exits 1 as every
-    other output does; usage errors go to stderr through :func:`_report`."""
+    other output does; usage errors go to stderr through :func:`_report`.
+    With stderr closed argparse names stdout for a usage error's usage text
+    too, so that text is told from help by its content."""
 
     def _print_message(self, message, file=None) -> None:
-        if file is sys.stdout:
+        if file is sys.stdout and message != self.format_usage():
             _emit(message, None)
         else:
             _report(message)

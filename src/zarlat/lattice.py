@@ -8,10 +8,11 @@ families of irreducible symplectic manifolds, the negativity bounds
 integrality test for the dual curve class ``-2 q(E, .) / q(E)`` of a
 candidate prime exceptional class ``E``.
 
-The published per-family values (discriminant group, its exponent, largest
-negative square of a prime exceptional divisor) are catalog data, stored
-verbatim in one table row per family; the lattice-theoretic columns are
-recomputed from the Gram matrices so the two can be cross-checked.  For OG10
+The published per-family values (discriminant group, largest negative
+square of a prime exceptional divisor) are catalog data, stored verbatim in
+one table row per family, and the published exponent is the group's last
+elementary divisor; the lattice-theoretic columns are recomputed from the
+Gram matrices so the two can be cross-checked.  For OG10
 the stored largest square, 6, is finer than the general bound
 ``4 * Card(A_X) = 12``.  ``preset``, ``normalize_tag``, ``PRESET_TAGS`` and
 ``presets(n)`` (read by the ``table`` command) all derive from that table,
@@ -174,9 +175,6 @@ class DiscriminantGroup(NamedTuple):
     cardinality: int
     exponent: int
 
-    def describe(self) -> str:
-        return format_group(self.elementary_divisors)
-
     @property
     def negativity_bound(self) -> int:
         """General lower-bound magnitude for prime exceptional squares: 4 * Card."""
@@ -287,15 +285,11 @@ class DeformationPreset(NamedTuple):
     b2: int
     h11: int
     published_group: tuple[int, ...]
-    published_exponent: int
     published_max_square: int
 
     @property
     def display_name(self) -> str:
         return _FAMILIES[self.tag].name.format(n=_shown(self.n))
-
-    def published_group_name(self) -> str:
-        return format_group(self.published_group)
 
 
 def normalize_tag(tag: str) -> str:
@@ -325,7 +319,7 @@ def preset(tag: str, n: Optional[int] = None) -> DeformationPreset:
     lat = direct_sum([hyperbolic_plane()] * 3 + summands)
     return DeformationPreset(
         tag=tag, n=n, half_dim=half_dim, lattice=lat, b2=lat.rank, h11=lat.rank - 2,
-        published_group=published, published_exponent=published[-1], published_max_square=square,
+        published_group=published, published_max_square=square,
     )
 
 

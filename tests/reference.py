@@ -353,7 +353,6 @@ def cramer_analysis(form, divisor, support):
         linalg.det([[rhs[r] if k == i else x for k, x in enumerate(row)] for r, row in enumerate(sub)])
         for i in range(len(support)))
     return CramerAnalysis(
-        support=tuple(support),
         coefficients=tuple(cd / gram_det for cd in column_dets),
         column_determinants=column_dets,
         gram_determinant=gram_det,

@@ -583,8 +583,9 @@ class TestHugeValuesInMessages:
 TEXTS_OF_HUGE_VALUES = {
     "RationalMatrix.__repr__": lambda: repr(RationalMatrix([[HUGE, Fraction(1, HUGE)]])),
     "format_group": lambda: format_group((2, HUGE)),
-    "DiscriminantGroup.describe": lambda: discriminant_group(rank_one(-2 * HUGE)).describe(),
-    "DeformationPreset.published_group_name": lambda: preset("K3n", HUGE).published_group_name(),
+    "format_group of DiscriminantGroup": lambda: format_group(
+        discriminant_group(rank_one(-2 * HUGE)).elementary_divisors),
+    "format_group of DeformationPreset": lambda: format_group(preset("K3n", HUGE).published_group),
     "DeformationPreset.display_name": lambda: preset("K3n", HUGE).display_name,
 }
 
@@ -725,7 +726,8 @@ class TestChowDegree:
 class TestFullReport:
     def test_k3_square(self):
         report = full_report(preset("K3n", 2), rho=2, volume=1)
-        assert report.negativity_bound == 8
+        assert report.group == discriminant_group(preset("K3n", 2).lattice)
+        assert report.group.negativity_bound == 8
         assert report.at_rho.denominator_bound == 40320
         assert report.at_rho.birationality_multiple == 846720
         assert report.at_rho.chow_degree == 846720**4
@@ -742,7 +744,7 @@ class TestFullReport:
 
     def test_og10(self):
         report = full_report(preset("OG10"), rho=2)
-        assert report.negativity_bound == 12
+        assert report.group.negativity_bound == 12
         assert report.at_rho.denominator_bound == math.factorial(12) == 479001600
 
     def test_rho_out_of_range(self):

@@ -544,11 +544,12 @@ def run_fresh(argv, redirect, unbuffered=False):
     """``python -m zarlat argv`` in a fresh process, its streams redirected by
     ``sh -c`` (``>&-`` closes stdout).  The environment is the whole of it,
     not the caller's: the package on the path, and ``PYTHONUNBUFFERED`` only
-    when asked."""
+    when asked.  ``-B`` keeps the child from writing bytecode into the
+    checkout."""
     env = {"PATH": os.defpath, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run(["sh", "-c", f'"$0" -m zarlat "$@" {redirect}', sys.executable, *argv],
+    return subprocess.run(["sh", "-c", f'"$0" -B -m zarlat "$@" {redirect}', sys.executable, *argv],
                           env=env, capture_output=True, text=True)
 
 
@@ -588,14 +589,15 @@ class TestUnwritableStdout:
 
 
 class TestUnwritableStderr:
-    """An error line that cannot be written is lost, never sent to stdout,
-    and the exit code is the one it would have reported."""
+    """An error line or usage text that cannot be written is lost, never
+    sent to stdout, and the exit code is the one it would have reported."""
 
+    @pytest.mark.parametrize("closed", [False, True], ids=["full", "closed"])
     @pytest.mark.parametrize("case, expected", [
         ("ok", 0), ("lattice", 1), ("usage", 1), ("axiom", 2), ("inconsistent", 2), ("oracle", 3),
         ("property", 4),
     ])
-    def test_in_process(self, tmp_path, capsys, monkeypatch, case, expected):
+    def test_in_process(self, tmp_path, capsys, monkeypatch, case, expected, closed):
         axiom = write_problem(tmp_path, AXIOM_PROBLEM, "axiom.json")
         ok = write_problem(tmp_path, OK_PROBLEM)
         argv = {"lattice": ["lattice", "Q8"], "usage": ["table", "--n", "x"], "axiom": ["decompose", axiom],
@@ -607,7 +609,7 @@ class TestUnwritableStderr:
                                 lambda form, divisor, limit: zariski.decompose(form, [0]))
         if case == "property":
             monkeypatch.setattr(zariski, "decomposition_checks", lambda form, divisor, dec: {"parts_sum": False})
-        monkeypatch.setattr(sys, "stderr", FailingStream())
+        monkeypatch.setattr(sys, "stderr", None if closed else FailingStream())
         code = cli.main(argv)
         out = capsys.readouterr().out
         assert code == expected
@@ -617,9 +619,10 @@ class TestUnwritableStderr:
 
     @pytest.mark.parametrize("redirect", ["2>&-", pytest.param("2>/dev/full", marks=needs_dev_full)])
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("case, expected", [("axiom", 2), ("lattice", 1)])
+    @pytest.mark.parametrize("case, expected", [("axiom", 2), ("lattice", 1), ("usage", 1)])
     def test_fresh_process(self, tmp_path, case, expected, unbuffered, redirect):
-        argv = ["decompose", write_problem(tmp_path, AXIOM_PROBLEM)] if case == "axiom" else ["lattice", "Q8"]
+        argv = {"axiom": ["decompose", write_problem(tmp_path, AXIOM_PROBLEM)], "lattice": ["lattice", "Q8"],
+                "usage": ["decompose"]}[case]
         proc = run_fresh(argv, redirect, unbuffered)
         assert (proc.returncode, proc.stdout) == (expected, "")
 

@@ -78,7 +78,7 @@ class TestBlocks:
     def test_negative_definite_blocks_by_name(self, name, build, group):
         lat = block(name)
         assert lat == build()
-        assert discriminant_group(lat).describe() == group
+        assert format_group(discriminant_group(lat).elementary_divisors) == group
 
     def test_block_dispatch(self):
         assert block("U").name == "U"
@@ -130,7 +130,7 @@ class TestDiscriminantGroup:
     def test_unimodular(self):
         g = discriminant_group(hyperbolic_plane())
         assert g == DiscriminantGroup((), 1, 1)
-        assert g.describe() == "1"
+        assert format_group(g.elementary_divisors) == "1"
 
     def test_a2(self):
         g = discriminant_group(a2_minus())
@@ -139,7 +139,7 @@ class TestDiscriminantGroup:
     def test_k3_cube(self):
         g = discriminant_group(preset("K3n", 3).lattice)
         assert g.elementary_divisors == (4,)
-        assert g.describe() == "Z/4"
+        assert format_group(g.elementary_divisors) == "Z/4"
 
     @pytest.mark.parametrize(
         "tag,n",
@@ -182,7 +182,7 @@ class TestPresets:
         g = discriminant_group(p.lattice)
         assert p.published_group == group
         assert g.elementary_divisors == group
-        assert g.exponent == exponent == p.published_exponent
+        assert g.exponent == exponent == p.published_group[-1]
         assert p.published_max_square == square
         assert p.b2 == p.lattice.rank and p.h11 == p.b2 - 2
 

@@ -409,3 +409,19 @@ def test_public_api_is_used():
         and (path.stem, qualified) not in traced
     ]
     assert not unused, f"public names nothing reads or traces; delete them: {unused}"
+
+
+def test_every_record_field_is_read():
+    # A field of a package NamedTuple is read as an attribute (``x.volume``)
+    # in the package, tests/, perfbench/ or the library example of README.md;
+    # one that nothing reads copies a value another record holds, or is dead.
+    example = ast.parse("".join(step.source for step in readme_example().examples))
+    trees = [*map(_tree, _modules(PACKAGE_DIR, TESTS_DIR, PERFBENCH_DIR)), example]
+    read = Counter(node.attr for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = [_where(path, field, f"{cls.name}.{field.target.id}")
+              for path in _modules(PACKAGE_DIR) for cls in _tree(path).body
+              if isinstance(cls, ast.ClassDef)
+              and any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in cls.bases)
+              for field in cls.body if isinstance(field, ast.AnnAssign) and not read[field.target.id]]
+    assert not unread, f"record fields nothing reads; delete them: {unread}"
