@@ -96,17 +96,17 @@ def _e8_minus_rows() -> list[list[int]]:
 
 def hyperbolic_plane() -> IntegralLattice:
     """The even unimodular rank-two block with Gram [[0, 1], [1, 0]]."""
-    return IntegralLattice("U", RationalMatrix.symmetric([[0, 1], [1, 0]]))
+    return IntegralLattice("U", RationalMatrix([[0, 1], [1, 0]]))
 
 
 def e8_minus() -> IntegralLattice:
     """The negative definite E8 lattice (negated Cartan matrix, det 1)."""
-    return IntegralLattice("E8(-1)", RationalMatrix.symmetric(_e8_minus_rows()))
+    return IntegralLattice("E8(-1)", RationalMatrix(_e8_minus_rows()))
 
 
 def a2_minus() -> IntegralLattice:
     """The negative definite A2 lattice, Gram [[-2, 1], [1, -2]], det 3."""
-    return IntegralLattice("A2(-1)", RationalMatrix.symmetric([[-2, 1], [1, -2]]))
+    return IntegralLattice("A2(-1)", RationalMatrix([[-2, 1], [1, -2]]))
 
 
 def rank_one(k: int) -> IntegralLattice:
@@ -121,7 +121,7 @@ def rank_one(k: int) -> IntegralLattice:
     if k % 2 != 0:
         raise DomainError(
             f"rank-one square {decimal_string(k)} is odd; the catalog holds even lattices only")
-    return IntegralLattice(f"<{decimal_string(k)}>", RationalMatrix.symmetric([[k]]))
+    return IntegralLattice(f"<{decimal_string(k)}>", RationalMatrix([[k]]))
 
 
 # Every catalog block by name; ``rank1`` alone takes its square k.
@@ -159,7 +159,7 @@ def direct_sum(parts: Iterable[IntegralLattice]) -> IntegralLattice:
             rows[offset + i][offset : offset + part.rank] = row
         offset += part.rank
     name = " + ".join(p.name for p in parts)
-    return IntegralLattice(name, RationalMatrix.symmetric(rows))
+    return IntegralLattice(name, RationalMatrix(rows))
 
 
 class DiscriminantGroup(NamedTuple):

@@ -11,9 +11,10 @@ one lcm, building no ``Fraction``; what is not an ``int`` or a ``Fraction``
 is read by the one grammar, :func:`as_rational`.  Exact input is built in
 a few C-level passes, not one Python step per entry: a list or tuple of
 nothing but ``int`` is its own numerators over ``1``, decided by one type
-scan, and a matrix whose rows are lists or tuples reaches the reader as
-one flat list.  Symmetry is one comparison of the rows with their
-transpose, ``tuple(zip(*rows))``.
+scan, and a matrix reaches the reader as one flat list, each row that is
+not a list or tuple read into one first: a refused row raises before any
+entry, then entries in reading order, then the shape.  Symmetry is one
+comparison of the rows with their transpose, ``tuple(zip(*rows))``.
 
 Every determinant, leading minor and definiteness verdict is fraction-free
 (Bareiss) elimination over those integers, with ``det A == det(cA) / c**n``
@@ -154,8 +155,6 @@ def as_rational(value) -> Fraction:
     than the interpreter's int/str conversion limit allows raises
     :class:`DomainError` too; the limit is the caller's to lift.
     """
-    if type(value) is Fraction:
-        return value  # immutable and already reduced
     if isinstance(value, bool):
         raise DomainError(f"boolean {value!r} is not a rational number")
     if isinstance(value, (int, Fraction)):
@@ -204,33 +203,22 @@ class RationalMatrix:
     :attr:`entries`, indexing and ``repr`` build ``Fraction`` values on each
     call; every computation reads :attr:`scaled_rows`.
 
-    The constructor calls :func:`scaled_rationals` once, on every entry in
-    row-major order.  A list or tuple of rows that are all lists or tuples
-    is gathered into one flat list first, so integer rows take the reader's
-    all-``int`` pass; any other rows are read one at a time, so the first
-    bad row or entry raises first.  The shape is checked after the entries."""
+    The constructor reads in one order: every row that is not a list or
+    tuple becomes a list (a row :func:`_sequence` refuses raises here,
+    before any entry is read), then :func:`scaled_rationals` reads all
+    entries at once, in row-major order, as one flat list (so integer rows
+    take its all-``int`` pass), and then the shape is checked."""
 
     __slots__ = ("_scaled",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        rows = _sequence(rows, "matrix rows")
-        if type(rows) in (list, tuple) and set(map(type, rows)) <= {list, tuple}:
-            widths = list(map(len, rows))  # no row can be refused
-            entries = list(chain.from_iterable(rows))
-        else:
-            widths = []
-
-            def read():  # row by row, so the first bad row or entry raises first
-                for row in rows:
-                    row = list(_sequence(row, "a matrix row"))
-                    widths.append(len(row))
-                    yield from row
-            entries = read()
-        flat, c = scaled_rationals(entries)
-        if len(set(widths)) > 1:
+        rows = [row if type(row) in (list, tuple) else list(_sequence(row, "a matrix row"))
+                for row in _sequence(rows, "matrix rows")]
+        flat, c = scaled_rationals(list(chain.from_iterable(rows)))
+        if len(set(map(len, rows))) > 1:
             raise ShapeError("rows have inconsistent lengths")
-        n = widths[0] if widths else 0
-        self._scaled = tuple(zip(*[iter(flat)] * n)) if n else ((),) * len(widths), c
+        n = len(rows[0]) if rows else 0
+        self._scaled = tuple(zip(*[iter(flat)] * n)) if n else ((),) * len(rows), c
 
     @classmethod
     def _from_scaled(cls, rows: tuple[tuple[int, ...], ...], c: int) -> "RationalMatrix":
@@ -628,8 +616,7 @@ def signature(matrix) -> Inertia:
                 continue
             f = row[k] if p > 0 else -row[k]
             rest = row[:k] + row[k + 1 :]
-            block.append([q * x - f * y for x, y in zip(rest, rest_k)] if f
-                         else [q * x for x in rest])
+            block.append([q * x - f * y for x, y in zip(rest, rest_k)])
         g = gcd(*(x for row in block for x in row))
         a = [[x // g for x in row] for row in block] if g > 1 else block
     return Inertia(n_plus, n_minus, n - n_plus - n_minus)

@@ -511,9 +511,12 @@ def self_labels(form: IntersectionForm, indices: Sequence[int]) -> str:
     return "{" + ", ".join(form.labels[i] for i in indices) + "}"
 
 
-def decompose_bruteforce(
-    form: IntersectionForm, divisor: Sequence, limit: int = 12
-) -> Decomposition:
+# The largest support the oracle enumerates unless told otherwise.
+ORACLE_LIMIT = 12
+
+
+def decompose_bruteforce(form: IntersectionForm, divisor: Sequence,
+                         limit: int = ORACLE_LIMIT) -> Decomposition:
     """Oracle by exhaustive enumeration of candidate supports.
 
     Scans every subset of ``supp(D)`` in increasing size order, keeps those

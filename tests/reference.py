@@ -56,19 +56,15 @@ def effective_divisor(values, size):
 
 
 def matrix_in_reading_order(rows):
-    """Reference: ``RationalMatrix(rows)`` read one row and one entry at a
-    time, so that the first bad row or entry raises first, with the shape
-    checked after the entries.  Pins which error a bad input raises and its
-    text; the result is built without the constructor."""
+    """Reference: ``RationalMatrix(rows)`` read in three phases: every row
+    first, each into a list, so that a refused row raises before any entry
+    is read; then the entries one at a time in row-major order, so that the
+    first bad entry raises first; then the shape.  Pins which error a bad
+    input raises and its text; the result is built without the constructor."""
     self = object.__new__(RationalMatrix)
-    widths = []
-
-    def entries():
-        for row in _sequence(rows, "matrix rows"):
-            row = list(_sequence(row, "a matrix row"))
-            widths.append(len(row))
-            yield from row
-    flat, c = scaled_rationals(entries())
+    read = [list(_sequence(row, "a matrix row")) for row in _sequence(rows, "matrix rows")]
+    flat, c = scaled_rationals([x for row in read for x in row])
+    widths = [len(row) for row in read]
     if len(set(widths)) > 1:
         raise ShapeError("rows have inconsistent lengths")
     n = widths[0] if widths else 0
@@ -78,9 +74,10 @@ def matrix_in_reading_order(rows):
 
 def symmetric_in_reading_order(rows):
     """Reference: ``RationalMatrix.symmetric(rows)``: the matrix as
-    :func:`matrix_in_reading_order` reads it, then the square check, then
-    the first asymmetric pair above the diagonal in row-major order.  Pins
-    which pair the error names and its text."""
+    :func:`matrix_in_reading_order` reads it (rows, then entries, then the
+    shape), then the square check, then the first asymmetric pair above the
+    diagonal in row-major order.  Pins which pair the error names and its
+    text."""
     m = matrix_in_reading_order(rows)
     if not m.is_square():
         raise ShapeError(f"symmetric matrix must be square, got {m.nrows}x{m.ncols}")

@@ -1018,9 +1018,10 @@ def generated_row_sets(count, seed):
 
 class TestConstructionReference:
     """``RationalMatrix`` and ``RationalMatrix.symmetric`` build what the
-    reference that reads one row and one entry at a time builds, or raise
-    the same error with the same message; ``is_symmetric`` holds exactly
-    when the symmetric reference accepts the rows."""
+    reference that reads every row, then one entry at a time, then the
+    shape builds, or raise the same error with the same message;
+    ``is_symmetric`` holds exactly when the symmetric reference accepts the
+    rows."""
 
     SHAPES = ([], (), range(0), [[]], [()], ((),), [[], []], [[1], [1, 2]], [[], [1]],
               [[1, 2], []], [(1, 2), [3]], [[1.5], [1, 2]], [["1/2", 2], (3, "4/6")],

@@ -209,8 +209,8 @@ def test_one_generator_step_and_one_matrix_read():
     # The frozen SplitMix64 step is written once in the package, so no
     # second copy can drift from it: each of its constants occurs exactly
     # once, in the code and in the text.  The RationalMatrix constructor
-    # reads its entries in exactly one call of the one reader, whichever way
-    # it gathers them.
+    # reads its entries in exactly one call of the one reader, and it has one
+    # way to gather them: no nested function and no generator.
     sources = sorted((REPO_DIR / "src").rglob("*.py"))
     text = "".join(path.read_text(encoding="utf-8") for path in sources).upper()
     constants = Counter(node.value for path in sources for node in ast.walk(_tree(path))
@@ -224,6 +224,9 @@ def test_one_generator_step_and_one_matrix_read():
     init = next(node for node in matrix.body
                 if isinstance(node, ast.FunctionDef) and node.name == "__init__")
     assert _called_names(init).count("scaled_rationals") == 1
+    nested = [type(node).__name__ for node in ast.walk(init) if node is not init and isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.Yield, ast.YieldFrom))]
+    assert nested == []
 
 
 def test_integer_path_between_input_and_result():

@@ -871,6 +871,74 @@ class TestSupportInvariant:
             decompose(form_of([[-2, 1], [1, -3]]), [1, 1])
 
 
+def relabelled(form, divisor, order):
+    """The instance with its components in ``order``: component ``k`` of the
+    result is component ``order[k]`` of ``form``."""
+    gram = form.gram
+    rows = [[gram[i, j] for j in order] for i in order]
+    return (IntersectionForm.from_rows([form.labels[i] for i in order], rows),
+            [divisor[i] for i in order])
+
+
+def orthogonal_sum(first, second):
+    """The two instances side by side: the Gram matrices block-diagonally,
+    the divisors concatenated, the labels kept apart by a prefix."""
+    (form_a, a), (form_b, b) = first, second
+    m, k = form_a.size, form_b.size
+    rows = ([list(row) + [0] * k for row in form_a.gram.entries]
+            + [[0] * m + list(row) for row in form_b.gram.entries])
+    labels = [f"a{label}" for label in form_a.labels] + [f"b{label}" for label in form_b.labels]
+    return IntersectionForm.from_rows(labels, rows), list(a) + list(b)
+
+
+class TestMetamorphic:
+    """Relations between decompositions where the oracle does not reach:
+    the benchmark's negative-heavy and mixed families at m up to 48."""
+
+    def test_relabelling_permutes_the_result(self, growth_instances):
+        rng = SplitMix64(0x5E1AB)
+        for form, divisor in growth_instances:
+            order = list(range(form.size))
+            for i in range(len(order) - 1, 0, -1):  # Fisher-Yates
+                j = rng.randint(0, i)
+                order[i], order[j] = order[j], order[i]
+            place = {old: new for new, old in enumerate(order)}
+            dec = decompose(form, divisor)
+            got = decompose(*relabelled(form, divisor, order))
+            assert got.positive == tuple(dec.positive[i] for i in order)
+            assert got.negative == tuple(dec.negative[i] for i in order)
+            assert got.negative_support == tuple(sorted(place[i] for i in dec.negative_support))
+            assert dict(zip(got.negative_support, got.witness)) == {
+                place[i]: w for i, w in zip(dec.negative_support, dec.witness)}
+            assert (got.negative_gram_det, got.rounds) == (dec.negative_gram_det, dec.rounds)
+            assert got.joined == tuple(tuple(sorted(place[i] for i in block))
+                                       for block in dec.joined)
+
+    def test_orthogonal_sum_decomposes_blockwise(self, growth_instances):
+        count = len(growth_instances)
+        decs = [decompose(form, divisor) for form, divisor in growth_instances]
+        for i in range(count):
+            j = (7 * i + 3) % count  # pairs of sizes 12 to 48, one with 3 rounds against 2
+            dec_a, dec_b, m = decs[i], decs[j], growth_instances[i][0].size
+            got = decompose(*orthogonal_sum(growth_instances[i], growth_instances[j]))
+            assert got.positive == dec_a.positive + dec_b.positive
+            assert got.negative == dec_a.negative + dec_b.negative
+            shifted = tuple(m + x for x in dec_b.negative_support)
+            assert got.negative_support == dec_a.negative_support + shifted
+            assert got.negative_gram_det == dec_a.negative_gram_det * dec_b.negative_gram_det
+            assert got.rounds == max(dec_a.rounds, dec_b.rounds)
+            assert got.joined == tuple(
+                (dec_a.joined[r] if r < dec_a.rounds else ())
+                + tuple(m + x for x in (dec_b.joined[r] if r < dec_b.rounds else ()))
+                for r in range(got.rounds))
+            # Each block of the witness is a positive multiple of that block's own.
+            size_a = len(dec_a.negative_support)
+            for part, own in ((got.witness[:size_a], dec_a.witness),
+                              (got.witness[size_a:], dec_b.witness)):
+                assert len(part) == len(own)
+                assert not own or all(x * own[0] == part[0] * y > 0 for x, y in zip(part, own))
+
+
 def decomposition_record(dec):
     """Every field of a decomposition the engine has always returned, as text."""
     return ";".join((",".join(map(str, dec.positive)), ",".join(map(str, dec.negative)),
@@ -1365,11 +1433,16 @@ class TestOneReader:
                 call()
 
     def test_matrix_reads_entries_before_shape(self):
-        # The first bad row or entry in reading order raises, and a ragged
-        # matrix with a bad entry reports the entry, as before.
+        # A refused row raises before any entry is read, then the first bad
+        # entry in reading order, and a ragged matrix with a bad entry
+        # reports the entry.
         float_error = raised(lambda: as_rational(1.5))
-        for rows in ([[1.5], [1, 2]], [[1, 2], [1.5]], [[1.5], "12"], [[1.5], 3]):
+        for rows in ([[1.5], [1, 2]], [[1, 2], [1.5]]):
             assert raised(lambda: RationalMatrix(rows)) == float_error
+        assert raised(lambda: RationalMatrix([[1.5], "12"])) == (
+            DomainError, "cannot interpret str as a matrix row")
+        with pytest.raises(TypeError, match="^'int' object is not iterable$"):
+            RationalMatrix([[1.5], 3])
         assert raised(lambda: RationalMatrix([[1], [1, 2]])) == (ShapeError,
                                                                 "rows have inconsistent lengths")
         assert raised(lambda: RationalMatrix(["12", [1.5]])) == (DomainError,
