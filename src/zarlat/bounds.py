@@ -286,15 +286,25 @@ def full_report(preset: DeformationPreset, rho: int, volume=1,
 class CramerAnalysis(NamedTuple):
     """Negative-part coefficients as determinant ratios.
 
-    ``coefficients[i] == column_determinants[i] / gram_determinant``
-    exactly, column ``i`` of ``Gram_S`` replaced by ``(gram @ a)_S``; every
-    coefficient denominator divides ``common_denominator == |gram_determinant|``.
+    ``column_determinants[i]`` is ``det Gram_S`` with column ``i`` replaced
+    by ``(gram @ a)_S``, and ``gram_determinant`` is ``det Gram_S``; both
+    are integers.  ``coefficients`` and ``common_denominator`` are read off
+    them, so every coefficient denominator divides the common denominator.
     """
 
-    coefficients: tuple[Fraction, ...]
     column_determinants: tuple[Fraction, ...]
     gram_determinant: Fraction
-    common_denominator: int
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """``column_determinants[i] / gram_determinant``, built exactly on each read."""
+        d = self.gram_determinant.numerator
+        return tuple(Fraction(v.numerator, d) for v in self.column_determinants)
+
+    @property
+    def common_denominator(self) -> int:
+        """``|gram_determinant|``."""
+        return abs(self.gram_determinant.numerator)
 
 
 def cramer_analysis(form: IntersectionForm, divisor: Sequence,
@@ -318,17 +328,16 @@ def cramer_analysis(form: IntersectionForm, divisor: Sequence,
         raise DomainError("Cramer analysis needs an integral divisor")
     gram, _ = form.gram.scaled_rows
     d, y = bareiss_solve([row + [sum(map(mul, gram[i], big_a))] for i, row in zip(idx, rows)])
-    coefficients = tuple(Fraction(v, d) for v in y)
+    analysis = CramerAnalysis(column_determinants=tuple(map(Fraction, y)),
+                              gram_determinant=Fraction(d))
     reference = decompose(form, big_a)
-    for j, value in zip(idx, coefficients):
+    for j, value in zip(idx, analysis.coefficients):
         if reference.negative[j] != value:
             raise InconsistencyError(
                 f"Cramer coefficient {_fraction_string(value)} at component {form.labels[j]!r} "
                 f"disagrees with the decomposition value {_fraction_string(reference.negative[j])}"
             )
-    return CramerAnalysis(coefficients=coefficients,
-                          column_determinants=tuple(map(Fraction, y)),
-                          gram_determinant=Fraction(d), common_denominator=abs(d))
+    return analysis
 
 
 def det_trace_bound_holds(form: IntersectionForm, support: Sequence[int], b: int) -> bool:

@@ -6,7 +6,9 @@ normal form, the second-cohomology lattices of the four known deformation
 families of irreducible symplectic manifolds, the negativity bounds
 ``4 * Card`` / ``4 * exponent``, properties of the discriminant group, and the
 integrality test for the dual curve class ``-2 q(E, .) / q(E)`` of a
-candidate prime exceptional class ``E``.
+candidate prime exceptional class ``E``.  Each record stores only what it
+cannot derive: a group's order and exponent, a preset's ``b2`` and ``h11``
+and the dual-curve verdict are properties read off the stored fields.
 
 The published per-family values (discriminant group, largest negative
 square of a prime exceptional divisor) are catalog data, stored verbatim in
@@ -145,12 +147,18 @@ def block(name: str, parameter: Optional[int] = None) -> IntegralLattice:
 
 
 def direct_sum(parts: Iterable[IntegralLattice]) -> IntegralLattice:
-    """Orthogonal direct sum; Gram matrices are placed block-diagonally."""
-    parts = list(parts)
+    """Orthogonal direct sum; Gram matrices are placed block-diagonally.
+
+    ``parts`` is read as lattice coordinates are, so a string, bytes, a
+    mapping, a set or a value that is not iterable is refused, and so is a
+    summand that is not an :class:`IntegralLattice`, each with
+    :class:`DomainError`."""
+    parts = list(_sequence(parts, "lattice summands"))
     if not parts:
         raise DomainError("direct sum needs at least one summand")
-    if len(parts) == 1:
-        return parts[0]
+    for part in parts:
+        if not isinstance(part, IntegralLattice):
+            raise DomainError(f"cannot interpret {type(part).__name__} as a lattice summand")
     total = sum(p.rank for p in parts)
     rows = [[0] * total for _ in range(total)]
     offset = 0
@@ -167,13 +175,23 @@ class DiscriminantGroup(NamedTuple):
 
     ``elementary_divisors`` are the invariant factors > 1 in divisibility
     order, so the group is the product of Z/d for d in that tuple, and it is
-    cyclic when ``len(elementary_divisors) <= 1``.  The ``lattice``, ``table``
-    and ``bounds`` commands read both negativity bounds from here.
+    cyclic when ``len(elementary_divisors) <= 1``.  They are the one stored
+    field; the order, the exponent and both negativity bounds are read off
+    them.  The ``lattice``, ``table`` and ``bounds`` commands read the
+    bounds from here.
     """
 
     elementary_divisors: tuple[int, ...]
-    cardinality: int
-    exponent: int
+
+    @property
+    def cardinality(self) -> int:
+        """The group order, the product of the elementary divisors."""
+        return prod(self.elementary_divisors)
+
+    @property
+    def exponent(self) -> int:
+        """The largest element order, the last elementary divisor (1 for the trivial group)."""
+        return self.elementary_divisors[-1] if self.elementary_divisors else 1
 
     @property
     def negativity_bound(self) -> int:
@@ -203,34 +221,37 @@ def discriminant_group(lattice: IntegralLattice) -> DiscriminantGroup:
         raise InconsistencyError(f"Smith normal form of {lattice.name!r} fails its certificate")
     if any(d == 0 for d in snf.diagonal):
         raise SingularMatrixError(f"lattice {lattice.name!r} is degenerate")
-    divisors = tuple(d for d in snf.diagonal if d > 1)
-    cardinality = prod(divisors)
+    group = DiscriminantGroup(tuple(d for d in snf.diagonal if d > 1))
     determinant = abs(lattice.determinant())
-    if cardinality != determinant:
+    if group.cardinality != determinant:
         raise InconsistencyError(
-            f"discriminant group of {lattice.name!r} has order {cardinality}, "
+            f"discriminant group of {lattice.name!r} has order {group.cardinality}, "
             f"but |det| is {determinant}"
         )
-    return DiscriminantGroup(
-        elementary_divisors=divisors,
-        cardinality=cardinality,
-        exponent=divisors[-1] if divisors else 1,
-    )
+    return group
 
 
 class DualCurveClass(NamedTuple):
     """Outcome of the dual-curve integrality test for a class E.
 
     ``dual_class`` is the rational vector representing -2 q(E, .) / q(E) in
-    the dual basis; ``integral`` says whether it lies in the dual lattice's
-    integral structure, i.e. whether q(E) divides 2 q(E, basis vector) for
-    every basis vector.
+    the dual basis and ``square`` is q(E).  ``integral`` and
+    ``failing_index`` are read off ``dual_class``.
     """
 
-    integral: bool
     dual_class: tuple[Fraction, ...]
     square: int
-    failing_index: Optional[int]
+
+    @property
+    def failing_index(self) -> Optional[int]:
+        """The first basis vector on which the class is not integral, or None."""
+        return next((i for i, x in enumerate(self.dual_class) if x.denominator != 1), None)
+
+    @property
+    def integral(self) -> bool:
+        """Whether the class lies in the dual lattice's integral structure,
+        i.e. whether q(E) divides 2 q(E, basis vector) for every basis vector."""
+        return self.failing_index is None
 
 
 def dual_curve_integrality(lattice: IntegralLattice, coords: Sequence[int]) -> DualCurveClass:
@@ -241,11 +262,7 @@ def dual_curve_integrality(lattice: IntegralLattice, coords: Sequence[int]) -> D
     square = sum(map(mul, vec, ge))
     if square == 0:
         raise DomainError("isotropic class: q(E) = 0, the dual curve class is undefined")
-    dual = tuple(Fraction(-2 * g, square) for g in ge)
-    failing = next((i for i, x in enumerate(dual) if x.denominator != 1), None)
-    return DualCurveClass(
-        integral=failing is None, dual_class=dual, square=square, failing_index=failing
-    )
+    return DualCurveClass(dual_class=tuple(Fraction(-2 * g, square) for g in ge), square=square)
 
 
 class _Family(NamedTuple):
@@ -276,16 +293,25 @@ PRESET_TAGS = tuple(_FAMILIES)
 
 class DeformationPreset(NamedTuple):
     """Second-cohomology lattice of one deformation family, plus its
-    published discriminant data and extremal negative square."""
+    published discriminant data and extremal negative square.  ``b2`` and
+    ``h11`` are read off the lattice's rank."""
 
     tag: str
     n: Optional[int]
     half_dim: int
     lattice: IntegralLattice
-    b2: int
-    h11: int
     published_group: tuple[int, ...]
     published_max_square: int
+
+    @property
+    def b2(self) -> int:
+        """The second Betti number, the lattice's rank."""
+        return self.lattice.rank
+
+    @property
+    def h11(self) -> int:
+        """``b2 - 2``, which bounds the Picard number."""
+        return self.lattice.rank - 2
 
     @property
     def display_name(self) -> str:
@@ -316,9 +342,8 @@ def preset(tag: str, n: Optional[int] = None) -> DeformationPreset:
     elif n is not None:
         raise DomainError(f"{tag} takes no parameter, got n={_shown(n)}")
     summands, published, square, half_dim = family.build(n)
-    lat = direct_sum([hyperbolic_plane()] * 3 + summands)
     return DeformationPreset(
-        tag=tag, n=n, half_dim=half_dim, lattice=lat, b2=lat.rank, h11=lat.rank - 2,
+        tag=tag, n=n, half_dim=half_dim, lattice=direct_sum([hyperbolic_plane()] * 3 + summands),
         published_group=published, published_max_square=square,
     )
 

@@ -45,12 +45,12 @@ from __future__ import annotations
 import decimal
 import re
 import sys
-from collections.abc import Mapping, Set as AbstractSet
+from collections.abc import Iterable, Mapping, Set as AbstractSet
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ShapeError, SingularMatrixError
 
@@ -187,11 +187,12 @@ def as_integer(value) -> int:
 
 
 def _sequence(values, what: str):
-    """``values``, unless it is a string, bytes, a mapping or a set, whose iteration yields no
-    coordinates: :class:`DomainError` naming its type.  Lists, tuples, ranges and generators
-    are read; lists and tuples skip the slow ABC checks."""
-    if type(values) not in (list, tuple) and isinstance(
-            values, (str, bytes, bytearray, Mapping, AbstractSet)):
+    """``values``, unless it is not iterable, or a string, bytes, a mapping or a set, whose
+    iteration yields no coordinates: :class:`DomainError` naming its type.  Lists, tuples,
+    ranges and generators are read; lists and tuples skip the slow ABC checks."""
+    if type(values) not in (list, tuple) and (
+            not isinstance(values, Iterable)
+            or isinstance(values, (str, bytes, bytearray, Mapping, AbstractSet))):
         raise DomainError(f"cannot interpret {type(values).__name__} as {what}")
     return values
 

@@ -4,6 +4,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -59,10 +60,11 @@ UNIMODULAR_OPS = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3), st.int
 
 
 def congruent(a, rows):
-    """``A^T M A`` for the square integer matrices ``a`` and ``rows``."""
-    n = len(a)
-    return [[sum(a[k][i] * rows[k][l] * a[l][j] for k in range(n) for l in range(n))
-             for j in range(n)] for i in range(n)]
+    """``A^T M A`` for the square integer matrices ``a`` and ``rows``: entry
+    ``(i, j)`` is column ``i`` of ``A`` against column ``j`` of ``M A``."""
+    columns = list(zip(*a))
+    ma = [[sum(map(mul, row, column)) for column in columns] for row in rows]
+    return [[sum(map(mul, column, ma_column)) for ma_column in zip(*ma)] for column in columns]
 
 
 def seeded_gram(rng, diagonal, offdiagonal):

@@ -349,12 +349,7 @@ def cramer_analysis(form, divisor, support):
     column_dets = tuple(
         linalg.det([[rhs[r] if k == i else x for k, x in enumerate(row)] for r, row in enumerate(sub)])
         for i in range(len(support)))
-    return CramerAnalysis(
-        coefficients=tuple(cd / gram_det for cd in column_dets),
-        column_determinants=column_dets,
-        gram_determinant=gram_det,
-        common_denominator=abs(int(gram_det)),
-    )
+    return CramerAnalysis(column_determinants=column_dets, gram_determinant=gram_det)
 
 
 def frozen_splitmix64(seed):

@@ -71,6 +71,9 @@ class TestCramer:
             got = cramer_analysis(form, divisor, support)
             expected = reference.cramer_analysis(form, divisor, support)
             assert got == expected, seed
+            gram_det = expected.gram_determinant
+            assert got.coefficients == tuple(cd / gram_det for cd in expected.column_determinants), seed
+            assert got.common_denominator == abs(int(gram_det)), seed
             assert all(type(x) is Fraction for x in (*got.coefficients, *got.column_determinants,
                                                      got.gram_determinant)), seed
             assert type(got.common_denominator) is int, seed
@@ -282,15 +285,17 @@ class TestInstanceFailures:
 
     def test_cramer_divisibility_reads_the_engine(self, monkeypatch):
         # The property divides the engine's coefficients, not the analysis's
-        # own: a planted analysis with integer coefficients and common
-        # denominator 1 fails it, for N = (0, 1/2) has denominator 2.
+        # own: a planted analysis with determinants 1, so integer
+        # coefficients and common denominator 1, fails it, for N = (0, 1/2)
+        # has denominator 2.
         form = form_of([[2, 1], [1, -2]])
         real = bounds.cramer_analysis
 
         def planted(*args):
             analysis = real(*args)
-            return analysis._replace(coefficients=(Fraction(1),) * len(analysis.coefficients),
-                                     common_denominator=1)
+            return analysis._replace(
+                column_determinants=(Fraction(1),) * len(analysis.column_determinants),
+                gram_determinant=Fraction(1))
 
         assert decompose(form, [1, 1]).negative == (0, Fraction(1, 2))
         assert instance_failures(form, [1, 1], 8, 0) == []

@@ -1,12 +1,17 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zarlat.bounds import CramerAnalysis, cramer_analysis
 from zarlat.errors import DomainError, ShapeError, SingularMatrixError
 from zarlat.lattice import (
     PRESET_TAGS,
+    DeformationPreset,
     DiscriminantGroup,
+    DualCurveClass,
     IntegralLattice,
     a2_minus,
     block,
@@ -25,7 +30,7 @@ from zarlat.linalg import Inertia, RationalMatrix, signature, smith_normal_form
 from zarlat.zariski import SplitMix64
 
 import reference
-from conftest import UNIMODULAR_OPS, congruent
+from conftest import UNIMODULAR_OPS, congruent, form_of
 
 
 class TestBlocks:
@@ -99,7 +104,7 @@ class TestBlocks:
 class TestDirectSum:
     def test_singleton(self):
         u = hyperbolic_plane()
-        assert direct_sum([u]) is u
+        assert direct_sum([u]) == u
 
     def test_block_diagonal(self):
         s = direct_sum([hyperbolic_plane(), rank_one(-2)])
@@ -115,6 +120,16 @@ class TestDirectSum:
         with pytest.raises(DomainError):
             direct_sum([])
 
+    @pytest.mark.parametrize("parts, message", [
+        (5, "cannot interpret int as lattice summands"),
+        ("U", "cannot interpret str as lattice summands"),
+        ([5], "cannot interpret int as a lattice summand"),
+        ([hyperbolic_plane(), "U"], "cannot interpret str as a lattice summand"),
+    ], ids=repr)
+    def test_non_lattice_rejected(self, parts, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            direct_sum(parts)
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.sampled_from([-8, -6, -4, -2, 2, 4]), min_size=1, max_size=4))
     def test_cardinality_multiplicative(self, squares):
@@ -129,12 +144,19 @@ class TestDirectSum:
 class TestDiscriminantGroup:
     def test_unimodular(self):
         g = discriminant_group(hyperbolic_plane())
-        assert g == DiscriminantGroup((), 1, 1)
+        assert g == DiscriminantGroup(())
         assert format_group(g.elementary_divisors) == "1"
 
     def test_a2(self):
         g = discriminant_group(a2_minus())
         assert g.elementary_divisors == (3,) and g.cardinality == 3 and g.exponent == 3
+
+    @pytest.mark.parametrize("divisors, cardinality, exponent",
+                             [((), 1, 1), ((3,), 3, 3), ((2, 2), 4, 2), ((2, 6), 12, 6)])
+    def test_order_and_exponent_read_off_the_divisors(self, divisors, cardinality, exponent):
+        g = DiscriminantGroup(divisors)
+        assert (g.cardinality, g.exponent) == (cardinality, exponent)
+        assert (g.negativity_bound, g.negativity_bound_refined) == (4 * cardinality, 4 * exponent)
 
     def test_k3_cube(self):
         g = discriminant_group(preset("K3n", 3).lattice)
@@ -315,3 +337,57 @@ class TestDualCurveIntegrality:
         after = dual_curve_integrality(new_lat, new_coords)
         assert before.square == after.square
         assert before.integral == after.integral
+
+
+def derived_values(record):
+    """Every property of ``record``'s class, by name, as ``record`` reads it."""
+    return {name: getattr(record, name) for name, value in vars(type(record)).items()
+            if isinstance(value, property)}
+
+
+class TestDerivedValues:
+    """A record stores only what it cannot derive: the derived values are
+    properties, so they are not in the tuple and nothing can set them."""
+
+    RECORDS = {
+        DiscriminantGroup: lambda: discriminant_group(preset("OG6").lattice),
+        DeformationPreset: lambda: preset("K3n", 3),
+        DualCurveClass: lambda: dual_curve_integrality(
+            direct_sum([hyperbolic_plane(), hyperbolic_plane()]), [1, -2, 0, 0]),
+        CramerAnalysis: lambda: cramer_analysis(form_of([[2, 1], [1, -2]]), [1, 1], [1]),
+    }
+
+    def test_stored_fields(self):
+        assert {cls: cls._fields for cls in self.RECORDS} == {
+            DiscriminantGroup: ("elementary_divisors",),
+            DeformationPreset: ("tag", "n", "half_dim", "lattice", "published_group",
+                                "published_max_square"),
+            DualCurveClass: ("dual_class", "square"),
+            CramerAnalysis: ("column_determinants", "gram_determinant"),
+        }
+
+    def test_cannot_be_set(self):
+        with pytest.raises(TypeError):
+            DiscriminantGroup((2,), 3, 5)
+        with pytest.raises(TypeError):
+            DualCurveClass(True, (Fraction(1, 2),), 2, None)
+        with pytest.raises(ValueError, match=r"unexpected field names: \['h11'\]"):
+            preset("OG6")._replace(h11=1)
+        with pytest.raises(ValueError, match="unexpected field names"):
+            self.RECORDS[CramerAnalysis]()._replace(common_denominator=1)
+        with pytest.raises(AttributeError):
+            preset("OG6").b2 = 1
+
+    @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+    def test_copies_keep_every_property(self, cls):
+        # Protocols 0 and 1 cannot pickle a RationalMatrix, a __slots__ class
+        # without __getstate__, so the preset is pickled from protocol 2 on.
+        record = self.RECORDS[cls]()
+        expected = derived_values(record)
+        assert expected and type(record) is cls
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [pickle.loads(pickle.dumps(record, protocol))
+                   for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is cls and other == record
+            assert derived_values(other) == expected

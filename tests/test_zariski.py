@@ -1363,7 +1363,8 @@ class TestOneReader:
     """The contract of the one reader, ``linalg.scaled_rationals``, at every
     entry point: a bad entry raises what ``as_rational`` raises, a string,
     bytes, a mapping or a set is refused by type instead of being read
-    element by element, and lists, tuples, ranges and generators are read."""
+    element by element, as is a value that is not iterable, and lists,
+    tuples, ranges and generators are read."""
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1.5", "1e3", None, "3/0", " 3"])
     @pytest.mark.parametrize("reader", READERS)
@@ -1372,7 +1373,7 @@ class TestOneReader:
         assert raised(lambda: reader_entry_points()[reader]((1, bad))) == expected
 
     @pytest.mark.parametrize("values", ["12", b"12", bytearray(b"12"), {0: 5, 1: 7},
-                                        {1, 2}, frozenset({1, 2}), {1: 0, 2: 0}.keys()],
+                                        {1, 2}, frozenset({1, 2}), {1: 0, 2: 0}.keys(), 12, None],
                              ids=lambda v: type(v).__name__)
     @pytest.mark.parametrize("reader", READERS)
     def test_refused_by_type(self, reader, values):
@@ -1431,6 +1432,13 @@ class TestOneReader:
                      lambda: IntersectionForm.from_rows(["a", "b"], ["21", "12"])):
             with pytest.raises(DomainError, match=r"^cannot interpret (str|bytes|dict) as "):
                 call()
+        # A value that is not iterable at all is refused by type too.
+        for call in (lambda: RationalMatrix(5), lambda: RationalMatrix([[1], 2]),
+                     lambda: as_divisor(5, 1), lambda: solve([[1]], 3), lambda: signature(5),
+                     lambda: det(None), lambda: hyperbolic_plane().pairing(1, [1, 0]),
+                     lambda: is_exceptional(form, 0)):
+            with pytest.raises(DomainError, match=r"^cannot interpret (int|NoneType) as "):
+                call()
 
     def test_matrix_reads_entries_before_shape(self):
         # A refused row raises before any entry is read, then the first bad
@@ -1441,8 +1449,8 @@ class TestOneReader:
             assert raised(lambda: RationalMatrix(rows)) == float_error
         assert raised(lambda: RationalMatrix([[1.5], "12"])) == (
             DomainError, "cannot interpret str as a matrix row")
-        with pytest.raises(TypeError, match="^'int' object is not iterable$"):
-            RationalMatrix([[1.5], 3])
+        assert raised(lambda: RationalMatrix([[1.5], 3])) == (
+            DomainError, "cannot interpret int as a matrix row")
         assert raised(lambda: RationalMatrix([[1], [1, 2]])) == (ShapeError,
                                                                 "rows have inconsistent lengths")
         assert raised(lambda: RationalMatrix(["12", [1.5]])) == (DomainError,
@@ -1451,7 +1459,7 @@ class TestOneReader:
             assert raised(lambda: RationalMatrix(rows)) == (
                 DomainError, f"cannot interpret {type(rows).__name__} as matrix rows")
 
-    @pytest.mark.parametrize("values", ["10", b"10", {0: 1, 1: 0}, {1, 0}],
+    @pytest.mark.parametrize("values", ["10", b"10", {0: 1, 1: 0}, {1, 0}, 10],
                              ids=lambda v: type(v).__name__)
     def test_lattice_coordinates_refused_by_type(self, values):
         lattice = hyperbolic_plane()
