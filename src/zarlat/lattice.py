@@ -2,10 +2,11 @@
 
 Provides the standard even blocks (hyperbolic plane, E8(-1), A2(-1),
 rank-one lattices), direct sums, discriminant groups computed through Smith
-normal form, the second-cohomology lattices of the four known deformation
-families of irreducible symplectic manifolds, the negativity bounds
-``4 * Card`` / ``4 * exponent``, properties of the discriminant group, and the
-integrality test for the dual curve class ``-2 q(E, .) / q(E)`` of a
+normal form (certified against the Gram matrix, by ``|det| == prod(diag)``
+when it is nonsingular), the second-cohomology lattices of the four known
+deformation families of irreducible symplectic manifolds, the negativity
+bounds ``4 * Card`` / ``4 * exponent``, properties of the discriminant group,
+and the integrality test for the dual curve class ``-2 q(E, .) / q(E)`` of a
 candidate prime exceptional class ``E``.  Each record stores only what it
 cannot derive: a group's order and exponent, a preset's ``b2`` and ``h11``
 and the dual-curve verdict are properties read off the stored fields.
@@ -213,22 +214,16 @@ def format_group(divisors: Sequence[int]) -> str:
 def discriminant_group(lattice: IntegralLattice) -> DiscriminantGroup:
     """Invariant factors of the discriminant group via Smith normal form.
 
-    The reduction's certificate is checked before its diagonal is used, and
-    the group order is checked against ``|det|``.
-    """
+    The certificate is checked against the Gram matrix ``G`` before its diagonal is
+    used: ``U G V == diag`` and, for a nonsingular ``G``, one determinant, ``|det G| ==
+    prod(diag)``, the group order; a degenerate lattice passes through ``det U`` and
+    ``det V``, then raises :class:`SingularMatrixError`."""
     snf = smith_normal_form(lattice.gram)
-    if not snf.verify():
+    if not snf.verify(lattice.gram):
         raise InconsistencyError(f"Smith normal form of {lattice.name!r} fails its certificate")
-    if any(d == 0 for d in snf.diagonal):
+    if not all(snf.diagonal):
         raise SingularMatrixError(f"lattice {lattice.name!r} is degenerate")
-    group = DiscriminantGroup(tuple(d for d in snf.diagonal if d > 1))
-    determinant = abs(lattice.determinant())
-    if group.cardinality != determinant:
-        raise InconsistencyError(
-            f"discriminant group of {lattice.name!r} has order {group.cardinality}, "
-            f"but |det| is {determinant}"
-        )
-    return group
+    return DiscriminantGroup(tuple(d for d in snf.diagonal if d > 1))
 
 
 class DualCurveClass(NamedTuple):

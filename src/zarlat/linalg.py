@@ -33,8 +33,9 @@ reduction over integers with one pivot rule, 1x1; when the diagonal of the
 live block vanishes, a unimodular congruence first makes one entry of it
 nonzero.  ``smith_normal_form`` is one integer loop that enforces the
 divisibility chain while it eliminates and records both unimodular
-transforms, a certificate that discriminant groups check
-(:meth:`SmithNormalForm.verify`).
+transforms, a certificate that discriminant groups check against their Gram
+matrix ``M`` (:meth:`SmithNormalForm.verify`: one determinant, ``det M``,
+when ``M`` is nonsingular; ``det U`` and ``det V`` when it is singular).
 
 Every function is pure; a :class:`BorderedElimination` is the one mutable
 state, owned by the caller that extends it.
@@ -48,7 +49,7 @@ import sys
 from collections.abc import Iterable, Mapping, Set as AbstractSet
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -319,6 +320,9 @@ class RationalMatrix:
 
     def __hash__(self) -> int:
         return hash(self._scaled)
+
+    def __reduce__(self):  # its canonical pair, under every pickle protocol
+        return RationalMatrix._from_scaled, self._scaled
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(map(_fraction_string, row)) for row in self.entries)
@@ -640,7 +644,8 @@ def is_negative_definite(matrix) -> bool:
 
 
 class SmithNormalForm(NamedTuple):
-    """Diagonalization ``left @ matrix @ right == diag(diagonal)``.
+    """Diagonalization ``left @ M @ right == diag(diagonal)`` of a square
+    integer matrix ``M``, which the caller holds and :meth:`verify` is given.
 
     ``left`` and ``right`` are unimodular integer matrices, kept so the
     reduction can be certified after the fact instead of trusted.  The
@@ -650,22 +655,25 @@ class SmithNormalForm(NamedTuple):
     diagonal: tuple[int, ...]
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
-    matrix: tuple[tuple[int, ...], ...]
 
-    def verify(self) -> bool:
-        """Check the whole contract: ``n x n`` parts, ``U M V == diag``,
-        ``|det U| == |det V| == 1``, and a nonnegative diagonal in which each
-        entry divides the next (zero divides only zero, so zeros come last)."""
-        diag = self.diagonal
-        n = len(diag)
-        if {len(r) for t in (self.left, self.right, self.matrix) for r in (t, *t)} != {n}:
+    def verify(self, matrix) -> bool:
+        """Check the whole contract against ``matrix``: integral and ``n x n``, like both
+        transforms; a nonnegative diagonal in which each entry divides the next (so zeros
+        come last); ``U M V == diag``; unimodular ``U`` and ``V``.  As ``det U * det M *
+        det V == prod(diag)`` in integers, a diagonal without zeros needs one determinant,
+        ``|det M| == prod(diag)``; a singular ``M`` needs ``|det U| == |det V| == 1``."""
+        rows, c = as_matrix(matrix).scaled_rows
+        diag, n = self.diagonal, len(self.diagonal)
+        if c != 1 or {len(r) for t in (self.left, self.right, rows) for r in (t, *t)} != {n}:
             return False
         if any(x < 0 for x in diag) or any((b % a if a else b) for a, b in zip(diag, diag[1:])):
             return False
-        umv = _int_matmul(_int_matmul(self.left, self.matrix), self.right)
+        umv = _int_matmul(_int_matmul(self.left, rows), self.right)
         if umv != tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)):
             return False
-        return all(abs(bareiss_det([list(r) for r in t])) == 1 for t in (self.left, self.right))
+        if all(diag):
+            return abs(bareiss_det(list(map(list, rows)))) == prod(diag)
+        return all(abs(bareiss_det(list(map(list, t)))) == 1 for t in (self.left, self.right))
 
 
 def _int_matmul(a, b):
@@ -682,7 +690,7 @@ def smith_normal_form(matrix) -> SmithNormalForm:
     block, a row of the block is first added into row ``t``, so the
     divisibility chain holds as soon as the loop ends.  Row operations are
     recorded in ``left`` and column operations in ``right``, the certificate
-    :meth:`SmithNormalForm.verify` checks.
+    :meth:`SmithNormalForm.verify` checks against the caller's matrix.
     """
     m = as_matrix(matrix)
     if not m.is_square():
@@ -728,9 +736,5 @@ def smith_normal_form(matrix) -> SmithNormalForm:
         if d[t][t] < 0:
             for mat in (d, u):
                 mat[t] = [-x for x in mat[t]]
-    return SmithNormalForm(
-        diagonal=tuple(d[t][t] for t in range(n)),
-        left=tuple(tuple(r) for r in u),
-        right=tuple(tuple(r) for r in v),
-        matrix=m.scaled_rows[0],
-    )
+    return SmithNormalForm(tuple(d[t][t] for t in range(n)), tuple(map(tuple, u)),
+                           tuple(map(tuple, v)))

@@ -170,7 +170,7 @@ class TestDiscriminantGroup:
     )
     def test_presets_match_published_group_with_certificate(self, tag, n):
         p = preset(tag, n)
-        assert smith_normal_form(p.lattice.gram).verify()
+        assert smith_normal_form(p.lattice.gram).verify(p.lattice.gram)
         assert discriminant_group(p.lattice).elementary_divisors == p.published_group
 
     def test_singular_rejected(self):
@@ -380,14 +380,12 @@ class TestDerivedValues:
 
     @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
     def test_copies_keep_every_property(self, cls):
-        # Protocols 0 and 1 cannot pickle a RationalMatrix, a __slots__ class
-        # without __getstate__, so the preset is pickled from protocol 2 on.
         record = self.RECORDS[cls]()
         expected = derived_values(record)
         assert expected and type(record) is cls
         copies = [copy.copy(record), copy.deepcopy(record)]
         copies += [pickle.loads(pickle.dumps(record, protocol))
-                   for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for other in copies:
             assert type(other) is cls and other == record
             assert derived_values(other) == expected

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from zarlat.bounds import BigInt
 from zarlat.errors import DomainError, InconsistencyError, ShapeError, SingularMatrixError
-from zarlat.lattice import a2_minus, direct_sum, e8_minus, hyperbolic_plane, rank_one
+from zarlat.lattice import (IntegralLattice, a2_minus, direct_sum, discriminant_group, e8_minus,
+                            hyperbolic_plane, rank_one)
 from zarlat.linalg import (
     BorderedElimination,
     Inertia,
@@ -553,11 +554,11 @@ class TestDefiniteness:
 class TestSmithNormalForm:
     def test_scalar(self):
         s = smith_normal_form([[2]])
-        assert s.diagonal == (2,) and s.verify()
+        assert s.diagonal == (2,) and s.verify([[2]])
 
     def test_a2(self):
         s = smith_normal_form([[-2, 1], [1, -2]])
-        assert s.diagonal == (1, 3) and s.verify()
+        assert s.diagonal == (1, 3) and s.verify([[-2, 1], [1, -2]])
 
     def test_already_chained(self):
         assert smith_normal_form([[2, 0], [0, 4]]).diagonal == (2, 4)
@@ -573,7 +574,7 @@ class TestSmithNormalForm:
     @given(square_int_matrices(max_size=4))
     def test_certificate_and_divisibility(self, rows):
         s = smith_normal_form(rows)
-        assert s.verify()
+        assert s.verify(rows)
         nonzero = [d for d in s.diagonal if d != 0]
         assert all(d > 0 for d in nonzero)
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
@@ -605,11 +606,17 @@ class TestSmithNormalForm:
         n = len(diagonal)
         eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         rows = tuple(tuple(diagonal[i] if i == j else 0 for j in range(n)) for i in range(n))
-        assert not SmithNormalForm(diagonal, eye, eye, rows).verify()
+        assert not SmithNormalForm(diagonal, eye, eye).verify(rows)
 
     def test_verify_rejects_non_square_parts(self):
-        assert not SmithNormalForm((2,), ((1, 5),), ((1,),), ((2,),)).verify()
-        assert not SmithNormalForm((2,), ((1,),), ((1,),), ((2, 7),)).verify()
+        assert not SmithNormalForm((2,), ((1, 5),), ((1,),)).verify([[2]])
+        assert not SmithNormalForm((2,), ((1,),), ((1,),)).verify([[2, 7]])
+
+    def test_verify_rejects_fractional_matrix(self):
+        # 1/2 is stored as the row (1,) over the scale 2, which alone would
+        # pass U M V == diag.
+        assert SmithNormalForm((1,), ((1,),), ((1,),)).verify([[1]])
+        assert not SmithNormalForm((1,), ((1,),), ((1,),)).verify([["1/2"]])
 
     @settings(max_examples=200, deadline=None)
     @given(snf_matrices())
@@ -622,7 +629,7 @@ class TestSmithNormalForm:
         expected = [abs(int(x)) for x in invariant_factors(ref, domain=sympy.ZZ)]
         s = smith_normal_form(rows)
         assert list(s.diagonal) == expected + [0] * (n - len(expected))
-        assert s.verify()
+        assert s.verify(rows)
 
 
 class TestKernelCongruence:
@@ -952,17 +959,20 @@ class TestExplicitGuards:
         def wrong(matrix):
             snf = real(matrix)
             return SmithNormalForm(snf.diagonal[:-1] + (snf.diagonal[-1] * 2,),
-                                   snf.left, snf.right, snf.matrix)
+                                   snf.left, snf.right)
 
         monkeypatch.setattr(lattice, "smith_normal_form", wrong)
         with pytest.raises(InconsistencyError):
             lattice.discriminant_group(rank_one(-2))
 
     def test_discriminant_order_against_determinant(self, monkeypatch):
-        from zarlat import lattice
+        # The certificate compares |det G| with the order: a determinant
+        # twice the truth fails it.
+        from zarlat import lattice, linalg
 
-        monkeypatch.setattr(lattice, "det", lambda matrix: -4)
-        with pytest.raises(InconsistencyError, match="has order 2, but \\|det\\| is 4"):
+        real = linalg.bareiss_det
+        monkeypatch.setattr(linalg, "bareiss_det", lambda rows: 2 * real(rows))
+        with pytest.raises(InconsistencyError, match="fails its certificate"):
             lattice.discriminant_group(rank_one(-2))
 
     def test_discriminant_forged_transform(self, monkeypatch):
@@ -973,11 +983,32 @@ class TestExplicitGuards:
         def forged(matrix):
             snf = real(matrix)
             left = (tuple(2 * x for x in snf.left[0]),) + snf.left[1:]  # det 2: not unimodular
-            return SmithNormalForm(snf.diagonal, left, snf.right, snf.matrix)
+            return SmithNormalForm(snf.diagonal, left, snf.right)
 
         monkeypatch.setattr(lattice, "smith_normal_form", forged)
         with pytest.raises(InconsistencyError, match="certificate"):
             lattice.discriminant_group(a2_minus())
+
+    def test_discriminant_certificate_of_another_matrix(self, monkeypatch):
+        # The certificate of <-1> + <-4> is a valid Smith form with the same
+        # |det| as <-2> + <-2>, so only U M V == diag, read against the
+        # lattice's own Gram matrix, tells Z/4 from Z/2 x Z/2.
+        from zarlat import lattice
+
+        real = lattice.smith_normal_form
+        monkeypatch.setattr(lattice, "smith_normal_form", lambda matrix: real([[-1, 0], [0, -4]]))
+        with pytest.raises(InconsistencyError, match="fails its certificate"):
+            lattice.discriminant_group(direct_sum([rank_one(-2), rank_one(-2)]))
+
+    def test_singular_certificate_needs_unimodular_transforms(self):
+        # det U * det M * det V == prod(diag) reads 0 == 0 for a singular M,
+        # so a non-unimodular U must be caught by det U itself.
+        assert not SmithNormalForm((0,), ((2,),), ((1,),)).verify([[0]])
+        assert SmithNormalForm((0,), ((1,),), ((1,),)).verify([[0]])
+        degenerate = IntegralLattice("bad", RationalMatrix.symmetric([[2, 2], [2, 2]]))
+        assert smith_normal_form(degenerate.gram).verify(degenerate.gram)
+        with pytest.raises(SingularMatrixError, match="is degenerate"):
+            discriminant_group(degenerate)
 
 
 def built(call):

@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+SRC = ROOT / "src"
 
 FAILING_GIVEN = '''
 from hypothesis import given, strategies as st
@@ -48,3 +50,23 @@ def test_cli_import_loads_no_dataclass_machinery():
                          timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+# The lattice-reading commands, each run fresh under two hash seeds and
+# under -O, which strips asserts.
+DETERMINISM_COMMANDS = (["lattice", "K3n:3"], ["table", "--n", "5", "--json"],
+                        ["bounds", "OG10", "--rho", "3"])
+
+
+def test_cli_output_is_deterministic():
+    # Default output depends on neither the hash seed nor assert statements.
+    # Nine processes, one at a time: about 1 s on a shared 2-core machine.
+    for argv in DETERMINISM_COMMANDS:
+        outputs = []
+        for flags, seed in (((), "0"), ((), "1"), (("-O",), "0")):
+            env = {"PATH": os.defpath, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+            run = subprocess.run([sys.executable, "-B", *flags, "-m", "zarlat", *argv], env=env,
+                                 capture_output=True, timeout=60)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2], argv
